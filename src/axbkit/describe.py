@@ -233,9 +233,12 @@ _OPS: dict[str, str] = {
     ),
     "modulus_mixed_2d": "Mixed modulus of continuity through the half-plane interface.",
     "laplacian_2d": (
-        "Half-plane Laplacians assembled as D1* D1 + D2* D2 from skew-symmetrized "
-        "generators; the expanded forms -(1+y^2) dyy - x^2 dxx - 2xy dxy - x dx "
-        "- y dy and -x^2 (dxx + dyy) - x dx are interior consistency oracles."
+        "Half-plane Laplacians D1* D1 + D2* D2 from skew-symmetrized generators, "
+        "kept as Kronecker factors on the two axes and applied axis by axis; the "
+        "exact minimum eigenvalue comes from a block reduction to one-axis "
+        "eigenproblems, with no dense product-grid matrix. The expanded forms "
+        "-(1+y^2) dyy - x^2 dxx - 2xy dxy - x dx - y dy and -x^2 (dxx + dyy) - x dx "
+        "are interior consistency oracles."
     ),
     "sobolev_graph_check": (
         "Ratio between the order-m Sobolev norm and the graph norm "

@@ -17,9 +17,12 @@ Direct expansion gives ``[D1, D2] = -D2`` on the left and
 tests together with the (sign-ambiguous) alternative, and only the
 symbolically forced identity is asserted.
 
-Laplacians are assembled as ``D1* D1 + D2* D2`` from the skew-symmetrized
-discrete generators, guaranteeing a Hermitian nonnegative matrix; the
-expanded second-order forms
+Laplacians are ``D1* D1 + D2* D2`` built from the skew-symmetrized
+discrete generators, so they are symmetric and nonnegative.  They are kept
+Kronecker-factored (each generator a sum of ``kron(B, C)`` terms with
+one-axis factors) and applied axis by axis; the full product-grid matrix
+is never formed, and the minimum eigenvalue is computed exactly by a
+block reduction to one-axis eigenproblems.  The expanded second-order forms
 
 ``Delta_L = -(1 + y^2) dyy - x^2 dxx - 2 x y dxy - x dx - y dy``
 ``Delta_R = -x^2 (dxx + dyy) - x dx``
@@ -34,24 +37,23 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
 from .grids import LogGrid, trapezoid_weights
 from .group import GroupElement
 from .moduli import RepresentationSpace, modulus_mixed
 from .smoothing import hardy_steklov_generic
-from .spectral import DiscreteOperator, fourier_diff_matrix
+from .spectral import fourier_diff_matrix
 
 __all__ = [
     "HalfPlaneGrid",
     "HalfPlaneFunction",
     "lp_norm_2d",
-    "inner_2d",
     "act_2d",
     "generator_2d",
     "halfplane_space",
     "modulus_mixed_2d",
+    "KroneckerLaplacian",
     "build_halfplane_laplacian",
     "expanded_laplacian_apply",
     "sobolev_graph_check",
@@ -60,7 +62,7 @@ __all__ = [
 
 DENSE_CAP_2D = 4096
 
-_OP_CACHE: dict[tuple, DiscreteOperator] = {}
+_OP_CACHE: dict[tuple, "KroneckerLaplacian"] = {}
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,6 @@ def lp_norm_2d(f: HalfPlaneFunction, p: float, side: str) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     w = f.grid.measure_weights(side)
     return float(np.sum(w * np.abs(f.values) ** p) ** (1.0 / p))
-
-
-def inner_2d(f: HalfPlaneFunction, g: HalfPlaneFunction, side: str) -> complex:
-    w = f.grid.measure_weights(side)
-    return complex(np.sum(w * f.values * np.conj(g.values)))
 
 
 def _interp_columns(values: np.ndarray, axis_nodes: np.ndarray, targets: np.ndarray,
@@ -304,10 +301,7 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
     """
 
     def act(j, t, f):
-        if side == "left":
-            g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
-        else:
-            g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
+        g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
         return act_2d(g, f, side)
 
     def t_candidates(j, s, cap):
@@ -340,45 +334,103 @@ def modulus_mixed_2d(r: int, s: float, f: HalfPlaneFunction, p: float, side: str
     return modulus_mixed(halfplane_space(f.grid, side, p), r, s, f)
 
 
-def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> DiscreteOperator:
-    """Dense eigendecomposition of ``D1* D1 + D2* D2`` on the product grid.
+@dataclass
+class KroneckerLaplacian:
+    """``A = sum_g M_g^T M_g`` in flat coordinates, each ``M_g`` a sum of ``kron(B, C)``.
+
+    Flat coordinates are ``phi = sqrt(w) * f`` on the (n_x, n_y) value
+    array, where ``kron(B, C)`` acts as ``B @ phi @ C.T``; there ``A`` is
+    real symmetric positive semidefinite.  ``lambda_min`` is its exact
+    minimum eigenvalue, from the block reduction in
+    :func:`build_halfplane_laplacian`.
+    """
+
+    weights: np.ndarray  # (n_x, n_y), quadrature times measure
+    generators: tuple  # per skew-symmetrized generator, its (B, C) factor pairs
+    lambda_min: float
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """No eigenvectors are formed: an empty block of columns, so storage
+        summed over operators counts zero here."""
+        return np.empty((self.weights.size, 0))
+
+    def _flat_apply(self, phi: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(phi)
+        for terms in self.generators:
+            mphi = sum(B @ phi @ C.T for B, C in terms)
+            out = out + sum(B.T @ mphi @ C for B, C in terms)
+        return out
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``A f`` for an (n_x, n_y) value array."""
+        sw = np.sqrt(self.weights)
+        return self._flat_apply(sw * values) / sw
+
+    def power_form(self, values: np.ndarray, m: int) -> float:
+        """``<f, A^m f>`` in the weighted inner product, by ``m`` applications."""
+        psi = np.sqrt(self.weights) * values
+        for _ in range(m // 2):
+            psi = self._flat_apply(psi)
+        other = self._flat_apply(psi) if m % 2 else psi
+        return float(np.real(np.vdot(psi, other)))
+
+    def norm(self, values: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2)))
+
+
+def _skew(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M - M.T)
+
+
+def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplacian:
+    """Kronecker-factored ``D1* D1 + D2* D2`` on the product grid.
 
     Generators are carried to flat coordinates (square root of the total
-    weight) and antisymmetrized there, so the assembled matrix is exactly
-    symmetric positive semidefinite.
+    weight) and antisymmetrized there, so the operator is exactly symmetric
+    positive semidefinite.  The uniform-rule weights factor as
+    ``w_u (x) w_y`` with constant ``w_y``, so with ``S_u`` the flat skew
+    ``d_u`` and ``T = skew(Y D_y)`` the flat generators are
+
+    * left:  ``M1 = S_u (x) I + I (x) T``, ``M2 = I (x) D_y``;
+    * right: ``M1 = S_u (x) I``,           ``M2 = X (x) D_y``.
+
+    ``lambda_min`` comes from a unitary block reduction: on the left,
+    diagonalizing ``i S_u`` (eigenvalues ``alpha_j``) leaves the blocks
+    ``(alpha_j + i T)^2 + D_y^T D_y``; on the right, diagonalizing
+    ``D_y^T D_y`` (eigenvalues ``mu_k``) leaves ``S_u^T S_u + mu_k X^2``.
     """
     if grid.xgrid.n * grid.n_y > DENSE_CAP_2D:
         raise ValueError(
-            f"grid has {grid.xgrid.n * grid.n_y} points, dense eigensolver cap is {DENSE_CAP_2D}"
+            f"grid has {grid.xgrid.n * grid.n_y} points, half-plane operator cap is {DENSE_CAP_2D}"
         )
     key = (side, grid.key())
     if key in _OP_CACHE:
         return _OP_CACHE[key]
+    w = grid.measure_weights(side, rule="uniform")
     nx, ny = grid.xgrid.n, grid.n_y
-    w = grid.measure_weights(side, rule="uniform").reshape(-1)
-    sw = np.sqrt(w)
+    # w_y is constant, so conjugating by sqrt(w) only rescales the u factors
+    swu = np.sqrt(w[:, 0])
     Du = fourier_diff_matrix(nx, grid.xgrid.h)
+    Su = _skew((swu[:, None] * Du) / swu[None, :])
     Dy = fourier_diff_matrix(ny, grid.h_y)
+    DtD = Dy.T @ Dy
     Iu, Iy = np.eye(nx), np.eye(ny)
     if side == "left":
-        gen1 = np.kron(Du, Iy) + np.kron(Iu, grid.y[:, None] * Dy)
-        gen2 = np.kron(Iu, Dy)
+        T = _skew(grid.y[:, None] * Dy)
+        generators = (((Su, Iy), (Iu, T)), ((Iu, Dy),))
+        alpha = np.linalg.eigvalsh(1j * Su)
+        H = alpha[:, None, None] * Iy + 1j * T
+        blocks = H @ H + DtD
     else:
-        gen1 = np.kron(Du, Iy)
-        gen2 = np.kron(np.diag(grid.xgrid.x), Dy)
-    mats = []
-    for gen in (gen1, gen2):
-        flat = (sw[:, None] * gen) / sw[None, :]
-        mats.append(0.5 * (flat - flat.T))
-    A = mats[0].T @ mats[0] + mats[1].T @ mats[1]
-    A = 0.5 * (A + A.T)
-    lam, V = sla.eigh(A)
-    op = DiscreteOperator(
+        X = np.diag(grid.xgrid.x)
+        generators = (((Su, Iy),), ((X, Dy),))
+        mu = np.linalg.eigvalsh(DtD)
+        blocks = Su.T @ Su + mu[:, None, None] * (X @ X)
+    op = KroneckerLaplacian(
         weights=w,
-        eigenvalues=lam,
-        eigenvectors=V,
-        matrix=None,
-        meta={"kind": f"halfplane_{side}", "grid": grid},
+        generators=generators,
+        lambda_min=float(np.min(np.linalg.eigvalsh(blocks))),
     )
     _OP_CACHE[key] = op
     return op
@@ -404,7 +456,7 @@ def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFuncti
 
 
 def sobolev_graph_check(f: HalfPlaneFunction, m: int, side: str,
-                        op: DiscreteOperator | None = None) -> dict:
+                        op: KroneckerLaplacian | None = None) -> dict:
     """Ratio between the order-m Sobolev norm and the graph norm of ``Delta^{m/2}``."""
     from .moduli import sobolev_space_norm
 
@@ -412,10 +464,7 @@ def sobolev_graph_check(f: HalfPlaneFunction, m: int, side: str,
         op = build_halfplane_laplacian(f.grid, side)
     space = halfplane_space(f.grid, side, 2.0)
     sob = sobolev_space_norm(space, f, m)
-    flat = f.values.reshape(-1)
-    lam = np.maximum(op.eigenvalues, 0.0)
-    w = op.spectral_weights(flat)
-    graph = op.norm(flat) + float(np.sqrt(np.sum(lam ** m * w)))
+    graph = op.norm(f.values) + math.sqrt(max(op.power_form(f.values, m), 0.0))
     return {
         "sobolev_norm": sob,
         "graph_norm": graph,

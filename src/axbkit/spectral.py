@@ -236,7 +236,7 @@ class DiscreteOperator:
     weights: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal in flat coordinates
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -263,13 +263,11 @@ class DiscreteOperator:
 
     def hermitian_residual(self) -> float:
         """Relative reassembly residual ``||V L V^T - M|| / ||M||`` (oracle check)."""
-        if self.matrix is None:
-            raise ValueError("matrix was not retained")
         re = self.eigenvectors @ (self.eigenvalues[:, None] * self.eigenvectors.T)
         return float(np.linalg.norm(re - self.matrix) / np.linalg.norm(self.matrix))
 
 
-def build_matrix_laplacian(grid: LogGrid, keep_matrix: bool = True) -> DiscreteOperator:
+def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     """Dense eigendecomposition of ``-D_u^2 + diag(x^2)`` on the log grid.
 
     ``D_u`` is the antisymmetrized Fourier differentiation matrix carried
@@ -293,7 +291,7 @@ def build_matrix_laplacian(grid: LogGrid, keep_matrix: bool = True) -> DiscreteO
         weights=w.copy(),
         eigenvalues=lam,
         eigenvectors=V,
-        matrix=A if keep_matrix else None,
+        matrix=A,
         meta={"kind": "halfline", "grid": grid},
     )
     _OP_CACHE[key] = op

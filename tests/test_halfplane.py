@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from axbkit.grids import LogGrid
 from axbkit.group import GroupElement
@@ -18,6 +19,7 @@ from axbkit.halfplane import (
     modulus_mixed_2d,
     sobolev_graph_check,
 )
+from axbkit.spectral import fourier_diff_matrix
 
 
 @pytest.fixture(scope="module")
@@ -134,15 +136,66 @@ def test_commutators_fine_grid():
         assert inorm(comm - alt) / inorm(alt) > 0.5
 
 
+def _dense_laplacian(grid, side):
+    """Brute-force oracle: the full matrix of ``D1* D1 + D2* D2`` in flat coordinates.
+
+    Assembled from the whole-grid Kronecker generators and weights, without
+    using the separable factorization the operator relies on.
+    """
+    nx, ny = grid.xgrid.n, grid.n_y
+    sw = np.sqrt(grid.measure_weights(side, rule="uniform").reshape(-1))
+    Du = fourier_diff_matrix(nx, grid.xgrid.h)
+    Dy = fourier_diff_matrix(ny, grid.h_y)
+    Iu, Iy = np.eye(nx), np.eye(ny)
+    if side == "left":
+        gens = (np.kron(Du, Iy) + np.kron(Iu, grid.y[:, None] * Dy), np.kron(Iu, Dy))
+    else:
+        gens = (np.kron(Du, Iy), np.kron(np.diag(grid.xgrid.x), Dy))
+    A = np.zeros((nx * ny, nx * ny))
+    for gen in gens:
+        flat = (sw[:, None] * gen) / sw[None, :]
+        skew = 0.5 * (flat - flat.T)
+        A += skew.T @ skew
+    return 0.5 * (A + A.T), sw
+
+
+@pytest.fixture(scope="module")
+def dense_small():
+    """Oracle matrices and full eigensystems per side, on a small non-square grid.
+
+    Non-square, so that a transposed factor cannot go unnoticed.
+    """
+    grid = HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
+    out = {}
+    for side in ("left", "right"):
+        A, sw = _dense_laplacian(grid, side)
+        out[side] = (A, sw) + tuple(sla.eigh(A))
+    return grid, out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_kronecker_operator_matches_dense_oracle(dense_small, side):
+    grid, dense = dense_small
+    A, sw, lam, _ = dense[side]
+    op = build_halfplane_laplacian(grid, side)
+    assert op.eigenvectors.nbytes == 0
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+    ref = (A @ (sw * v.reshape(-1))) / sw
+    got = op.apply(v).reshape(-1)
+    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-12
+    assert abs(op.lambda_min - lam[0]) <= 1e-10 * np.linalg.norm(A, 2)
+
+
 def test_laplacians_nonnegative(opL, opR):
-    assert float(np.min(opL.eigenvalues)) > -1e-8
-    assert float(np.min(opR.eigenvalues)) > -1e-8
+    assert opL.lambda_min > -1e-8
+    assert opR.lambda_min > -1e-8
 
 
 def test_right_laplacian_reduces_on_y_constant(hgrid, opR):
     ux = np.exp(-((hgrid.xgrid.u + 1.0) ** 2) / 2.0)
     f = HalfPlaneFunction(hgrid, np.outer(ux, np.ones(48)))
-    out = opR.apply_fn(lambda lam: lam, f.values.reshape(-1)).reshape(48, 48)
+    out = opR.apply(f.values)
     pad = np.concatenate([np.zeros(3), ux, np.zeros(3)])
     stencil = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
     d2 = np.zeros_like(ux)
@@ -156,16 +209,22 @@ def test_right_laplacian_reduces_on_y_constant(hgrid, opR):
 
 def test_assembled_vs_expanded_interior(hgrid, f2, opL, opR):
     for side, op, tol in (("left", opL, 5e-2), ("right", opR, 1e-3)):
-        assembled = op.apply_fn(lambda lam: lam, f2.values.reshape(-1)).reshape(48, 48)
+        assembled = op.apply(f2.values)
         expanded = expanded_laplacian_apply(f2, side).values
         sl = (slice(4, 44), slice(4, 44))
         res = np.linalg.norm((assembled - expanded)[sl]) / np.linalg.norm(expanded[sl])
         assert res < tol
 
 
-def test_operator_parseval_matches_weighted_norm(hgrid, f2, opL):
-    w = opL.spectral_weights(f2.values.reshape(-1))
-    assert abs(float(np.sum(w)) - lp_norm_2d(f2, 2.0, "left") ** 2) < 1e-9
+def test_operator_parseval_matches_weighted_norm(dense_small):
+    grid, dense = dense_small
+    f = log_gaussian_2d(grid)
+    for side, (_, sw, lam, V) in dense.items():
+        w = np.abs(V.T @ (sw * f.values.reshape(-1))) ** 2
+        assert abs(float(np.sum(w)) - lp_norm_2d(f, 2.0, side) ** 2) < 1e-9
+        # the eigen-route quadratic form is the one the operator computes by apply
+        op = build_halfplane_laplacian(grid, side)
+        assert op.power_form(f.values, 1) == pytest.approx(float(np.sum(lam * w)), rel=1e-12)
 
 
 def test_modulus_2d(hgrid, f2):
@@ -206,6 +265,14 @@ def test_sobolev_graph_check(hgrid, f2, opL, opR):
     for side, op in (("left", opL), ("right", opR)):
         rep = sobolev_graph_check(f2, 1, side, op)
         assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
+        # m = 2: the graph norm is ||f|| + ||A f||
+        w = hgrid.measure_weights(side, rule="uniform")
+        af = op.apply(f2.values)
+        expected = math.sqrt(np.sum(w * np.abs(f2.values) ** 2)) + math.sqrt(
+            np.sum(w * np.abs(af) ** 2))
+        rep2 = sobolev_graph_check(f2, 2, side, op)
+        assert rep2["graph_norm"] == pytest.approx(expected, rel=1e-12)
+        assert np.isfinite(rep2["ratio"]) and rep2["ratio"] > 0
 
 
 def test_hardy_generic_smooths_2d(hgrid, f2):
