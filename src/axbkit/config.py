@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
+
+from .spectral import DENSE_CAP
 
 __all__ = ["RunConfig", "ConfigError", "TOLERANCES", "parse_config_file"]
 
@@ -68,10 +69,13 @@ class RunConfig:
     schema_version: int = 1
 
     def __post_init__(self):
-        if self.tol_scale <= 0:
-            raise ConfigError("tol_scale: must be positive")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise ConfigError(f"tol_scale: must be positive and finite, got {self.tol_scale}")
         if self.grid_n < 16 or self.grid_n_coarse < 16 or self.oracle_n < 16:
             raise ConfigError("grid_n/grid_n_coarse/oracle_n: need at least 16 nodes")
+        for key in ("grid_n", "grid_n_coarse"):
+            if getattr(self, key) > DENSE_CAP:
+                raise ConfigError(f"{key}: at most {DENSE_CAP} nodes (dense eigensolver cap)")
         if not self.u_min < self.u_max:
             raise ConfigError("u_min/u_max: need u_min < u_max")
         if self.tau_max <= 0 or self.tau_n < 32:
@@ -86,9 +90,6 @@ class RunConfig:
         if key == "AC6_bernstein":
             return 1.0 + (base - 1.0) * self.tol_scale
         return base * self.tol_scale
-
-    def cache_dir(self) -> str | None:
-        return os.environ.get("AXBKIT_CACHE_DIR") or None
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -131,7 +132,4 @@ def parse_config_file(path: str, **overrides) -> RunConfig:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             values[key] = _coerce(key, raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**values)
-    if not math.isfinite(cfg.tol_scale):
-        raise ConfigError("tol_scale: must be finite")
-    return cfg
+    return RunConfig(**values)

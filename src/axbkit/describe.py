@@ -231,7 +231,6 @@ _OPS: dict[str, str] = {
         "D2 = x dy. Direct expansion gives [D1, D2] = -D2 (left) and +D2 (right); "
         "both residuals are reported."
     ),
-    "modulus_mixed_2d": "Mixed modulus of continuity through the half-plane interface.",
     "laplacian_2d": (
         "Half-plane Laplacians D1* D1 + D2* D2 from skew-symmetrized generators, "
         "kept as Kronecker factors on the two axes and applied axis by axis; the "

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import HalfLineFunction
+from .moduli import _accumulate
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -277,11 +278,7 @@ def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q
         J = full_band_count(op, "tau")
         scale_list = 2.0 ** np.arange(0, J + 1, dtype=float)
     scale_list = np.asarray(scale_list, dtype=float)
-    vals = [t ** alpha * best_approx(t, f, op) for t in scale_list]
-    if math.isinf(q):
-        return float(np.max(vals))
-    dlog = np.log(2.0)
-    return float((np.sum(np.asarray(vals) ** q) * dlog) ** (1.0 / q))
+    return _accumulate([t ** alpha * best_approx(t, f, op) for t in scale_list], q)
 
 
 def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int,

@@ -14,7 +14,22 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["LogGrid", "SpectralGrid", "HalfLineFunction", "trapezoid_weights"]
+__all__ = [
+    "LogGrid",
+    "SpectralGrid",
+    "HalfLineFunction",
+    "trapezoid_weights",
+    "fd6",
+    "grid_steps",
+    "shift_zero_fill",
+]
+
+#: 6th-order central stencils, offsets -3..3, for the first and second derivative
+_FD6_D1 = np.array([-1.0 / 60, 3.0 / 20, -3.0 / 4, 0.0, 3.0 / 4, -3.0 / 20, 1.0 / 60])
+_FD6_D2 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18, 3.0 / 2, -3.0 / 20, 1.0 / 90])
+
+#: tolerance, in grid steps, for treating a shift as an exact grid multiple
+_SNAP = 1e-9
 
 
 def trapezoid_weights(n: int, step: float) -> np.ndarray:
@@ -22,6 +37,46 @@ def trapezoid_weights(n: int, step: float) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def fd6(values: np.ndarray, h: float, order: int = 1, axis: int = 0) -> np.ndarray:
+    """Derivative of order 1 or 2 along ``axis`` by the 6th-order central stencil.
+
+    Samples outside the array count as zero.  The result has the dtype of
+    ``values`` promoted with float64, so real input stays real.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    stencil = _FD6_D1 if order == 1 else _FD6_D2
+    vals = np.moveaxis(values, axis, 0)
+    n = vals.shape[0]
+    pad = np.zeros((3,) + vals.shape[1:], dtype=np.result_type(vals, stencil))
+    padded = np.concatenate([pad, vals, pad])
+    out = np.zeros(vals.shape, dtype=pad.dtype)
+    for k, c in enumerate(stencil):
+        if c != 0.0:
+            out += c * padded[k : k + n]
+    return np.moveaxis(out / h ** order, 0, axis)
+
+
+def grid_steps(t: float, h: float) -> int | None:
+    """``t / h`` as an integer when ``t`` is a grid multiple of ``h``, else ``None``."""
+    steps = t / h
+    nearest = round(steps)
+    return int(nearest) if abs(steps - nearest) < _SNAP else None
+
+
+def shift_zero_fill(values: np.ndarray, steps: int, axis: int = 0) -> np.ndarray:
+    """``out[i] = values[i + steps]`` along ``axis``, zero where ``i + steps`` is outside."""
+    out = np.zeros_like(values)
+    n = values.shape[axis]
+    if abs(steps) < n:
+        lead = (slice(None),) * axis
+        if steps >= 0:
+            out[lead + (slice(0, n - steps),)] = values[lead + (slice(steps, None),)]
+        else:
+            out[lead + (slice(-steps, None),)] = values[lead + (slice(0, n + steps),)]
+    return out
 
 
 @dataclass(frozen=True)

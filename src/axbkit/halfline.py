@@ -17,8 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from .grids import HalfLineFunction
+from .grids import HalfLineFunction, fd6, grid_steps, shift_zero_fill
 from .group import GroupElement
+from .moduli import apply_word, halfline_space, sobolev_space_norm
 
 __all__ = [
     "xp_norm",
@@ -33,14 +34,7 @@ __all__ = [
     "mixed_derivative",
     "sobolev_norm",
     "sobolev_norm_top",
-    "direction_words",
 ]
-
-#: 6th-order central first-derivative stencil, offsets -3..3, divided by h.
-_FD6_D1 = np.array([-1.0 / 60, 3.0 / 20, -3.0 / 4, 0.0, 3.0 / 4, -3.0 / 20, 1.0 / 60])
-
-#: grid-compatibility tolerance for shifts, relative to one step
-_SHIFT_SNAP = 1e-9
 
 #: maximum derivative-word order accepted by the default stencil setup
 MAX_SOBOLEV_ORDER = 4
@@ -73,19 +67,6 @@ def window_loss(f: HalfLineFunction) -> float:
     return float(edge / total) if total > 0 else 0.0
 
 
-def _roll_zero_fill(values: np.ndarray, steps: int) -> np.ndarray:
-    """Shift samples by an integer number of grid steps, zero outside."""
-    n = values.shape[0]
-    out = np.zeros_like(values)
-    if steps >= 0:
-        if steps < n:
-            out[: n - steps] = values[steps:]
-    else:
-        if -steps < n:
-            out[-steps:] = values[: n + steps]
-    return out
-
-
 def shift_log(f: HalfLineFunction, t: float) -> HalfLineFunction:
     """Translation ``f(u) -> f(u + t)`` in the log variable.
 
@@ -95,11 +76,10 @@ def shift_log(f: HalfLineFunction, t: float) -> HalfLineFunction:
     decaying corpus.
     """
     g = f.grid
-    steps = t / g.h
-    nearest = round(steps)
-    if abs(steps - nearest) < _SHIFT_SNAP:
-        return f.with_values(_roll_zero_fill(f.values, int(nearest)))
-    pad = int(np.ceil(abs(steps))) + 8
+    exact = grid_steps(t, g.h)
+    if exact is not None:
+        return f.with_values(shift_zero_fill(f.values, exact))
+    pad = int(np.ceil(abs(t / g.h))) + 8
     npad = g.n + 2 * pad
     buf = np.zeros(npad, dtype=complex)
     buf[pad : pad + g.n] = f.values
@@ -134,60 +114,18 @@ def act_modulation(t: float, f: HalfLineFunction) -> HalfLineFunction:
     return f.with_values(np.exp(1j * t * f.grid.x) * f.values)
 
 
-def _fd6_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d/du with the 6th-order central stencil and zero extension."""
-    n = values.shape[0]
-    padded = np.concatenate([np.zeros(3, dtype=complex), values, np.zeros(3, dtype=complex)])
-    out = np.zeros(n, dtype=complex)
-    for k, c in enumerate(_FD6_D1):
-        if c != 0.0:
-            out += c * padded[k : k + n]
-    return out / h
-
-
-def _fft_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Spectral d/du on the periodically extended, smoothly tapered window."""
-    n = values.shape[0]
-    ramp = _smooth_ramp(np.linspace(0.0, 1.0, max(8, n // 16)))
-    taper = np.ones(n)
-    taper[: ramp.size] = ramp
-    taper[-ramp.size :] = ramp[::-1]
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    return np.fft.ifft(1j * xi * np.fft.fft(values * taper))
-
-
-def _smooth_ramp(t: np.ndarray) -> np.ndarray:
-    """C-infinity ramp from 0 at t=0 to 1 at t=1 built from exp(-1/t)."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        hi = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return lo / (lo + hi)
-
-
-def generator(j: int, f: HalfLineFunction, method: str = "fd6") -> HalfLineFunction:
+def generator(j: int, f: HalfLineFunction) -> HalfLineFunction:
     """Infinitesimal generators: ``D1 = x d/dx`` and ``D2 = i x``.
 
-    On the log grid ``x d/dx`` is a plain ``d/du``; ``method`` selects the
-    6th-order central stencil (default, robust for samples that do not
-    vanish at the window edge) or spectral differentiation with a taper.
+    On the log grid ``x d/dx`` is a plain ``d/du``, taken with the
+    6th-order central stencil and zero extension, which stays robust for
+    samples that do not vanish at the window edge.
     """
     if j == 1:
-        if method == "fd6":
-            d = _fd6_derivative(f.values, f.grid.h)
-        elif method == "fft":
-            d = _fft_derivative(f.values, f.grid.h)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        return f.with_values(d)
+        return f.with_values(fd6(f.values, f.grid.h))
     if j == 2:
         return f.with_values(1j * f.grid.x * f.values)
     raise ValueError(f"direction must be 1 or 2, got {j}")
-
-
-def direction_words(k: int):
-    """All derivative words of length k over the two directions."""
-    return list(product((1, 2), repeat=k))
 
 
 def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
@@ -195,32 +133,28 @@ def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
 
     The rightmost letter acts first, matching operator-product notation.
     """
+    word = tuple(word)
     if len(word) == 0:
         raise ValueError("derivative word must be nonempty")
-    out = f
-    for j in reversed(tuple(word)):
-        out = generator(j, out)
-    return out
+    return apply_word(halfline_space(f.grid), word, f)
 
 
-def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
-    """Sobolev norm: ``||f|| + sum over orders k<=m and words of ||D_word f||``."""
+def _check_order(m: int) -> None:
     if m < 0:
         raise ValueError("order must be nonnegative")
     if m > MAX_SOBOLEV_ORDER:
         raise ValueError(f"order {m} exceeds configured stencil order {MAX_SOBOLEV_ORDER}")
-    total = xp_norm(f, p)
-    for k in range(1, m + 1):
-        for word in direction_words(k):
-            total += xp_norm(mixed_derivative(word, f), p)
-    return total
+
+
+def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
+    """Sobolev norm: ``||f|| + sum over orders k<=m and words of ||D_word f||``."""
+    _check_order(m)
+    return sobolev_space_norm(halfline_space(f.grid, p), f, m)
 
 
 def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
     """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``."""
-    if m == 0:
-        return xp_norm(f, p)
-    total = xp_norm(f, p)
-    for word in direction_words(m):
-        total += xp_norm(mixed_derivative(word, f), p)
-    return total
+    _check_order(m)
+    space = halfline_space(f.grid, p)
+    words = product((1, 2), repeat=m) if m > 0 else ()
+    return space.norm(f) + sum(space.norm(apply_word(space, w, f)) for w in words)

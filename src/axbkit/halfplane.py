@@ -39,9 +39,11 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import LogGrid, trapezoid_weights
+from .grids import LogGrid, fd6, grid_steps, shift_zero_fill, trapezoid_weights
 from .group import GroupElement
-from .moduli import RepresentationSpace, modulus_mixed
+# half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
+# name stays importable from this module
+from .moduli import RepresentationSpace, grid_candidates, modulus_mixed  # noqa: F401
 from .smoothing import hardy_steklov_generic
 from .spectral import fourier_diff_matrix
 
@@ -52,7 +54,6 @@ __all__ = [
     "act_2d",
     "generator_2d",
     "halfplane_space",
-    "modulus_mixed_2d",
     "KroneckerLaplacian",
     "build_halfplane_laplacian",
     "expanded_laplacian_apply",
@@ -189,20 +190,9 @@ def _interp_columns(values: np.ndarray, axis_nodes: np.ndarray, targets: np.ndar
 
 def _shift_u(values: np.ndarray, grid: HalfPlaneGrid, t: float) -> np.ndarray:
     """Sample ``f(u + t, y)``: exact roll on grid multiples, cubic otherwise."""
-    h = grid.xgrid.h
-    steps = t / h
-    nearest = round(steps)
-    if abs(steps - nearest) < 1e-9:
-        m = int(nearest)
-        out = np.zeros_like(values)
-        n = values.shape[0]
-        if m >= 0:
-            if m < n:
-                out[: n - m] = values[m:]
-        else:
-            if -m < n:
-                out[-m:] = values[: n + m]
-        return out
+    steps = grid_steps(t, grid.xgrid.h)
+    if steps is not None:
+        return shift_zero_fill(values, steps, axis=0)
     return _interp_columns(values, grid.xgrid.u, grid.xgrid.u + t, axis=0)
 
 
@@ -211,19 +201,9 @@ def _map_y(values: np.ndarray, grid: HalfPlaneGrid, scale: float, offset) -> np.
     y = grid.y
     offset = np.asarray(offset, dtype=float)
     if scale == 1.0 and offset.ndim == 0:
-        steps = float(offset) / grid.h_y
-        nearest = round(steps)
-        if abs(steps - nearest) < 1e-9:
-            m = int(nearest)
-            out = np.zeros_like(values)
-            n = values.shape[1]
-            if m >= 0:
-                if m < n:
-                    out[:, : n - m] = values[:, m:]
-            else:
-                if -m < n:
-                    out[:, -m:] = values[:, : n + m]
-            return out
+        steps = grid_steps(float(offset), grid.h_y)
+        if steps is not None:
+            return shift_zero_fill(values, steps, axis=1)
     if offset.ndim == 0:
         targets = scale * y + float(offset)
         return _interp_columns(values, y, targets, axis=1)
@@ -250,30 +230,12 @@ def act_2d(g: GroupElement, f: HalfPlaneFunction, side: str) -> HalfPlaneFunctio
     raise ValueError("side must be 'left' or 'right'")
 
 
-_FD6_D1 = np.array([-1.0 / 60, 3.0 / 20, -3.0 / 4, 0.0, 3.0 / 4, -3.0 / 20, 1.0 / 60])
-_FD6_D2 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18, 3.0 / 2, -3.0 / 20, 1.0 / 90])
-
-
-def _fd_axis(values: np.ndarray, h: float, axis: int, stencil: np.ndarray,
-             power: int) -> np.ndarray:
-    vals = np.moveaxis(values, axis, 0)
-    n = vals.shape[0]
-    padded = np.concatenate(
-        [np.zeros((3,) + vals.shape[1:], dtype=complex), vals,
-         np.zeros((3,) + vals.shape[1:], dtype=complex)], axis=0)
-    out = np.zeros_like(vals, dtype=complex)
-    for k, c in enumerate(stencil):
-        if c != 0.0:
-            out += c * padded[k : k + n]
-    return np.moveaxis(out / h ** power, 0, axis)
-
-
 def _du(f: HalfPlaneFunction) -> np.ndarray:
-    return _fd_axis(f.values, f.grid.xgrid.h, 0, _FD6_D1, 1)
+    return fd6(f.values, f.grid.xgrid.h, 1, axis=0)
 
 
 def _dy(f: HalfPlaneFunction) -> np.ndarray:
-    return _fd_axis(f.values, f.grid.h_y, 1, _FD6_D1, 1)
+    return fd6(f.values, f.grid.h_y, 1, axis=1)
 
 
 def generator_2d(j: int, f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:
@@ -313,12 +275,8 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
         elif j == 1:
             step = grid.xgrid.h
         else:
-            return s * np.arange(1, cap + 1) / cap
-        mmax = int(math.floor(s / step + 1e-9))
-        if mmax < 1:
-            return np.empty(0)
-        count = min(cap, mmax)
-        return np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
+            step = None
+        return grid_candidates(s, cap, step)
 
     return RepresentationSpace(
         name=f"L^{p:g}({side})",
@@ -328,10 +286,6 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
         t_candidates=t_candidates,
         hardy=lambda r, s, f: hardy_steklov_generic(act, r, s, f),
     )
-
-
-def modulus_mixed_2d(r: int, s: float, f: HalfPlaneFunction, p: float, side: str) -> float:
-    return modulus_mixed(halfplane_space(f.grid, side, p), r, s, f)
 
 
 @dataclass
@@ -444,13 +398,13 @@ def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFuncti
     ``-d_uu - x^2 d_yy``.
     """
     g = f.grid
-    duu = _fd_axis(f.values, g.xgrid.h, 0, _FD6_D2, 2)
-    dyy = _fd_axis(f.values, g.h_y, 1, _FD6_D2, 2)
+    duu = fd6(f.values, g.xgrid.h, 2, axis=0)
+    dyy = fd6(f.values, g.h_y, 2, axis=1)
     if side == "right":
         return f.with_values(-duu - (g.xgrid.x ** 2)[:, None] * dyy)
-    du = _fd_axis(f.values, g.xgrid.h, 0, _FD6_D1, 1)
-    duy = _fd_axis(du, g.h_y, 1, _FD6_D1, 1)
-    dy = _fd_axis(f.values, g.h_y, 1, _FD6_D1, 1)
+    du = _du(f)
+    duy = fd6(du, g.h_y, 1, axis=1)
+    dy = _dy(f)
     y = g.y[None, :]
     return f.with_values(-duu - 2.0 * y * duy - y * dy - (1.0 + y ** 2) * dyy)
 

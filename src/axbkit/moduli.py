@@ -47,11 +47,11 @@ from .spectral import DiscreteOperator
 __all__ = [
     "RepresentationSpace",
     "BesovParams",
-    "ModulusProfile",
     "halfline_space",
+    "grid_candidates",
+    "apply_word",
     "sobolev_space_norm",
     "modulus_mixed",
-    "modulus_profile",
     "verify_modulus_inequalities",
     "k_upper",
     "k_upper_detail",
@@ -106,12 +106,6 @@ class BesovParams:
             raise ValueError("need alpha < r")
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
-    r: int
-    entries: tuple  # pairs (s, omega)
-
-
 def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     """The concrete half-line instantiation of the representation interface."""
     from .halfline import act_modulation, generator, shift_log, xp_norm
@@ -121,16 +115,9 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
         return shift_log(f, t) if j == 1 else act_modulation(t, f)
 
     def t_candidates(j, s, cap):
-        if j == 2:
-            # the modulation group is exact for every t
-            return s * np.arange(1, cap + 1) / cap
-        # dilations are exact only on grid multiples of the step
-        mmax = int(math.floor(s / grid.h + 1e-9))
-        if mmax < 1:
-            return np.empty(0)
-        count = min(cap, mmax)
-        steps = np.unique(np.round(np.linspace(1, mmax, count)).astype(int))
-        return steps * grid.h
+        # the modulation group is exact for every t, dilations only on
+        # grid multiples of the step
+        return grid_candidates(s, cap, grid.h if j == 1 else None)
 
     return RepresentationSpace(
         name=f"X^{p:g}",
@@ -142,15 +129,34 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     )
 
 
+def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
+    """At most ``cap`` time steps in ``(0, s]`` for one factor's supremum search.
+
+    With ``step=None`` (a group exact for every t) they are uniform; otherwise
+    they are distinct integer multiples of ``step``, empty when ``s < step``.
+    """
+    if step is None:
+        return s * np.arange(1, cap + 1) / cap
+    mmax = int(math.floor(s / step + 1e-9))
+    if mmax < 1:
+        return np.empty(0)
+    count = min(cap, mmax)
+    return np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
+
+
+def apply_word(space: RepresentationSpace, word, f):
+    """``A_{j1} ... A_{jk} f`` for a word ``(j1, ..., jk)``; the rightmost letter acts first."""
+    for j in reversed(word):
+        f = space.gen(j, f)
+    return f
+
+
 def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float:
     """``||f|| + sum_{k<=m} sum_{words of length k} ||A_word f||``."""
     total = space.norm(f)
     for k in range(1, m + 1):
         for word in product((1, 2), repeat=k):
-            g = f
-            for j in reversed(word):
-                g = space.gen(j, g)
-            total += space.norm(g)
+            total += space.norm(apply_word(space, word, f))
     return total
 
 
@@ -184,10 +190,6 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
     if not any_word:
         raise ValueError(f"no admissible time steps below s={s}")
     return total
-
-
-def modulus_profile(space, r, s_list, f) -> ModulusProfile:
-    return ModulusProfile(r, tuple((float(s), modulus_mixed(space, r, s, f)) for s in s_list))
 
 
 def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
@@ -248,10 +250,7 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
         lhs = modulus_mixed(space, r, s, f)
         rhs = 0.0
         for word in product((1, 2), repeat=k):
-            g = f
-            for j in reversed(word):
-                g = space.gen(j, g)
-            rhs += omega(r - k, s, g)
+            rhs += omega(r - k, s, apply_word(space, word, f))
         c0 = max(c0, lhs / max(s ** k * rhs, floor))
         c1 = max(c1, modulus_mixed(space, r, 2 * s, f) / max(lhs, floor))
         rplus = modulus_mixed(space, r + k, s, f)
@@ -307,12 +306,7 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
     lo, hi = _BESOV_J_RANGE
     s_big = 2.0 ** (-(lo - 1))
     s_small = 2.0 ** (-(hi + 1))
-    top = 0.0
-    for word in product((1, 2), repeat=r):
-        g = f
-        for j in reversed(word):
-            g = space.gen(j, g)
-        top += space.norm(g)
+    top = sum(space.norm(apply_word(space, word, f)) for word in product((1, 2), repeat=r))
     if math.isinf(q):
         high = (4.0 ** r) * nf * s_big ** (-alpha)
         low = math.exp(r * s_small) * top * s_small ** (r - alpha)
@@ -340,11 +334,8 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
     k = int(math.floor(alpha))
     svals = besov_s_grid()
     total = sobolev_space_norm(space, f, k)
-    words = [()] if k == 0 else list(product((1, 2), repeat=k))
-    for word in words:
-        g = f
-        for j in reversed(word):
-            g = space.gen(j, g)
+    for word in product((1, 2), repeat=k):  # the empty word when k = 0
+        g = apply_word(space, word, f)
         weighted = [s ** (k - alpha) * modulus_mixed(space, 1, s, g) for s in svals]
         total += _accumulate(weighted, q)
     return total
@@ -356,11 +347,8 @@ def zygmund_norm(space, f, k: int, q: float) -> float:
         raise ValueError("need k >= 1")
     svals = besov_s_grid()
     total = sobolev_space_norm(space, f, k - 1)
-    words = [()] if k == 1 else list(product((1, 2), repeat=k - 1))
-    for word in words:
-        g = f
-        for j in reversed(word):
-            g = space.gen(j, g)
+    for word in product((1, 2), repeat=k - 1):  # the empty word when k = 1
+        g = apply_word(space, word, f)
         weighted = [s ** (-1.0) * modulus_mixed(space, 2, s, g) for s in svals]
         total += _accumulate(weighted, q)
     return total

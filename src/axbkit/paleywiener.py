@@ -46,14 +46,12 @@ class BandLimit:
             raise ValueError("omega must be positive")
 
 
-def pw_project(omega: float, f: HalfLineFunction, op: DiscreteOperator | None = None,
-               backend: str = "matrix", **kw) -> HalfLineFunction:
-    """Band projection ``1_{[0, omega]}(Delta^{1/2}) f``."""
+def pw_project(omega: float, f: HalfLineFunction,
+               op: DiscreteOperator | None = None) -> HalfLineFunction:
+    """Band projection ``1_{[0, omega]}(Delta^{1/2}) f`` through the matrix backend."""
     omega = BandLimit(omega).omega
     return apply_multiplier(
-        lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float),
-        f, backend=backend, op=op, **kw,
-    )
+        lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float), f, op=op)
 
 
 def best_approx(sigma: float, f: HalfLineFunction, op: DiscreteOperator) -> float:
@@ -103,20 +101,19 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc: int, op: DiscreteOper
     return series, float(err), float(tail)
 
 
-def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOperator,
-                        n_tau: int = 64) -> float:
+def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOperator) -> float:
     """``sup_{0 <= tau <= t} ||(exp(i tau Delta) - I)^r f||`` via spectral weights.
 
     The unitary group makes each factor a pointwise phase, so the norm is
     ``(sum_k |e^{i tau lam_k} - 1|^{2r} w_k)^{1/2}``; the supremum is taken
-    over a uniform tau grid including the endpoint (a lower bound).
+    over 64 uniform tau steps including the endpoint (a lower bound).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
-    taus = np.linspace(0.0, t, n_tau + 1)[1:]
+    taus = np.linspace(0.0, t, 65)[1:]
     phase = np.abs(np.exp(1j * np.outer(taus, lam)) - 1.0) ** (2 * r)
     return float(np.sqrt(np.max(phase @ w)))
 

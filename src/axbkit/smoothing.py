@@ -55,6 +55,9 @@ __all__ = [
 
 MAX_ORDER = 4
 
+#: Gauss-Legendre nodes per panel of the Irwin-Hall quadrature
+_N_GL = 12
+
 
 @dataclass(frozen=True)
 class SteklovParams:
@@ -186,7 +189,7 @@ def _irwin_hall_std(y: np.ndarray, r: int) -> np.ndarray:
     return out / factorial(r - 1)
 
 
-def irwin_hall_nodes(r: int, s: float, n_gl: int = 12):
+def irwin_hall_nodes(r: int, s: float):
     """Quadrature nodes and weights for ``int_0^s rho_r(t) (.) dt``.
 
     ``rho_r`` is the density of ``t_1 + ... + t_r`` with ``t_i ~ U[0, s/r]``,
@@ -194,7 +197,7 @@ def irwin_hall_nodes(r: int, s: float, n_gl: int = 12):
     between knots integrate it essentially exactly.  Weights sum to 1.
     """
     hp = s / r
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_N_GL)
     nodes, weights = [], []
     for k in range(r):
         a, b = k * hp, (k + 1) * hp
@@ -205,9 +208,9 @@ def irwin_hall_nodes(r: int, s: float, n_gl: int = 12):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def steklov_avg_generic(act, j: int, r: int, s: float, f, n_gl: int = 12):
+def steklov_avg_generic(act, j: int, r: int, s: float, f):
     """``P_{j,r}(s)`` through an action callback ``act(j, t, f)``."""
-    t, w = irwin_hall_nodes(r, s, n_gl)
+    t, w = irwin_hall_nodes(r, s)
     out = None
     for ti, wi in zip(t, w):
         term = wi * act(j, ti, f)
@@ -215,9 +218,9 @@ def steklov_avg_generic(act, j: int, r: int, s: float, f, n_gl: int = 12):
     return out
 
 
-def hardy_steklov_generic(act, r: int, s: float, f, n_gl: int = 12):
+def hardy_steklov_generic(act, r: int, s: float, f):
     """``H_r(s)`` through an action callback, for spaces without closed forms."""
-    t, w = irwin_hall_nodes(r, s, n_gl)
+    t, w = irwin_hall_nodes(r, s)
 
     def one_direction(j, g):
         out = None

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import HalfLineFunction, LogGrid, SpectralGrid
+from .grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
 
 __all__ = [
     "KL_CONSTANT",
@@ -59,7 +60,7 @@ __all__ = [
 #: analytically expected Kontorovich-Lebedev inversion constant
 KL_CONSTANT = 2.0 / np.pi ** 2
 
-#: default truncation of the kernel quadrature in t
+#: truncation and node count of the kernel quadrature in t
 _KERNEL_T_MAX = 18.0
 _KERNEL_N_T = 720
 
@@ -92,12 +93,13 @@ class Spectrum:
         object.__setattr__(self, "coeffs", c)
 
 
-def macdonald_kernel(tau, x, t_max: float = _KERNEL_T_MAX, n_t: int = _KERNEL_N_T):
+def macdonald_kernel(tau, x):
     """Macdonald function ``K_{i tau}(x) = int_0^inf exp(-x cosh t) cos(tau t) dt``.
 
-    Trapezoid quadrature on ``[0, t_max]``; the integrand is even in t and
-    entire, so the rule converges superalgebraically.  ``t_max = 18`` puts
-    ``exp(-x cosh t_max) < 1e-16`` for every ``x`` down to ``3e-8``.
+    Trapezoid quadrature with 720 nodes on ``[0, t_max]``; the integrand is
+    even in t and entire, so the rule converges superalgebraically.
+    ``t_max = 18`` puts ``exp(-x cosh t_max) < 1e-16`` for every ``x`` down
+    to ``3e-8``.
 
     Accepts scalars or arrays; with array-valued ``tau`` and ``x`` the
     result has shape ``(len(tau), len(x))``.
@@ -106,10 +108,8 @@ def macdonald_kernel(tau, x, t_max: float = _KERNEL_T_MAX, n_t: int = _KERNEL_N_
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr <= 0):
         raise ValueError("x must be positive")
-    t = np.linspace(0.0, t_max, n_t)
-    wt = np.full(n_t, t[1] - t[0])
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
+    t = np.linspace(0.0, _KERNEL_T_MAX, _KERNEL_N_T)
+    wt = trapezoid_weights(_KERNEL_N_T, t[1] - t[0])
     with np.errstate(under="ignore"):
         decay = np.exp(-np.outer(x_arr, np.cosh(t)))
     table = (np.cos(np.outer(tau_arr, t)) * wt) @ decay.T
@@ -130,26 +130,49 @@ def _cache_dir() -> str | None:
     return os.environ.get("AXBKIT_CACHE_DIR") or None
 
 
+def _load_table(fname: str, shape: tuple) -> np.ndarray | None:
+    """A cached table from disk, or ``None`` if it is missing, unreadable or malformed."""
+    try:
+        table = np.load(fname)
+    except (OSError, ValueError, EOFError):
+        return None
+    if table.shape != shape or table.dtype != np.float64:
+        return None
+    return table
+
+
 def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:
-    """Precomputed ``K_{i tau_k}(x_i)`` table of shape (m, n), cached per pair."""
+    """Precomputed ``K_{i tau_k}(x_i)`` table of shape (m, n), cached per pair.
+
+    With ``AXBKIT_CACHE_DIR`` set the table is also kept on disk; a file
+    of the wrong shape or dtype, or one that cannot be read, is rebuilt and
+    replaced.  The returned table is read-only either way.
+    """
     key = (grid.key(), sgrid.key(), _KERNEL_T_MAX, _KERNEL_N_T)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     cdir = _cache_dir()
     fname = None
+    table = None
     if cdir:
         digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
         fname = os.path.join(cdir, f"ktable_{digest}.npy")
-        if os.path.exists(fname):
-            table = np.load(fname)
-            _TABLE_CACHE[key] = table
-            return table
-    table = macdonald_kernel(sgrid.tau, grid.x)
+        table = _load_table(fname, (sgrid.m, grid.n))
+    if table is None:
+        table = macdonald_kernel(sgrid.tau, grid.x)
+        if fname:
+            os.makedirs(cdir, exist_ok=True)
+            # write aside and rename, so a concurrent reader never sees a partial file
+            fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.save(fh, table)
+                os.replace(tmp, fname)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
     table.flags.writeable = False
     _TABLE_CACHE[key] = table
-    if fname:
-        os.makedirs(cdir, exist_ok=True)
-        np.save(fname, table)
     return table
 
 
@@ -304,7 +327,6 @@ def apply_multiplier(
     backend: str = "matrix",
     op: DiscreteOperator | None = None,
     sgrid: SpectralGrid | None = None,
-    constant: float = KL_CONSTANT,
 ) -> HalfLineFunction:
     """Spectral multiplier ``F(Delta) f`` for a scalar map ``F`` on ``lambda >= 0``.
 
@@ -329,7 +351,7 @@ def apply_multiplier(
             )
         spec = kl_forward(f, sgrid)
         filtered = Spectrum(sgrid, np.asarray(F(sgrid.tau ** 2)) * spec.coeffs)
-        return kl_inverse(filtered, f.grid, constant=constant)
+        return kl_inverse(filtered, f.grid)
     raise ValueError(f"backend must be 'matrix' or 'kernel', got {backend!r}")
 
 

@@ -1,7 +1,10 @@
+import importlib
 import os
+import pkgutil
 
 import pytest
 
+import axbkit
 from axbkit.cli import main
 from axbkit.config import ConfigError, RunConfig, parse_config_file
 from axbkit.corpus import build_corpus, corpus_names
@@ -17,6 +20,35 @@ def test_config_defaults_and_validation():
         RunConfig(tol_scale=-1.0)
     with pytest.raises(ConfigError):
         RunConfig(grid_n=4)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_config_file_rejects_non_finite_tol_scale(tmp_path, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"tol_scale = {value}\n")
+    with pytest.raises(ConfigError, match="tol_scale"):
+        parse_config_file(str(path))
+
+
+@pytest.mark.parametrize("key", ["grid_n", "grid_n_coarse"])
+def test_config_rejects_grid_above_dense_cap(key):
+    from axbkit.spectral import DENSE_CAP
+
+    RunConfig(**{key: DENSE_CAP})
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: DENSE_CAP + 1})
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--tol-scale", "inf"], "tol_scale"),
+    (["--tol-scale", "nan"], "tol_scale"),
+    (["--grid-n", "3000"], "grid_n"),
+])
+def test_cli_bad_value_exits_2(tmp_path, capsys, args, key):
+    assert main(["verify", "group", "--out", str(tmp_path)] + args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / "group.json").exists()
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -79,6 +111,14 @@ def test_describe_contains_anchors():
     with pytest.raises(KeyError):
         describe("nonexistent_op")
     assert "hardy_steklov" in operation_names()
+
+
+def test_every_module_export_resolves():
+    modules = [axbkit] + [importlib.import_module(f"axbkit.{m.name}")
+                          for m in pkgutil.iter_modules(axbkit.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists missing {name!r}"
 
 
 def test_cli_describe_and_corpus(capsys):

@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+
+from axbkit.grids import fd6, grid_steps, shift_zero_fill
+
+
+def _shift_reference(values, steps, axis):
+    """Elementwise ``out[i] = values[i + steps]`` along ``axis``, zero outside."""
+    moved = np.moveaxis(values, axis, 0)
+    out = np.zeros_like(moved)
+    n = moved.shape[0]
+    for i in range(n):
+        if 0 <= i + steps < n:
+            out[i] = moved[i + steps]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("steps", [0, 1, 3, -1, -4, 6, -6, 7, -9])
+def test_shift_zero_fill_both_axes(axis, steps):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    if axis == 1:
+        values = values.T.copy()  # the shifted axis has 6 nodes either way
+    out = shift_zero_fill(values, steps, axis=axis)
+    np.testing.assert_array_equal(out, _shift_reference(values, steps, axis))
+    assert out.dtype == values.dtype
+    if abs(steps) >= 6:
+        assert not np.any(out)
+
+
+def test_grid_steps_snaps_only_grid_multiples():
+    h = 18.0 / 511
+    assert grid_steps(3 * h, h) == 3
+    assert grid_steps(-5 * h, h) == -5
+    assert grid_steps(0.0, h) == 0
+    assert grid_steps(2.5 * h, h) is None
+
+
+def test_fd6_keeps_real_input_real():
+    u = np.linspace(-3.0, 3.0, 128)
+    h = u[1] - u[0]
+    real = np.exp(-u ** 2)
+    for order in (1, 2):
+        d_real = fd6(real, h, order)
+        d_complex = fd6(real.astype(complex), h, order)
+        assert d_real.dtype == np.float64
+        assert d_complex.dtype == np.complex128
+        # complex division by h rounds differently from real division
+        np.testing.assert_allclose(d_complex.real, d_real, rtol=1e-14, atol=0)
+        assert not np.any(d_complex.imag)
+    interior = slice(8, -8)
+    exact = (4 * u ** 2 - 2) * real
+    assert np.max(np.abs(fd6(real, h, 2) - exact)[interior]) < 1e-6
+
+
+def test_fd6_axis_matches_per_slice():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((20, 24)) + 1j * rng.standard_normal((20, 24))
+    by_axis = fd6(values, 0.3, 1, axis=1)
+    rows = np.array([fd6(row, 0.3, 1) for row in values])
+    np.testing.assert_array_equal(by_axis, rows)
+    with pytest.raises(ValueError):
+        fd6(values, 0.3, 3)

@@ -16,9 +16,9 @@ from axbkit.halfplane import (
     halfplane_space,
     log_gaussian_2d,
     lp_norm_2d,
-    modulus_mixed_2d,
     sobolev_graph_check,
 )
+from axbkit.moduli import modulus_mixed
 from axbkit.spectral import fourier_diff_matrix
 
 
@@ -228,10 +228,11 @@ def test_operator_parseval_matches_weighted_norm(dense_small):
 
 
 def test_modulus_2d(hgrid, f2):
-    assert modulus_mixed_2d(1, 0.0, f2, 2.0, "left") == 0.0
-    val = modulus_mixed_2d(1, 0.5, f2, 2.0, "left")
+    left = halfplane_space(hgrid, "left", 2.0)
+    assert modulus_mixed(left, 1, 0.0, f2) == 0.0
+    val = modulus_mixed(left, 1, 0.5, f2)
     assert 0.0 < val <= 4.0 * lp_norm_2d(f2, 2.0, "left")
-    val2 = modulus_mixed_2d(2, 0.5, f2, 2.0, "right")
+    val2 = modulus_mixed(halfplane_space(hgrid, "right", 2.0), 2, 0.5, f2)
     assert 0.0 < val2 <= 16.0 * lp_norm_2d(f2, 2.0, "right")
 
 

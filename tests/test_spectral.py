@@ -185,4 +185,31 @@ def test_kernel_table_disk_cache(tmp_path, monkeypatch):
     spec.clear_caches()
     second = spec.kernel_table(grid, sgrid)  # reloaded from disk
     np.testing.assert_array_equal(first, second)
+    assert not second.flags.writeable  # a disk hit is as read-only as a fresh build
+    spec.clear_caches()
+
+
+@pytest.mark.parametrize("bad", ["wrong_shape", "corrupt"])
+def test_kernel_table_disk_cache_rebuilds_bad_file(tmp_path, monkeypatch, bad):
+    import os
+
+    import axbkit.spectral as spec
+
+    monkeypatch.setenv("AXBKIT_CACHE_DIR", str(tmp_path))
+    spec.clear_caches()
+    grid = LogGrid(-4.0, 2.0, 32)
+    sgrid = SpectralGrid(6.0, 48)
+    good = spec.kernel_table(grid, sgrid)
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    if bad == "wrong_shape":
+        np.save(path, np.zeros((3, 3)))
+    else:
+        path.write_bytes(path.read_bytes()[:100])
+    spec.clear_caches()
+    table = spec.kernel_table(grid, sgrid)
+    assert table.shape == (48, 32) and not table.flags.writeable
+    np.testing.assert_array_equal(table, good)
+    np.testing.assert_array_equal(np.load(path), good)  # rewritten in place
+    assert os.listdir(tmp_path) == [name]  # no temporary file left behind
     spec.clear_caches()
