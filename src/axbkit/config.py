@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 from .spectral import DENSE_CAP
 
-__all__ = ["RunConfig", "ConfigError", "TOLERANCES", "parse_config_file"]
+__all__ = ["RunConfig", "ConfigError", "TOLERANCES", "ORACLE_N_CAP", "parse_config_file"]
+
+#: most nodes of the eigenrelation oracle grid; its ``oracle_n x 720`` float64
+#: Macdonald-kernel quadrature table then stays near 100 MB
+ORACLE_N_CAP = 16384
 
 
 class ConfigError(ValueError):
@@ -73,9 +77,15 @@ class RunConfig:
             raise ConfigError(f"tol_scale: must be positive and finite, got {self.tol_scale}")
         if self.grid_n < 16 or self.grid_n_coarse < 16 or self.oracle_n < 16:
             raise ConfigError("grid_n/grid_n_coarse/oracle_n: need at least 16 nodes")
-        for key in ("grid_n", "grid_n_coarse"):
-            if getattr(self, key) > DENSE_CAP:
-                raise ConfigError(f"{key}: at most {DENSE_CAP} nodes (dense eigensolver cap)")
+        if self.grid_n > DENSE_CAP:
+            raise ConfigError(f"grid_n: at most {DENSE_CAP} nodes (dense eigensolver cap)")
+        # below grid_n, so the coarse rung is within the dense cap too
+        if not self.grid_n_coarse < self.grid_n:
+            raise ConfigError(
+                f"grid_n_coarse: must be below grid_n = {self.grid_n} (the refinement checks "
+                f"compare the coarse grid with the fine one), got {self.grid_n_coarse}")
+        if self.oracle_n > ORACLE_N_CAP:
+            raise ConfigError(f"oracle_n: at most {ORACLE_N_CAP} nodes (kernel quadrature table)")
         if not self.u_min < self.u_max:
             raise ConfigError("u_min/u_max: need u_min < u_max")
         if self.tau_max <= 0 or self.tau_n < 32:

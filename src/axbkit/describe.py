@@ -112,7 +112,10 @@ _OPS: dict[str, str] = {
         "The mixed modulus of continuity of a vector: Omega^r(s, f) sums, over "
         "words (j1, ..., jr) in {1,2}^r, the suprema over 0 <= t_i <= s of "
         "||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||. Grid suprema make every "
-        "value a certified lower bound."
+        "value a certified lower bound. Each supremum is searched on a stack: "
+        "right to left through the word, every factor applies its group once per "
+        "candidate time to all differences built so far, and the norm is taken "
+        "once over the final stack of candidate tuples."
     ),
     "verify_modulus_inequalities": (
         "Empirical constants of the three modulus inequalities: order reduction "
@@ -157,7 +160,8 @@ _OPS: dict[str, str] = {
     ),
     "best_approx": (
         "The best approximation functional E(sigma, f) = inf over bandlimited g "
-        "in PW_sigma of ||f - g||; the orthogonal projection attains it."
+        "in PW_sigma of ||f - g||; the orthogonal projection attains it. An array "
+        "of sigmas shares one spectral-weight vector of f."
     ),
     "bernstein_check": (
         "Bernstein-type inequalities hold true on PW_omega: "

@@ -147,7 +147,10 @@ class BandFrame:
 
     def analysis(self, f: HalfLineFunction, op: DiscreteOperator) -> np.ndarray:
         """Coefficients ``<f, Phi_k>`` for every atom of this band."""
-        c = op.coeffs(f.values)
+        return self.analyze_coeffs(op.coeffs(f.values))
+
+    def analyze_coeffs(self, c: np.ndarray) -> np.ndarray:
+        """:meth:`analysis` from f's eigen-coefficients ``c = op.coeffs(f.values)``."""
         return self.amat.conj().T @ c[self.eigen_indices]
 
     def atom(self, k: int, op: DiscreteOperator) -> HalfLineFunction:
@@ -208,7 +211,8 @@ def band_frames(op: DiscreteOperator, J: int | None = None, redundant: bool = Fa
 
 def frame_analysis(f: HalfLineFunction, frames, op: DiscreteOperator):
     """Per-band coefficient arrays ``<f, Phi^j_k>``."""
-    return [fr.analysis(f, op) for fr in frames]
+    c = op.coeffs(f.values)
+    return [fr.analyze_coeffs(c) for fr in frames]
 
 
 def frame_synthesis(coefficients, duals, op: DiscreteOperator) -> HalfLineFunction:
@@ -249,16 +253,18 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q:
     if variant == "approx":
         from .paleywiener import best_approx
 
-        vals = [2.0 ** (j * alpha) * best_approx(2.0 ** j, f, op) for j in js]
+        errors = best_approx(2.0 ** js, f, op)
+        vals = [2.0 ** (j * alpha) * err for j, err in zip(js, errors)]
         return op.norm(f.values) + _lq(vals, q)
     if variant == "projections":
         energies = band_energies(f, op, J, convention="tau")
         return _lq([2.0 ** (j * alpha) * energies[j] for j in js], q)
     if variant == "frames":
         frames = band_frames(op, J)
+        c = op.coeffs(f.values)
         vals = []
         for j, fr in enumerate(frames):
-            mass = float(np.sum(np.abs(fr.analysis(f, op)) ** 2))
+            mass = float(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2))
             vals.append(2.0 ** (j * alpha) * math.sqrt(mass))
         return _lq(vals, q)
     raise ValueError(f"unknown variant {variant!r}")
@@ -278,7 +284,8 @@ def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q
         J = full_band_count(op, "tau")
         scale_list = 2.0 ** np.arange(0, J + 1, dtype=float)
     scale_list = np.asarray(scale_list, dtype=float)
-    return _accumulate([t ** alpha * best_approx(t, f, op) for t in scale_list], q)
+    errors = best_approx(scale_list, f, op)
+    return _accumulate([t ** alpha * err for t, err in zip(scale_list, errors)], q)
 
 
 def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int,
@@ -301,7 +308,8 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int,
     graph = op.norm(f.values) + float(np.sqrt(np.sum(lam ** r * w)))
     J = full_band_count(op, "tau")
     scales = 2.0 ** np.arange(0, J + 1, dtype=float)
-    jackson_hat = max(t ** r * best_approx(t, f, op) / graph for t in scales)
+    errors = best_approx(scales, f, op)
+    jackson_hat = max(t ** r * err / graph for t, err in zip(scales, errors))
     significant = w > 1e-24 * max(total, 1e-300)
     omega_f = float(np.sqrt(np.max(lam[significant]))) if np.any(significant) else 0.0
     bern = float(np.sqrt(np.sum(lam ** r * w)))

@@ -22,6 +22,7 @@ __all__ = [
     "fd6",
     "grid_steps",
     "shift_zero_fill",
+    "pth_root",
 ]
 
 #: 6th-order central stencils, offsets -3..3, for the first and second derivative
@@ -77,6 +78,17 @@ def shift_zero_fill(values: np.ndarray, steps: int, axis: int = 0) -> np.ndarray
         else:
             out[lead + (slice(-steps, None),)] = values[lead + (slice(0, n + steps),)]
     return out
+
+
+def pth_root(sums, p: float):
+    """``sums ** (1/p)``: a float for one sum, an array of the same shape for several.
+
+    Every entry goes through numpy's scalar power, as a single norm does; the
+    vectorized array power can round differently in the last bit.
+    """
+    if np.ndim(sums) == 0:
+        return float(sums ** (1.0 / p))
+    return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
 
 
 @dataclass(frozen=True)
@@ -159,14 +171,18 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class HalfLineFunction:
-    """Complex samples of a function on the half-line over a :class:`LogGrid`."""
+    """Complex samples of a function on the half-line over a :class:`LogGrid`.
+
+    ``values`` may also hold a stack of functions on the same grid: leading
+    batch axes, with the grid on the trailing axis.
+    """
 
     grid: LogGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n,):
+        if vals.shape[-1:] != (self.grid.n,):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid size {self.grid.n}"
             )

@@ -7,6 +7,10 @@ on the logarithmic grid the dilation subgroup is a shift in ``u = ln x``
 (exact for shifts that are integer multiples of the grid step) and the
 modulation subgroup is an exact pointwise multiplication.
 
+``xp_norm``, ``shift_log``, ``act_modulation`` and ``generator`` also take a
+stack of functions (leading batch axes, the grid on the trailing axis) and
+act on every member with the same arithmetic as on one function.
+
 Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 ``D2 = i x`` (multiplication).  They satisfy ``[D1, D2] = D2``.
 """
@@ -17,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .grids import HalfLineFunction, fd6, grid_steps, shift_zero_fill
+from .grids import HalfLineFunction, fd6, grid_steps, pth_root, shift_zero_fill
 from .group import GroupElement
 from .moduli import apply_word, halfline_space, sobolev_space_norm
 
@@ -40,12 +44,15 @@ __all__ = [
 MAX_SOBOLEV_ORDER = 4
 
 
-def xp_norm(f: HalfLineFunction, p: float = 2.0) -> float:
-    """The ``X^p`` norm: trapezoid quadrature of ``|f|^p du`` to the power 1/p."""
+def xp_norm(f: HalfLineFunction, p: float = 2.0) -> float | np.ndarray:
+    """The ``X^p`` norm: trapezoid quadrature of ``|f|^p du`` to the power 1/p.
+
+    A float for one function; for a stack, an array of norms over its
+    leading axes.
+    """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    g = f.grid
-    return float(np.sum(g.weights * np.abs(f.values) ** p) ** (1.0 / p))
+    return pth_root(np.sum(f.grid.weights * np.abs(f.values) ** p, axis=-1), p)
 
 
 def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
@@ -78,14 +85,14 @@ def shift_log(f: HalfLineFunction, t: float) -> HalfLineFunction:
     g = f.grid
     exact = grid_steps(t, g.h)
     if exact is not None:
-        return f.with_values(shift_zero_fill(f.values, exact))
+        return f.with_values(shift_zero_fill(f.values, exact, axis=f.values.ndim - 1))
     pad = int(np.ceil(abs(t / g.h))) + 8
     npad = g.n + 2 * pad
-    buf = np.zeros(npad, dtype=complex)
-    buf[pad : pad + g.n] = f.values
+    buf = np.zeros(f.values.shape[:-1] + (npad,), dtype=complex)
+    buf[..., pad : pad + g.n] = f.values
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=g.h)
     shifted = np.fft.ifft(np.fft.fft(buf) * np.exp(1j * xi * t))
-    return f.with_values(shifted[pad : pad + g.n])
+    return f.with_values(shifted[..., pad : pad + g.n])
 
 
 def dilation_loss(f: HalfLineFunction, t: float) -> float:
@@ -122,7 +129,7 @@ def generator(j: int, f: HalfLineFunction) -> HalfLineFunction:
     samples that do not vanish at the window edge.
     """
     if j == 1:
-        return f.with_values(fd6(f.values, f.grid.h))
+        return f.with_values(fd6(f.values, f.grid.h, axis=f.values.ndim - 1))
     if j == 2:
         return f.with_values(1j * f.grid.x * f.values)
     raise ValueError(f"direction must be 1 or 2, got {j}")

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import LogGrid, fd6, grid_steps, shift_zero_fill, trapezoid_weights
+from .grids import LogGrid, fd6, grid_steps, pth_root, shift_zero_fill, trapezoid_weights
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -117,12 +117,18 @@ class HalfPlaneGrid:
 
 @dataclass(frozen=True)
 class HalfPlaneFunction:
+    """Complex samples on a :class:`HalfPlaneGrid`, shape (n_x, n_y).
+
+    ``values`` may also hold a stack of functions on the same grid: leading
+    batch axes, with the grid on the two trailing axes.
+    """
+
     grid: HalfPlaneGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.xgrid.n, self.grid.n_y):
+        if vals.shape[-2:] != (self.grid.xgrid.n, self.grid.n_y):
             raise ValueError("values shape does not match grid")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
@@ -159,11 +165,12 @@ def log_gaussian_2d(grid: HalfPlaneGrid, u0: float = -1.0, y0: float = 0.0,
     return f * (1.0 / lp_norm_2d(f, 2.0, "left"))
 
 
-def lp_norm_2d(f: HalfPlaneFunction, p: float, side: str) -> float:
+def lp_norm_2d(f: HalfPlaneFunction, p: float, side: str) -> float | np.ndarray:
+    """Weighted ``L^p`` norm; for a stack, an array of norms over its leading axes."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     w = f.grid.measure_weights(side)
-    return float(np.sum(w * np.abs(f.values) ** p) ** (1.0 / p))
+    return pth_root(np.sum(w * np.abs(f.values) ** p, axis=(-2, -1)), p)
 
 
 def _interp_columns(values: np.ndarray, axis_nodes: np.ndarray, targets: np.ndarray,
@@ -211,35 +218,44 @@ def _map_y(values: np.ndarray, grid: HalfPlaneGrid, scale: float, offset) -> np.
     return _interp_columns(values, y, targets, axis=1)
 
 
+def _act_one(g: GroupElement, values: np.ndarray, grid: HalfPlaneGrid, side: str) -> np.ndarray:
+    vals = _shift_u(values, grid, math.log(g.a))
+    if side == "left":
+        return _map_y(vals, grid, g.a, g.b)
+    if g.b != 0.0:
+        vals = _map_y(vals, grid, 1.0, g.b * grid.xgrid.x)
+    return vals
+
+
 def act_2d(g: GroupElement, f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:
     """The regular representations; isometries of their weighted norms.
 
     Grid-compatible parameters (pure y-shift on the left, pure log-x shift
     on the right) are exact permutations with zero fill; anything else is
-    cubic interpolation with zero extension.
+    cubic interpolation with zero extension.  A stack is acted on member by
+    member.
     """
-    if side == "left":
-        vals = _shift_u(f.values, f.grid, math.log(g.a))
-        vals = _map_y(vals, f.grid, g.a, g.b)
-        return f.with_values(vals)
-    if side == "right":
-        vals = _shift_u(f.values, f.grid, math.log(g.a))
-        if g.b != 0.0:
-            vals = _map_y(vals, f.grid, 1.0, g.b * f.grid.xgrid.x)
-        return f.with_values(vals)
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    grid_shape = f.values.shape[-2:]
+    members = f.values.reshape((-1,) + grid_shape)
+    vals = np.stack([_act_one(g, v, f.grid, side) for v in members])
+    return f.with_values(vals.reshape(f.values.shape))
 
 
 def _du(f: HalfPlaneFunction) -> np.ndarray:
-    return fd6(f.values, f.grid.xgrid.h, 1, axis=0)
+    return fd6(f.values, f.grid.xgrid.h, 1, axis=f.values.ndim - 2)
 
 
 def _dy(f: HalfPlaneFunction) -> np.ndarray:
-    return fd6(f.values, f.grid.h_y, 1, axis=1)
+    return fd6(f.values, f.grid.h_y, 1, axis=f.values.ndim - 1)
 
 
 def generator_2d(j: int, f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:
-    """Generators of the one-parameter subgroups, 6th-order stencils in (u, y)."""
+    """Generators of the one-parameter subgroups, 6th-order stencils in (u, y).
+
+    A stack is differentiated along its two trailing (grid) axes.
+    """
     if side == "left":
         if j == 1:
             return f.with_values(_du(f) + f.grid.y[None, :] * _dy(f))

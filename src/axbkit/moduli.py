@@ -17,6 +17,16 @@ the continuum value; inequality checks are arranged so that this weakens
 only the favorable side where possible and are otherwise reported as
 empirical constants.
 
+A function container may hold a stack of functions on one grid: leading
+batch axes, with the grid on the trailing axis or axes.  ``act`` and
+``gen`` apply to every member of a stack, and ``norm`` returns one value
+per leading index (a float for a single function).  The supremum search
+uses this: going right to left through a word, each factor applies its
+group once per candidate time to the whole stack built so far.  A word
+with candidate sets ``T_1 .. T_r`` thus makes ``|T_1| + ... + |T_r|``
+calls of the group action instead of ``r`` per candidate tuple, and every
+difference is computed with the same floating-point operations.
+
 K-functional surrogates for the pair (E, E^r):
 
 * ``k_lower``  = the mixed modulus (a lower bound up to the theorem's
@@ -77,12 +87,16 @@ _FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class RepresentationSpace:
-    """Bundle of the operations a represented Banach space must expose."""
+    """Bundle of the operations a represented Banach space must expose.
+
+    ``norm``, ``act`` and ``gen`` accept a stack of functions as well as one
+    function (see the module docstring).
+    """
 
     name: str
-    norm: callable
-    act: callable  # act(j, t, f) -> f, the group T_j(t)
-    gen: callable  # gen(j, f) -> f, the generator A_j
+    norm: callable  # norm(f) -> float; for a stack, one norm per leading index
+    act: callable  # act(j, t, f) -> f, the group T_j(t), on every member of a stack
+    gen: callable  # gen(j, f) -> f, the generator A_j, on every member of a stack
     t_candidates: callable  # t_candidates(j, s, cap) -> iterable of t in (0, s]
     hardy: callable  # hardy(r, s, f) -> f, the operator H_r(s)
 
@@ -151,8 +165,8 @@ def apply_word(space: RepresentationSpace, word, f):
     return f
 
 
-def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float:
-    """``||f|| + sum_{k<=m} sum_{words of length k} ||A_word f||``."""
+def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndarray:
+    """``||f|| + sum_{k<=m} sum_{words of length k} ||A_word f||``, per member of a stack."""
     total = space.norm(f)
     for k in range(1, m + 1):
         for word in product((1, 2), repeat=k):
@@ -161,13 +175,16 @@ def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float:
 
 
 def _word_sup(space: RepresentationSpace, word, t_sets, f) -> float:
-    best = 0.0
-    for ts in product(*t_sets):
-        g = f
-        for j, t in zip(reversed(word), reversed(ts)):
-            g = space.act(j, t, g) - g
-        best = max(best, space.norm(g))
-    return best
+    """``max`` over candidate tuples of ``||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||``.
+
+    Right to left, each factor stacks ``T_j(t) g - g`` over its candidates,
+    acting once per candidate on the whole stack built by the factors to
+    its right; the last stack holds one difference per candidate tuple.
+    """
+    g = f
+    for j, ts in zip(reversed(word), reversed(t_sets)):
+        g = g.with_values(np.stack([space.act(j, t, g).values for t in ts]) - g.values)
+    return float(np.max(space.norm(g)))
 
 
 def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:

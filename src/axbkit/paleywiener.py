@@ -54,14 +54,18 @@ def pw_project(omega: float, f: HalfLineFunction,
         lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float), f, op=op)
 
 
-def best_approx(sigma: float, f: HalfLineFunction, op: DiscreteOperator) -> float:
+def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.ndarray:
     """Distance to the sigma-band: ``||f - P_sigma f||``, computed spectrally.
 
     Orthogonal projection attains the infimum in a Hilbert space, so this
-    is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``.
+    is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``.  ``sigma``
+    may be an array of bands: the spectral weights are computed once and
+    an array of distances is returned.
     """
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
-    return float(np.sqrt(np.sum(w[np.sqrt(np.maximum(lam, 0.0)) > sigma])))
+    root = np.sqrt(np.maximum(lam, 0.0))
+    tails = np.array([np.sqrt(np.sum(w[root > s])) for s in np.atleast_1d(sigma)])
+    return float(tails[0]) if np.ndim(sigma) == 0 else tails
 
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
@@ -140,16 +144,13 @@ def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
     from .moduli import modulus_mixed
 
     nf = space.norm(f)
+    sigmas = np.asarray(list(sigma_list), dtype=float)
+    errors = best_approx(sigmas, f, op)
     ratios = []
-    errors = []
-    for sigma in sigma_list:
-        err = best_approx(sigma, f, op)
+    for sigma, err in zip(sigma_list, errors):
         om = modulus_mixed(space, r, 1.0 / sigma, f)
         denom = om + min(sigma ** (-r), 1.0) * nf
         ratios.append(err / max(denom, 1e-14 * max(nf, 1.0)))
-        errors.append(err)
-    errors = np.asarray(errors)
-    sigmas = np.asarray(list(sigma_list), dtype=float)
     # decade choice: start where the error first drops below 0.5 ||f||
     active = np.where(errors < 0.5 * nf)[0]
     slope = float("nan")

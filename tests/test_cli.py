@@ -34,15 +34,57 @@ def test_config_file_rejects_non_finite_tol_scale(tmp_path, value):
 def test_config_rejects_grid_above_dense_cap(key):
     from axbkit.spectral import DENSE_CAP
 
-    RunConfig(**{key: DENSE_CAP})
+    # the coarse rung must stay below the fine one, so it reaches at most DENSE_CAP - 1
+    RunConfig(grid_n=DENSE_CAP, grid_n_coarse=DENSE_CAP - 1)
     with pytest.raises(ConfigError, match=key):
         RunConfig(**{key: DENSE_CAP + 1})
+
+
+@pytest.mark.parametrize("fine, coarse", [(256, 512), (512, 512), (128, 256)])
+def test_config_rejects_coarse_rung_not_below_fine(fine, coarse):
+    with pytest.raises(ConfigError, match="grid_n_coarse"):
+        RunConfig(grid_n=fine, grid_n_coarse=coarse)
+    RunConfig(grid_n=coarse + 1, grid_n_coarse=coarse)
+
+
+def test_config_bounds_oracle_n():
+    from axbkit.config import ORACLE_N_CAP
+
+    # construction allocates nothing, so the cap itself is cheap to accept
+    assert RunConfig(oracle_n=ORACLE_N_CAP).oracle_n == ORACLE_N_CAP
+    with pytest.raises(ConfigError, match="oracle_n"):
+        RunConfig(oracle_n=ORACLE_N_CAP + 1)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("oracle_n = 400000\n", "oracle_n"),
+    ("grid_n = 256\ngrid_n_coarse = 512\n", "grid_n_coarse"),
+])
+def test_config_file_bad_bound(tmp_path, text, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=key):
+        parse_config_file(str(path))
+
+
+@pytest.mark.parametrize("suite, text, key", [
+    ("spectral", "oracle_n = 400000\n", "oracle_n"),
+    ("besov", "grid_n = 256\ngrid_n_coarse = 512\n", "grid_n_coarse"),
+])
+def test_cli_bad_bound_exits_2(tmp_path, capsys, suite, text, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["verify", suite, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / f"{suite}.json").exists()
 
 
 @pytest.mark.parametrize("args, key", [
     (["--tol-scale", "inf"], "tol_scale"),
     (["--tol-scale", "nan"], "tol_scale"),
     (["--grid-n", "3000"], "grid_n"),
+    (["--grid-n", "128"], "grid_n_coarse"),  # below the default coarse rung, 256
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, args, key):
     assert main(["verify", "group", "--out", str(tmp_path)] + args) == 2
@@ -56,15 +98,17 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(
         "# desk-scale run\n"
         "grid_n = 256\n"
+        "grid_n_coarse = 128\n"
         "seed = 3\n"
         "tol_scale = 2.0\n"
         "corpus = log_gaussian(sigma=1,u0=-3); power_exp(alpha=1,beta=1)\n"
     )
     cfg = parse_config_file(str(path))
     assert cfg.grid_n == 256 and cfg.seed == 3 and cfg.tol_scale == 2.0
+    assert cfg.grid_n_coarse == 128
     assert cfg.corpus == ("log_gaussian(sigma=1,u0=-3)", "power_exp(alpha=1,beta=1)")
-    over = parse_config_file(str(path), grid_n=128)
-    assert over.grid_n == 128
+    over = parse_config_file(str(path), grid_n=192)
+    assert over.grid_n == 192
 
 
 def test_config_file_unknown_key(tmp_path):

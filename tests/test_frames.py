@@ -84,6 +84,8 @@ def test_tight_frame_bounds_and_parseval(grid, op, f_lg):
             lo, hi = b.estimated_bounds()
             assert abs(lo - 1.0) < 1e-10 and abs(hi - 1.0) < 1e-10
     coeffs = frame_analysis(f_lg, frames, op)
+    for b, c in zip(frames, coeffs):  # one coefficient vector serves every band
+        np.testing.assert_array_equal(c, b.analysis(f_lg, op))
     mass = sum(float(np.sum(np.abs(c) ** 2)) for c in coeffs)
     assert abs(mass - xp_norm(f_lg) ** 2) / xp_norm(f_lg) ** 2 < 1e-10
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from axbkit.grids import fd6, grid_steps, shift_zero_fill
+from axbkit.grids import HalfLineFunction, LogGrid, fd6, grid_steps, shift_zero_fill
+from axbkit.halfline import act_modulation, generator, shift_log, xp_norm
 
 
 def _shift_reference(values, steps, axis):
@@ -62,3 +63,48 @@ def test_fd6_axis_matches_per_slice():
     np.testing.assert_array_equal(by_axis, rows)
     with pytest.raises(ValueError):
         fd6(values, 0.3, 3)
+
+
+def _stack(grid, shape):
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal(shape + (grid.n,)) + 1j * rng.standard_normal(shape + (grid.n,))
+    return rows * np.exp(-((grid.u + 3.0) ** 2) / 4.0)
+
+
+def test_stack_container_checks_trailing_axis_and_finiteness():
+    grid = LogGrid(-12.0, 6.0, 64)
+    vals = _stack(grid, (3, 2))
+    f = HalfLineFunction(grid, vals)
+    assert f.values.shape == (3, 2, 64) and not f.values.flags.writeable
+    vals[0, 0, 0] = 7.0  # the container holds its own copy
+    assert f.values[0, 0, 0] != 7.0
+    with pytest.raises(ValueError, match="grid size"):
+        HalfLineFunction(grid, np.zeros((64, 3)))
+    with pytest.raises(ValueError, match="grid size"):
+        HalfLineFunction(grid, np.zeros(()))
+    bad = _stack(grid, (4,))
+    bad[2, 10] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        HalfLineFunction(grid, bad)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 2)])
+def test_halfline_ops_on_a_stack_equal_row_by_row(shape):
+    grid = LogGrid(-12.0, 6.0, 64)
+    f = HalfLineFunction(grid, _stack(grid, shape))
+    rows = [HalfLineFunction(grid, row) for row in f.values.reshape(-1, grid.n)]
+
+    def per_row(op):
+        return np.array([op(row).values for row in rows]).reshape(f.values.shape)
+
+    for p in (1.0, 2.0, 3.0):
+        norms = xp_norm(f, p)
+        assert norms.shape == shape
+        np.testing.assert_array_equal(norms.ravel(), [xp_norm(row, p) for row in rows])
+    # grid multiples (exact shifts) and an interpolated shift
+    for t in (3 * grid.h, -2 * grid.h, 0.37):
+        np.testing.assert_array_equal(shift_log(f, t).values, per_row(lambda g: shift_log(g, t)))
+    np.testing.assert_array_equal(act_modulation(0.8, f).values,
+                                  per_row(lambda g: act_modulation(0.8, g)))
+    for j in (1, 2):
+        np.testing.assert_array_equal(generator(j, f).values, per_row(lambda g: generator(j, g)))

@@ -236,6 +236,56 @@ def test_modulus_2d(hgrid, f2):
     assert 0.0 < val2 <= 16.0 * lp_norm_2d(f2, 2.0, "right")
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_modulus_2d_equals_per_tuple_reference(hgrid, f2, modulus_reference, side, r):
+    space = halfplane_space(hgrid, side, 2.0)
+    for s in (0.25, 1.0):
+        assert modulus_mixed(space, r, s, f2) == modulus_reference(space, r, s, f2)
+
+
+def _stack_2d(hgrid, shape):
+    rng = np.random.default_rng(13)
+    full = shape + (hgrid.xgrid.n, hgrid.n_y)
+    return (rng.standard_normal(full) + 1j * rng.standard_normal(full)) * log_gaussian_2d(hgrid).values
+
+
+def test_halfplane_stack_container_checks(hgrid):
+    f = HalfPlaneFunction(hgrid, _stack_2d(hgrid, (2, 3)))
+    assert f.values.shape == (2, 3, 48, 48)
+    with pytest.raises(ValueError, match="shape"):
+        HalfPlaneFunction(hgrid, np.zeros((3, 48, 47)))
+    with pytest.raises(ValueError, match="shape"):
+        HalfPlaneFunction(hgrid, np.zeros(48))
+    bad = _stack_2d(hgrid, (3,))
+    bad[1, 5, 7] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        HalfPlaneFunction(hgrid, bad)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_ops_on_a_stack_equal_row_by_row(hgrid, side):
+    shape = (2, 3)
+    f = HalfPlaneFunction(hgrid, _stack_2d(hgrid, shape))
+    rows = [HalfPlaneFunction(hgrid, row) for row in f.values.reshape((-1, 48, 48))]
+
+    def per_row(op):
+        return np.array([op(row).values for row in rows]).reshape(f.values.shape)
+
+    for p in (1.0, 2.0, 3.0):
+        norms = lp_norm_2d(f, p, side)
+        assert norms.shape == shape
+        np.testing.assert_array_equal(norms.ravel(), [lp_norm_2d(row, p, side) for row in rows])
+    for j in (1, 2):
+        np.testing.assert_array_equal(generator_2d(j, f, side).values,
+                                      per_row(lambda g: generator_2d(j, g, side)))
+    # exact grid steps and interpolated ones, in both subgroups and jointly
+    for g in (GroupElement(math.exp(2 * hgrid.xgrid.h), 0.0), GroupElement(1.0, hgrid.h_y),
+              GroupElement(1.3, 0.0), GroupElement(1.0, 0.45), GroupElement(0.8, -0.6)):
+        np.testing.assert_array_equal(act_2d(g, f, side).values,
+                                      per_row(lambda row: act_2d(g, row, side)))
+
+
 def test_modulus_separable_y_shift_matches_1d(hgrid):
     # left T2 is a pure y-shift; on a separable function the order-1 pure
     # direction-2 supremum reduces to a classical 1-D modulus

@@ -8,6 +8,7 @@ from axbkit.halfline import act_modulation, shift_log, xp_norm
 from axbkit.moduli import (
     BesovParams,
     RepresentationSpace,
+    _accumulate,
     besov_norm,
     besov_norm_fractional,
     besov_s_grid,
@@ -22,6 +23,32 @@ from axbkit.moduli import (
     verify_modulus_inequalities,
     zygmund_norm,
 )
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_modulus_equals_per_tuple_reference(grid, space, f_lg, modulus_reference, r):
+    # below one grid step (modulation words only), a mid scale, and s = 50
+    for s in (grid.h / 4, 0.7, 50.0):
+        assert modulus_mixed(space, r, s, f_lg) == modulus_reference(space, r, s, f_lg)
+
+
+def test_derived_norm_accepts_stacks(grid, space, f_lg, f_xexp):
+    base = space.derived(lambda g: sobolev_space_norm(space, g, 1))
+    rows = np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])
+    norms = base.norm(HalfLineFunction(grid, rows))
+    assert norms.shape == (3,)
+    assert list(norms) == [base.norm(HalfLineFunction(grid, row)) for row in rows]
+
+
+def test_reiteration_with_derived_sobolev_base(space, f_lg, modulus_reference):
+    # k1 = 1: the order-1 modulus of the E^1 base space measures stacks in
+    # the derived Sobolev norm
+    alpha, q = 1.5, 2.0
+    rep = reiteration_check(space, f_lg, 1, 2, 2, alpha, q)
+    base = space.derived(lambda g: sobolev_space_norm(space, g, 1))
+    weighted = [s ** (-(alpha - 1)) * modulus_reference(base, 1, s, f_lg) for s in besov_s_grid()]
+    assert rep["rhs_norm"] == base.norm(f_lg) + _accumulate(weighted, q)
+    assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
 
 
 def test_modulus_zero_scale(space, f_lg):

@@ -57,6 +57,9 @@ def test_best_approx_eigenvector_dichotomy(grid, op):
 def test_best_approx_monotone_to_zero(grid, op, f_lg):
     sig = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     vals = [best_approx(s, f_lg, op) for s in sig]
+    assert all(type(v) is float for v in vals)
+    # an array of sigmas shares one spectral-weight vector, with the same tails
+    assert list(best_approx(np.array(sig), f_lg, op)) == vals
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     # sigma -> infinity: only the eigen-coefficient noise floor remains
     assert vals[-1] < 1e-9 * xp_norm(f_lg)
