@@ -136,7 +136,9 @@ _OPS: dict[str, str] = {
     "besov_norm": (
         "Besov norm: ||f|| plus the truncated integral of (s^{-alpha} core(s))^q "
         "ds/s over dyadic s, where core is the K-functional surrogate or the "
-        "mixed modulus; with the usual modifications for q = infinity."
+        "mixed modulus; with the usual modifications for q = infinity. Given a "
+        "sequence of (alpha, q, r) sharing one r it computes the core profile once "
+        "and returns one norm per entry."
     ),
     "besov_norm_fractional": (
         "For non-integer alpha: the order-[alpha] Sobolev norm plus integrated "
@@ -146,7 +148,8 @@ _OPS: dict[str, str] = {
     "zygmund_norm": (
         "For integer alpha = k (Zygmund condition): the order-(k-1) Sobolev norm "
         "plus integrated second-order moduli of the (k-1)-fold derivatives with "
-        "weight 1/s."
+        "weight 1/s. At k = 1 it coincides exactly with the modulus realization "
+        "of besov_norm at alpha = 1, r = 2."
     ),
     "reiteration_check": (
         "The isomorphism between (E, E^r) and (E^{k1}, E^{k2}) interpolation "
@@ -209,7 +212,9 @@ _OPS: dict[str, str] = {
     "besov_norm_bands": (
         "Band-side Besov norms: from best approximations (2^{j alpha} E(2^j, f)), "
         "from band projections (2^{j alpha} ||F_j f||), or from frame coefficients "
-        "(2^{j alpha} l2-mass); all dyadic in tau = sqrt(lambda)."
+        "(2^{j alpha} l2-mass); all dyadic in tau = sqrt(lambda). Given equal-length "
+        "sequences of alpha and q it computes the band data once and returns one "
+        "norm per pair."
     ),
     "approx_space_norm": (
         "The approximation space quasi-norm built from E(f, t) = inf over "

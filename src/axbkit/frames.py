@@ -233,8 +233,8 @@ def _lq(values, q: float) -> float:
     return float(np.sum(vals ** q) ** (1.0 / q))
 
 
-def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q: float,
-                     variant: str = "projections") -> float:
+def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
+                     variant: str = "projections") -> float | list[float]:
     """Band-side Besov norms, all indexed dyadically in tau.
 
     * ``approx``: ``||f|| + lq over j of 2^{j alpha} E(2^j, f)`` with E the
@@ -243,31 +243,41 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q:
       j = 0 band plays the role of the missing ``||f||`` term);
     * ``frames``: ``lq of 2^{j alpha} (sum_k |<f, Phi^j_k>|^2)^{1/2}`` with
       the tight band frames.
+
+    ``alpha`` and ``q`` are two numbers (returns a float) or two sequences of
+    one length (returns a list, one norm per pair; ``[]`` when empty).  The
+    band data of the variant is computed once for all pairs.
     """
-    if alpha <= 0:
+    single = np.ndim(alpha) == 0
+    alphas = [alpha] if single else list(alpha)
+    qs = [q] if np.ndim(q) == 0 else list(q)
+    if np.ndim(q) != np.ndim(alpha) or len(qs) != len(alphas):
+        raise ValueError("alpha and q must be two numbers or two sequences of one length, "
+                         f"got lengths {len(alphas)} and {len(qs)}")
+    if any(a <= 0 for a in alphas):
         raise ValueError("alpha must be positive")
-    if q < 1:
+    if any(b < 1 for b in qs):
         raise ValueError("q must be >= 1")
+    if variant not in ("approx", "projections", "frames"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if not alphas:
+        return []
     J = full_band_count(op, "tau")
     js = np.arange(J + 1)
+    base = 0.0
     if variant == "approx":
         from .paleywiener import best_approx
 
-        errors = best_approx(2.0 ** js, f, op)
-        vals = [2.0 ** (j * alpha) * err for j, err in zip(js, errors)]
-        return op.norm(f.values) + _lq(vals, q)
-    if variant == "projections":
-        energies = band_energies(f, op, J, convention="tau")
-        return _lq([2.0 ** (j * alpha) * energies[j] for j in js], q)
-    if variant == "frames":
-        frames = band_frames(op, J)
+        band = best_approx(2.0 ** js, f, op)
+        base = op.norm(f.values)
+    elif variant == "projections":
+        band = band_energies(f, op, J, convention="tau")
+    else:
         c = op.coeffs(f.values)
-        vals = []
-        for j, fr in enumerate(frames):
-            mass = float(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2))
-            vals.append(2.0 ** (j * alpha) * math.sqrt(mass))
-        return _lq(vals, q)
-    raise ValueError(f"unknown variant {variant!r}")
+        band = [math.sqrt(float(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2)))
+                for fr in band_frames(op, J)]
+    norms = [base + _lq([2.0 ** (j * a) * band[j] for j in js], b) for a, b in zip(alphas, qs)]
+    return norms[0] if single else norms
 
 
 def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q: float,

@@ -40,7 +40,13 @@ K-functional surrogates for the pair (E, E^r):
 
 Besov norms ``B^alpha_q`` are realized four independent ways across this
 module and :mod:`axbkit.frames`; here live the K-functional and modulus
-forms plus the fractional and Zygmund variants.
+forms plus the fractional and Zygmund variants.  Each samples a scale
+profile ``core(s)`` that depends only on ``f`` and the order on the dyadic
+scales of :func:`besov_s_grid`; ``(alpha, q)`` only weights it.  So
+:func:`besov_norm` also takes a sequence of :class:`BesovParams` sharing one
+``r``: the profile is computed once and one norm per entry is returned.  At
+``k = 1`` the Zygmund form integrates ``Omega^2(s, f) / s``, which is
+exactly the modulus form at ``alpha = 1``, ``r = 2``.
 """
 
 from __future__ import annotations
@@ -166,12 +172,20 @@ def apply_word(space: RepresentationSpace, word, f):
 
 
 def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndarray:
-    """``||f|| + sum_{k<=m} sum_{words of length k} ||A_word f||``, per member of a stack."""
+    """``||f|| + sum_{k<=m} sum_{words of length k} ||A_word f||``, per member of a stack.
+
+    The words of order k form one stack, ``A_1`` and then ``A_2`` applied to
+    the whole stack of order k-1, so order k costs two generator calls and
+    the stack keeps the ``product((1, 2), repeat=k)`` order.  The norms are
+    added one word at a time in that order.
+    """
     total = space.norm(f)
+    g = f
     for k in range(1, m + 1):
-        for word in product((1, 2), repeat=k):
-            total += space.norm(apply_word(space, word, f))
-    return total
+        g = g.with_values(np.stack([space.gen(1, g).values, space.gen(2, g).values]))
+        for norm in space.norm(g).reshape((2 ** k,) + np.shape(total)):
+            total = total + norm
+    return total if np.ndim(total) else float(total)
 
 
 def _word_sup(space: RepresentationSpace, word, t_sets, f) -> float:
@@ -292,22 +306,37 @@ def _accumulate(weighted, q: float) -> float:
     return float((np.sum(vals ** q) * math.log(2.0)) ** (1.0 / q))
 
 
-def besov_norm(space, f, params: BesovParams, method: str = "k") -> float:
+def _weighted_integral(profile, alpha: float, q: float) -> float:
+    """``(int_0^inf (s^{-alpha} core(s))^q ds/s)^{1/q}`` from ``core`` on :func:`besov_s_grid`."""
+    return _accumulate([s ** (-alpha) * core for s, core in zip(besov_s_grid(), profile)], q)
+
+
+def besov_norm(space, f, params, method: str = "k") -> float | list[float]:
     """Besov norm via the K-functional surrogate or the modulus (truncated integral).
 
     The integral ``int_0^inf (s^{-alpha} core(s))^q ds/s`` is sampled on
     dyadic scales ``s in [2^-16, 2^4]``; see :func:`besov_tail_report` for
     the analytically bounded truncation error.
+
+    ``params`` is one :class:`BesovParams` (returns a float) or a sequence of
+    them sharing one ``r`` (returns a list, one norm per entry; ``[]`` for an
+    empty sequence).  The profile ``core(s)`` depends only on ``f`` and ``r``,
+    so it is computed once and each entry only weights it.
     """
-    if method == "k":
-        core = lambda s: k_upper(space, params.r, s, f)
-    elif method == "modulus":
-        core = lambda s: modulus_mixed(space, params.r, s, f)
-    else:
+    if method not in ("k", "modulus"):
         raise ValueError(f"method must be 'k' or 'modulus', got {method!r}")
-    svals = besov_s_grid()
-    weighted = [s ** (-params.alpha) * core(s) for s in svals]
-    return space.norm(f) + _accumulate(weighted, params.q)
+    single = isinstance(params, BesovParams)
+    plist = [params] if single else list(params)
+    orders = sorted({p.r for p in plist})
+    if len(orders) > 1:
+        raise ValueError(f"params must share one r, got r = {orders}")
+    if not plist:
+        return []
+    core = k_upper if method == "k" else modulus_mixed
+    profile = [core(space, orders[0], s, f) for s in besov_s_grid()]
+    nf = space.norm(f)
+    norms = [nf + _weighted_integral(profile, p.alpha, p.q) for p in plist]
+    return norms[0] if single else norms
 
 
 def besov_tail_report(space, f, params: BesovParams) -> dict:
@@ -349,25 +378,27 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
     if float(alpha).is_integer():
         raise ValueError("alpha must not be an integer; use zygmund_norm")
     k = int(math.floor(alpha))
-    svals = besov_s_grid()
     total = sobolev_space_norm(space, f, k)
     for word in product((1, 2), repeat=k):  # the empty word when k = 0
         g = apply_word(space, word, f)
-        weighted = [s ** (k - alpha) * modulus_mixed(space, 1, s, g) for s in svals]
-        total += _accumulate(weighted, q)
+        profile = [modulus_mixed(space, 1, s, g) for s in besov_s_grid()]
+        total += _weighted_integral(profile, alpha - k, q)
     return total
 
 
 def zygmund_norm(space, f, k: int, q: float) -> float:
-    """Integer-order Besov norm via the Zygmund condition (second differences)."""
+    """Integer-order Besov norm via the Zygmund condition (second differences).
+
+    At ``k = 1`` this is exactly ``besov_norm(space, f, BesovParams(1.0, q, 2),
+    "modulus")``: the same ``||f||`` plus the same weighted ``Omega^2`` profile.
+    """
     if k < 1:
         raise ValueError("need k >= 1")
-    svals = besov_s_grid()
     total = sobolev_space_norm(space, f, k - 1)
     for word in product((1, 2), repeat=k - 1):  # the empty word when k = 1
         g = apply_word(space, word, f)
-        weighted = [s ** (-1.0) * modulus_mixed(space, 2, s, g) for s in svals]
-        total += _accumulate(weighted, q)
+        profile = [modulus_mixed(space, 2, s, g) for s in besov_s_grid()]
+        total += _weighted_integral(profile, 1.0, q)
     return total
 
 
@@ -383,11 +414,9 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
     base = space.derived(lambda g: sobolev_space_norm(space, g, k1))
-    svals = besov_s_grid()
-    order = k2 - k1
-    weighted = [s ** (-(alpha - k1)) * modulus_mixed(base, order, s, f) for s in svals]
-    rhs = base.norm(f) + _accumulate(weighted, q)
     k = k2 - k1
+    profile = [modulus_mixed(base, k, s, f) for s in besov_s_grid()]
+    rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)
     nf = space.norm(f)
     nk = sobolev_space_norm(space, f, k)
     nr = sobolev_space_norm(space, f, r)

@@ -438,12 +438,15 @@ def suite_kfunctional(cfg: RunConfig):
     tolCp = cfg.tolerance("AC10_sandwich_Cprime")
     c_hat = cp_hat = cs_hat = csp_hat = 0.0
     profiles = []
+    order1 = []  # the order-1 moduli of corpus[0], emitted as their own profile
     for entry, f in corpus:
         nf = space.norm(f)
         rows = []
         for r in (1, 2):
             for s in svals:
                 kl = md.k_lower(space, r, s, f)
+                if r == 1 and not profiles:
+                    order1.append((float(s), kl))
                 ku = md.k_upper(space, r, s, f)
                 ksp = md.k_spectral(op, r, s, f)
                 trivial = min(s ** r, 1.0) * nf
@@ -455,8 +458,7 @@ def suite_kfunctional(cfg: RunConfig):
                     rows.append((s, kl, ku, ksp))
         profiles.append((f"kprofile_{entry.family}_{len(profiles)}", rows,
                          "s,k_lower,k_upper,k_spectral"))
-    rows = [(float(s), md.modulus_mixed(space, 1, s, corpus[0][1])) for s in svals]
-    profiles.append(("modulus_order1", rows, "s,value"))
+    profiles.append(("modulus_order1", order1, "s,value"))
     checks = [
         _check("AC10a", "sandwich: k_lower <= C k_upper over corpus and dyadic s",
                c_hat, tolC, c_hat < tolC),
@@ -483,19 +485,30 @@ def suite_kfunctional(cfg: RunConfig):
 # ---------------------------------------------------------------------- besov
 
 
-def _besov_realizations(f, grid, op, space, alpha, q, r=2):
-    vals = {
-        "k": md.besov_norm(space, f, md.BesovParams(alpha, q, r), method="k"),
-        "modulus": md.besov_norm(space, f, md.BesovParams(alpha, q, r), method="modulus"),
-        "approx": fr.besov_norm_bands(f, op, alpha, q, variant="approx"),
-        "projections": fr.besov_norm_bands(f, op, alpha, q, variant="projections"),
-        "frames": fr.besov_norm_bands(f, op, alpha, q, variant="frames"),
+def _besov_realizations(f, op, space, params, r=2):
+    """One dict of realization norms per ``(alpha, q)`` in ``params``.
+
+    Each profile (the order-r K and modulus profiles, each band variant's
+    band data) is computed once for all pairs.
+    """
+    alphas, qs = zip(*params)
+    besov = [md.BesovParams(alpha, q, r) for alpha, q in params]
+    columns = {
+        "k": md.besov_norm(space, f, besov, method="k"),
+        "modulus": md.besov_norm(space, f, besov, method="modulus"),
+        "approx": fr.besov_norm_bands(f, op, alphas, qs, variant="approx"),
+        "projections": fr.besov_norm_bands(f, op, alphas, qs, variant="projections"),
+        "frames": fr.besov_norm_bands(f, op, alphas, qs, variant="frames"),
     }
-    if float(alpha).is_integer():
-        vals["zygmund"] = md.zygmund_norm(space, f, int(alpha), q)
-    else:
-        vals["fractional"] = md.besov_norm_fractional(space, f, alpha, q)
-    return vals
+    out = []
+    for i, (alpha, q) in enumerate(params):
+        vals = {name: column[i] for name, column in columns.items()}
+        if float(alpha).is_integer():
+            vals["zygmund"] = md.zygmund_norm(space, f, int(alpha), q)
+        else:
+            vals["fractional"] = md.besov_norm_fractional(space, f, alpha, q)
+        out.append(vals)
+    return out
 
 
 def suite_besov(cfg: RunConfig):
@@ -509,8 +522,7 @@ def suite_besov(cfg: RunConfig):
         op = sp.build_matrix_laplacian(grid)
         space = md.halfline_space(grid)
         for entry, f in _corpus(cfg, grid, op=op, only_decaying=True, families=families):
-            for alpha, q in params:
-                vals = _besov_realizations(f, grid, op, space, alpha, q)
+            for (alpha, q), vals in zip(params, _besov_realizations(f, op, space, params)):
                 arr = np.array(list(vals.values()))
                 ratio = float(arr.max() / arr.min())
                 results[(entry.name, alpha, q, label)] = (ratio, vals)

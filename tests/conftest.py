@@ -1,11 +1,23 @@
+import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
 from axbkit.halfline import xp_norm
-from axbkit.moduli import _SUP_CAP, halfline_space
+from axbkit.moduli import (
+    _FLOOR,
+    _SUP_CAP,
+    BesovParams,
+    _accumulate,
+    apply_word,
+    besov_s_grid,
+    halfline_space,
+    k_upper,
+    modulus_mixed,
+)
 from axbkit.spectral import build_matrix_laplacian
 
 
@@ -73,3 +85,66 @@ def _modulus_per_tuple(space, r: int, s: float, f) -> float:
 def modulus_reference():
     """Reference oracle for ``modulus_mixed``: the per-tuple loop, no stacks."""
     return _modulus_per_tuple
+
+
+def _sobolev_per_word(space, f, m: int):
+    """``sobolev_space_norm`` applying every word from ``f``, one word at a time."""
+    total = space.norm(f)
+    for k in range(1, m + 1):
+        for word in product((1, 2), repeat=k):
+            total += space.norm(apply_word(space, word, f))
+    return total
+
+
+@pytest.fixture(scope="session")
+def sobolev_reference():
+    """Reference oracle for ``sobolev_space_norm``: the per-word loop, no stacks."""
+    return _sobolev_per_word
+
+
+def _besov_per_scale(space, f, params, method):
+    core = k_upper if method == "k" else modulus_mixed
+    weighted = [s ** (-params.alpha) * core(space, params.r, s, f) for s in besov_s_grid()]
+    return space.norm(f) + _accumulate(weighted, params.q)
+
+
+def _fractional_per_scale(space, f, alpha, q):
+    k = int(math.floor(alpha))
+    total = _sobolev_per_word(space, f, k)
+    for word in product((1, 2), repeat=k):
+        g = apply_word(space, word, f)
+        weighted = [s ** (k - alpha) * modulus_mixed(space, 1, s, g) for s in besov_s_grid()]
+        total += _accumulate(weighted, q)
+    return total
+
+
+def _zygmund_per_scale(space, f, k, q):
+    total = _sobolev_per_word(space, f, k - 1)
+    for word in product((1, 2), repeat=k - 1):
+        g = apply_word(space, word, f)
+        weighted = [s ** (-1.0) * modulus_mixed(space, 2, s, g) for s in besov_s_grid()]
+        total += _accumulate(weighted, q)
+    return total
+
+
+def _reiteration_per_scale(space, f, k1, k2, r, alpha, q):
+    lhs = _besov_per_scale(space, f, BesovParams(alpha, q, r), "modulus")
+    base = space.derived(lambda g: _sobolev_per_word(space, g, k1))
+    weighted = [s ** (-(alpha - k1)) * modulus_mixed(base, k2 - k1, s, f)
+                for s in besov_s_grid()]
+    rhs = base.norm(f) + _accumulate(weighted, q)
+    k = k2 - k1
+    nf = space.norm(f)
+    nk = _sobolev_per_word(space, f, k)
+    nr = _sobolev_per_word(space, f, r)
+    gn = nk / max(nf ** (1 - k / r) * nr ** (k / r), _FLOOR * max(nf, 1.0))
+    return {"lhs_norm": lhs, "rhs_norm": rhs, "ratio": lhs / max(rhs, _FLOOR),
+            "gagliardo_hat": gn}
+
+
+@pytest.fixture(scope="session")
+def besov_reference():
+    """Reference oracles for the integral Besov realizations: one scale at a
+    time, each with its own weight expression, and per-word Sobolev norms."""
+    return SimpleNamespace(norm=_besov_per_scale, fractional=_fractional_per_scale,
+                           zygmund=_zygmund_per_scale, reiteration=_reiteration_per_scale)

@@ -213,3 +213,41 @@ def test_telescoping_property(lam, J):
 def test_partition_nonnegative_bounded(lam):
     vals = partition_values(8, np.array([lam]))
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0 + 1e-15)
+
+
+_VARIANTS = ("approx", "projections", "frames")
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_besov_band_sequences_equal_single_calls(op, f_lg, variant):
+    alphas, qs = (0.5, 1.0, 1.3), (2.0, math.inf, 1.0)
+    norms = besov_norm_bands(f_lg, op, alphas, qs, variant)
+    assert norms == [besov_norm_bands(f_lg, op, a, q, variant) for a, q in zip(alphas, qs)]
+    assert besov_norm_bands(f_lg, op, np.array(alphas[:2]), list(qs[:2]), variant) == norms[:2]
+    assert type(besov_norm_bands(f_lg, op, 0.5, 2.0, variant)) is float
+
+
+def test_besov_band_frames_equal_per_band_reference(op, f_lg):
+    # the frames variant against the frame coefficients, one band at a time
+    coeffs = frame_analysis(f_lg, band_frames(op), op)
+    for alpha, q in ((0.5, 2.0), (1.0, math.inf), (1.3, 1.0)):
+        vals = [2.0 ** (j * alpha) * math.sqrt(float(np.sum(np.abs(c) ** 2)))
+                for j, c in enumerate(coeffs)]
+        if math.isinf(q):
+            ref = float(np.max(vals))
+        else:
+            ref = float(np.sum(np.asarray(vals) ** q) ** (1 / q))
+        assert besov_norm_bands(f_lg, op, alpha, q, "frames") == ref
+
+
+def test_besov_band_sequence_validation(op, f_lg):
+    with pytest.raises(ValueError, match="alpha and q"):
+        besov_norm_bands(f_lg, op, (0.5, 1.0), (2.0,))
+    with pytest.raises(ValueError, match="alpha and q"):
+        besov_norm_bands(f_lg, op, (0.5, 1.0), 2.0)
+    with pytest.raises(ValueError, match="alpha"):
+        besov_norm_bands(f_lg, op, (0.5, -1.0), (2.0, 2.0))
+    for variant in _VARIANTS:
+        assert besov_norm_bands(f_lg, op, (), (), variant) == []
+    with pytest.raises(ValueError):
+        besov_norm_bands(f_lg, op, (), (), "unknown")

@@ -254,3 +254,63 @@ def test_tail_report(space, f_lg):
     rep = besov_tail_report(space, f_lg, BesovParams(0.5, 2.0, 2))
     assert rep["high_tail_bound"] > 0 and np.isfinite(rep["high_tail_bound"])
     assert rep["low_tail_bound"] >= 0 and np.isfinite(rep["low_tail_bound"])
+
+
+_PARAMS = [BesovParams(0.5, 2.0, 2), BesovParams(1.0, math.inf, 2), BesovParams(1.3, 1.0, 2)]
+
+
+@pytest.mark.parametrize("method", ["k", "modulus"])
+def test_besov_norm_sequence_equals_single_calls(space, f_lg, besov_reference, method):
+    norms = besov_norm(space, f_lg, _PARAMS, method)
+    assert norms == [besov_norm(space, f_lg, p, method) for p in _PARAMS]
+    assert norms == [besov_reference.norm(space, f_lg, p, method) for p in _PARAMS]
+    assert besov_norm(space, f_lg, tuple(_PARAMS[1:]), method) == norms[1:]
+    assert type(besov_norm(space, f_lg, _PARAMS[0], method)) is float
+
+
+def test_besov_norm_sequence_validation(space, f_lg):
+    with pytest.raises(ValueError, match="r"):
+        besov_norm(space, f_lg, [BesovParams(0.5, 2.0, 2), BesovParams(0.5, 2.0, 3)], "modulus")
+    assert besov_norm(space, f_lg, [], "k") == []
+    assert besov_norm(space, f_lg, (), "modulus") == []
+    with pytest.raises(ValueError):
+        besov_norm(space, f_lg, [], "nope")
+
+
+@pytest.mark.parametrize("alpha, q", [(0.5, 2.0), (1.3, 1.0), (1.7, math.inf)])
+def test_fractional_equals_per_scale_reference(space, f_lg, besov_reference, alpha, q):
+    assert besov_norm_fractional(space, f_lg, alpha, q) == besov_reference.fractional(
+        space, f_lg, alpha, q)
+
+
+@pytest.mark.parametrize("k, q", [(1, 2.0), (1, math.inf), (2, 1.0)])
+def test_zygmund_equals_per_scale_reference(space, f_lg, besov_reference, k, q):
+    assert zygmund_norm(space, f_lg, k, q) == besov_reference.zygmund(space, f_lg, k, q)
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_zygmund_order_one_is_the_modulus_form(space, f_lg, q):
+    assert zygmund_norm(space, f_lg, 1, q) == besov_norm(space, f_lg, BesovParams(1.0, q, 2),
+                                                         "modulus")
+
+
+@pytest.mark.parametrize("k1, k2, r, alpha, q", [(0, 1, 2, 0.5, 2.0), (1, 2, 3, 1.5, math.inf)])
+def test_reiteration_equals_per_scale_reference(space, f_xexp, besov_reference,
+                                                k1, k2, r, alpha, q):
+    f = f_xexp * (1.0 / xp_norm(f_xexp))
+    assert reiteration_check(space, f, k1, k2, r, alpha, q) == besov_reference.reiteration(
+        space, f, k1, k2, r, alpha, q)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_stacked_sobolev_equals_per_word_reference(grid, space, f_lg, f_xexp,
+                                                   sobolev_reference, m):
+    value = sobolev_space_norm(space, f_lg, m)
+    assert type(value) is float
+    assert value == sobolev_reference(space, f_lg, m)
+    stack = HalfLineFunction(grid, np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values]))
+    norms = sobolev_space_norm(space, stack, m)
+    assert norms.shape == (3,)
+    assert np.array_equal(norms, sobolev_reference(space, stack, m))
+    assert list(norms) == [sobolev_reference(space, HalfLineFunction(grid, row), m)
+                           for row in stack.values]
