@@ -33,7 +33,8 @@ _OPS: dict[str, str] = {
     "xp_norm": (
         "Norm of X^p, the space of functions on the half-line such that "
         "f(.)(.)^{-1/p} is p-integrable; computed with the norm "
-        "||f(.)(.)^{-1/p}||_p as a trapezoid sum in u = ln x."
+        "||f(.)(.)^{-1/p}||_p as a trapezoid sum in u = ln x. Takes a function "
+        "container, or bare values with grid= (the representation-interface form)."
     ),
     "inner": (
         "X^2 inner product with respect to the inner product "
@@ -45,7 +46,17 @@ _OPS: dict[str, str] = {
         "in the sense that every U(g) preserves the inner product."
     ),
     "act_dilation": "One-parameter dilation group U1(t) f(x) = f(e^t x), a log-shift.",
-    "act_modulation": "One-parameter modulation group U2(t) f(x) = e^{itx} f(x), exact.",
+    "shift_log": (
+        "Translation f(u) -> f(u + t) in u = ln x: an exact zero-filled shift on grid "
+        "multiples, band-limited interpolation otherwise. A container in gives a "
+        "validated container out; bare values with grid= give an unvalidated array "
+        "out. A non-finite t is rejected."
+    ),
+    "act_modulation": (
+        "One-parameter modulation group U2(t) f(x) = e^{itx} f(x), exact for every "
+        "finite t (a non-finite t is rejected). A container in gives a validated "
+        "container out; bare values with grid= give an unvalidated array out."
+    ),
     "generator": (
         "The infinitesimal operator of this pair of one-parameter groups: "
         "D1 = x d/dx (a plain d/du on the log grid) and D2 f = ixf; "
@@ -115,7 +126,10 @@ _OPS: dict[str, str] = {
         "value a certified lower bound. Each supremum is searched on a stack: "
         "right to left through the word, every factor applies its group once per "
         "candidate time to all differences built so far, and the norm is taken "
-        "once over the final stack of candidate tuples."
+        "once over the final stack of candidate tuples. f is a container or bare "
+        "values, checked once at entry (finite, ending in the grid shape); inside, "
+        "plain arrays flow through the space's callables, and a non-finite result "
+        "raises."
     ),
     "verify_modulus_inequalities": (
         "Empirical constants of the three modulus inequalities: order reduction "
@@ -131,7 +145,8 @@ _OPS: dict[str, str] = {
     "k_spectral": (
         "Spectral comparator (sum_k min(1, s^r lambda_k^{r/2})^2 w_k)^{1/2} from "
         "the discrete spectral measure; equivalent to the K-functional of the "
-        "pair (H, D(Delta^{r/2})) with recorded constants."
+        "pair (H, D(Delta^{r/2})) with recorded constants. An array of scales "
+        "shares one spectral-weight vector of f."
     ),
     "besov_norm": (
         "Besov norm: ||f|| plus the truncated integral of (s^{-alpha} core(s))^q "

@@ -109,8 +109,8 @@ def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None
     """
     if J is None:
         J = full_band_count(op, "lambda")
-    return [f.with_values(op.apply_fn(lambda lam, j=j: _q_band(j, lam), f.values))
-            for j in range(J + 1)]
+    c = op.coeffs(f.values)
+    return [f.with_values(op.synth(_q_band(j, op.eigenvalues) * c)) for j in range(J + 1)]
 
 
 def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None,

@@ -23,6 +23,7 @@ __all__ = [
     "grid_steps",
     "shift_zero_fill",
     "pth_root",
+    "unwrap",
 ]
 
 #: 6th-order central stencils, offsets -3..3, for the first and second derivative
@@ -89,6 +90,22 @@ def pth_root(sums, p: float):
     if np.ndim(sums) == 0:
         return float(sums ** (1.0 / p))
     return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
+
+
+def unwrap(f, grid=None):
+    """``(values, grid, wrap)`` for the two calling forms of a grid operation.
+
+    A container ``f`` (``grid=None``) gives its validated values, its grid and
+    ``f.with_values``, so the result is a container, validated again.  Bare
+    values with ``grid`` given come back as they are, and ``wrap`` only makes
+    the result C-contiguous, as a container stores it (reductions over a
+    strided view can round differently): the result is an unvalidated ndarray.
+    """
+    if grid is not None:
+        return f, grid, np.ascontiguousarray
+    if isinstance(f, np.ndarray):
+        raise TypeError("bare values need the grid they live on: pass grid=")
+    return f.values, f.grid, f.with_values
 
 
 @dataclass(frozen=True)
@@ -207,9 +224,6 @@ class HalfLineFunction:
         return HalfLineFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "HalfLineFunction":
-        return HalfLineFunction(self.grid, -self.values)
 
     def _check_same_grid(self, other: "HalfLineFunction"):
         if self.grid != other.grid:

@@ -9,7 +9,13 @@ modulation subgroup is an exact pointwise multiplication.
 
 ``xp_norm``, ``shift_log``, ``act_modulation`` and ``generator`` also take a
 stack of functions (leading batch axes, the grid on the trailing axis) and
-act on every member with the same arithmetic as on one function.
+act on every member with the same arithmetic as on one function.  Each has
+two calling forms (see :func:`axbkit.grids.unwrap`): a
+:class:`~axbkit.grids.HalfLineFunction` in gives a validated container out,
+and bare complex values with ``grid=`` given give an unvalidated ndarray out.
+The second form is the one :func:`axbkit.moduli.halfline_space` binds into
+the representation interface, so the hot paths build no containers.  Both
+forms reject a time ``t`` that is not finite.
 
 Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 ``D2 = i x`` (multiplication).  They satisfy ``[D1, D2] = D2``.
@@ -17,11 +23,12 @@ Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
-from .grids import HalfLineFunction, fd6, grid_steps, pth_root, shift_zero_fill
+from .grids import HalfLineFunction, LogGrid, fd6, grid_steps, pth_root, shift_zero_fill, unwrap
 from .group import GroupElement
 from .moduli import apply_word, halfline_space, sobolev_space_norm
 
@@ -44,15 +51,16 @@ __all__ = [
 MAX_SOBOLEV_ORDER = 4
 
 
-def xp_norm(f: HalfLineFunction, p: float = 2.0) -> float | np.ndarray:
+def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarray:
     """The ``X^p`` norm: trapezoid quadrature of ``|f|^p du`` to the power 1/p.
 
     A float for one function; for a stack, an array of norms over its
-    leading axes.
+    leading axes.  ``f`` is a container, or bare values on ``grid``.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    return pth_root(np.sum(f.grid.weights * np.abs(f.values) ** p, axis=-1), p)
+    values, g, _ = unwrap(f, grid)
+    return pth_root(np.sum(g.weights * np.abs(values) ** p, axis=-1), p)
 
 
 def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
@@ -74,25 +82,31 @@ def window_loss(f: HalfLineFunction) -> float:
     return float(edge / total) if total > 0 else 0.0
 
 
-def shift_log(f: HalfLineFunction, t: float) -> HalfLineFunction:
+def _check_t(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
+def shift_log(f, t: float, grid: LogGrid | None = None):
     """Translation ``f(u) -> f(u + t)`` in the log variable.
 
     Integer multiples of the grid step are exact permutations with zero
     fill.  Other shifts use band-limited (Whittaker-type) interpolation on
     a zero-padded window, which is spectrally accurate for the smooth
-    decaying corpus.
+    decaying corpus.  ``f`` is a container, or bare values on ``grid``.
     """
-    g = f.grid
+    _check_t(t)
+    values, g, wrap = unwrap(f, grid)
     exact = grid_steps(t, g.h)
     if exact is not None:
-        return f.with_values(shift_zero_fill(f.values, exact, axis=f.values.ndim - 1))
+        return wrap(shift_zero_fill(values, exact, axis=values.ndim - 1))
     pad = int(np.ceil(abs(t / g.h))) + 8
     npad = g.n + 2 * pad
-    buf = np.zeros(f.values.shape[:-1] + (npad,), dtype=complex)
-    buf[..., pad : pad + g.n] = f.values
+    buf = np.zeros(values.shape[:-1] + (npad,), dtype=complex)
+    buf[..., pad : pad + g.n] = values
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=g.h)
     shifted = np.fft.ifft(np.fft.fft(buf) * np.exp(1j * xi * t))
-    return f.with_values(shifted[..., pad : pad + g.n])
+    return wrap(shifted[..., pad : pad + g.n])
 
 
 def dilation_loss(f: HalfLineFunction, t: float) -> float:
@@ -107,8 +121,7 @@ def act(g: GroupElement, f: HalfLineFunction) -> HalfLineFunction:
     ``(a, b) = (1, b)(a, 0)``; this is the unique phase assignment that
     makes ``U`` a homomorphism with the stated one-parameter subgroups.
     """
-    shifted = shift_log(f, np.log(g.a))
-    return shifted.with_values(np.exp(1j * g.b * f.grid.x) * shifted.values)
+    return act_modulation(g.b, shift_log(f, np.log(g.a)))
 
 
 def act_dilation(t: float, f: HalfLineFunction) -> HalfLineFunction:
@@ -116,22 +129,29 @@ def act_dilation(t: float, f: HalfLineFunction) -> HalfLineFunction:
     return shift_log(f, t)
 
 
-def act_modulation(t: float, f: HalfLineFunction) -> HalfLineFunction:
-    """One-parameter group ``U2(t) f(x) = e^{itx} f(x)``, exact for every t."""
-    return f.with_values(np.exp(1j * t * f.grid.x) * f.values)
+def act_modulation(t: float, f, grid: LogGrid | None = None):
+    """One-parameter group ``U2(t) f(x) = e^{itx} f(x)``, exact for every finite t.
+
+    ``f`` is a container, or bare values on ``grid``.
+    """
+    _check_t(t)
+    values, g, wrap = unwrap(f, grid)
+    return wrap(np.exp(1j * t * g.x) * values)
 
 
-def generator(j: int, f: HalfLineFunction) -> HalfLineFunction:
+def generator(j: int, f, grid: LogGrid | None = None):
     """Infinitesimal generators: ``D1 = x d/dx`` and ``D2 = i x``.
 
     On the log grid ``x d/dx`` is a plain ``d/du``, taken with the
     6th-order central stencil and zero extension, which stays robust for
-    samples that do not vanish at the window edge.
+    samples that do not vanish at the window edge.  ``f`` is a container,
+    or bare values on ``grid``.
     """
+    values, g, wrap = unwrap(f, grid)
     if j == 1:
-        return f.with_values(fd6(f.values, f.grid.h, axis=f.values.ndim - 1))
+        return wrap(fd6(values, g.h, axis=values.ndim - 1))
     if j == 2:
-        return f.with_values(1j * f.grid.x * f.values)
+        return wrap(1j * g.x * values)
     raise ValueError(f"direction must be 1 or 2, got {j}")
 
 
@@ -143,7 +163,7 @@ def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
     word = tuple(word)
     if len(word) == 0:
         raise ValueError("derivative word must be nonempty")
-    return apply_word(halfline_space(f.grid), word, f)
+    return f.with_values(apply_word(halfline_space(f.grid), word, f))
 
 
 def _check_order(m: int) -> None:
@@ -164,4 +184,4 @@ def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
     _check_order(m)
     space = halfline_space(f.grid, p)
     words = product((1, 2), repeat=m) if m > 0 else ()
-    return space.norm(f) + sum(space.norm(apply_word(space, w, f)) for w in words)
+    return space.norm(f.values) + sum(space.norm(apply_word(space, w, f)) for w in words)

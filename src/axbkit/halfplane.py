@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import LogGrid, fd6, grid_steps, pth_root, shift_zero_fill, trapezoid_weights
+from .grids import LogGrid, fd6, grid_steps, pth_root, shift_zero_fill, trapezoid_weights, unwrap
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -139,9 +139,6 @@ class HalfPlaneFunction:
     def with_values(self, values) -> "HalfPlaneFunction":
         return HalfPlaneFunction(self.grid, values)
 
-    def __add__(self, other):
-        return self.with_values(self.values + other.values)
-
     def __sub__(self, other):
         return self.with_values(self.values - other.values)
 
@@ -149,9 +146,6 @@ class HalfPlaneFunction:
         return self.with_values(self.values * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
 
 def log_gaussian_2d(grid: HalfPlaneGrid, u0: float = -1.0, y0: float = 0.0,
@@ -165,12 +159,16 @@ def log_gaussian_2d(grid: HalfPlaneGrid, u0: float = -1.0, y0: float = 0.0,
     return f * (1.0 / lp_norm_2d(f, 2.0, "left"))
 
 
-def lp_norm_2d(f: HalfPlaneFunction, p: float, side: str) -> float | np.ndarray:
-    """Weighted ``L^p`` norm; for a stack, an array of norms over its leading axes."""
+def lp_norm_2d(f, p: float, side: str, grid: HalfPlaneGrid | None = None) -> float | np.ndarray:
+    """Weighted ``L^p`` norm; for a stack, an array of norms over its leading axes.
+
+    ``f`` is a container, or bare values on ``grid``.
+    """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    w = f.grid.measure_weights(side)
-    return pth_root(np.sum(w * np.abs(f.values) ** p, axis=(-2, -1)), p)
+    values, g, _ = unwrap(f, grid)
+    w = g.measure_weights(side)
+    return pth_root(np.sum(w * np.abs(values) ** p, axis=(-2, -1)), p)
 
 
 def _interp_columns(values: np.ndarray, axis_nodes: np.ndarray, targets: np.ndarray,
@@ -227,45 +225,48 @@ def _act_one(g: GroupElement, values: np.ndarray, grid: HalfPlaneGrid, side: str
     return vals
 
 
-def act_2d(g: GroupElement, f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:
+def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
     """The regular representations; isometries of their weighted norms.
 
     Grid-compatible parameters (pure y-shift on the left, pure log-x shift
     on the right) are exact permutations with zero fill; anything else is
     cubic interpolation with zero extension.  A stack is acted on member by
-    member.
+    member.  ``f`` is a container, or bare values on ``grid`` (then the
+    result is an unvalidated ndarray).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    grid_shape = f.values.shape[-2:]
-    members = f.values.reshape((-1,) + grid_shape)
-    vals = np.stack([_act_one(g, v, f.grid, side) for v in members])
-    return f.with_values(vals.reshape(f.values.shape))
+    values, hgrid, wrap = unwrap(f, grid)
+    members = values.reshape((-1,) + values.shape[-2:])
+    vals = np.stack([_act_one(g, v, hgrid, side) for v in members])
+    return wrap(vals.reshape(values.shape))
 
 
-def _du(f: HalfPlaneFunction) -> np.ndarray:
-    return fd6(f.values, f.grid.xgrid.h, 1, axis=f.values.ndim - 2)
+def _du(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
+    return fd6(values, grid.xgrid.h, 1, axis=values.ndim - 2)
 
 
-def _dy(f: HalfPlaneFunction) -> np.ndarray:
-    return fd6(f.values, f.grid.h_y, 1, axis=f.values.ndim - 1)
+def _dy(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
+    return fd6(values, grid.h_y, 1, axis=values.ndim - 1)
 
 
-def generator_2d(j: int, f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:
+def generator_2d(j: int, f, side: str, grid: HalfPlaneGrid | None = None):
     """Generators of the one-parameter subgroups, 6th-order stencils in (u, y).
 
-    A stack is differentiated along its two trailing (grid) axes.
+    A stack is differentiated along its two trailing (grid) axes.  ``f`` is
+    a container, or bare values on ``grid``.
     """
+    v, g, wrap = unwrap(f, grid)
     if side == "left":
         if j == 1:
-            return f.with_values(_du(f) + f.grid.y[None, :] * _dy(f))
+            return wrap(_du(v, g) + g.y[None, :] * _dy(v, g))
         if j == 2:
-            return f.with_values(_dy(f))
+            return wrap(_dy(v, g))
     elif side == "right":
         if j == 1:
-            return f.with_values(_du(f))
+            return wrap(_du(v, g))
         if j == 2:
-            return f.with_values(f.grid.xgrid.x[:, None] * _dy(f))
+            return wrap(g.xgrid.x[:, None] * _dy(v, g))
     else:
         raise ValueError("side must be 'left' or 'right'")
     raise ValueError("direction must be 1 or 2")
@@ -274,13 +275,14 @@ def generator_2d(j: int, f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:
 def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> RepresentationSpace:
     """Representation interface for one of the regular representations.
 
+    Its callables act on bare value arrays of shape ``(..., n_x, n_y)``.
     The Hardy-Steklov operator has no closed form here and is evaluated by
     Gauss panels against the explicit box-spline time density.
     """
 
-    def act(j, t, f):
+    def act(j, t, v):
         g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
-        return act_2d(g, f, side)
+        return act_2d(g, v, side, grid=grid)
 
     def t_candidates(j, s, cap):
         # exact steps exist for left y-shifts and for log-x shifts; the
@@ -296,11 +298,12 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
 
     return RepresentationSpace(
         name=f"L^{p:g}({side})",
-        norm=lambda f: lp_norm_2d(f, p, side),
+        shape=(grid.xgrid.n, grid.n_y),
+        norm=lambda v: lp_norm_2d(v, p, side, grid=grid),
         act=act,
-        gen=lambda j, f: generator_2d(j, f, side),
+        gen=lambda j, v: generator_2d(j, v, side, grid=grid),
         t_candidates=t_candidates,
-        hardy=lambda r, s, f: hardy_steklov_generic(act, r, s, f),
+        hardy=lambda r, s, v: hardy_steklov_generic(act, r, s, v),
     )
 
 
@@ -418,9 +421,9 @@ def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFuncti
     dyy = fd6(f.values, g.h_y, 2, axis=1)
     if side == "right":
         return f.with_values(-duu - (g.xgrid.x ** 2)[:, None] * dyy)
-    du = _du(f)
+    du = _du(f.values, g)
     duy = fd6(du, g.h_y, 1, axis=1)
-    dy = _dy(f)
+    dy = _dy(f.values, g)
     y = g.y[None, :]
     return f.with_values(-duu - 2.0 * y * duy - y * dy - (1.0 + y ** 2) * dyy)
 

@@ -17,15 +17,27 @@ the continuum value; inequality checks are arranged so that this weakens
 only the favorable side where possible and are otherwise reported as
 empirical constants.
 
-A function container may hold a stack of functions on one grid: leading
-batch axes, with the grid on the trailing axis or axes.  ``act`` and
-``gen`` apply to every member of a stack, and ``norm`` returns one value
-per leading index (a float for a single function).  The supremum search
-uses this: going right to left through a word, each factor applies its
-group once per candidate time to the whole stack built so far.  A word
+The interface works on plain complex ndarrays: the space's grid is bound
+into its callables when the space is built, and ``shape`` is the grid's
+sample shape.  An array may hold a stack of functions on that grid:
+leading batch axes, with the grid on the trailing axis or axes.  ``act``
+and ``gen`` apply to every member of a stack, and ``norm`` returns one
+value per leading index (a float for a single function).  The supremum
+search uses this: going right to left through a word, each factor applies
+its group once per candidate time to the whole stack built so far.  A word
 with candidate sets ``T_1 .. T_r`` thus makes ``|T_1| + ... + |T_r|``
 calls of the group action instead of ``r`` per candidate tuple, and every
 difference is computed with the same floating-point operations.
+
+The public functions of this module take a validated container
+(:class:`~axbkit.grids.HalfLineFunction`,
+:class:`~axbkit.halfplane.HalfPlaneFunction`) or bare values.  Bare values
+are checked once, at entry: they must be finite and end in the space's grid
+shape (a ``(n, 1)`` array on an n-point grid is rejected, not broadcast).
+Past that boundary only arrays flow, and no container is built.  The
+scalar results of :func:`modulus_mixed`, :func:`k_upper_detail` and the
+Besov norms are checked to be finite, so a non-finite intermediate raises
+instead of being lost in a later ``max``.
 
 K-functional surrogates for the pair (E, E^r):
 
@@ -36,7 +48,8 @@ K-functional surrogates for the pair (E, E^r):
   splitting ``f = f + 0`` which caps the value at ``||f||``.  The gap to
   the true infimum is reported, never assumed zero;
 * ``k_spectral`` (Hilbert case) = ``(sum_k min(1, s^r lam_k^{r/2})^2 w_k)^{1/2}``
-  from the discrete spectral measure.
+  from the discrete spectral measure; an array of scales shares one set of
+  spectral weights.
 
 Besov norms ``B^alpha_q`` are realized four independent ways across this
 module and :mod:`axbkit.frames`; here live the K-functional and modulus
@@ -57,7 +70,7 @@ from itertools import product
 
 import numpy as np
 
-from .grids import HalfLineFunction, LogGrid
+from .grids import LogGrid
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -95,16 +108,18 @@ _FLOOR = 1e-14
 class RepresentationSpace:
     """Bundle of the operations a represented Banach space must expose.
 
-    ``norm``, ``act`` and ``gen`` accept a stack of functions as well as one
-    function (see the module docstring).
+    The callables take and return plain complex ndarrays on the space's own
+    grid, unchecked; ``norm``, ``act`` and ``gen`` accept a stack of
+    functions as well as one function (see the module docstring).
     """
 
     name: str
-    norm: callable  # norm(f) -> float; for a stack, one norm per leading index
-    act: callable  # act(j, t, f) -> f, the group T_j(t), on every member of a stack
-    gen: callable  # gen(j, f) -> f, the generator A_j, on every member of a stack
+    shape: tuple  # the grid's sample shape, the trailing axes of every array
+    norm: callable  # norm(v) -> float; for a stack, one norm per leading index
+    act: callable  # act(j, t, v) -> array, the group T_j(t), on every member of a stack
+    gen: callable  # gen(j, v) -> array, the generator A_j, on every member of a stack
     t_candidates: callable  # t_candidates(j, s, cap) -> iterable of t in (0, s]
-    hardy: callable  # hardy(r, s, f) -> f, the operator H_r(s)
+    hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on one function
 
     def derived(self, norm) -> "RepresentationSpace":
         """Same actions, different norm (used by the reiteration check)."""
@@ -131,8 +146,8 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     from .halfline import act_modulation, generator, shift_log, xp_norm
     from .smoothing import hardy_steklov
 
-    def act(j, t, f):
-        return shift_log(f, t) if j == 1 else act_modulation(t, f)
+    def act(j, t, v):
+        return shift_log(v, t, grid=grid) if j == 1 else act_modulation(t, v, grid=grid)
 
     def t_candidates(j, s, cap):
         # the modulation group is exact for every t, dilations only on
@@ -141,12 +156,38 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
 
     return RepresentationSpace(
         name=f"X^{p:g}",
-        norm=lambda f: xp_norm(f, p),
+        shape=(grid.n,),
+        norm=lambda v: xp_norm(v, p, grid=grid),
         act=act,
-        gen=generator,
+        gen=lambda j, v: generator(j, v, grid=grid),
         t_candidates=t_candidates,
-        hardy=hardy_steklov,
+        hardy=lambda r, s, v: hardy_steklov(r, s, v, grid=grid),
     )
+
+
+def _values(f, shape: tuple) -> np.ndarray:
+    """The values of ``f`` at a public entry point, checked once.
+
+    A container was validated when it was built.  Bare values are converted
+    to complex and must be finite.  Either way the trailing axes must be the
+    grid ``shape`` exactly; leading axes index a stack.
+    """
+    if hasattr(f, "values"):
+        values = f.values
+    else:
+        values = np.asarray(f, dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+    if values.shape[-len(shape):] != shape:
+        raise ValueError(f"values shape {values.shape} does not end in the grid shape {shape}")
+    return values
+
+
+def _finite(value, what: str):
+    """``value`` itself, after checking that it is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{what} is not finite: {value}")
+    return value
 
 
 def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
@@ -164,11 +205,15 @@ def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
     return np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
 
 
-def apply_word(space: RepresentationSpace, word, f):
-    """``A_{j1} ... A_{jk} f`` for a word ``(j1, ..., jk)``; the rightmost letter acts first."""
+def apply_word(space: RepresentationSpace, word, f) -> np.ndarray:
+    """``A_{j1} ... A_{jk} f`` for a word ``(j1, ..., jk)``; the rightmost letter acts first.
+
+    Returns an array, the values of the result.
+    """
+    v = _values(f, space.shape)
     for j in reversed(word):
-        f = space.gen(j, f)
-    return f
+        v = space.gen(j, v)
+    return v
 
 
 def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndarray:
@@ -179,10 +224,11 @@ def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndar
     the stack keeps the ``product((1, 2), repeat=k)`` order.  The norms are
     added one word at a time in that order.
     """
+    f = _values(f, space.shape)
     total = space.norm(f)
     g = f
     for k in range(1, m + 1):
-        g = g.with_values(np.stack([space.gen(1, g).values, space.gen(2, g).values]))
+        g = np.stack([space.gen(1, g), space.gen(2, g)])
         for norm in space.norm(g).reshape((2 ** k,) + np.shape(total)):
             total = total + norm
     return total if np.ndim(total) else float(total)
@@ -197,12 +243,13 @@ def _word_sup(space: RepresentationSpace, word, t_sets, f) -> float:
     """
     g = f
     for j, ts in zip(reversed(word), reversed(t_sets)):
-        g = g.with_values(np.stack([space.act(j, t, g).values for t in ts]) - g.values)
+        g = np.stack([space.act(j, t, g) for t in ts]) - g
     return float(np.max(space.norm(g)))
 
 
 def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
     """Order-r mixed modulus at scale s (a certified grid lower bound)."""
+    f = _values(f, space.shape)
     if s < 0:
         raise ValueError("scale must be nonnegative")
     if s == 0.0:
@@ -220,11 +267,12 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
         total += _word_sup(space, word, t_sets, f)
     if not any_word:
         raise ValueError(f"no admissible time steps below s={s}")
-    return total
+    return _finite(total, "modulus_mixed")
 
 
 def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
     """Hardy-Steklov witness split with its components and the trivial cap."""
+    f = _values(f, space.shape)
     hf = space.hardy(r, s, f)
     rough = space.norm(f - hf)
     smooth = s ** r * sobolev_space_norm(space, hf, r)
@@ -235,7 +283,7 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
         "smooth": smooth,
         "witness": witness,
         "trivial": cap,
-        "value": min(witness, cap),
+        "value": _finite(min(witness, cap), "k_upper"),
     }
 
 
@@ -249,12 +297,18 @@ def k_lower(space: RepresentationSpace, r: int, s: float, f) -> float:
     return modulus_mixed(space, r, s, f)
 
 
-def k_spectral(op: DiscreteOperator, r: int, s: float, f) -> float:
-    """Spectral K-surrogate ``(sum min(1, s^r lam^{r/2})^2 w_k)^{1/2}`` (Hilbert only)."""
-    values = f.values if isinstance(f, HalfLineFunction) else f
-    w = op.spectral_weights(values)
-    clipped = np.minimum(1.0, s ** r * op.eigenvalues ** (r / 2.0))
-    return float(np.sqrt(np.sum(clipped ** 2 * w)))
+def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
+    """Spectral K-surrogate ``(sum min(1, s^r lam^{r/2})^2 w_k)^{1/2}`` (Hilbert only).
+
+    ``s`` may be an array of scales: the spectral weights of ``f`` are
+    computed once and an array of surrogates is returned, each summed as a
+    single scale is.
+    """
+    w = op.spectral_weights(_values(f, op.weights.shape))
+    root = op.eigenvalues ** (r / 2.0)
+    out = [float(np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w)))
+           for si in ([s] if np.ndim(s) == 0 else s)]
+    return out[0] if np.ndim(s) == 0 else np.array(out)
 
 
 def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
@@ -268,6 +322,7 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     """
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= r")
+    f = _values(f, space.shape)
     nf = space.norm(f)
     floor = _FLOOR * max(nf, 1.0)
 
@@ -330,12 +385,14 @@ def besov_norm(space, f, params, method: str = "k") -> float | list[float]:
     orders = sorted({p.r for p in plist})
     if len(orders) > 1:
         raise ValueError(f"params must share one r, got r = {orders}")
+    f = _values(f, space.shape)
     if not plist:
         return []
     core = k_upper if method == "k" else modulus_mixed
     profile = [core(space, orders[0], s, f) for s in besov_s_grid()]
     nf = space.norm(f)
-    norms = [nf + _weighted_integral(profile, p.alpha, p.q) for p in plist]
+    norms = [_finite(nf + _weighted_integral(profile, p.alpha, p.q), "besov_norm")
+             for p in plist]
     return norms[0] if single else norms
 
 
@@ -348,6 +405,7 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
     in closed form.  Both are estimates for reporting, not test oracles.
     """
     alpha, q, r = params.alpha, params.q, params.r
+    f = _values(f, space.shape)
     nf = space.norm(f)
     lo, hi = _BESOV_J_RANGE
     s_big = 2.0 ** (-(lo - 1))
@@ -378,12 +436,13 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
     if float(alpha).is_integer():
         raise ValueError("alpha must not be an integer; use zygmund_norm")
     k = int(math.floor(alpha))
+    f = _values(f, space.shape)
     total = sobolev_space_norm(space, f, k)
     for word in product((1, 2), repeat=k):  # the empty word when k = 0
         g = apply_word(space, word, f)
         profile = [modulus_mixed(space, 1, s, g) for s in besov_s_grid()]
         total += _weighted_integral(profile, alpha - k, q)
-    return total
+    return _finite(total, "besov_norm_fractional")
 
 
 def zygmund_norm(space, f, k: int, q: float) -> float:
@@ -394,12 +453,13 @@ def zygmund_norm(space, f, k: int, q: float) -> float:
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    f = _values(f, space.shape)
     total = sobolev_space_norm(space, f, k - 1)
     for word in product((1, 2), repeat=k - 1):  # the empty word when k = 1
         g = apply_word(space, word, f)
         profile = [modulus_mixed(space, 2, s, g) for s in besov_s_grid()]
         total += _weighted_integral(profile, 1.0, q)
-    return total
+    return _finite(total, "zygmund_norm")
 
 
 def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float) -> dict:
@@ -412,6 +472,7 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
     """
     if not (0 <= k1 < alpha < k2 <= r):
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
+    f = _values(f, space.shape)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
     base = space.derived(lambda g: sobolev_space_norm(space, g, k1))
     k = k2 - k1

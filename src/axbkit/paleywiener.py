@@ -143,7 +143,7 @@ def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
     """
     from .moduli import modulus_mixed
 
-    nf = space.norm(f)
+    nf = space.norm(f.values)
     sigmas = np.asarray(list(sigma_list), dtype=float)
     errors = best_approx(sigmas, f, op)
     ratios = []

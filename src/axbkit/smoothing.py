@@ -26,7 +26,13 @@ of independent uniforms has the box-spline (Irwin-Hall) density, so:
 
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
-doubles as a cross-check oracle.
+doubles as a cross-check oracle; it works on whatever its action callback
+returns, containers or bare arrays.
+
+:func:`hardy_steklov` and :func:`hardy_steklov_dir` have the two calling
+forms of :func:`axbkit.grids.unwrap`: a container in gives a validated
+container out, and bare values with ``grid=`` given give an unvalidated
+ndarray out, the form the half-line representation interface binds.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grids import HalfLineFunction
+from .grids import HalfLineFunction, LogGrid, unwrap
 from .halfline import shift_log
 
 __all__ = [
@@ -86,20 +92,20 @@ def box_profile(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_dir1_multiplier(mult_fn, f: HalfLineFunction, extent: float) -> HalfLineFunction:
+def _apply_dir1_multiplier(mult_fn, values: np.ndarray, g: LogGrid,
+                           extent: float) -> np.ndarray:
     """Apply a shift-side Fourier multiplier with right zero padding.
 
     ``extent`` is the kernel support length; padding prevents wraparound of
     the periodic transform into the window.
     """
-    g = f.grid
     pad = int(np.ceil(extent / g.h)) + 8
     npad = g.n + pad
     buf = np.zeros(npad, dtype=complex)
-    buf[: g.n] = f.values
+    buf[: g.n] = values
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=g.h)
     out = np.fft.ifft(np.fft.fft(buf) * mult_fn(xi))
-    return f.with_values(out[: g.n])
+    return out[: g.n]
 
 
 def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
@@ -108,7 +114,8 @@ def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
     hp = s / r
     if j == 2:
         return f.with_values(box_profile(hp * f.grid.x) ** r * f.values)
-    return _apply_dir1_multiplier(lambda xi: box_profile(xi * hp) ** r, f, extent=s)
+    return f.with_values(
+        _apply_dir1_multiplier(lambda xi: box_profile(xi * hp) ** r, f.values, f.grid, extent=s))
 
 
 def steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
@@ -135,15 +142,19 @@ def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFun
     return f.with_values(out)
 
 
-def hardy_steklov_dir(j: int, r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
-    """One-direction Hardy-Steklov operator ``H_{j,r}(s)``."""
+def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
+    """One-direction Hardy-Steklov operator ``H_{j,r}(s)``.
+
+    ``f`` is a container, or bare values on ``grid``.
+    """
     params = SteklovParams(r, s, j)
     hp = params.s / params.r
+    values, g, wrap = unwrap(f, grid)
     if j == 2:
-        mult = np.zeros(f.grid.n, dtype=complex)
+        mult = np.zeros(g.n, dtype=complex)
         for k in range(1, r + 1):
-            mult += (-1) ** k * comb(r, k) * box_profile(k * hp * f.grid.x) ** r
-        return f.with_values(mult * f.values)
+            mult += (-1) ** k * comb(r, k) * box_profile(k * hp * g.x) ** r
+        return wrap(mult * values)
 
     def mult_fn(xi):
         total = np.zeros_like(xi, dtype=complex)
@@ -151,12 +162,15 @@ def hardy_steklov_dir(j: int, r: int, s: float, f: HalfLineFunction) -> HalfLine
             total += (-1) ** k * comb(r, k) * box_profile(k * xi * hp) ** r
         return total
 
-    return _apply_dir1_multiplier(mult_fn, f, extent=r * s)
+    return wrap(_apply_dir1_multiplier(mult_fn, values, g, extent=r * s))
 
 
-def hardy_steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
-    """``H_r(s) = H_{1,r}(s) H_{2,r}(s)``, the K-functional smoothing witness."""
-    return hardy_steklov_dir(1, r, s, hardy_steklov_dir(2, r, s, f))
+def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):
+    """``H_r(s) = H_{1,r}(s) H_{2,r}(s)``, the K-functional smoothing witness.
+
+    ``f`` is a container, or bare values on ``grid``.
+    """
+    return hardy_steklov_dir(1, r, s, hardy_steklov_dir(2, r, s, f, grid), grid)
 
 
 def commutation_check(m: int, t1: float, t2: float, f: HalfLineFunction) -> float:

@@ -440,15 +440,14 @@ def suite_kfunctional(cfg: RunConfig):
     profiles = []
     order1 = []  # the order-1 moduli of corpus[0], emitted as their own profile
     for entry, f in corpus:
-        nf = space.norm(f)
+        nf = space.norm(f.values)
         rows = []
         for r in (1, 2):
-            for s in svals:
+            for s, ksp in zip(svals, md.k_spectral(op, r, svals, f)):
                 kl = md.k_lower(space, r, s, f)
                 if r == 1 and not profiles:
                     order1.append((float(s), kl))
                 ku = md.k_upper(space, r, s, f)
-                ksp = md.k_spectral(op, r, s, f)
                 trivial = min(s ** r, 1.0) * nf
                 c_hat = max(c_hat, kl / max(ku, 1e-300))
                 cp_hat = max(cp_hat, ku / max(kl + trivial, 1e-300))

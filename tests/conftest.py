@@ -65,7 +65,7 @@ def _word_sup_per_tuple(space, word, t_sets, f) -> float:
     """The supremum search one candidate tuple at a time, one function per action."""
     best = 0.0
     for ts in product(*t_sets):
-        g = f
+        g = f.values
         for j, t in zip(reversed(word), reversed(ts)):
             g = space.act(j, t, g) - g
         best = max(best, space.norm(g))
@@ -87,12 +87,12 @@ def modulus_reference():
     return _modulus_per_tuple
 
 
-def _sobolev_per_word(space, f, m: int):
-    """``sobolev_space_norm`` applying every word from ``f``, one word at a time."""
-    total = space.norm(f)
+def _sobolev_per_word(space, v, m: int):
+    """``sobolev_space_norm`` applying every word to the values ``v``, one word at a time."""
+    total = space.norm(v)
     for k in range(1, m + 1):
         for word in product((1, 2), repeat=k):
-            total += space.norm(apply_word(space, word, f))
+            total += space.norm(apply_word(space, word, v))
     return total
 
 
@@ -105,12 +105,12 @@ def sobolev_reference():
 def _besov_per_scale(space, f, params, method):
     core = k_upper if method == "k" else modulus_mixed
     weighted = [s ** (-params.alpha) * core(space, params.r, s, f) for s in besov_s_grid()]
-    return space.norm(f) + _accumulate(weighted, params.q)
+    return space.norm(f.values) + _accumulate(weighted, params.q)
 
 
 def _fractional_per_scale(space, f, alpha, q):
     k = int(math.floor(alpha))
-    total = _sobolev_per_word(space, f, k)
+    total = _sobolev_per_word(space, f.values, k)
     for word in product((1, 2), repeat=k):
         g = apply_word(space, word, f)
         weighted = [s ** (k - alpha) * modulus_mixed(space, 1, s, g) for s in besov_s_grid()]
@@ -119,7 +119,7 @@ def _fractional_per_scale(space, f, alpha, q):
 
 
 def _zygmund_per_scale(space, f, k, q):
-    total = _sobolev_per_word(space, f, k - 1)
+    total = _sobolev_per_word(space, f.values, k - 1)
     for word in product((1, 2), repeat=k - 1):
         g = apply_word(space, word, f)
         weighted = [s ** (-1.0) * modulus_mixed(space, 2, s, g) for s in besov_s_grid()]
@@ -132,11 +132,11 @@ def _reiteration_per_scale(space, f, k1, k2, r, alpha, q):
     base = space.derived(lambda g: _sobolev_per_word(space, g, k1))
     weighted = [s ** (-(alpha - k1)) * modulus_mixed(base, k2 - k1, s, f)
                 for s in besov_s_grid()]
-    rhs = base.norm(f) + _accumulate(weighted, q)
+    rhs = base.norm(f.values) + _accumulate(weighted, q)
     k = k2 - k1
-    nf = space.norm(f)
-    nk = _sobolev_per_word(space, f, k)
-    nr = _sobolev_per_word(space, f, r)
+    nf = space.norm(f.values)
+    nk = _sobolev_per_word(space, f.values, k)
+    nr = _sobolev_per_word(space, f.values, r)
     gn = nk / max(nf ** (1 - k / r) * nr ** (k / r), _FLOOR * max(nf, 1.0))
     return {"lhs_norm": lhs, "rhs_norm": rhs, "ratio": lhs / max(rhs, _FLOOR),
             "gagliardo_hat": gn}

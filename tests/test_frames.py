@@ -251,3 +251,14 @@ def test_besov_band_sequence_validation(op, f_lg):
         assert besov_norm_bands(f_lg, op, (), (), variant) == []
     with pytest.raises(ValueError):
         besov_norm_bands(f_lg, op, (), (), "unknown")
+
+
+def test_lp_decompose_equals_per_band_apply_fn(op, f_lg):
+    # one coefficient vector for all bands, the same floating-point operations
+    # as one functional-calculus call per band
+    from axbkit.frames import _q_band
+
+    pieces = lp_decompose(f_lg, op)
+    assert len(pieces) == full_band_count(op, "lambda") + 1
+    for j, piece in enumerate(pieces):
+        assert np.array_equal(piece.values, op.apply_fn(lambda lam: _q_band(j, lam), f_lg.values))

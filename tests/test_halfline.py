@@ -200,3 +200,44 @@ def test_window_loss_flags_non_decaying(grid, f_lg):
 
     k = HalfLineFunction(grid, macdonald_kernel(1.0, grid.x))
     assert window_loss(k) > 1e-6
+
+
+def _stack(grid, f_lg, f_xexp):
+    return np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_array_form_equals_container_form(grid, f_lg, f_xexp, stacked):
+    values = _stack(grid, f_lg, f_xexp) if stacked else f_lg.values
+    f = HalfLineFunction(grid, values)
+    for p in (1.0, 2.0, 3.0):
+        assert np.array_equal(xp_norm(values, p, grid=grid), xp_norm(f, p))
+    # exact grid steps and the interpolated route
+    pairs = [(shift_log(values, t, grid=grid), shift_log(f, t)) for t in (3 * grid.h, 2.5 * grid.h)]
+    pairs += [(act_modulation(0.7, values, grid=grid), act_modulation(0.7, f))]
+    pairs += [(generator(j, values, grid=grid), generator(j, f)) for j in (1, 2)]
+    for array_out, container_out in pairs:
+        assert type(array_out) is np.ndarray and array_out.flags.c_contiguous
+        assert np.array_equal(array_out, container_out.values)
+
+
+def test_bare_values_need_a_grid(grid, f_lg):
+    with pytest.raises(TypeError, match="grid="):
+        shift_log(f_lg.values, grid.h)
+    with pytest.raises(TypeError, match="grid="):
+        xp_norm(f_lg.values)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("form", ["container", "array"])
+def test_nonfinite_t_is_rejected(grid, f_lg, form, t):
+    f, kw = (f_lg, {}) if form == "container" else (f_lg.values, {"grid": grid})
+    with pytest.raises(ValueError, match="t must be finite"):
+        shift_log(f, t, **kw)
+    with pytest.raises(ValueError, match="t must be finite"):
+        act_modulation(t, f, **kw)
+    if form == "container":
+        with pytest.raises(ValueError, match="t must be finite"):
+            act_dilation(t, f)
+        with pytest.raises(ValueError, match="t must be finite"):
+            act(GroupElement(1.0, t), f)

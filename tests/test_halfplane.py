@@ -297,7 +297,7 @@ def test_modulus_separable_y_shift_matches_1d(hgrid):
     ts = np.asarray(space.t_candidates(2, s, 12))
     best = 0.0
     for t in ts:
-        best = max(best, lp_norm_2d(space.act(2, t, f) - f, 2.0, "left"))
+        best = max(best, lp_norm_2d(space.act(2, t, f.values) - f.values, 2.0, "left", grid=hgrid))
     from axbkit.grids import trapezoid_weights
 
     wu = trapezoid_weights(48, hgrid.xgrid.h) * np.exp(-hgrid.xgrid.u)
@@ -328,11 +328,35 @@ def test_sobolev_graph_check(hgrid, f2, opL, opR):
 
 def test_hardy_generic_smooths_2d(hgrid, f2):
     space = halfplane_space(hgrid, "left")
-    hf = space.hardy(1, 0.4, f2)
-    assert lp_norm_2d(hf - f2, 2.0, "left") < lp_norm_2d(f2, 2.0, "left")
+    hf = space.hardy(1, 0.4, f2.values)
+    assert lp_norm_2d(hf - f2.values, 2.0, "left", grid=hgrid) < lp_norm_2d(f2, 2.0, "left")
 
 
 def test_eigensolver_cap():
     big = HalfPlaneGrid(LogGrid(-6.0, 4.0, 128), -8.0, 8.0, 128)
     with pytest.raises(ValueError):
         build_halfplane_laplacian(big, "left")
+
+
+def test_halfplane_space_entry_checks(hgrid, f2):
+    space = halfplane_space(hgrid, "left")
+    assert modulus_mixed(space, 1, 0.5, f2.values) == modulus_mixed(space, 1, 0.5, f2)
+    for wrong in (f2.values[:, :47], f2.values[..., None], f2.values[0]):
+        with pytest.raises(ValueError, match="shape"):
+            modulus_mixed(space, 1, 0.5, wrong)
+    bad = f2.values.copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        modulus_mixed(space, 1, 0.5, bad)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_array_form_equals_container_form(hgrid, side):
+    f = HalfPlaneFunction(hgrid, _stack_2d(hgrid, (2,)))
+    assert np.array_equal(lp_norm_2d(f.values, 2.0, side, grid=hgrid), lp_norm_2d(f, 2.0, side))
+    for j in (1, 2):
+        out = generator_2d(j, f.values, side, grid=hgrid)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, generator_2d(j, f, side).values)
+    for g in (GroupElement(math.exp(2 * hgrid.xgrid.h), 0.0), GroupElement(0.8, -0.6)):
+        assert np.array_equal(act_2d(g, f.values, side, grid=hgrid), act_2d(g, f, side).values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from axbkit.moduli import (
     BesovParams,
     RepresentationSpace,
     _accumulate,
+    apply_word,
     besov_norm,
     besov_norm_fractional,
     besov_s_grid,
@@ -35,9 +37,9 @@ def test_modulus_equals_per_tuple_reference(grid, space, f_lg, modulus_reference
 def test_derived_norm_accepts_stacks(grid, space, f_lg, f_xexp):
     base = space.derived(lambda g: sobolev_space_norm(space, g, 1))
     rows = np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])
-    norms = base.norm(HalfLineFunction(grid, rows))
+    norms = base.norm(rows)
     assert norms.shape == (3,)
-    assert list(norms) == [base.norm(HalfLineFunction(grid, row)) for row in rows]
+    assert list(norms) == [base.norm(row) for row in rows]
 
 
 def test_reiteration_with_derived_sobolev_base(space, f_lg, modulus_reference):
@@ -47,7 +49,7 @@ def test_reiteration_with_derived_sobolev_base(space, f_lg, modulus_reference):
     rep = reiteration_check(space, f_lg, 1, 2, 2, alpha, q)
     base = space.derived(lambda g: sobolev_space_norm(space, g, 1))
     weighted = [s ** (-(alpha - 1)) * modulus_reference(base, 1, s, f_lg) for s in besov_s_grid()]
-    assert rep["rhs_norm"] == base.norm(f_lg) + _accumulate(weighted, q)
+    assert rep["rhs_norm"] == base.norm(f_lg.values) + _accumulate(weighted, q)
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
 
 
@@ -97,10 +99,11 @@ def test_modulus_small_s_drops_dilation_words(grid, space, f_lg):
     assert val == pytest.approx(sup2, rel=1e-12)
 
 
-def test_modulus_raises_when_no_steps_at_all(f_lg):
+def test_modulus_raises_when_no_steps_at_all(grid, f_lg):
     dead = RepresentationSpace(
         name="dead",
-        norm=xp_norm,
+        shape=(grid.n,),
+        norm=lambda v: xp_norm(v, grid=grid),
         act=lambda j, t, f: f,
         gen=lambda j, f: f,
         t_candidates=lambda j, s, cap: np.empty(0),
@@ -238,7 +241,7 @@ def test_fractional_zygmund_in_band_with_modulus(space, f_lg):
 
 
 def test_sobolev_space_norm_order_zero(space, f_lg):
-    assert sobolev_space_norm(space, f_lg, 0) == space.norm(f_lg)
+    assert sobolev_space_norm(space, f_lg, 0) == space.norm(f_lg.values)
 
 
 def test_reiteration(space, f_xexp):
@@ -307,10 +310,97 @@ def test_stacked_sobolev_equals_per_word_reference(grid, space, f_lg, f_xexp,
                                                    sobolev_reference, m):
     value = sobolev_space_norm(space, f_lg, m)
     assert type(value) is float
-    assert value == sobolev_reference(space, f_lg, m)
+    assert value == sobolev_reference(space, f_lg.values, m)
     stack = HalfLineFunction(grid, np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values]))
     norms = sobolev_space_norm(space, stack, m)
     assert norms.shape == (3,)
-    assert np.array_equal(norms, sobolev_reference(space, stack, m))
-    assert list(norms) == [sobolev_reference(space, HalfLineFunction(grid, row), m)
-                           for row in stack.values]
+    assert np.array_equal(norms, sobolev_reference(space, stack.values, m))
+    assert list(norms) == [sobolev_reference(space, row, m) for row in stack.values]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_k_spectral_array_of_scales_equals_per_scale_calls(op, f_lg, r):
+    svals = 2.0 ** np.arange(-8, 5, dtype=float)
+    values = k_spectral(op, r, svals, f_lg)
+    assert values.shape == svals.shape
+    assert list(values) == [k_spectral(op, r, s, f_lg) for s in svals]
+    assert type(k_spectral(op, r, 0.5, f_lg)) is float
+
+
+def test_hot_path_builds_no_container(monkeypatch, space, f_lg):
+    made = []
+    post_init = HalfLineFunction.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HalfLineFunction, "__post_init__", counted)
+    modulus_mixed(space, 2, 0.5, f_lg)
+    k_upper(space, 2, 0.5, f_lg)
+    besov_norm(space, f_lg, BesovParams(0.5, 2.0, 2))
+    assert made == []
+    act_modulation(0.25, f_lg)  # the counter is live: the container form builds one
+    assert len(made) == 1
+
+
+# every public entry point of moduli that takes a function, as f -> call
+_ENTRY_POINTS = {
+    "apply_word": lambda space, op, f: apply_word(space, (1, 2), f),
+    "sobolev_space_norm": lambda space, op, f: sobolev_space_norm(space, f, 1),
+    "modulus_mixed": lambda space, op, f: modulus_mixed(space, 2, 0.5, f),
+    "k_upper": lambda space, op, f: k_upper(space, 2, 0.5, f),
+    "k_upper_detail": lambda space, op, f: k_upper_detail(space, 2, 0.5, f),
+    "k_lower": lambda space, op, f: k_lower(space, 2, 0.5, f),
+    "k_spectral": lambda space, op, f: k_spectral(op, 2, 0.5, f),
+    "verify_modulus_inequalities": lambda space, op, f: verify_modulus_inequalities(
+        space, 2, 1, f, (0.5,)),
+    "besov_norm": lambda space, op, f: besov_norm(space, f, BesovParams(0.5, 2.0, 2)),
+    "besov_tail_report": lambda space, op, f: besov_tail_report(
+        space, f, BesovParams(0.5, 2.0, 2)),
+    "besov_norm_fractional": lambda space, op, f: besov_norm_fractional(space, f, 0.5, 2.0),
+    "zygmund_norm": lambda space, op, f: zygmund_norm(space, f, 1, 2.0),
+    "reiteration_check": lambda space, op, f: reiteration_check(space, f, 0, 1, 2, 0.5, 2.0),
+}
+
+
+def _bad_values(v):
+    nan, inf = v.copy(), v.copy()
+    nan[100] = np.nan
+    inf[7] = -np.inf
+    return {
+        "nan member": (nan, "finite"),
+        "inf member": (inf, "finite"),
+        "nan in a stack": (np.stack([v, nan]), "finite"),
+        "(n, 1)": (v[:, None], "shape"),
+        "(n - 1,)": (v[:-1], "shape"),
+        "scalar": (np.asarray(1.0), "shape"),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_point_rejects_bad_bare_values(space, op, f_lg, entry):
+    call = _ENTRY_POINTS[entry]
+    for label, (bad, match) in _bad_values(f_lg.values).items():
+        with pytest.raises(ValueError, match=match):
+            call(space, op, bad)
+
+
+@pytest.mark.parametrize("entry", ["modulus_mixed", "k_upper", "k_spectral", "sobolev_space_norm",
+                                   "besov_norm"])
+def test_entry_point_bare_values_equal_container(space, op, f_lg, entry):
+    call = _ENTRY_POINTS[entry]
+    assert call(space, op, f_lg.values) == call(space, op, f_lg)
+    assert call(space, op, f_lg.values.real) == call(space, op, f_lg)  # real input promoted
+
+
+def test_non_finite_results_raise(space, f_lg):
+    # the input is finite; the actions and generators blow up inside
+    blown = dataclasses.replace(space, act=lambda j, t, v: np.full_like(v, np.nan),
+                                gen=lambda j, v: np.full_like(v, np.nan))
+    with pytest.raises(ValueError, match="modulus_mixed is not finite"):
+        modulus_mixed(blown, 1, 0.5, f_lg)
+    with pytest.raises(ValueError, match="k_upper is not finite"):
+        k_upper(blown, 2, 0.5, f_lg)
+    with pytest.raises(ValueError, match="not finite"):
+        besov_norm(blown, f_lg, BesovParams(0.5, 2.0, 2), "modulus")

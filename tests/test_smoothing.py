@@ -74,11 +74,11 @@ def test_dir1_fft_route_vs_density_quadrature(grid, f_lg, space):
     # two independent evaluations of the same operator
     for r, s in ((1, 0.7), (2, 0.7), (3, 1.4)):
         fft_route = steklov_avg(SteklovParams(r, s, 1), f_lg)
-        quad_route = steklov_avg_generic(space.act, 1, r, s, f_lg)
-        assert xp_norm(fft_route - quad_route) / xp_norm(f_lg) < 1e-6
+        quad_route = steklov_avg_generic(space.act, 1, r, s, f_lg.values)
+        assert xp_norm(fft_route.values - quad_route, grid=grid) / xp_norm(f_lg) < 1e-6
     h_fft = hardy_steklov(2, 0.7, f_lg)
-    h_quad = hardy_steklov_generic(space.act, 2, 0.7, f_lg)
-    assert xp_norm(h_fft - h_quad) / xp_norm(f_lg) < 1e-6
+    h_quad = hardy_steklov_generic(space.act, 2, 0.7, f_lg.values)
+    assert xp_norm(h_fft.values - h_quad, grid=grid) / xp_norm(f_lg) < 1e-6
 
 
 def test_irwin_hall_mass():
@@ -177,3 +177,13 @@ def test_hardy_dir2_matches_m_average(f_lg):
         acc += wi * m_operator(2, r, ti, f_lg).values
     closed = hardy_steklov_dir(2, r, s, f_lg)
     assert xp_norm(f_lg.with_values(acc) - closed) / xp_norm(f_lg) < 1e-10
+
+
+def test_hardy_array_form_equals_container_form(grid, f_lg):
+    for r, s in ((1, 0.3), (2, 0.7), (3, 1.4)):
+        out = hardy_steklov(r, s, f_lg.values, grid=grid)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, hardy_steklov(r, s, f_lg).values)
+        for j in (1, 2):
+            assert np.array_equal(hardy_steklov_dir(j, r, s, f_lg.values, grid=grid),
+                                  hardy_steklov_dir(j, r, s, f_lg).values)
