@@ -248,7 +248,8 @@ _OPS: dict[str, str] = {
     "act_2d": (
         "The left-regular representation U^L(a,b) f(x,y) = f(ax, ay + b) and the "
         "right-regular representation U^R(a,b) f(x,y) = f(xa, xb + y); isometries "
-        "of their weighted norms."
+        "of their weighted norms. Exact zero-fill shifts on grid multiples, natural "
+        "cubic splines otherwise; a and b must be finite."
     ),
     "generator_2d": (
         "Generators: left D1 = x dx + y dy and D2 = dy; right D1 = x dx and "

@@ -9,6 +9,7 @@ window are treated as zero, and the boundary-mass diagnostic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +24,7 @@ __all__ = [
     "grid_steps",
     "shift_zero_fill",
     "pth_root",
+    "require_finite",
     "unwrap",
 ]
 
@@ -90,6 +92,12 @@ def pth_root(sums, p: float):
     if np.ndim(sums) == 0:
         return float(sums ** (1.0 / p))
     return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
+
+
+def require_finite(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming the parameter unless the number ``value`` is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def unwrap(f, grid=None):

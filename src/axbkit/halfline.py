@@ -23,12 +23,12 @@ Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
 import numpy as np
 
-from .grids import HalfLineFunction, LogGrid, fd6, grid_steps, pth_root, shift_zero_fill, unwrap
+from .grids import (HalfLineFunction, LogGrid, fd6, grid_steps, pth_root, require_finite,
+                    shift_zero_fill, unwrap)
 from .group import GroupElement
 from .moduli import apply_word, halfline_space, sobolev_space_norm
 
@@ -82,11 +82,6 @@ def window_loss(f: HalfLineFunction) -> float:
     return float(edge / total) if total > 0 else 0.0
 
 
-def _check_t(t: float) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-
-
 def shift_log(f, t: float, grid: LogGrid | None = None):
     """Translation ``f(u) -> f(u + t)`` in the log variable.
 
@@ -95,7 +90,7 @@ def shift_log(f, t: float, grid: LogGrid | None = None):
     a zero-padded window, which is spectrally accurate for the smooth
     decaying corpus.  ``f`` is a container, or bare values on ``grid``.
     """
-    _check_t(t)
+    require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
     exact = grid_steps(t, g.h)
     if exact is not None:
@@ -134,7 +129,7 @@ def act_modulation(t: float, f, grid: LogGrid | None = None):
 
     ``f`` is a container, or bare values on ``grid``.
     """
-    _check_t(t)
+    require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
     return wrap(np.exp(1j * t * g.x) * values)
 

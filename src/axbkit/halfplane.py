@@ -39,7 +39,8 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import LogGrid, fd6, grid_steps, pth_root, shift_zero_fill, trapezoid_weights, unwrap
+from .grids import (LogGrid, fd6, grid_steps, pth_root, require_finite, shift_zero_fill,
+                    trapezoid_weights, unwrap)
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -171,75 +172,56 @@ def lp_norm_2d(f, p: float, side: str, grid: HalfPlaneGrid | None = None) -> flo
     return pth_root(np.sum(w * np.abs(values) ** p, axis=(-2, -1)), p)
 
 
-def _interp_columns(values: np.ndarray, axis_nodes: np.ndarray, targets: np.ndarray,
-                    axis: int) -> np.ndarray:
-    """Cubic resampling along one axis with zero fill outside the window.
+def _resample(values: np.ndarray, nodes: np.ndarray, scale: float, offset, axis: int,
+              step: float) -> np.ndarray:
+    """Sample a stack at ``scale * node + offset`` along grid ``axis`` (-2 for u, -1 for y).
 
-    ``targets`` may be one curve (shared by all slices) or one curve per
-    slice along the other axis.
+    ``offset`` is one number or one per line of the other grid axis.  A unit
+    scale with one grid-multiple offset is an exact zero-fill shift.  Otherwise
+    one natural cubic spline through every line of every member is evaluated
+    in one gather, in scipy's own sum order; targets outside the window give 0.
     """
-    vals = np.moveaxis(values, axis, 0)  # (n_axis, n_other)
-    n_other = vals.shape[1]
-    spline = CubicSpline(axis_nodes, vals, axis=0, bc_type="natural")
-    out = np.zeros_like(vals)
-    if targets.ndim == 1:
-        inside = (targets >= axis_nodes[0]) & (targets <= axis_nodes[-1])
-        out[inside] = spline(targets[inside])
-    else:
-        for col in range(n_other):
-            t = targets[col]
-            inside = (t >= axis_nodes[0]) & (t <= axis_nodes[-1])
-            out[inside, col] = spline(t[inside])[:, col]
-    return np.moveaxis(out, 0, axis)
-
-
-def _shift_u(values: np.ndarray, grid: HalfPlaneGrid, t: float) -> np.ndarray:
-    """Sample ``f(u + t, y)``: exact roll on grid multiples, cubic otherwise."""
-    steps = grid_steps(t, grid.xgrid.h)
-    if steps is not None:
-        return shift_zero_fill(values, steps, axis=0)
-    return _interp_columns(values, grid.xgrid.u, grid.xgrid.u + t, axis=0)
-
-
-def _map_y(values: np.ndarray, grid: HalfPlaneGrid, scale: float, offset) -> np.ndarray:
-    """Sample ``f(x, scale * y + offset)``; offset may vary with the row."""
-    y = grid.y
-    offset = np.asarray(offset, dtype=float)
-    if scale == 1.0 and offset.ndim == 0:
-        steps = grid_steps(float(offset), grid.h_y)
+    if scale == 1.0 and np.ndim(offset) == 0:
+        steps = grid_steps(offset, step)
         if steps is not None:
-            return shift_zero_fill(values, steps, axis=1)
-    if offset.ndim == 0:
-        targets = scale * y + float(offset)
-        return _interp_columns(values, y, targets, axis=1)
-    targets = scale * y[None, :] + offset[:, None]
-    return _interp_columns(values, y, targets, axis=1)
-
-
-def _act_one(g: GroupElement, values: np.ndarray, grid: HalfPlaneGrid, side: str) -> np.ndarray:
-    vals = _shift_u(values, grid, math.log(g.a))
-    if side == "left":
-        return _map_y(vals, grid, g.a, g.b)
-    if g.b != 0.0:
-        vals = _map_y(vals, grid, 1.0, g.b * grid.xgrid.x)
-    return vals
+            return shift_zero_fill(values, steps, axis=values.ndim + axis)
+    # contiguous, interpolated axis first; the stack, then the lines, follow it
+    vals = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+    n, lines = vals.shape[0], vals.shape[-1]
+    lead = (n,) + (1,) * (vals.ndim - 2) + (lines,)
+    targets = np.broadcast_to(scale * nodes[:, None] + offset, (n, lines))
+    inside = (targets >= nodes[0]) & (targets <= nodes[-1])
+    # the interval scipy picks: nodes[i] <= target < nodes[i + 1], the last one closed
+    idx = np.clip(np.searchsorted(nodes, targets, side="right") - 1, 0, n - 2)
+    s = np.where(inside, targets - nodes[idx], 0.0).reshape(lead)
+    # every sample's four coefficients in one gather, by flat (interval, line) cell
+    width = vals[0].size
+    cells = idx.reshape(lead) * width + np.arange(width).reshape(vals.shape[1:])
+    coeffs = CubicSpline(nodes, vals, axis=0, bc_type="natural").c.reshape(4, -1)
+    c = np.take(coeffs, cells, axis=1)
+    out = np.where(inside.reshape(lead), c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s), 0)
+    return np.moveaxis(out, 0, axis)
 
 
 def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
     """The regular representations; isometries of their weighted norms.
 
-    Grid-compatible parameters (pure y-shift on the left, pure log-x shift
-    on the right) are exact permutations with zero fill; anything else is
-    cubic interpolation with zero extension.  A stack is acted on member by
-    member.  ``f`` is a container, or bare values on ``grid`` (then the
-    result is an unvalidated ndarray).
+    A log-x pass, then at most one y pass (``a y + b`` on the left, ``y + b x``
+    per row on the right), each over the whole stack by :func:`_resample`.
+    ``a`` and ``b`` must be finite.  ``f`` is a container, or bare values on
+    ``grid`` (then the result is an unvalidated ndarray).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    require_finite("a", g.a)
+    require_finite("b", g.b)
     values, hgrid, wrap = unwrap(f, grid)
-    members = values.reshape((-1,) + values.shape[-2:])
-    vals = np.stack([_act_one(g, v, hgrid, side) for v in members])
-    return wrap(vals.reshape(values.shape))
+    vals = _resample(values, hgrid.xgrid.u, 1.0, math.log(g.a), -2, hgrid.xgrid.h)
+    if side == "left":
+        vals = _resample(vals, hgrid.y, g.a, g.b, -1, hgrid.h_y)
+    elif g.b != 0.0:
+        vals = _resample(vals, hgrid.y, 1.0, g.b * hgrid.xgrid.x, -1, hgrid.h_y)
+    return wrap(vals)
 
 
 def _du(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
@@ -281,6 +263,7 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
     """
 
     def act(j, t, v):
+        require_finite("t", t)
         g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
         return act_2d(g, v, side, grid=grid)
 

@@ -70,7 +70,7 @@ from itertools import product
 
 import numpy as np
 
-from .grids import LogGrid
+from .grids import LogGrid, require_finite
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -224,7 +224,11 @@ def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndar
     the stack keeps the ``product((1, 2), repeat=k)`` order.  The norms are
     added one word at a time in that order.
     """
-    f = _values(f, space.shape)
+    return _sobolev_sum(space, _values(f, space.shape), m)
+
+
+def _sobolev_sum(space: RepresentationSpace, f: np.ndarray, m: int) -> float | np.ndarray:
+    """The body of :func:`sobolev_space_norm`, on values already checked or computed inside."""
     total = space.norm(f)
     g = f
     for k in range(1, m + 1):
@@ -248,17 +252,19 @@ def _word_sup(space: RepresentationSpace, word, t_sets, f) -> float:
 
 
 def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
-    """Order-r mixed modulus at scale s (a certified grid lower bound)."""
+    """Order-r mixed modulus at a finite scale s >= 0 (a certified grid lower bound)."""
     f = _values(f, space.shape)
+    require_finite("s", s)
     if s < 0:
         raise ValueError("scale must be nonnegative")
     if s == 0.0:
         return 0.0
     cap = _SUP_CAP.get(r, 2)
+    candidates = {j: np.asarray(space.t_candidates(j, s, cap)) for j in (1, 2)}
     total = 0.0
     any_word = False
     for word in product((1, 2), repeat=r):
-        t_sets = [np.asarray(space.t_candidates(j, s, cap)) for j in word]
+        t_sets = [candidates[j] for j in word]
         if any(ts.size == 0 for ts in t_sets):
             # no admissible step for some factor: the word contributes only
             # to the continuum value, and dropping it keeps a lower bound
@@ -271,11 +277,12 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
 
 
 def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
-    """Hardy-Steklov witness split with its components and the trivial cap."""
+    """Hardy-Steklov witness split with its components and the trivial cap; ``s`` must be finite."""
     f = _values(f, space.shape)
+    require_finite("s", s)
     hf = space.hardy(r, s, f)
     rough = space.norm(f - hf)
-    smooth = s ** r * sobolev_space_norm(space, hf, r)
+    smooth = s ** r * _sobolev_sum(space, hf, r)
     witness = rough + smooth
     cap = space.norm(f)
     return {
@@ -437,7 +444,7 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
         raise ValueError("alpha must not be an integer; use zygmund_norm")
     k = int(math.floor(alpha))
     f = _values(f, space.shape)
-    total = sobolev_space_norm(space, f, k)
+    total = _sobolev_sum(space, f, k)
     for word in product((1, 2), repeat=k):  # the empty word when k = 0
         g = apply_word(space, word, f)
         profile = [modulus_mixed(space, 1, s, g) for s in besov_s_grid()]
@@ -454,7 +461,7 @@ def zygmund_norm(space, f, k: int, q: float) -> float:
     if k < 1:
         raise ValueError("need k >= 1")
     f = _values(f, space.shape)
-    total = sobolev_space_norm(space, f, k - 1)
+    total = _sobolev_sum(space, f, k - 1)
     for word in product((1, 2), repeat=k - 1):  # the empty word when k = 1
         g = apply_word(space, word, f)
         profile = [modulus_mixed(space, 2, s, g) for s in besov_s_grid()]
@@ -474,13 +481,13 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
     f = _values(f, space.shape)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
-    base = space.derived(lambda g: sobolev_space_norm(space, g, k1))
+    base = space.derived(lambda g: _sobolev_sum(space, g, k1))
     k = k2 - k1
     profile = [modulus_mixed(base, k, s, f) for s in besov_s_grid()]
     rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)
     nf = space.norm(f)
-    nk = sobolev_space_norm(space, f, k)
-    nr = sobolev_space_norm(space, f, r)
+    nk = _sobolev_sum(space, f, k)
+    nr = _sobolev_sum(space, f, r)
     gn = nk / max(nf ** (1 - k / r) * nr ** (k / r), _FLOOR * max(nf, 1.0))
     return {
         "lhs_norm": lhs,

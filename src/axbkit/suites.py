@@ -502,7 +502,9 @@ def _besov_realizations(f, op, space, params, r=2):
     out = []
     for i, (alpha, q) in enumerate(params):
         vals = {name: column[i] for name, column in columns.items()}
-        if float(alpha).is_integer():
+        if alpha == 1 and r == 2:  # the modulus form exactly, see md.zygmund_norm
+            vals["zygmund"] = vals["modulus"]
+        elif float(alpha).is_integer():
             vals["zygmund"] = md.zygmund_norm(space, f, int(alpha), q)
         else:
             vals["fractional"] = md.besov_norm_fractional(space, f, alpha, q)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.interpolate import CubicSpline
 
-from axbkit.grids import LogGrid
+from axbkit.grids import LogGrid, grid_steps, shift_zero_fill
 from axbkit.group import GroupElement
 from axbkit.halfplane import (
     HalfPlaneFunction,
@@ -18,7 +19,7 @@ from axbkit.halfplane import (
     lp_norm_2d,
     sobolev_graph_check,
 )
-from axbkit.moduli import modulus_mixed
+from axbkit.moduli import halfline_space, k_upper, k_upper_detail, modulus_mixed
 from axbkit.spectral import fourier_diff_matrix
 
 
@@ -360,3 +361,144 @@ def test_halfplane_array_form_equals_container_form(hgrid, side):
         assert np.array_equal(out, generator_2d(j, f, side).values)
     for g in (GroupElement(math.exp(2 * hgrid.xgrid.h), 0.0), GroupElement(0.8, -0.6)):
         assert np.array_equal(act_2d(g, f.values, side, grid=hgrid), act_2d(g, f, side).values)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle for act_2d: one member at a time, one spline evaluation
+# per column when the targets vary with the row
+
+
+def _interp_columns(values, axis_nodes, targets, axis):
+    """Cubic resampling along one axis with zero fill outside the window.
+
+    ``targets`` may be one curve (shared by all slices) or one curve per
+    slice along the other axis.
+    """
+    vals = np.moveaxis(values, axis, 0)  # (n_axis, n_other)
+    n_other = vals.shape[1]
+    spline = CubicSpline(axis_nodes, vals, axis=0, bc_type="natural")
+    out = np.zeros_like(vals)
+    if targets.ndim == 1:
+        inside = (targets >= axis_nodes[0]) & (targets <= axis_nodes[-1])
+        out[inside] = spline(targets[inside])
+    else:
+        for col in range(n_other):
+            t = targets[col]
+            inside = (t >= axis_nodes[0]) & (t <= axis_nodes[-1])
+            out[inside, col] = spline(t[inside])[:, col]
+    return np.moveaxis(out, 0, axis)
+
+
+def _shift_u(values, grid, t):
+    """Sample ``f(u + t, y)``: exact roll on grid multiples, cubic otherwise."""
+    steps = grid_steps(t, grid.xgrid.h)
+    if steps is not None:
+        return shift_zero_fill(values, steps, axis=0)
+    return _interp_columns(values, grid.xgrid.u, grid.xgrid.u + t, axis=0)
+
+
+def _map_y(values, grid, scale, offset):
+    """Sample ``f(x, scale * y + offset)``; offset may vary with the row."""
+    y = grid.y
+    offset = np.asarray(offset, dtype=float)
+    if scale == 1.0 and offset.ndim == 0:
+        steps = grid_steps(float(offset), grid.h_y)
+        if steps is not None:
+            return shift_zero_fill(values, steps, axis=1)
+    if offset.ndim == 0:
+        return _interp_columns(values, y, scale * y + float(offset), axis=1)
+    return _interp_columns(values, y, scale * y[None, :] + offset[:, None], axis=1)
+
+
+def _act_one(g, values, grid, side):
+    vals = _shift_u(values, grid, math.log(g.a))
+    if side == "left":
+        return _map_y(vals, grid, g.a, g.b)
+    if g.b != 0.0:
+        vals = _map_y(vals, grid, 1.0, g.b * grid.xgrid.x)
+    return vals
+
+
+def _act_2d_per_member(g, values, grid, side):
+    members = values.reshape((-1,) + values.shape[-2:])
+    return np.stack([_act_one(g, v, grid, side) for v in members]).reshape(values.shape)
+
+
+_ORACLE_GRIDS = {
+    "48x48": HalfPlaneGrid(LogGrid(-6.0, 4.0, 48), -8.0, 8.0, 48),
+    "20x16": HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16),
+    # y nodes -8, -7.5, ..., 8 are exact binary fractions, so 2 y + 1 lands on them
+    "20x33": HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 33),
+}
+
+
+def _oracle_parameters(grid):
+    hx, hy = grid.xgrid.h, grid.h_y
+    return [
+        GroupElement(1.0, 0.0),                      # identity
+        GroupElement(math.exp(2 * hx), 0.0),         # exact u-shift
+        GroupElement(math.exp(-3 * hx), 0.0),
+        GroupElement(math.exp(0.37), 0.0),           # off-grid u-shift
+        GroupElement(1.0, 3 * hy),                   # left: pure y grid multiple
+        GroupElement(1.0, -2 * hy),
+        GroupElement(1.0, 0.45),                     # off-grid b alone
+        GroupElement(0.8, -0.6),                     # a != 1 with b != 0
+        GroupElement(math.exp(hx), 2 * hy),
+        GroupElement(1.7, 2.5),                      # targets partly beyond the window
+        GroupElement(math.exp(0.2), 40.0),           # every y target beyond the window
+        GroupElement(2.0, 1.0),                      # left targets on the nodes of 20x33
+    ]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_GRIDS))
+def test_act_2d_equals_per_member_reference(name, side):
+    grid = _ORACLE_GRIDS[name]
+    if name == "20x33":
+        targets = 2.0 * grid.y + 1.0
+        # 17 targets on nodes, the other 16 beyond the window on both sides
+        assert np.isin(targets, grid.y).sum() == 17 and np.sum(np.abs(targets) > 8.0) == 16
+    rng = np.random.default_rng(29)
+    for shape in ((), (3,), (2, 3)):
+        full = shape + (grid.xgrid.n, grid.n_y)
+        v = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+        for g in _oracle_parameters(grid):
+            got = act_2d(g, v, side, grid=grid)
+            assert got.shape == full
+            assert np.array_equal(got, _act_2d_per_member(g, v, grid, side)), (shape, g)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("form", ["container", "array"])
+def test_non_finite_group_parameters_are_rejected(hgrid, f2, side, form):
+    f, kw = (f2, {}) if form == "container" else (f2.values, {"grid": hgrid})
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="b must be finite"):
+            act_2d(GroupElement(1.0, bad), f, side, **kw)
+        with pytest.raises(ValueError, match="b must be finite"):
+            act_2d(GroupElement(2.0, bad), f, side, **kw)
+    with pytest.raises(ValueError, match="a must be finite"):
+        act_2d(GroupElement(math.inf, 0.0), f, side, **kw)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_halfplane_space_rejects_non_finite_t(hgrid, f2, side, t):
+    space = halfplane_space(hgrid, side)
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="t must be finite"):
+            space.act(j, t, f2.values)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_non_finite_scale_is_rejected(hgrid, f2, grid, f_lg, s):
+    cases = [(halfplane_space(hgrid, side), f2) for side in ("left", "right")]
+    cases.append((halfline_space(grid), f_lg))
+    for space, f in cases:
+        for r in (1, 2):
+            with pytest.raises(ValueError, match="s must be finite"):
+                modulus_mixed(space, r, s, f)
+            with pytest.raises(ValueError, match="s must be finite"):
+                k_upper_detail(space, r, s, f)
+            with pytest.raises(ValueError, match="s must be finite"):
+                k_upper(space, r, s, f)

@@ -404,3 +404,33 @@ def test_non_finite_results_raise(space, f_lg):
         k_upper(blown, 2, 0.5, f_lg)
     with pytest.raises(ValueError, match="not finite"):
         besov_norm(blown, f_lg, BesovParams(0.5, 2.0, 2), "modulus")
+    # a blown smoothing witness is an internal result, not a bad caller input
+    blown_hardy = dataclasses.replace(space, hardy=lambda r, s, v: np.full_like(v, np.nan))
+    with pytest.raises(ValueError, match="k_upper is not finite"):
+        k_upper(blown_hardy, 2, 0.5, f_lg)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_candidate_times_computed_once_per_direction(space, f_lg, r):
+    calls = []
+
+    def t_candidates(j, s, cap):
+        calls.append(j)
+        return space.t_candidates(j, s, cap)
+
+    counted = dataclasses.replace(space, t_candidates=t_candidates)
+    assert modulus_mixed(counted, r, 0.7, f_lg) == modulus_mixed(space, r, 0.7, f_lg)
+    assert sorted(calls) == [1, 2]
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_besov_realizations_take_zygmund_from_the_modulus_column(monkeypatch, op, space,
+                                                                  f_lg, q):
+    from axbkit import suites
+
+    expected = zygmund_norm(space, f_lg, 1, q)
+    calls = []
+    monkeypatch.setattr(suites.md, "zygmund_norm", lambda *a: calls.append(a))
+    (vals,) = suites._besov_realizations(f_lg, op, space, [(1.0, q)])
+    assert vals["zygmund"] == vals["modulus"] == expected
+    assert calls == []
