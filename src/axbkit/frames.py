@@ -153,12 +153,6 @@ class BandFrame:
         """:meth:`analysis` from f's eigen-coefficients ``c = op.coeffs(f.values)``."""
         return self.amat.conj().T @ c[self.eigen_indices]
 
-    def atom(self, k: int, op: DiscreteOperator) -> HalfLineFunction:
-        full = np.zeros(op.eigenvalues.shape[0], dtype=complex)
-        full[self.eigen_indices] = self.amat[:, k]
-        grid = op.meta["grid"]
-        return HalfLineFunction(grid, op.synth(full))
-
     def estimated_bounds(self) -> tuple[float, float]:
         """Extremal nonzero eigenvalues of the frame operator on the span."""
         if self.n_atoms == 0:
@@ -226,13 +220,6 @@ def frame_synthesis(coefficients, duals, op: DiscreteOperator) -> HalfLineFuncti
     return HalfLineFunction(grid, op.synth(total))
 
 
-def _lq(values, q: float) -> float:
-    vals = np.asarray(values, dtype=float)
-    if math.isinf(q):
-        return float(np.max(vals)) if vals.size else 0.0
-    return float(np.sum(vals ** q) ** (1.0 / q))
-
-
 def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
                      variant: str = "projections") -> float | list[float]:
     """Band-side Besov norms, all indexed dyadically in tau.
@@ -276,7 +263,8 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
         c = op.coeffs(f.values)
         band = [math.sqrt(float(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2)))
                 for fr in band_frames(op, J)]
-    norms = [base + _lq([2.0 ** (j * a) * band[j] for j in js], b) for a, b in zip(alphas, qs)]
+    norms = [base + _accumulate([2.0 ** (j * a) * band[j] for j in js], b, 1.0)
+             for a, b in zip(alphas, qs)]
     return norms[0] if single else norms
 
 
@@ -298,20 +286,18 @@ def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q
     return _accumulate([t ** alpha * err for t, err in zip(scale_list, errors)], q)
 
 
-def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int,
-                         space, alpha: float = None, q: float = 2.0) -> dict:
+def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, space) -> dict:
     """Empirical constants of the direct (Jackson) and inverse (Bernstein) embeddings.
 
     Reports the Jackson-hypothesis constant ``max_t t^r E(t, f) / ||f||_graph``,
     the Bernstein margin ``||Delta^{r/2} f|| / (omega_f^r ||f||)`` with
     ``omega_f`` the spectral quasi-norm of f, and the two one-sided ratios
-    between the interpolation-space norm and the approximation-space norm.
+    between the interpolation-space norm and the approximation-space norm,
+    both at ``alpha = r / 2`` and ``q = 2``.
     """
     from .moduli import BesovParams, besov_norm
     from .paleywiener import best_approx
 
-    if alpha is None:
-        alpha = r / 2.0
     lam = np.maximum(op.eigenvalues, 0.0)
     w = op.spectral_weights(f.values)
     total = float(np.sum(w))
@@ -324,8 +310,8 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int,
     omega_f = float(np.sqrt(np.max(lam[significant]))) if np.any(significant) else 0.0
     bern = float(np.sqrt(np.sum(lam ** r * w)))
     bern_margin = bern / max(omega_f ** r * math.sqrt(total), 1e-300)
-    interp = besov_norm(space, f, BesovParams(alpha, q, r), method="k")
-    approx = approx_space_norm(f, op, alpha, q, scales)
+    interp = besov_norm(space, f, BesovParams(r / 2.0, 2.0, r), method="k")
+    approx = approx_space_norm(f, op, r / 2.0, 2.0, scales)
     return {
         "jackson_hypothesis_hat": float(jackson_hat),
         "bernstein_margin": bern_margin,

@@ -21,6 +21,7 @@ __all__ = [
     "HalfLineFunction",
     "trapezoid_weights",
     "fd6",
+    "fourier_multiplier",
     "grid_steps",
     "shift_zero_fill",
     "pth_root",
@@ -61,6 +62,21 @@ def fd6(values: np.ndarray, h: float, order: int = 1, axis: int = 0) -> np.ndarr
         if c != 0.0:
             out += c * padded[k : k + n]
     return np.moveaxis(out / h ** order, 0, axis)
+
+
+def fourier_multiplier(values: np.ndarray, h: float, symbol, left: int, right: int) -> np.ndarray:
+    """Fourier multiplier ``symbol(xi)`` along the last axis of a stack, step ``h``.
+
+    The samples are zero-padded by ``left`` and ``right`` nodes, so the
+    periodic transform does not wrap a kernel of that reach into the window;
+    ``symbol`` maps the angular frequencies of the padded axis to the factors.
+    """
+    n = values.shape[-1]
+    npad = n + left + right
+    buf = np.zeros(values.shape[:-1] + (npad,), dtype=complex)
+    buf[..., left : left + n] = values
+    xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=h)
+    return np.fft.ifft(np.fft.fft(buf) * symbol(xi))[..., left : left + n]
 
 
 def grid_steps(t: float, h: float) -> int | None:

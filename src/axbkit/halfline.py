@@ -27,8 +27,8 @@ from itertools import product
 
 import numpy as np
 
-from .grids import (HalfLineFunction, LogGrid, fd6, grid_steps, pth_root, require_finite,
-                    shift_zero_fill, unwrap)
+from .grids import (HalfLineFunction, LogGrid, fd6, fourier_multiplier, grid_steps, pth_root,
+                    require_finite, shift_zero_fill, unwrap)
 from .group import GroupElement
 from .moduli import apply_word, halfline_space, sobolev_space_norm
 
@@ -87,8 +87,9 @@ def shift_log(f, t: float, grid: LogGrid | None = None):
 
     Integer multiples of the grid step are exact permutations with zero
     fill.  Other shifts use band-limited (Whittaker-type) interpolation on
-    a zero-padded window, which is spectrally accurate for the smooth
-    decaying corpus.  ``f`` is a container, or bare values on ``grid``.
+    a window zero-padded on both sides (:func:`~axbkit.grids.fourier_multiplier`),
+    which is spectrally accurate for the smooth decaying corpus.  ``f`` is
+    a container, or bare values on ``grid``, one function or a stack.
     """
     require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
@@ -96,12 +97,7 @@ def shift_log(f, t: float, grid: LogGrid | None = None):
     if exact is not None:
         return wrap(shift_zero_fill(values, exact, axis=values.ndim - 1))
     pad = int(np.ceil(abs(t / g.h))) + 8
-    npad = g.n + 2 * pad
-    buf = np.zeros(values.shape[:-1] + (npad,), dtype=complex)
-    buf[..., pad : pad + g.n] = values
-    xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=g.h)
-    shifted = np.fft.ifft(np.fft.fft(buf) * np.exp(1j * xi * t))
-    return wrap(shifted[..., pad : pad + g.n])
+    return wrap(fourier_multiplier(values, g.h, lambda xi: np.exp(1j * xi * t), pad, pad))
 
 
 def dilation_loss(f: HalfLineFunction, t: float) -> float:

@@ -46,7 +46,7 @@ from .group import GroupElement
 # name stays importable from this module
 from .moduli import RepresentationSpace, grid_candidates, modulus_mixed  # noqa: F401
 from .smoothing import hardy_steklov_generic
-from .spectral import fourier_diff_matrix
+from .spectral import flat_skew, fourier_diff_matrix, skew
 
 __all__ = [
     "HalfPlaneGrid",
@@ -258,12 +258,17 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
     """Representation interface for one of the regular representations.
 
     Its callables act on bare value arrays of shape ``(..., n_x, n_y)``.
-    The Hardy-Steklov operator has no closed form here and is evaluated by
-    Gauss panels against the explicit box-spline time density.
+    A dilation ``act(1, t, v)`` with ``|t|`` beyond the u-window length moves
+    every sample out of the window and gives zeros.  The Hardy-Steklov
+    operator has no closed form here and is evaluated by Gauss panels
+    against the explicit box-spline time density.
     """
 
     def act(j, t, v):
         require_finite("t", t)
+        if j == 1 and abs(t) > grid.xgrid.u_max - grid.xgrid.u_min:
+            # every target leaves the u-window; exp(t) itself may overflow
+            return np.zeros_like(v)
         g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
         return act_2d(g, v, side, grid=grid)
 
@@ -335,10 +340,6 @@ class KroneckerLaplacian:
         return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2)))
 
 
-def _skew(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M - M.T)
-
-
 def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplacian:
     """Kronecker-factored ``D1* D1 + D2* D2`` on the product grid.
 
@@ -368,12 +369,12 @@ def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplac
     # w_y is constant, so conjugating by sqrt(w) only rescales the u factors
     swu = np.sqrt(w[:, 0])
     Du = fourier_diff_matrix(nx, grid.xgrid.h)
-    Su = _skew((swu[:, None] * Du) / swu[None, :])
+    Su = flat_skew(Du, swu)
     Dy = fourier_diff_matrix(ny, grid.h_y)
     DtD = Dy.T @ Dy
     Iu, Iy = np.eye(nx), np.eye(ny)
     if side == "left":
-        T = _skew(grid.y[:, None] * Dy)
+        T = skew(grid.y[:, None] * Dy)
         generators = (((Su, Iy), (Iu, T)), ((Iu, Dy),))
         alpha = np.linalg.eigvalsh(1j * Su)
         H = alpha[:, None, None] * Iy + 1j * T
@@ -411,13 +412,13 @@ def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFuncti
     return f.with_values(-duu - 2.0 * y * duy - y * dy - (1.0 + y ** 2) * dyy)
 
 
-def sobolev_graph_check(f: HalfPlaneFunction, m: int, side: str,
-                        op: KroneckerLaplacian | None = None) -> dict:
-    """Ratio between the order-m Sobolev norm and the graph norm of ``Delta^{m/2}``."""
+def sobolev_graph_check(f: HalfPlaneFunction, m: int, side: str, op: KroneckerLaplacian) -> dict:
+    """Ratio between the order-m Sobolev norm and the graph norm of ``Delta^{m/2}``.
+
+    ``op`` is the side's Laplacian, :func:`build_halfplane_laplacian`.
+    """
     from .moduli import sobolev_space_norm
 
-    if op is None:
-        op = build_halfplane_laplacian(f.grid, side)
     space = halfplane_space(f.grid, side, 2.0)
     sob = sobolev_space_norm(space, f, m)
     graph = op.norm(f.values) + math.sqrt(max(op.power_form(f.values, m), 0.0))

@@ -20,8 +20,8 @@ empirical constants.
 The interface works on plain complex ndarrays: the space's grid is bound
 into its callables when the space is built, and ``shape`` is the grid's
 sample shape.  An array may hold a stack of functions on that grid:
-leading batch axes, with the grid on the trailing axis or axes.  ``act``
-and ``gen`` apply to every member of a stack, and ``norm`` returns one
+leading batch axes, with the grid on the trailing axis or axes.  ``act``,
+``gen`` and ``hardy`` apply to every member of a stack, and ``norm`` returns one
 value per leading index (a float for a single function).  The supremum
 search uses this: going right to left through a word, each factor applies
 its group once per candidate time to the whole stack built so far.  A word
@@ -109,8 +109,8 @@ class RepresentationSpace:
     """Bundle of the operations a represented Banach space must expose.
 
     The callables take and return plain complex ndarrays on the space's own
-    grid, unchecked; ``norm``, ``act`` and ``gen`` accept a stack of
-    functions as well as one function (see the module docstring).
+    grid, unchecked; ``norm``, ``act``, ``gen`` and ``hardy`` accept a stack
+    of functions as well as one function (see the module docstring).
     """
 
     name: str
@@ -119,7 +119,7 @@ class RepresentationSpace:
     act: callable  # act(j, t, v) -> array, the group T_j(t), on every member of a stack
     gen: callable  # gen(j, v) -> array, the generator A_j, on every member of a stack
     t_candidates: callable  # t_candidates(j, s, cap) -> iterable of t in (0, s]
-    hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on one function
+    hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on every member of a stack
 
     def derived(self, norm) -> "RepresentationSpace":
         """Same actions, different norm (used by the reiteration check)."""
@@ -361,11 +361,16 @@ def besov_s_grid() -> np.ndarray:
     return 2.0 ** (-np.arange(lo, hi + 1, dtype=float))
 
 
-def _accumulate(weighted, q: float) -> float:
+def _accumulate(weighted, q: float, measure: float = math.log(2.0)) -> float:
+    """``(sum_k weighted_k^q * measure)^{1/q}``, the max for ``q = inf``.
+
+    ``measure`` is the weight of one entry: ``log 2`` of ``ds/s`` on a
+    dyadic scale grid, 1.0 for a plain l^q sum over bands.
+    """
     vals = np.asarray(weighted, dtype=float)
     if math.isinf(q):
         return float(np.max(vals)) if vals.size else 0.0
-    return float((np.sum(vals ** q) * math.log(2.0)) ** (1.0 / q))
+    return float((np.sum(vals ** q) * measure) ** (1.0 / q))
 
 
 def _weighted_integral(profile, alpha: float, q: float) -> float:

@@ -22,13 +22,17 @@ of independent uniforms has the box-spline (Irwin-Hall) density, so:
   ``[ (e^{i h' x} - 1) / (i h' x) ]^r`` with ``h' = s/r``;
 * direction 1 (dilation = log-shift) operators become one-dimensional
   convolutions, evaluated through the exact Fourier multiplier of the
-  box-spline kernel on a zero-padded window.
+  box-spline kernel on a window zero-padded on the right
+  (:func:`axbkit.grids.fourier_multiplier`).
 
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
 doubles as a cross-check oracle; it works on whatever its action callback
 returns, containers or bare arrays.
 
+:func:`steklov_avg`, :func:`hardy_steklov_dir` and :func:`hardy_steklov` also
+take a stack of functions (leading batch axes, the grid on the trailing
+axis) and act on every member with the same arithmetic as on one function.
 :func:`hardy_steklov` and :func:`hardy_steklov_dir` have the two calling
 forms of :func:`axbkit.grids.unwrap`: a container in gives a validated
 container out, and bare values with ``grid=`` given give an unvalidated
@@ -42,7 +46,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grids import HalfLineFunction, LogGrid, unwrap
+from .grids import HalfLineFunction, LogGrid, fourier_multiplier, unwrap
 from .halfline import shift_log
 
 __all__ = [
@@ -92,30 +96,15 @@ def box_profile(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_dir1_multiplier(mult_fn, values: np.ndarray, g: LogGrid,
-                           extent: float) -> np.ndarray:
-    """Apply a shift-side Fourier multiplier with right zero padding.
-
-    ``extent`` is the kernel support length; padding prevents wraparound of
-    the periodic transform into the window.
-    """
-    pad = int(np.ceil(extent / g.h)) + 8
-    npad = g.n + pad
-    buf = np.zeros(npad, dtype=complex)
-    buf[: g.n] = values
-    xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=g.h)
-    out = np.fft.ifft(np.fft.fft(buf) * mult_fn(xi))
-    return out[: g.n]
-
-
 def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
     """The r-fold averaging operator ``P_{j,r}(s)``."""
     r, s, j = params.r, params.s, params.j
     hp = s / r
     if j == 2:
         return f.with_values(box_profile(hp * f.grid.x) ** r * f.values)
+    pad = int(np.ceil(s / f.grid.h)) + 8
     return f.with_values(
-        _apply_dir1_multiplier(lambda xi: box_profile(xi * hp) ** r, f.values, f.grid, extent=s))
+        fourier_multiplier(f.values, f.grid.h, lambda xi: box_profile(xi * hp) ** r, 0, pad))
 
 
 def steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
@@ -162,7 +151,8 @@ def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
             total += (-1) ** k * comb(r, k) * box_profile(k * xi * hp) ** r
         return total
 
-    return wrap(_apply_dir1_multiplier(mult_fn, values, g, extent=r * s))
+    pad = int(np.ceil(r * s / g.h)) + 8
+    return wrap(fourier_multiplier(values, g.h, mult_fn, 0, pad))
 
 
 def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):

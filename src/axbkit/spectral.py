@@ -28,9 +28,6 @@ matrix oracle arbitrates).
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,6 +47,8 @@ __all__ = [
     "kl_inverse",
     "kernel_leakage",
     "estimate_kl_constant",
+    "skew",
+    "flat_skew",
     "fourier_diff_matrix",
     "build_matrix_laplacian",
     "apply_multiplier",
@@ -126,54 +125,14 @@ _TABLE_CACHE: dict[tuple, np.ndarray] = {}
 _OP_CACHE: dict[tuple, "DiscreteOperator"] = {}
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get("AXBKIT_CACHE_DIR") or None
-
-
-def _load_table(fname: str, shape: tuple) -> np.ndarray | None:
-    """A cached table from disk, or ``None`` if it is missing, unreadable or malformed."""
-    try:
-        table = np.load(fname)
-    except (OSError, ValueError, EOFError):
-        return None
-    if table.shape != shape or table.dtype != np.float64:
-        return None
-    return table
-
-
 def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:
-    """Precomputed ``K_{i tau_k}(x_i)`` table of shape (m, n), cached per pair.
-
-    With ``AXBKIT_CACHE_DIR`` set the table is also kept on disk; a file
-    of the wrong shape or dtype, or one that cannot be read, is rebuilt and
-    replaced.  The returned table is read-only either way.
-    """
+    """Precomputed ``K_{i tau_k}(x_i)`` table of shape (m, n), read-only, cached per pair."""
     key = (grid.key(), sgrid.key(), _KERNEL_T_MAX, _KERNEL_N_T)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    cdir = _cache_dir()
-    fname = None
-    table = None
-    if cdir:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-        fname = os.path.join(cdir, f"ktable_{digest}.npy")
-        table = _load_table(fname, (sgrid.m, grid.n))
-    if table is None:
+    if key not in _TABLE_CACHE:
         table = macdonald_kernel(sgrid.tau, grid.x)
-        if fname:
-            os.makedirs(cdir, exist_ok=True)
-            # write aside and rename, so a concurrent reader never sees a partial file
-            fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.save(fh, table)
-                os.replace(tmp, fname)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-    table.flags.writeable = False
-    _TABLE_CACHE[key] = table
-    return table
+        table.flags.writeable = False
+        _TABLE_CACHE[key] = table
+    return _TABLE_CACHE[key]
 
 
 def kl_forward(f: HalfLineFunction, sgrid: SpectralGrid) -> Spectrum:
@@ -242,7 +201,17 @@ def fourier_diff_matrix(n: int, h: float) -> np.ndarray:
     ik = 1j * 2.0 * np.pi / length * k
     eye = np.eye(n)
     D = np.fft.ifft(ik[:, None] * np.fft.fft(eye, axis=0), axis=0).real
-    return 0.5 * (D - D.T)
+    return skew(D)
+
+
+def skew(M: np.ndarray) -> np.ndarray:
+    """The antisymmetric part ``(M - M^T) / 2``."""
+    return 0.5 * (M - M.T)
+
+
+def flat_skew(D: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """``D`` carried to flat coordinates ``phi = sw * f``, then antisymmetrized."""
+    return skew((sw[:, None] * D) / sw[None, :])
 
 
 @dataclass
@@ -303,10 +272,8 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     if key in _OP_CACHE:
         return _OP_CACHE[key]
     w = grid.weights
-    sw = np.sqrt(w)
     D = fourier_diff_matrix(grid.n, grid.h)
-    D_flat = (sw[:, None] * D) / sw[None, :]
-    D_flat = 0.5 * (D_flat - D_flat.T)
+    D_flat = flat_skew(D, np.sqrt(w))
     A = D_flat.T @ D_flat + np.diag(grid.x ** 2)
     A = 0.5 * (A + A.T)
     lam, V = sla.eigh(A)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -163,6 +164,26 @@ def test_every_module_export_resolves():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ lists missing {name!r}"
+
+
+def test_no_module_reads_the_environment():
+    # the config file and the CLI flags are the only knobs; a hidden one
+    # would be a read of os.environ or os.getenv
+    hidden = {"environ", "environb", "getenv", "getenvb"}
+    src_dir = os.path.dirname(axbkit.__file__)
+    found = []
+    for fname in sorted(os.listdir(src_dir)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src_dir, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in hidden:
+                found.append(f"{fname}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{fname}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in hidden]
+    assert found == []
 
 
 def test_cli_describe_and_corpus(capsys):

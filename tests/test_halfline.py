@@ -241,3 +241,22 @@ def test_nonfinite_t_is_rejected(grid, f_lg, form, t):
             act_dilation(t, f)
         with pytest.raises(ValueError, match="t must be finite"):
             act(GroupElement(1.0, t), f)
+
+
+def _shift_log_padded_fft(values, t, grid):
+    """Oracle: the off-grid ``shift_log`` as an inline FFT, padded on both sides."""
+    pad = int(np.ceil(abs(t / grid.h))) + 8
+    npad = grid.n + 2 * pad
+    buf = np.zeros(values.shape[:-1] + (npad,), dtype=complex)
+    buf[..., pad : pad + grid.n] = values
+    xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=grid.h)
+    shifted = np.fft.ifft(np.fft.fft(buf) * np.exp(1j * xi * t))
+    return shifted[..., pad : pad + grid.n]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_offgrid_shift_equals_padded_fft_reference(grid, f_lg, f_xexp, stacked):
+    values = _stack(grid, f_lg, f_xexp) if stacked else f_lg.values
+    for t in (2.5 * grid.h, -2.5 * grid.h, 0.37, -1.3, 40.3 * grid.h):
+        assert np.array_equal(shift_log(values, t, grid=grid),
+                              _shift_log_padded_fft(values, t, grid)), t

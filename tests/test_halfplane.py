@@ -490,6 +490,24 @@ def test_halfplane_space_rejects_non_finite_t(hgrid, f2, side, t):
             space.act(j, t, f2.values)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_space_dilation_beyond_the_window_is_zero(side):
+    grid = _ORACLE_GRIDS["20x16"]
+    space = halfplane_space(grid, side)
+    rng = np.random.default_rng(31)
+    for shape in ((), (3,)):
+        full = shape + (grid.xgrid.n, grid.n_y)
+        v = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+        # just past the window length 10, the full action is still computable
+        for t in (10.5, -10.5):
+            out = space.act(1, t, v)
+            assert np.array_equal(out, act_2d(GroupElement(math.exp(t), 0.0), v, side, grid=grid))
+            assert out.shape == full and not np.any(out)
+        for t in (1000.0, -1000.0, 1e300, -1e300):
+            out = space.act(1, t, v)
+            assert out.shape == full and not np.any(out)
+
+
 @pytest.mark.parametrize("s", [math.inf, math.nan])
 def test_non_finite_scale_is_rejected(hgrid, f2, grid, f_lg, s):
     cases = [(halfplane_space(hgrid, side), f2) for side in ("left", "right")]

@@ -36,6 +36,29 @@ def dir2_tensor_quadrature(r, s, f, n_gl=24):
     return f.with_values(acc / hp ** r * f.values)
 
 
+def dir1_padded_fft(symbol, values, grid, extent):
+    """Oracle: a direction-1 multiplier as an inline FFT on one function, padded on the right."""
+    pad = int(np.ceil(extent / grid.h)) + 8
+    npad = grid.n + pad
+    buf = np.zeros(npad, dtype=complex)
+    buf[: grid.n] = values
+    xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=grid.h)
+    out = np.fft.ifft(np.fft.fft(buf) * symbol(xi))
+    return out[: grid.n]
+
+
+def dir1_hardy_symbol(r, s):
+    hp = s / r
+
+    def symbol(xi):
+        total = np.zeros_like(xi, dtype=complex)
+        for k in range(1, r + 1):
+            total += (-1) ** k * math.comb(r, k) * box_profile(k * xi * hp) ** r
+        return total
+
+    return symbol
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SteklovParams(0, 1.0, 2)
@@ -187,3 +210,36 @@ def test_hardy_array_form_equals_container_form(grid, f_lg):
         for j in (1, 2):
             assert np.array_equal(hardy_steklov_dir(j, r, s, f_lg.values, grid=grid),
                                   hardy_steklov_dir(j, r, s, f_lg).values)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_dir1_operators_equal_padded_fft_reference(f_lg, f_xexp, r):
+    grid = f_lg.grid
+    stack = np.stack([f_lg.values, f_xexp.values])
+    for s in (0.3, 1.7):
+        hp = s / r
+        avg = dir1_padded_fft(lambda xi: box_profile(xi * hp) ** r, f_lg.values, grid, s)
+        assert np.array_equal(steklov_avg(SteklovParams(r, s, 1), f_lg).values, avg)
+        hardy = dir1_padded_fft(dir1_hardy_symbol(r, s), f_lg.values, grid, r * s)
+        assert np.array_equal(hardy_steklov_dir(1, r, s, f_lg).values, hardy)
+        # a stack: each member as the oracle gives it
+        avg_stack = steklov_avg(SteklovParams(r, s, 1), HalfLineFunction(grid, stack)).values
+        hardy_stack = hardy_steklov_dir(1, r, s, stack, grid=grid)
+        for k, v in enumerate(stack):
+            assert np.array_equal(avg_stack[k], dir1_padded_fft(
+                lambda xi: box_profile(xi * hp) ** r, v, grid, s))
+            assert np.array_equal(hardy_stack[k],
+                                  dir1_padded_fft(dir1_hardy_symbol(r, s), v, grid, r * s))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_hardy_steklov_equals_per_member(f_lg, f_xexp, r):
+    grid = f_lg.grid
+    stack = np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])
+    for s in (0.3, 1.7):
+        out = hardy_steklov(r, s, stack, grid=grid)
+        assert out.shape == stack.shape
+        container = hardy_steklov(r, s, HalfLineFunction(grid, stack)).values
+        for k, v in enumerate(stack):
+            member = hardy_steklov(r, s, v, grid=grid)
+            assert np.array_equal(out[k], member) and np.array_equal(container[k], member)

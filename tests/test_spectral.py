@@ -14,6 +14,7 @@ from axbkit.spectral import (
     estimate_kl_constant,
     fourier_diff_matrix,
     kernel_leakage,
+    kernel_table,
     kl_forward,
     kl_inverse,
     macdonald_kernel,
@@ -170,46 +171,10 @@ def test_cap_enforced():
         build_matrix_laplacian(LogGrid(-12.0, 6.0, 4096))
 
 
-def test_kernel_table_disk_cache(tmp_path, monkeypatch):
-    import os
-
-    import axbkit.spectral as spec
-
-    monkeypatch.setenv("AXBKIT_CACHE_DIR", str(tmp_path))
-    spec.clear_caches()
+def test_kernel_table_is_memoized_and_read_only():
     grid = LogGrid(-4.0, 2.0, 32)
     sgrid = SpectralGrid(6.0, 48)
-    first = spec.kernel_table(grid, sgrid)
-    files = [p for p in os.listdir(tmp_path) if p.startswith("ktable_")]
-    assert len(files) == 1
-    spec.clear_caches()
-    second = spec.kernel_table(grid, sgrid)  # reloaded from disk
-    np.testing.assert_array_equal(first, second)
-    assert not second.flags.writeable  # a disk hit is as read-only as a fresh build
-    spec.clear_caches()
-
-
-@pytest.mark.parametrize("bad", ["wrong_shape", "corrupt"])
-def test_kernel_table_disk_cache_rebuilds_bad_file(tmp_path, monkeypatch, bad):
-    import os
-
-    import axbkit.spectral as spec
-
-    monkeypatch.setenv("AXBKIT_CACHE_DIR", str(tmp_path))
-    spec.clear_caches()
-    grid = LogGrid(-4.0, 2.0, 32)
-    sgrid = SpectralGrid(6.0, 48)
-    good = spec.kernel_table(grid, sgrid)
-    (name,) = os.listdir(tmp_path)
-    path = tmp_path / name
-    if bad == "wrong_shape":
-        np.save(path, np.zeros((3, 3)))
-    else:
-        path.write_bytes(path.read_bytes()[:100])
-    spec.clear_caches()
-    table = spec.kernel_table(grid, sgrid)
+    table = kernel_table(grid, sgrid)
+    assert kernel_table(grid, sgrid) is table
     assert table.shape == (48, 32) and not table.flags.writeable
-    np.testing.assert_array_equal(table, good)
-    np.testing.assert_array_equal(np.load(path), good)  # rewritten in place
-    assert os.listdir(tmp_path) == [name]  # no temporary file left behind
-    spec.clear_caches()
+    np.testing.assert_array_equal(table, macdonald_kernel(sgrid.tau, grid.x))
