@@ -25,7 +25,6 @@ class CorpusEntry:
     family: str
     params: dict = field(default_factory=dict)
     decaying: bool = True
-    smooth: bool = True
 
     def build(self, grid: LogGrid, op=None, seed: int = 0) -> HalfLineFunction:
         from .halfline import xp_norm

@@ -139,7 +139,6 @@ class BandFrame:
     eigen_indices: np.ndarray
     amat: np.ndarray = field(repr=False)
     bounds: tuple[float, float] = (1.0, 1.0)
-    convention: str = "tau"
 
     @property
     def n_atoms(self) -> int:
@@ -173,7 +172,7 @@ class BandFrame:
         lo, hi = self.bounds
         dual_bounds = (1.0 / hi if hi > 0 else 0.0, 1.0 / lo if lo > 0 else 0.0)
         return BandFrame(self.j, self.tau_lo, self.tau_hi, self.eigen_indices,
-                         damat, dual_bounds, self.convention)
+                         damat, dual_bounds)
 
 
 def _tau_bin(j: int) -> tuple[float, float]:
@@ -212,7 +211,7 @@ def frame_analysis(f: HalfLineFunction, frames, op: DiscreteOperator):
 def frame_synthesis(coefficients, duals, op: DiscreteOperator) -> HalfLineFunction:
     """Reconstruction ``sum_{j,k} c^j_k Psi^j_k`` from dual-frame atoms."""
     total = np.zeros(op.eigenvalues.shape[0], dtype=complex)
-    grid = op.meta["grid"]
+    grid = op.grid
     for cvec, fr in zip(coefficients, duals):
         if fr.n_atoms == 0:
             continue
@@ -268,9 +267,8 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
     return norms[0] if single else norms
 
 
-def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q: float,
-                      scale_list=None) -> float:
-    """Approximation-space quasi-norm from best approximations at given scales.
+def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q: float) -> float:
+    """Approximation-space quasi-norm from best approximations at the dyadic scales.
 
     The approximating family is the union of the Paley-Wiener bands with
     quasi-norm ``inf { omega : f in PW_omega }``, so the distance at
@@ -278,12 +276,10 @@ def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q
     """
     from .paleywiener import best_approx
 
-    if scale_list is None:
-        J = full_band_count(op, "tau")
-        scale_list = 2.0 ** np.arange(0, J + 1, dtype=float)
-    scale_list = np.asarray(scale_list, dtype=float)
-    errors = best_approx(scale_list, f, op)
-    return _accumulate([t ** alpha * err for t, err in zip(scale_list, errors)], q)
+    J = full_band_count(op, "tau")
+    scales = 2.0 ** np.arange(0, J + 1, dtype=float)
+    errors = best_approx(scales, f, op)
+    return _accumulate([t ** alpha * err for t, err in zip(scales, errors)], q)
 
 
 def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, space) -> dict:
@@ -311,7 +307,7 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     bern = float(np.sqrt(np.sum(lam ** r * w)))
     bern_margin = bern / max(omega_f ** r * math.sqrt(total), 1e-300)
     interp = besov_norm(space, f, BesovParams(r / 2.0, 2.0, r), method="k")
-    approx = approx_space_norm(f, op, r / 2.0, 2.0, scales)
+    approx = approx_space_norm(f, op, r / 2.0, 2.0)
     return {
         "jackson_hypothesis_hat": float(jackson_hat),
         "bernstein_margin": bern_margin,

@@ -116,6 +116,20 @@ def require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _checked_samples(values, shape: tuple) -> np.ndarray:
+    """``values`` as a complex array, checked to end in the grid ``shape`` and be finite.
+
+    Leading axes index a stack; an ``(n, 1)`` array on an n-point grid is
+    rejected, not broadcast.
+    """
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape[-len(shape):] != shape:
+        raise ValueError(f"values shape {vals.shape} does not end in the grid size {shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    return vals
+
+
 def unwrap(f, grid=None):
     """``(values, grid, wrap)`` for the two calling forms of a grid operation.
 
@@ -222,14 +236,7 @@ class HalfLineFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape[-1:] != (self.grid.n,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid size {self.grid.n}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        vals = vals.copy()
+        vals = _checked_samples(self.values, (self.grid.n,)).copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -39,8 +39,8 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import (LogGrid, fd6, grid_steps, pth_root, require_finite, shift_zero_fill,
-                    trapezoid_weights, unwrap)
+from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_finite,
+                    shift_zero_fill, trapezoid_weights, unwrap)
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -128,12 +128,7 @@ class HalfPlaneFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape[-2:] != (self.grid.xgrid.n, self.grid.n_y):
-            raise ValueError("values shape does not match grid")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        vals = vals.copy()
+        vals = _checked_samples(self.values, (self.grid.xgrid.n, self.grid.n_y)).copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -70,7 +70,7 @@ from itertools import product
 
 import numpy as np
 
-from .grids import LogGrid, require_finite
+from .grids import LogGrid, _checked_samples, require_finite
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -168,19 +168,10 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
 def _values(f, shape: tuple) -> np.ndarray:
     """The values of ``f`` at a public entry point, checked once.
 
-    A container was validated when it was built.  Bare values are converted
-    to complex and must be finite.  Either way the trailing axes must be the
-    grid ``shape`` exactly; leading axes index a stack.
+    A container's values or bare values, converted to complex; the trailing
+    axes must be the grid ``shape`` exactly and every sample finite.
     """
-    if hasattr(f, "values"):
-        values = f.values
-    else:
-        values = np.asarray(f, dtype=complex)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-    if values.shape[-len(shape):] != shape:
-        raise ValueError(f"values shape {values.shape} does not end in the grid shape {shape}")
-    return values
+    return _checked_samples(getattr(f, "values", f), shape)
 
 
 def _finite(value, what: str):

@@ -16,23 +16,27 @@ composition tends to the identity, with ``||f - H_r(s) f||`` controlled by
 the order-r mixed modulus of continuity.
 
 The nested integrals are collapsed analytically.  The sum ``t_1 + ... + t_r``
-of independent uniforms has the box-spline (Irwin-Hall) density, so:
+of independent uniforms has the box-spline (Irwin-Hall) density, so every
+operator is a symbol applied along its direction: ``box_profile(z h')^r``
+for ``P`` and its alternating combination over ``k z`` for ``H``, with
+``h' = s/r``.  There is one copy of that combination, and one dispatch on
+the direction:
 
-* direction 2 (modulation) operators become explicit pointwise multipliers
-  ``[ (e^{i h' x} - 1) / (i h' x) ]^r`` with ``h' = s/r``;
-* direction 1 (dilation = log-shift) operators become one-dimensional
-  convolutions, evaluated through the exact Fourier multiplier of the
-  box-spline kernel on a window zero-padded on the right
-  (:func:`axbkit.grids.fourier_multiplier`).
+* direction 2 (modulation) applies the symbol pointwise at ``z = x``, the
+  explicit multiplier ``[ (e^{i h' x} - 1) / (i h' x) ]^r`` for ``P``;
+* direction 1 (dilation = log-shift) applies it as the exact Fourier
+  multiplier of a one-dimensional convolution in ``u``, on a window
+  zero-padded on the right by the kernel's reach (:func:`axbkit.grids.fourier_multiplier`).
 
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
-doubles as a cross-check oracle; it works on whatever its action callback
-returns, containers or bare arrays.
+doubles as a cross-check oracle; it sums the arrays its action callback
+returns.
 
-:func:`steklov_avg`, :func:`hardy_steklov_dir` and :func:`hardy_steklov` also
-take a stack of functions (leading batch axes, the grid on the trailing
-axis) and act on every member with the same arithmetic as on one function.
+Every closed-form operator (:func:`steklov_avg`, :func:`m_operator`,
+:func:`hardy_steklov_dir`, :func:`hardy_steklov`) also takes a stack of
+functions (leading batch axes, the grid on the trailing axis) and acts on
+every member with the same arithmetic as on one function.
 :func:`hardy_steklov` and :func:`hardy_steklov_dir` have the two calling
 forms of :func:`axbkit.grids.unwrap`: a container in gives a validated
 container out, and bare values with ``grid=`` given give an unvalidated
@@ -48,6 +52,7 @@ import numpy as np
 
 from .grids import HalfLineFunction, LogGrid, fourier_multiplier, unwrap
 from .halfline import shift_log
+from .moduli import halfline_space
 
 __all__ = [
     "SteklovParams",
@@ -96,15 +101,33 @@ def box_profile(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binomial(r: int) -> list[tuple[int, int]]:
+    """The pairs ``(k, (-1)^k C(r, k))``, k = 1..r, of the alternating combination."""
+    return [(k, (-1) ** k * comb(r, k)) for k in range(1, r + 1)]
+
+
+def _alternating(r: int, term):
+    """``sum_{k=1}^r (-1)^k C(r, k) term(k)``, added in the order k = 1, ..., r."""
+    return sum(coeff * term(k) for k, coeff in _binomial(r))
+
+
+def _along(j: int, symbol, reach: float, values: np.ndarray, grid: LogGrid) -> np.ndarray:
+    """The operator with ``symbol`` along direction j, on bare values (a stack too).
+
+    Direction 2 multiplies by ``symbol(x)``; direction 1 applies ``symbol`` to
+    the angular frequencies in u, padding right by the kernel's ``reach`` in u.
+    """
+    if j == 2:
+        return symbol(grid.x) * values
+    return fourier_multiplier(values, grid.h, symbol, 0, int(np.ceil(reach / grid.h)) + 8)
+
+
 def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
     """The r-fold averaging operator ``P_{j,r}(s)``."""
-    r, s, j = params.r, params.s, params.j
+    r, s = params.r, params.s
     hp = s / r
-    if j == 2:
-        return f.with_values(box_profile(hp * f.grid.x) ** r * f.values)
-    pad = int(np.ceil(s / f.grid.h)) + 8
-    return f.with_values(
-        fourier_multiplier(f.values, f.grid.h, lambda xi: box_profile(xi * hp) ** r, 0, pad))
+    return f.with_values(_along(params.j, lambda z: box_profile(z * hp) ** r, s,
+                                f.values, f.grid))
 
 
 def steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
@@ -120,15 +143,10 @@ def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFun
     """
     if not 1 <= r <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}]")
-    out = np.zeros(f.grid.n, dtype=complex)
-    for k in range(1, r + 1):
-        coeff = (-1) ** k * comb(r, k)
-        if j == 2:
-            term = np.exp(1j * k * t_sum * f.grid.x) * f.values
-        else:
-            term = shift_log(f, k * t_sum).values
-        out += coeff * term
-    return f.with_values(out)
+    if j not in (1, 2):
+        raise ValueError("direction must be 1 or 2")
+    act = halfline_space(f.grid).act
+    return f.with_values(_alternating(r, lambda k: act(j, k * t_sum, f.values)))
 
 
 def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
@@ -139,20 +157,11 @@ def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
     params = SteklovParams(r, s, j)
     hp = params.s / params.r
     values, g, wrap = unwrap(f, grid)
-    if j == 2:
-        mult = np.zeros(g.n, dtype=complex)
-        for k in range(1, r + 1):
-            mult += (-1) ** k * comb(r, k) * box_profile(k * hp * g.x) ** r
-        return wrap(mult * values)
 
-    def mult_fn(xi):
-        total = np.zeros_like(xi, dtype=complex)
-        for k in range(1, r + 1):
-            total += (-1) ** k * comb(r, k) * box_profile(k * xi * hp) ** r
-        return total
+    def symbol(z):
+        return _alternating(r, lambda k: box_profile(k * z * hp) ** r)
 
-    pad = int(np.ceil(r * s / g.h)) + 8
-    return wrap(fourier_multiplier(values, g.h, mult_fn, 0, pad))
+    return wrap(_along(j, symbol, r * s, values, g))
 
 
 def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):
@@ -215,11 +224,7 @@ def irwin_hall_nodes(r: int, s: float):
 def steklov_avg_generic(act, j: int, r: int, s: float, f):
     """``P_{j,r}(s)`` through an action callback ``act(j, t, f)``."""
     t, w = irwin_hall_nodes(r, s)
-    out = None
-    for ti, wi in zip(t, w):
-        term = wi * act(j, ti, f)
-        out = term if out is None else out + term
-    return out
+    return sum(wi * act(j, ti, f) for ti, wi in zip(t, w))
 
 
 def hardy_steklov_generic(act, r: int, s: float, f):
@@ -227,12 +232,7 @@ def hardy_steklov_generic(act, r: int, s: float, f):
     t, w = irwin_hall_nodes(r, s)
 
     def one_direction(j, g):
-        out = None
-        for k in range(1, r + 1):
-            coeff = (-1) ** k * comb(r, k)
-            for ti, wi in zip(t, w):
-                term = (coeff * wi) * act(j, k * ti, g)
-                out = term if out is None else out + term
-        return out
+        return sum((coeff * wi) * act(j, k * ti, g)
+                   for k, coeff in _binomial(r) for ti, wi in zip(t, w))
 
     return one_direction(1, one_direction(2, f))

@@ -156,10 +156,14 @@ def kernel_leakage(f: HalfLineFunction, sgrid: SpectralGrid) -> float:
     values above :data:`UNRESOLVED_FRACTION` mean the band is too short
     (or the quadrature too coarse) for this input.
     """
+    return _leakage(f, kl_forward(f, sgrid))
+
+
+def _leakage(f: HalfLineFunction, spec: Spectrum) -> float:
+    """:func:`kernel_leakage` from the forward transform ``spec`` of ``f``."""
     from .halfline import xp_norm
 
-    spec = kl_forward(f, sgrid)
-    sg = sgrid
+    sg = spec.sgrid
     captured = KL_CONSTANT * np.sum(
         sg.weights * sg.tau * np.sinh(np.pi * sg.tau) * np.abs(spec.coeffs) ** 2
     )
@@ -229,7 +233,7 @@ class DiscreteOperator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal in flat coordinates
     matrix: np.ndarray
-    meta: dict = field(default_factory=dict)
+    grid: LogGrid
 
     @property
     def sqrt_w(self) -> np.ndarray:
@@ -282,7 +286,7 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
         eigenvalues=lam,
         eigenvectors=V,
         matrix=A,
-        meta={"kind": "halfline", "grid": grid},
+        grid=grid,
     )
     _OP_CACHE[key] = op
     return op
@@ -309,14 +313,14 @@ def apply_multiplier(
     if backend == "kernel":
         if sgrid is None:
             sgrid = SpectralGrid()
-        leak = kernel_leakage(f, sgrid)
+        spec = kl_forward(f, sgrid)
+        leak = _leakage(f, spec)
         if leak > UNRESOLVED_FRACTION:
             warnings.warn(
                 f"input has {leak:.2e} relative energy outside the resolved band",
                 UnresolvedSpectrumWarning,
                 stacklevel=2,
             )
-        spec = kl_forward(f, sgrid)
         filtered = Spectrum(sgrid, np.asarray(F(sgrid.tau ** 2)) * spec.coeffs)
         return kl_inverse(filtered, f.grid)
     raise ValueError(f"backend must be 'matrix' or 'kernel', got {backend!r}")
@@ -324,8 +328,7 @@ def apply_multiplier(
 
 def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
     """Pairs ``(lambda_k, |<f, v_k>|^2)``; the weights sum to ``||f||^2`` exactly."""
-    grid = op.meta.get("grid")
-    if grid is not None and grid != f.grid:
+    if op.grid != f.grid:
         raise ValueError("operator was built on a different grid")
     return op.eigenvalues, op.spectral_weights(f.values)
 

@@ -4,8 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from axbkit.grids import HalfLineFunction
+from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfline import act_modulation, xp_norm
+from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import modulus_mixed
 from axbkit.smoothing import (
     SteklovParams,
@@ -57,6 +58,41 @@ def dir1_hardy_symbol(r, s):
         return total
 
     return symbol
+
+
+def steklov_avg_loop(act, j, r, s, f):
+    """Oracle: ``P_{j,r}(s)`` by the node loop with a ``None`` accumulator."""
+    t, w = irwin_hall_nodes(r, s)
+    out = None
+    for ti, wi in zip(t, w):
+        term = wi * act(j, ti, f)
+        out = term if out is None else out + term
+    return out
+
+
+def hardy_steklov_loop(act, r, s, f):
+    """Oracle: ``H_r(s)`` by the (k, node) loop with a ``None`` accumulator."""
+    t, w = irwin_hall_nodes(r, s)
+
+    def one_direction(j, g):
+        out = None
+        for k in range(1, r + 1):
+            coeff = (-1) ** k * math.comb(r, k)
+            for ti, wi in zip(t, w):
+                term = (coeff * wi) * act(j, k * ti, g)
+                out = term if out is None else out + term
+        return out
+
+    return one_direction(1, one_direction(2, f))
+
+
+def dir2_hardy_loop(r, s, values, grid):
+    """Oracle: the direction-2 Hardy multiplier accumulated at ``(k h') x``."""
+    hp = s / r
+    mult = np.zeros(grid.n, dtype=complex)
+    for k in range(1, r + 1):
+        mult += (-1) ** k * math.comb(r, k) * box_profile(k * hp * grid.x) ** r
+    return mult * values
 
 
 def test_params_validation():
@@ -134,6 +170,12 @@ def test_m_operator_binomial_identity(f_lg):
         for _ in range(r):
             g = g - act_modulation(t, g)
         assert xp_norm((f_lg + mf) - g) < 1e-12
+
+
+def test_m_operator_rejects_bad_order_and_direction(f_lg):
+    for j, r in ((2, 0), (2, 5), (0, 1), (3, 1)):
+        with pytest.raises(ValueError):
+            m_operator(j, r, 0.4, f_lg)
 
 
 def test_m_operator_at_zero(f_lg):
@@ -243,3 +285,47 @@ def test_stacked_hardy_steklov_equals_per_member(f_lg, f_xexp, r):
         for k, v in enumerate(stack):
             member = hardy_steklov(r, s, v, grid=grid)
             assert np.array_equal(out[k], member) and np.array_equal(container[k], member)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_m_operator_equals_per_member(f_lg, f_xexp, r):
+    stack = HalfLineFunction(f_lg.grid, np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values]))
+    for j in (1, 2):
+        for t in (0.37, 5 * f_lg.grid.h):
+            out = m_operator(j, r, t, stack).values
+            assert out.shape == stack.values.shape
+            for k, v in enumerate(stack.values):
+                member = m_operator(j, r, t, HalfLineFunction(f_lg.grid, v)).values
+                assert np.array_equal(out[k], member)
+
+
+def _small_halfplane_spaces():
+    hgrid = HalfPlaneGrid(LogGrid(-6.0, 4.0, 24), -8.0, 8.0, 20)
+    f = log_gaussian_2d(hgrid).values
+    return [(halfplane_space(hgrid, side), f) for side in ("left", "right")]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_generic_node_sums_equal_loop_oracle(space, f_lg, r):
+    s = 0.7
+    for sp, v in [(space, f_lg.values)] + _small_halfplane_spaces():
+        for j in (1, 2):
+            assert np.array_equal(steklov_avg_generic(sp.act, j, r, s, v),
+                                  steklov_avg_loop(sp.act, j, r, s, v))
+        assert np.array_equal(hardy_steklov_generic(sp.act, r, s, v),
+                              hardy_steklov_loop(sp.act, r, s, v))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_dir2_hardy_equals_loop_oracle(f_lg, f_xexp, r):
+    # the shared symbol evaluates box_profile((k x) h'), the oracle (k h') x:
+    # the same product for k = 1, 2, 4, one rounding apart at k = 3 (r >= 3)
+    grid = f_lg.grid
+    for v in (f_lg.values, f_xexp.values):
+        for s in (0.3, 1.7):
+            new = hardy_steklov_dir(2, r, s, v, grid=grid)
+            old = dir2_hardy_loop(r, s, v, grid)
+            if r <= 2:
+                assert np.array_equal(new, old)
+            else:
+                assert xp_norm(new - old, grid=grid) <= 5e-15 * xp_norm(old, grid=grid)

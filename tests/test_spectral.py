@@ -156,6 +156,20 @@ def test_kernel_backend_flags_unresolved_input(grid, sgrid):
         apply_multiplier(lambda lam: np.exp(-lam), f, "kernel", sgrid=sgrid)
 
 
+def test_kernel_backend_transforms_once(monkeypatch, sgrid, f_lg):
+    import axbkit.spectral as spectral
+
+    calls = []
+
+    def counted(f, sg):
+        calls.append(sg)
+        return kl_forward(f, sg)
+
+    monkeypatch.setattr(spectral, "kl_forward", counted)
+    apply_multiplier(lambda lam: np.exp(-lam), f_lg, "kernel", sgrid=sgrid)
+    assert len(calls) == 1
+
+
 def test_kl_constant_least_squares(grid, sgrid):
     fs = [
         HalfLineFunction(grid, np.exp(-((grid.u + 3.0) ** 2) / 2.0)),
