@@ -11,6 +11,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .corpus import corpus_names
 from .spectral import DENSE_CAP
 
 __all__ = ["RunConfig", "ConfigError", "TOLERANCES", "ORACLE_N_CAP", "parse_config_file"]
@@ -86,10 +87,26 @@ class RunConfig:
                 f"compare the coarse grid with the fine one), got {self.grid_n_coarse}")
         if self.oracle_n > ORACLE_N_CAP:
             raise ConfigError(f"oracle_n: at most {ORACLE_N_CAP} nodes (kernel quadrature table)")
-        if not self.u_min < self.u_max:
-            raise ConfigError("u_min/u_max: need u_min < u_max")
-        if self.tau_max <= 0 or self.tau_n < 32:
-            raise ConfigError("tau_max/tau_n: need tau_max > 0 and tau_n >= 32")
+        for lo, hi in (("u_min", "u_max"), ("hp_u_min", "hp_u_max"), ("y_min", "y_max")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+                raise ConfigError(f"{lo}/{hi}: need finite {lo} < {hi}, got {a} and {b}")
+        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
+            raise ConfigError(f"tau_max: must be positive and finite, got {self.tau_max}")
+        if self.tau_n < 32:
+            raise ConfigError("tau_n: need at least 32 spectral nodes")
+        # a module-level import would load scipy.interpolate (through halfplane)
+        # ahead of the rest of the package, which raises peak RSS by about 2.5 MB
+        from .halfplane import DENSE_CAP_2D
+
+        if self.hp_n < 16 or self.y_n < 16:
+            raise ConfigError("hp_n/y_n: need at least 16 nodes")
+        if self.hp_n * self.y_n > DENSE_CAP_2D:
+            raise ConfigError(f"hp_n/y_n: grid has {self.hp_n * self.y_n} points, "
+                              f"half-plane operator cap is {DENSE_CAP_2D}")
+        unknown = sorted(set(self.corpus) - set(corpus_names()))
+        if unknown:
+            raise ConfigError(f"corpus: unknown entries {unknown}; see 'axbkit corpus'")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
 

@@ -183,9 +183,6 @@ class LogGrid:
         w.flags.writeable = False
         return w
 
-    def key(self) -> tuple:
-        return (self.u_min, self.u_max, self.n)
-
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -219,9 +216,6 @@ class SpectralGrid:
         w = trapezoid_weights(self.m, self.step)
         w.flags.writeable = False
         return w
-
-    def key(self) -> tuple:
-        return (self.tau_max, self.m)
 
 
 @dataclass(frozen=True)

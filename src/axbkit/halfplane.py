@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -63,8 +63,6 @@ __all__ = [
 ]
 
 DENSE_CAP_2D = 4096
-
-_OP_CACHE: dict[tuple, "KroneckerLaplacian"] = {}
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,6 @@ class HalfPlaneGrid:
             raise ValueError("rule must be 'trapezoid' or 'uniform'")
         density = np.exp(-self.xgrid.u) if side == "left" else np.ones(self.xgrid.n)
         return np.outer(wu * density, wy)
-
-    def key(self) -> tuple:
-        return (self.xgrid.key(), self.y_min, self.y_max, self.n_y)
 
 
 @dataclass(frozen=True)
@@ -335,6 +330,7 @@ class KroneckerLaplacian:
         return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2)))
 
 
+@cache
 def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplacian:
     """Kronecker-factored ``D1* D1 + D2* D2`` on the product grid.
 
@@ -356,9 +352,6 @@ def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplac
         raise ValueError(
             f"grid has {grid.xgrid.n * grid.n_y} points, half-plane operator cap is {DENSE_CAP_2D}"
         )
-    key = (side, grid.key())
-    if key in _OP_CACHE:
-        return _OP_CACHE[key]
     w = grid.measure_weights(side, rule="uniform")
     nx, ny = grid.xgrid.n, grid.n_y
     # w_y is constant, so conjugating by sqrt(w) only rescales the u factors
@@ -379,13 +372,11 @@ def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplac
         generators = (((Su, Iy),), ((X, Dy),))
         mu = np.linalg.eigvalsh(DtD)
         blocks = Su.T @ Su + mu[:, None, None] * (X @ X)
-    op = KroneckerLaplacian(
+    return KroneckerLaplacian(
         weights=w,
         generators=generators,
         lambda_min=float(np.min(np.linalg.eigvalsh(blocks))),
     )
-    _OP_CACHE[key] = op
-    return op
 
 
 def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -121,18 +122,12 @@ def macdonald_kernel(tau, x):
     return table
 
 
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
-_OP_CACHE: dict[tuple, "DiscreteOperator"] = {}
-
-
+@cache
 def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:
     """Precomputed ``K_{i tau_k}(x_i)`` table of shape (m, n), read-only, cached per pair."""
-    key = (grid.key(), sgrid.key(), _KERNEL_T_MAX, _KERNEL_N_T)
-    if key not in _TABLE_CACHE:
-        table = macdonald_kernel(sgrid.tau, grid.x)
-        table.flags.writeable = False
-        _TABLE_CACHE[key] = table
-    return _TABLE_CACHE[key]
+    table = macdonald_kernel(sgrid.tau, grid.x)
+    table.flags.writeable = False
+    return table
 
 
 def kl_forward(f: HalfLineFunction, sgrid: SpectralGrid) -> Spectrum:
@@ -263,6 +258,7 @@ class DiscreteOperator:
         return float(np.linalg.norm(re - self.matrix) / np.linalg.norm(self.matrix))
 
 
+@cache
 def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     """Dense eigendecomposition of ``-D_u^2 + diag(x^2)`` on the log grid.
 
@@ -272,24 +268,19 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     """
     if grid.n > DENSE_CAP:
         raise ValueError(f"grid size {grid.n} exceeds dense eigensolver cap {DENSE_CAP}")
-    key = ("halfline", grid.key())
-    if key in _OP_CACHE:
-        return _OP_CACHE[key]
     w = grid.weights
     D = fourier_diff_matrix(grid.n, grid.h)
     D_flat = flat_skew(D, np.sqrt(w))
     A = D_flat.T @ D_flat + np.diag(grid.x ** 2)
     A = 0.5 * (A + A.T)
     lam, V = sla.eigh(A)
-    op = DiscreteOperator(
+    return DiscreteOperator(
         weights=w.copy(),
         eigenvalues=lam,
         eigenvectors=V,
         matrix=A,
         grid=grid,
     )
-    _OP_CACHE[key] = op
-    return op
 
 
 def apply_multiplier(
@@ -334,5 +325,5 @@ def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
 
 
 def clear_caches():
-    _TABLE_CACHE.clear()
-    _OP_CACHE.clear()
+    kernel_table.cache_clear()
+    build_matrix_laplacian.cache_clear()

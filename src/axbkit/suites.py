@@ -1,13 +1,15 @@
 """Verification suites: one callable per suite, acceptance criteria pinned.
 
 Every suite returns a JSON-ready payload with one entry per check:
-criterion id, the measured value, the threshold, and the verdict.  The
+criterion id, the measured value, the threshold, and the verdict, which
+:func:`_check` derives from the check's relation between the two.  The
 payloads are deterministic given the configuration and seed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from itertools import product
 
@@ -19,7 +21,7 @@ from . import moduli as md
 from . import paleywiener as pw
 from . import smoothing as sm
 from . import spectral as sp
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .corpus import build_corpus
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, fd6
 from .group import GroupElement, LieVector, exp_map, factor, inverse, multiply
@@ -46,23 +48,33 @@ def _corpus(cfg, grid, op=None, only_decaying=False, families=None):
     pairs = build_corpus(grid, names=cfg.corpus or None, op=op, seed=cfg.seed,
                          only_decaying=only_decaying, families=families)
     if not pairs:
-        raise ValueError("empty corpus")
+        raise ConfigError(f"corpus: empty corpus for this suite, got {list(cfg.corpus)}")
     return pairs
 
 
-def _check(cid, description, value, threshold, passed, **extra):
+#: the relations a check may state between its value and its threshold
+_RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _check(cid, description, value, rule, threshold, also=True, **extra):
+    """One check entry: it passes when ``value <rule> threshold`` holds and ``also`` is true.
+
+    ``also`` carries a side condition that the relation does not imply; the
+    check's extras show what it was computed from.  A NaN value fails.
+    """
     entry = {
         "id": cid,
         "description": description,
         "value": value,
         "threshold": threshold,
-        "passed": bool(passed),
+        "passed": bool(also) and bool(_RULES[rule](value, threshold)),
     }
     entry.update(extra)
     return entry
 
 
-def _payload(cfg, suite, checks, profiles=None):
+def _payload(cfg, suite, checks, profiles=()):
+    """The suite's report; ``profiles`` are ``(name, rows, header)`` CSV triples."""
     echo = cfg.to_dict()
     echo.pop("out_dir", None)  # environmental, would break byte-determinism
     return {
@@ -72,7 +84,8 @@ def _payload(cfg, suite, checks, profiles=None):
         "config": echo,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
-        "profiles": sorted(profiles) if profiles else [],
+        "profiles": sorted(p[0] for p in profiles),
+        "_profiles_raw": list(profiles),
     }
 
 
@@ -105,7 +118,7 @@ def suite_group(cfg: RunConfig):
     tol = cfg.tolerance("AC1_group_defect")
     checks = [
         _check("AC1", "group algebra: associativity, inverses, exp/factor round trips",
-               worst, tol, worst < tol,
+               worst, "<", tol,
                associativity=assoc, inverse=inv, roundtrip=rt),
     ]
     return _payload(cfg, "group", checks)
@@ -123,8 +136,7 @@ def suite_partition(cfg: RunConfig):
         defect = max(defect, float(np.max(np.abs(
             vals.sum(axis=0) - fr.g_cutoff(2.0 ** (-J) * lam)))))
     checks = [
-        _check("AC2", "dyadic partition telescoping over 1e4 log-spaced points",
-               defect, tol2, defect < tol2),
+        _check("AC2", "dyadic partition telescoping over 1e4 log-spaced points", defect, "<", tol2),
     ]
 
     # support of the bands
@@ -135,7 +147,7 @@ def suite_partition(cfg: RunConfig):
         if outside.size:
             bad = max(bad, float(np.max(np.abs(fr.h_cutoff(2.0 ** (-j) * outside)))))
     checks.append(_check("PART_support", "band j supported in [2^(j-1), 2^(j+1)]",
-                         bad, 1e-15, bad <= 1e-15))
+                         bad, "<=", 1e-15))
 
     grid = _grid(cfg)
     op = sp.build_matrix_laplacian(grid)
@@ -156,12 +168,10 @@ def suite_partition(cfg: RunConfig):
         name = f"band_energy_{entry.family}_{len(profiles)}"
         profiles.append((name, rows, "j,energy,weighted"))
     checks.append(_check("AC3", "energy identity sum ||F_j f||^2 = ||f||^2 (matrix backend)",
-                         worst_energy, tol3, worst_energy < tol3))
+                         worst_energy, "<", tol3))
     checks.append(_check("PART_reconstruction", "reconstruction sum Q_j(Delta) f = f",
-                         worst_recon, tol3, worst_recon < tol3))
-    payload = _payload(cfg, "partition", checks, profiles=[p[0] for p in profiles])
-    payload["_profiles_raw"] = profiles
-    return payload
+                         worst_recon, "<", tol3))
+    return _payload(cfg, "partition", checks, profiles)
 
 
 # ------------------------------------------------------------------- spectral
@@ -182,7 +192,7 @@ def suite_spectral(cfg: RunConfig):
     tol4 = cfg.tolerance("AC4_eigenrelation")
     worst4 = max(_eigenrelation_residual(oracle_grid, t) for t in (0.5, 1.0, 2.0, 5.0))
     checks.append(_check("AC4", "kernel eigenrelation Delta K = tau^2 K, interior residual",
-                         worst4, tol4, worst4 < tol4))
+                         worst4, "<", tol4))
 
     grid = _grid(cfg)
     sgrid = _sgrid(cfg)
@@ -204,45 +214,40 @@ def suite_spectral(cfg: RunConfig):
         worst_par = max(worst_par, sp.kernel_leakage(f, sgrid))
         rt = sp.kl_inverse(sp.kl_forward(f, sgrid), grid)
         worst_rt = max(worst_rt, xp_norm(rt - f) / xp_norm(f))
-    checks.append(_check("AC5", "heat multiplier, kernel vs matrix backend",
-                         worst5, tol5, worst5 < tol5))
-    checks.append(_check("SPEC_parseval", "kernel-transform Parseval defect",
-                         worst_par, tol5, worst_par < tol5))
-    checks.append(_check("SPEC_roundtrip", "kernel inverse after forward",
-                         worst_rt, tol5, worst_rt < tol5))
+    checks.append(_check("AC5", "heat multiplier, kernel vs matrix backend", worst5, "<", tol5))
+    checks.append(_check("SPEC_parseval", "kernel-transform Parseval defect", worst_par, "<", tol5))
+    checks.append(_check("SPEC_roundtrip", "kernel inverse after forward", worst_rt, "<", tol5))
 
     fit = sp.estimate_kl_constant(grid, sgrid, [f for _, f in corpus])
     dev = abs(fit / sp.KL_CONSTANT - 1.0)
     checks.append(_check("SPEC_constant", "least-squares inversion constant vs 2/pi^2",
-                         dev, 1e-6, dev < 1e-6, fitted=fit, expected=sp.KL_CONSTANT))
+                         dev, "<", 1e-6, fitted=fit, expected=sp.KL_CONSTANT))
 
     f = corpus[0][1]
     ident = sp.apply_multiplier(lambda lam: np.ones_like(lam), f, "matrix", op=op)
     v_ident = xp_norm(ident - f) / xp_norm(f)
-    checks.append(_check("SPEC_identity", "multiplier F = 1 reproduces f",
-                         v_ident, 1e-12, v_ident < 1e-12))
+    checks.append(_check("SPEC_identity", "multiplier F = 1 reproduces f", v_ident, "<", 1e-12))
     fg = sp.apply_multiplier(lambda lam: np.exp(-lam) / (1 + lam), f, "matrix", op=op)
     gf = sp.apply_multiplier(
         lambda lam: 1.0 / (1 + lam),
         sp.apply_multiplier(lambda lam: np.exp(-lam), f, "matrix", op=op), "matrix", op=op)
     v_prod = xp_norm(fg - gf) / xp_norm(fg)
     checks.append(_check("SPEC_product", "(FG)(Delta) = F(Delta) G(Delta), matrix backend",
-                         v_prod, 1e-12, v_prod < 1e-12))
+                         v_prod, "<", 1e-12))
     pos = sp.apply_multiplier(lambda lam: np.exp(-lam), f, "matrix", op=op)
     quad = float(np.real(np.sum(grid.weights * pos.values * np.conj(f.values))))
     checks.append(_check("SPEC_positivity", "F >= 0 implies <F(Delta) f, f> >= -1e-10 ||f||^2",
-                         quad, -1e-10 * xp_norm(f) ** 2, quad >= -1e-10 * xp_norm(f) ** 2))
+                         quad, ">=", -1e-10 * xp_norm(f) ** 2))
     schro = sp.apply_multiplier(lambda lam: np.exp(0.7j * lam), f, "matrix", op=op)
     drift = abs(xp_norm(schro) - xp_norm(f)) / xp_norm(f)
-    checks.append(_check("SPEC_unitary", "exp(i t Delta) norm drift",
-                         drift, 1e-10, drift < 1e-10))
+    checks.append(_check("SPEC_unitary", "exp(i t Delta) norm drift", drift, "<", 1e-10))
     lam_k, w_k = sp.spectral_measure(f, op)
     pars = abs(float(np.sum(w_k)) - xp_norm(f) ** 2) / xp_norm(f) ** 2
     checks.append(_check("SPEC_measure", "spectral measure weights sum to ||f||^2",
-                         pars, 1e-12, pars < 1e-12))
+                         pars, "<", 1e-12))
     nonneg = float(np.min(op.eigenvalues))
     checks.append(_check("SPEC_nonneg", "matrix Laplacian eigenvalues nonnegative",
-                         nonneg, -1e-10, nonneg > -1e-10))
+                         nonneg, ">", -1e-10))
     return _payload(cfg, "spectral", checks)
 
 
@@ -266,7 +271,7 @@ def suite_paleywiener(cfg: RunConfig):
         rep = pw.bernstein_check(band, omega, (1, 2, 3), op)
         worst6 = max(worst6, rep["max_ratio"])
     checks.append(_check("AC6", "Bernstein ratio ||Delta^{s/2} f|| / (omega^s ||f||)",
-                         worst6, tol6, worst6 <= tol6))
+                         worst6, "<=", tol6))
 
     tol7 = cfg.tolerance("AC7_riesz_boas_err")
     ks = (8, 16, 32, 64, 128)
@@ -284,8 +289,7 @@ def suite_paleywiener(cfg: RunConfig):
         decreasing = decreasing and all(errs[i + 1] < errs[i] for i in range(len(ks) - 1))
         worst7 = max(worst7, errs[-1])
     checks.append(_check("AC7", "Riesz-Boas truncation error, strictly decreasing in K",
-                         worst7, tol7, decreasing and worst7 < tol7,
-                         strictly_decreasing=decreasing))
+                         worst7, "<", tol7, also=decreasing, strictly_decreasing=decreasing))
 
     f = HalfLineFunction(grid, np.exp(-((grid.u + 3.0) ** 2) / 2.0))
     f = f * (1.0 / xp_norm(f))
@@ -294,23 +298,21 @@ def suite_paleywiener(cfg: RunConfig):
     mono = xp_norm(p2) <= xp_norm(p4) + 1e-12
     nest = xp_norm(pw.pw_project(2.0, p4, op=op) - p2) / xp_norm(p2)
     checks.append(_check("PW_monotone", "projection family is monotone and nested",
-                         nest, 1e-12, mono and nest < 1e-12))
+                         nest, "<", 1e-12, also=mono))
     idem = xp_norm(pw.pw_project(2.0, p2, op=op) - p2) / xp_norm(p2)
     checks.append(_check("PW_idempotent", "projecting twice equals projecting once",
-                         idem, 1e-12, idem < 1e-12))
+                         idem, "<", 1e-12))
     g = HalfLineFunction(grid, np.exp(-((grid.u + 5.0) ** 2) / 3.0))
     from .halfline import inner
 
     sym = abs(inner(p2, g) - inner(f, pw.pw_project(2.0, g, op=op)))
-    checks.append(_check("PW_selfadjoint", "<P f, g> = <f, P g>",
-                         sym, 1e-12, sym < 1e-12))
+    checks.append(_check("PW_selfadjoint", "<P f, g> = <f, P g>", sym, "<", 1e-12))
     pyth = abs(pw.best_approx(2.0, f, op) ** 2 + xp_norm(p2) ** 2 - xp_norm(f) ** 2)
-    checks.append(_check("PW_pythagoras", "best_approx^2 + ||P f||^2 = ||f||^2",
-                         pyth, 1e-12, pyth < 1e-12))
+    checks.append(_check("PW_pythagoras", "best_approx^2 + ||P f||^2 = ||f||^2", pyth, "<", 1e-12))
     r = 2
     bound = pw.schrodinger_modulus(r, 0.5, f, op) / (2.0 ** r * xp_norm(f))
     checks.append(_check("PW_schrodinger_bound", "Schroedinger modulus <= 2^r ||f||",
-                         bound, 1.0 + 1e-12, bound <= 1.0 + 1e-12))
+                         bound, "<=", 1.0 + 1e-12))
     return _payload(cfg, "paleywiener", checks)
 
 
@@ -360,19 +362,18 @@ def suite_smoothing(cfg: RunConfig):
         h_closed = sm.hardy_steklov_dir(2, r, s, f)
         worst9 = max(worst9, xp_norm(h_oracle - h_closed) / xp_norm(h_closed))
     checks.append(_check("AC9a", "direction-2 quadrature vs analytic multipliers (P and H)",
-                         worst9, tol9, worst9 < tol9))
+                         worst9, "<", tol9))
 
     order_min = cfg.tolerance("AC9_h_order_min")
     orders = {}
-    ok_order = True
+    shrinks = True
     for r in (1, 2):
         svals = [0.2 / 2 ** k for k in range(5)]
         errs = [xp_norm(f - sm.hardy_steklov(r, s, f)) for s in svals]
-        slope = float(np.polyfit(np.log(svals), np.log(errs), 1)[0])
-        orders[r] = slope
-        ok_order = ok_order and slope >= order_min and errs[-1] < errs[0]
+        orders[r] = float(np.polyfit(np.log(svals), np.log(errs), 1)[0])
+        shrinks = shrinks and errs[-1] < errs[0]
     checks.append(_check("AC9b", "||f - H_r(s) f|| -> 0 with observed order >= 1",
-                         min(orders.values()), order_min, ok_order, orders=orders))
+                         min(orders.values()), ">=", order_min, also=shrinks, orders=orders))
 
     # binomial identity (I - T)^r = I + M on the exact modulation action
     worst_m = 0.0
@@ -384,10 +385,9 @@ def suite_smoothing(cfg: RunConfig):
             g = g - act_modulation(t0, g)
         worst_m = max(worst_m, xp_norm((f + mf) - g))
     checks.append(_check("SMOOTH_binomial", "(I - T)^r f = f + M_{j,r} f (direction 2)",
-                         worst_m, 1e-10, worst_m < 1e-10))
+                         worst_m, "<", 1e-10))
     mzero = xp_norm(sm.m_operator(2, 3, 0.0, f) + f)
-    checks.append(_check("SMOOTH_m_at_zero", "M f = -f at t = 0",
-                         mzero, 1e-14, mzero < 1e-14))
+    checks.append(_check("SMOOTH_m_at_zero", "M f = -f at t = 0", mzero, "<", 1e-14))
 
     op = sp.build_matrix_laplacian(grid)
     tol8 = cfg.tolerance("AC8_commutation")
@@ -395,8 +395,7 @@ def suite_smoothing(cfg: RunConfig):
     for entry, g in _corpus(cfg, grid, op=op):
         for m in (1, 2, 3):
             worst8 = max(worst8, sm.commutation_check(m, 5 * grid.h, 0.4, g))
-    checks.append(_check("AC8", "commutation formula residual, m in {1,2,3}",
-                         worst8, tol8, worst8 < tol8))
+    checks.append(_check("AC8", "commutation formula residual, m in {1,2,3}", worst8, "<", tol8))
 
     # box kernel has unit mass: constants are interior fixed points
     const = HalfLineFunction(grid, np.ones(grid.n))
@@ -404,24 +403,23 @@ def suite_smoothing(cfg: RunConfig):
     interior = slice(grid.n // 4, grid.n // 2)
     fix = float(np.max(np.abs(avg.values[interior] - 1.0)))
     checks.append(_check("SMOOTH_unit_mass", "constant input fixed on the interior (j=1)",
-                         fix, 1e-6, fix < 1e-6))
+                         fix, "<", 1e-6))
     nodes_w = sm.irwin_hall_nodes(3, 0.7)[1]
     mass = abs(float(np.sum(nodes_w)) - 1.0)
     checks.append(_check("SMOOTH_density_mass", "box-spline time density integrates to 1",
-                         mass, 1e-12, mass < 1e-12))
+                         mass, "<", 1e-12))
 
     bound = 0.0
     for r in (1, 2, 3):
         hf = sm.hardy_steklov(r, 1.0, f)
         bound = max(bound, xp_norm(hf) / ((2.0 ** r) ** 2 * xp_norm(f)))
-    checks.append(_check("SMOOTH_bounded", "||H_r(s) f|| <= (2^r)^2 ||f||",
-                         bound, 1.0, bound <= 1.0))
+    checks.append(_check("SMOOTH_bounded", "||H_r(s) f|| <= (2^r)^2 ||f||", bound, "<=", 1.0))
 
     p12 = sm.steklov_avg(sm.SteklovParams(2, 1.0, 1), sm.steklov_avg(sm.SteklovParams(2, 1.0, 2), f))
     p21 = sm.steklov_avg(sm.SteklovParams(2, 1.0, 2), sm.steklov_avg(sm.SteklovParams(2, 1.0, 1), f))
     noncomm = xp_norm(p12 - p21)
     checks.append(_check("SMOOTH_noncommuting", "P1 P2 differs from P2 P1 generically",
-                         noncomm, 1e-8, noncomm > 1e-8))
+                         noncomm, ">", 1e-8))
     return _payload(cfg, "smoothing", checks)
 
 
@@ -460,25 +458,20 @@ def suite_kfunctional(cfg: RunConfig):
     profiles.append(("modulus_order1", order1, "s,value"))
     checks = [
         _check("AC10a", "sandwich: k_lower <= C k_upper over corpus and dyadic s",
-               c_hat, tolC, c_hat < tolC),
-        _check("AC10b", "sandwich: k_upper <= C' (k_lower + min(s^r,1) ||f||)",
-               cp_hat, tolCp, cp_hat < tolCp),
-        _check("AC10c", "spectral K-surrogate inside the same band (lower)",
-               cs_hat, tolC, cs_hat < tolC),
-        _check("AC10d", "spectral K-surrogate inside the same band (upper)",
-               csp_hat, tolCp, csp_hat < tolCp),
+               c_hat, "<", tolC),
+        _check("AC10b", "sandwich: k_upper <= C' (k_lower + min(s^r,1) ||f||)", cp_hat, "<", tolCp),
+        _check("AC10c", "spectral K-surrogate inside the same band (lower)", cs_hat, "<", tolC),
+        _check("AC10d", "spectral K-surrogate inside the same band (upper)", csp_hat, "<", tolCp),
     ]
     entry, f = corpus[0]
     ineq = md.verify_modulus_inequalities(space, 2, 1, f, (0.25, 1.0, 4.0))
     checks.append(_check("K_ineq_constants", "modulus inequality constants finite",
-                         ineq["C0_hat"], math.inf,
-                         all(np.isfinite(v) for v in ineq.values()), **ineq))
+                         ineq["C0_hat"], "<", math.inf,
+                         also=all(np.isfinite(v) for v in ineq.values()), **ineq))
     reit = md.reiteration_check(space, f, 0, 1, 2, 0.5, 2.0)
     checks.append(_check("K_reiteration", "reiteration ratio finite",
-                         reit["ratio"], math.inf, np.isfinite(reit["ratio"]), **reit))
-    payload = _payload(cfg, "kfunctional", checks, profiles=[p[0] for p in profiles])
-    payload["_profiles_raw"] = profiles
-    return payload
+                         reit["ratio"], "<", math.inf, **reit))
+    return _payload(cfg, "kfunctional", checks, profiles)
 
 
 # ---------------------------------------------------------------------- besov
@@ -550,9 +543,8 @@ def suite_besov(cfg: RunConfig):
                           "pairwise_ratios": pairwise})
     checks = [
         _check("AC11a", "max/min ratio across Besov realizations per function",
-               worst_ratio, tol_ratio, worst_ratio < tol_ratio),
-        _check("AC11b", "ratio drift under grid refinement",
-               worst_drift, tol_drift, worst_drift < tol_drift),
+               worst_ratio, "<", tol_ratio),
+        _check("AC11b", "ratio drift under grid refinement", worst_drift, "<", tol_drift),
     ]
     payload = _payload(cfg, "besov", checks)
     # truncation bounds of the integral-based realizations, per corpus member
@@ -595,16 +587,14 @@ def suite_jackson(cfg: RunConfig):
         hats[label] = worst
         if label == "fine":
             checks.append(_check("AC12a", "empirical Jackson constant finite and < 100",
-                                 worst, tolC, np.isfinite(worst) and worst < tolC))
+                                 worst, "<", tolC))
             checks.append(_check("AC12b", "log-log decay slope of E(sigma, f) <= -r + 0.25",
-                                 worst_slope, slope_tol, worst_slope <= slope_tol))
+                                 worst_slope, "<=", slope_tol))
     drift = abs(hats["fine"] / hats["coarse"] - 1.0)
     checks.append(_check("AC12c", "Jackson constant stable under grid refinement",
-                         drift, 0.5, np.isfinite(drift) and hats["coarse"] < tolC,
+                         drift, "<", 0.5, also=hats["coarse"] < tolC,
                          fine=hats["fine"], coarse=hats["coarse"]))
-    payload = _payload(cfg, "jackson", checks, profiles=[p[0] for p in profiles])
-    payload["_profiles_raw"] = profiles
-    return payload
+    return _payload(cfg, "jackson", checks, profiles)
 
 
 # --------------------------------------------------------------------- frames
@@ -620,33 +610,33 @@ def suite_frames(cfg: RunConfig):
     hi = max(b.estimated_bounds()[1] for b in frames if b.n_atoms)
     tight = max(abs(lo - 1.0), abs(hi - 1.0))
     checks.append(_check("FRAME_tight", "orthonormal band frames have bounds [1, 1]",
-                         tight, 1e-10, tight < 1e-10))
+                         tight, "<", 1e-10))
     red = fr.build_band_frame(op, 1, redundant=True)
     rb = red.estimated_bounds()
     red_dev = max(abs(rb[0] - 2.0), abs(rb[1] - 2.0))
     checks.append(_check("FRAME_redundant", "duplicated atoms give bounds [2, 2]",
-                         red_dev, 1e-10, red_dev < 1e-10))
+                         red_dev, "<", 1e-10))
     f = build_corpus(grid, op=op, seed=cfg.seed, only_decaying=True)[0][1]
     coeffs = fr.frame_analysis(f, frames, op)
     mass = sum(float(np.sum(np.abs(c) ** 2)) for c in coeffs)
     pars = abs(mass - xp_norm(f) ** 2) / xp_norm(f) ** 2
     checks.append(_check("FRAME_parseval", "global Parseval with tight band frames",
-                         pars, 1e-10, pars < 1e-10))
+                         pars, "<", 1e-10))
     duals = [b.dual() for b in frames]
     recon = fr.frame_synthesis(coeffs, duals, op)
     rec = xp_norm(recon - f) / xp_norm(f)
     checks.append(_check("FRAME_reconstruction", "synthesis after analysis reproduces f",
-                         rec, 1e-10, rec < 1e-10))
+                         rec, "<", 1e-10))
     red_frames = fr.band_frames(op, redundant=True)
     red_coeffs = fr.frame_analysis(f, red_frames, op)
     red_recon = fr.frame_synthesis(red_coeffs, [b.dual() for b in red_frames], op)
     rec2 = xp_norm(red_recon - f) / xp_norm(f)
     checks.append(_check("FRAME_dual_reconstruction", "redundant frame + canonical dual",
-                         rec2, 1e-10, rec2 < 1e-10))
+                         rec2, "<", 1e-10))
     rep = fr.direct_inverse_check(f, op, 2, space)
     checks.append(_check("FRAME_direct_inverse", "direct/inverse embedding constants finite",
-                         rep["jackson_hypothesis_hat"], math.inf,
-                         all(np.isfinite(v) for v in rep.values()), **rep))
+                         rep["jackson_hypothesis_hat"], "<", math.inf,
+                         also=all(np.isfinite(v) for v in rep.values()), **rep))
     return _payload(cfg, "frames", checks)
 
 
@@ -668,8 +658,7 @@ def suite_halfplane(cfg: RunConfig):
     dr /= hp.lp_norm_2d(f, 2, "right")
     worst_iso = max(dl, dr)
     checks.append(_check("AC13a", "discrete action isometry, grid-compatible parameters",
-                         worst_iso, tol_iso, worst_iso < tol_iso,
-                         left_defect=dl, right_defect=dr))
+                         worst_iso, "<", tol_iso, left_defect=dl, right_defect=dr))
     mins = {}
     ratios = {}
     for side in ("left", "right"):
@@ -679,10 +668,10 @@ def suite_halfplane(cfg: RunConfig):
         ratios[side] = rep["ratio"]
     worst_min = min(mins.values())
     checks.append(_check("AC13b", "assembled Laplacians nonnegative",
-                         worst_min, tol_neg, worst_min > tol_neg, **mins))
+                         worst_min, ">", tol_neg, **mins))
     finite = all(np.isfinite(v) and v > 0 for v in ratios.values())
     checks.append(_check("AC13c", "Sobolev vs graph norm ratio finite, m = 1",
-                         max(ratios.values()), math.inf, finite, **ratios))
+                         max(ratios.values()), "<", math.inf, also=finite, **ratios))
 
     # commutator residuals: the symbolically forced identities
     for side, sign in (("left", -1.0), ("right", 1.0)):
@@ -696,7 +685,7 @@ def suite_halfplane(cfg: RunConfig):
         checks.append(_check(
             f"HP_commutator_{side}",
             f"[D1, D2] = {'+' if sign > 0 else '-'}D2 ({side}); the D1 variant is reported",
-            res_forced, 5e-3, res_forced < 5e-3, alternative_residual=res_doc))
+            res_forced, "<", 5e-3, alternative_residual=res_doc))
 
     # interior agreement of the assembled and expanded Laplacian forms
     for side in ("left", "right"):
@@ -709,13 +698,12 @@ def suite_halfplane(cfg: RunConfig):
         den = np.linalg.norm(expanded[inner_u, inner_y])
         checks.append(_check(f"HP_expanded_{side}",
                              "assembled vs expanded Laplacian, interior residual",
-                             float(num / den), 5e-2, num / den < 5e-2))
+                             float(num / den), "<", 5e-2))
 
     space = hp.halfplane_space(grid, "left")
     m1 = md.modulus_mixed(space, 1, 0.5, f)
     bound = m1 / (4.0 * hp.lp_norm_2d(f, 2, "left"))
-    checks.append(_check("HP_modulus_bound", "Omega^1(s, f) <= 4 ||f|| (left)",
-                         bound, 1.0, bound <= 1.0))
+    checks.append(_check("HP_modulus_bound", "Omega^1(s, f) <= 4 ||f|| (left)", bound, "<=", 1.0))
     return _payload(cfg, "halfplane", checks)
 
 
@@ -730,7 +718,7 @@ def suite_determinism(cfg: RunConfig):
     same = first == second and part1 == part2
     checks = [
         _check("AC14", "repeated runs with a fixed seed are byte-identical",
-               0.0 if same else 1.0, 0.5, same),
+               0.0 if same else 1.0, "<", 0.5),
     ]
     return _payload(cfg, "determinism", checks)
 

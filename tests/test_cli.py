@@ -57,10 +57,26 @@ def test_config_bounds_oracle_n():
         RunConfig(oracle_n=ORACLE_N_CAP + 1)
 
 
+#: ``(suite, config text, key)``: each text names one bad key and fails as the config is built
+BAD_CONFIG = [
+    ("spectral", "tau_max = nan\n", "tau_max"),
+    ("spectral", "tau_max = inf\n", "tau_max"),
+    ("halfplane", "hp_n = 8\n", "hp_n"),
+    ("halfplane", "y_n = 8\n", "y_n"),
+    ("halfplane", "hp_n = 100\n", "hp_n"),  # 4800 points, above halfplane.DENSE_CAP_2D
+    ("halfplane", "y_min = 9\n", "y_min"),
+    ("halfplane", "y_max = nan\n", "y_max"),
+    ("halfplane", "hp_u_min = nan\n", "hp_u_min"),
+    ("halfplane", "hp_u_max = nan\n", "hp_u_max"),
+    ("partition", "corpus = nosuch\n", "corpus"),
+    ("group", "corpus = nosuch\n", "corpus"),
+]
+
+
 @pytest.mark.parametrize("text, key", [
     ("oracle_n = 400000\n", "oracle_n"),
     ("grid_n = 256\ngrid_n_coarse = 512\n", "grid_n_coarse"),
-])
+] + [(text, key) for _, text, key in BAD_CONFIG])
 def test_config_file_bad_bound(tmp_path, text, key):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -71,7 +87,9 @@ def test_config_file_bad_bound(tmp_path, text, key):
 @pytest.mark.parametrize("suite, text, key", [
     ("spectral", "oracle_n = 400000\n", "oracle_n"),
     ("besov", "grid_n = 256\ngrid_n_coarse = 512\n", "grid_n_coarse"),
-])
+    # a known name that leaves the suite's corpus empty is caught when the suite runs
+    ("partition", "corpus = macdonald(tau0=1)\n", "corpus"),
+] + BAD_CONFIG)
 def test_cli_bad_bound_exits_2(tmp_path, capsys, suite, text, key):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -184,6 +202,22 @@ def test_no_module_reads_the_environment():
                 found += [f"{fname}:{node.lineno} from os import {a.name}"
                           for a in node.names if a.name in hidden]
     assert found == []
+
+
+def test_every_check_states_its_relation():
+    # a check's verdict is its relation between value and threshold, applied
+    # in suites._check; no call site may pass a hand-written verdict instead
+    from axbkit import suites
+
+    with open(suites.__file__) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_check"]
+    assert len(calls) > 50
+    bad = [node.lineno for node in calls
+           if len(node.args) < 4 or not isinstance(node.args[3], ast.Constant)
+           or node.args[3].value not in suites._RULES]
+    assert bad == []
 
 
 def test_cli_describe_and_corpus(capsys):

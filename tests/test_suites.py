@@ -1,0 +1,60 @@
+"""The verdict rule of the suites: a check passes on its relation between value and threshold."""
+
+import math
+
+import numpy as np
+import pytest
+
+from axbkit import suites
+from axbkit.config import RunConfig
+
+#: verdicts for a value below, equal to and above the threshold
+VERDICTS = {
+    "<": (True, False, False),
+    "<=": (True, True, False),
+    ">": (False, False, True),
+    ">=": (False, True, True),
+}
+
+
+@pytest.mark.parametrize("rule, expected", sorted(VERDICTS.items()))
+def test_check_applies_its_relation(rule, expected):
+    got = tuple(suites._check("X", "x", value, rule, 1.0)["passed"] for value in (0.5, 1.0, 2.0))
+    assert got == expected
+
+
+@pytest.mark.parametrize("rule", sorted(VERDICTS))
+def test_nan_value_fails_every_relation(rule):
+    assert suites._check("X", "x", math.nan, rule, 1.0)["passed"] is False
+
+
+def test_side_condition_must_hold_as_well():
+    assert suites._check("X", "x", 0.5, "<", 1.0, also=False)["passed"] is False
+    entry = suites._check("X", "x", 0.5, "<", 1.0, also=True, side=3)
+    assert entry == {"id": "X", "description": "x", "value": 0.5, "threshold": 1.0,
+                     "passed": True, "side": 3}
+
+
+def test_unknown_relation_is_rejected():
+    with pytest.raises(KeyError):
+        suites._check("X", "x", 0.5, "==", 1.0)
+
+
+@pytest.mark.parametrize("coarse_factor, passed", [(3.0, False), (1.2, True)])
+def test_ac12c_gates_the_refinement_drift(monkeypatch, coarse_factor, passed):
+    # both constants stay below the AC12 bound of 100, so only the drift
+    # |fine / coarse - 1| against 0.5 can fail the check
+    cfg = RunConfig(grid_n=64, grid_n_coarse=32)
+    fine = 20.0
+
+    def jackson_check(sigmas, r, f, op, space):
+        c_hat = fine if f.grid.n == cfg.grid_n else coarse_factor * fine
+        return {"C_hat": c_hat, "slope": -3.0, "errors": np.ones(len(sigmas))}
+
+    monkeypatch.setattr(suites.pw, "jackson_check", jackson_check)
+    checks = {c["id"]: c for c in suites.suite_jackson(cfg)["checks"]}
+    assert checks["AC12a"]["passed"] and checks["AC12b"]["passed"]
+    ac12c = checks["AC12c"]
+    assert ac12c["coarse"] == coarse_factor * fine < 100
+    assert ac12c["value"] == pytest.approx(abs(1.0 / coarse_factor - 1.0))
+    assert ac12c["passed"] is passed
