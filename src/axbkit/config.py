@@ -22,7 +22,7 @@ ORACLE_N_CAP = 16384
 
 
 class ConfigError(ValueError):
-    pass
+    """A configuration value is invalid; the message names the offending key."""
 
 
 #: acceptance thresholds by criterion id; tol_scale multiplies the numeric ones
@@ -50,6 +50,8 @@ TOLERANCES: dict[str, float] = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run: grids, corpus, seed, tolerance scale and output."""
+
     # half-line discretization
     u_min: float = -12.0
     u_max: float = 6.0

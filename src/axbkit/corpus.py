@@ -21,6 +21,8 @@ __all__ = ["CorpusEntry", "DEFAULT_CORPUS", "build_corpus", "corpus_names"]
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One named corpus member: a family, its parameters and whether it decays."""
+
     name: str
     family: str
     params: dict = field(default_factory=dict)
@@ -80,6 +82,7 @@ DEFAULT_CORPUS: tuple[CorpusEntry, ...] = (
 
 
 def corpus_names() -> list[str]:
+    """Names of the registered corpus members, in registry order."""
     return [e.name for e in DEFAULT_CORPUS]
 
 

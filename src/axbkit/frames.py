@@ -71,11 +71,14 @@ def g_cutoff(lam):
 
 
 def h_cutoff(lam):
+    """``h(lam) = g(lam) - g(2 lam)``, the profile of every band after the first."""
     return g_cutoff(lam) - g_cutoff(2.0 * np.asarray(lam, dtype=float))
 
 
 def partition_values(J: int, lam) -> np.ndarray:
-    """Values of ``Q_0 .. Q_J`` at lam; axis 0 indexes the band."""
+    """Values at lam of the dyadic partition of unity ``Q_0 = g``, ``Q_j = h(2^{-j} .)``,
+    whose partial sums telescope to ``g(2^{-J} .)``; axis 0 indexes the band.
+    """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
@@ -101,7 +104,8 @@ def full_band_count(op: DiscreteOperator, convention: str = "lambda") -> int:
 
 
 def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None):
-    """Littlewood-Paley pieces ``Q_j(Delta) f`` for j = 0 .. J (lambda-dyadic).
+    """Littlewood-Paley pieces ``Q_j(Delta) f`` for j = 0 .. J, each bandlimited to
+    ``[2^{j-1}, 2^{j+1}]`` in lambda.
 
     With the default J the partial sums telescope to 1 on the whole
     resolved spectrum, so the reconstruction ``sum_j Q_j(Delta) f = f`` is
@@ -115,7 +119,9 @@ def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None
 
 def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None,
                   convention: str = "lambda") -> np.ndarray:
-    """``||F_j(Delta) f||`` for j = 0 .. J, exact through the spectral weights."""
+    """Norms ``||F_j(Delta) f||`` of the quadratic partition pieces, j = 0 .. J, exact
+    through the spectral weights; their squares sum to ``||f||^2``.
+    """
     if J is None:
         J = full_band_count(op, convention)
     lam = np.maximum(op.eigenvalues, 0.0)
@@ -180,7 +186,9 @@ def _tau_bin(j: int) -> tuple[float, float]:
 
 
 def build_band_frame(op: DiscreteOperator, j: int, redundant: bool = False) -> BandFrame:
-    """Frame for tau-bin j from the discrete eigenvectors (tight by default)."""
+    """Frame for the Paley-Wiener space of tau-bin j from the discrete eigenvectors,
+    tight by default; ``redundant`` duplicates atoms to exercise the canonical dual.
+    """
     lo, hi = _tau_bin(j)
     tau = np.sqrt(np.maximum(op.eigenvalues, 0.0))
     idx = np.where((tau >= lo) & (tau < hi))[0]
@@ -197,6 +205,7 @@ def build_band_frame(op: DiscreteOperator, j: int, redundant: bool = False) -> B
 
 
 def band_frames(op: DiscreteOperator, J: int | None = None, redundant: bool = False):
+    """:func:`build_band_frame` for every tau-bin j = 0 .. J."""
     if J is None:
         J = full_band_count(op, "tau")
     return [build_band_frame(op, j, redundant=redundant) for j in range(J + 1)]
@@ -209,7 +218,7 @@ def frame_analysis(f: HalfLineFunction, frames, op: DiscreteOperator):
 
 
 def frame_synthesis(coefficients, duals, op: DiscreteOperator) -> HalfLineFunction:
-    """Reconstruction ``sum_{j,k} c^j_k Psi^j_k`` from dual-frame atoms."""
+    """Reconstruction ``f = sum_{j,k} c^j_k Psi^j_k`` from the canonical dual frames."""
     total = np.zeros(op.eigenvalues.shape[0], dtype=complex)
     grid = op.grid
     for cvec, fr in zip(coefficients, duals):
@@ -221,7 +230,8 @@ def frame_synthesis(coefficients, duals, op: DiscreteOperator) -> HalfLineFuncti
 
 def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
                      variant: str = "projections") -> float | list[float]:
-    """Band-side Besov norms, all indexed dyadically in tau.
+    """Band-side Besov norms from best approximations, band projections or frame
+    coefficients, all indexed dyadically in tau.
 
     * ``approx``: ``||f|| + lq over j of 2^{j alpha} E(2^j, f)`` with E the
       best approximation from the tau-band;
@@ -268,10 +278,10 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
 
 
 def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q: float) -> float:
-    """Approximation-space quasi-norm from best approximations at the dyadic scales.
+    """Approximation-space quasi-norm from best approximations at the dyadic scales,
+    the approximating family being the union of the Paley-Wiener spaces.
 
-    The approximating family is the union of the Paley-Wiener bands with
-    quasi-norm ``inf { omega : f in PW_omega }``, so the distance at
+    Its quasi-norm is ``inf { omega : f in PW_omega }``, so the distance at
     budget t is exactly ``best_approx(t, f)``.
     """
     from .paleywiener import best_approx

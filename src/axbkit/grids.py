@@ -38,6 +38,7 @@ _SNAP = 1e-9
 
 
 def trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """Trapezoid-rule weights for ``n`` nodes a distance ``step`` apart."""
     w = np.full(n, step)
     w[0] *= 0.5
     w[-1] *= 0.5

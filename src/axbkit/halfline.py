@@ -52,7 +52,8 @@ MAX_SOBOLEV_ORDER = 4
 
 
 def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarray:
-    """The ``X^p`` norm: trapezoid quadrature of ``|f|^p du`` to the power 1/p.
+    """The norm ``||f(x) x^{-1/p}||_p`` of ``X^p``: trapezoid quadrature of
+    ``|f|^p du`` in ``u = ln x``, to the power 1/p.
 
     A float for one function; for a stack, an array of norms over its
     leading axes.  ``f`` is a container, or bare values on ``grid``.
@@ -64,7 +65,7 @@ def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarra
 
 
 def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
-    """Sesquilinear inner product of ``X^2``, conjugate-linear in ``g``."""
+    """Inner product ``<f, g> = int_0^inf f conj(g) dx/x`` of ``X^2``, conjugate-linear in ``g``."""
     f._check_same_grid(g)
     return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))
 
@@ -83,13 +84,13 @@ def window_loss(f: HalfLineFunction) -> float:
 
 
 def shift_log(f, t: float, grid: LogGrid | None = None):
-    """Translation ``f(u) -> f(u + t)`` in the log variable.
+    """Translation ``f(u) -> f(u + t)`` in the log variable: a zero-filled shift on
+    grid multiples, band-limited interpolation otherwise; a non-finite t is rejected.
 
-    Integer multiples of the grid step are exact permutations with zero
-    fill.  Other shifts use band-limited (Whittaker-type) interpolation on
-    a window zero-padded on both sides (:func:`~axbkit.grids.fourier_multiplier`),
-    which is spectrally accurate for the smooth decaying corpus.  ``f`` is
-    a container, or bare values on ``grid``, one function or a stack.
+    The interpolation is Whittaker-type on a window zero-padded on both
+    sides (:func:`~axbkit.grids.fourier_multiplier`), spectrally accurate
+    for the smooth decaying corpus.  ``f`` is a container, or bare values
+    on ``grid``, one function or a stack.
     """
     require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
@@ -106,7 +107,7 @@ def dilation_loss(f: HalfLineFunction, t: float) -> float:
 
 
 def act(g: GroupElement, f: HalfLineFunction) -> HalfLineFunction:
-    """The representation ``U(a, b) f(x) = e^{ibx} f(a x)``.
+    """The representation ``U(a, b) f(x) = e^{ibx} f(a x)``, unitary on ``X^2``.
 
     Equivalently ``U(g) = U2(b) U1(ln a)``, matching the factorization
     ``(a, b) = (1, b)(a, 0)``; this is the unique phase assignment that
@@ -131,7 +132,8 @@ def act_modulation(t: float, f, grid: LogGrid | None = None):
 
 
 def generator(j: int, f, grid: LogGrid | None = None):
-    """Infinitesimal generators: ``D1 = x d/dx`` and ``D2 = i x``.
+    """Infinitesimal generators ``D1 = x d/dx`` and ``D2 = i x`` of the two
+    one-parameter groups; they span a Lie algebra with ``[D1, D2] = D2``.
 
     On the log grid ``x d/dx`` is a plain ``d/du``, taken with the
     6th-order central stencil and zero extension, which stays robust for
@@ -147,7 +149,7 @@ def generator(j: int, f, grid: LogGrid | None = None):
 
 
 def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
-    """Apply ``D_{j1} ... D_{jk}`` for a word ``(j1, ..., jk)``.
+    """Iterated generators ``D_{j1} ... D_{jk}`` for a word ``(j1, ..., jk)`` over {1, 2}.
 
     The rightmost letter acts first, matching operator-product notation.
     """
@@ -165,7 +167,7 @@ def _check_order(m: int) -> None:
 
 
 def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
-    """Sobolev norm: ``||f|| + sum over orders k<=m and words of ||D_word f||``."""
+    """Order-m Sobolev norm: ``||f|| + sum over orders k<=m and words of ||D_word f||``."""
     _check_order(m)
     return sobolev_space_norm(halfline_space(f.grid, p), f, m)
 

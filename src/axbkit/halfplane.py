@@ -151,7 +151,8 @@ def log_gaussian_2d(grid: HalfPlaneGrid, u0: float = -1.0, y0: float = 0.0,
 
 
 def lp_norm_2d(f, p: float, side: str, grid: HalfPlaneGrid | None = None) -> float | np.ndarray:
-    """Weighted ``L^p`` norm; for a stack, an array of norms over its leading axes.
+    """Weighted ``L^p`` norm, ``x^{-2} dx dy`` on the left and ``x^{-1} dx dy`` on the
+    right; for a stack, an array of norms over its leading axes.
 
     ``f`` is a container, or bare values on ``grid``.
     """
@@ -194,7 +195,8 @@ def _resample(values: np.ndarray, nodes: np.ndarray, scale: float, offset, axis:
 
 
 def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
-    """The regular representations; isometries of their weighted norms.
+    """The left-regular ``f(ax, ay + b)`` and right-regular ``f(xa, xb + y)``
+    representations; isometries of their weighted norms.
 
     A log-x pass, then at most one y pass (``a y + b`` on the left, ``y + b x``
     per row on the right), each over the whole stack by :func:`_resample`.
@@ -223,7 +225,8 @@ def _dy(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
 
 
 def generator_2d(j: int, f, side: str, grid: HalfPlaneGrid | None = None):
-    """Generators of the one-parameter subgroups, 6th-order stencils in (u, y).
+    """Generators of the one-parameter subgroups, left ``x dx + y dy`` and ``dy``,
+    right ``x dx`` and ``x dy``; 6th-order stencils in (u, y).
 
     A stack is differentiated along its two trailing (grid) axes.  ``f`` is
     a container, or bare values on ``grid``.
@@ -332,7 +335,9 @@ class KroneckerLaplacian:
 
 @cache
 def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplacian:
-    """Kronecker-factored ``D1* D1 + D2* D2`` on the product grid.
+    """Half-plane Laplacian ``D1* D1 + D2* D2``, kept as Kronecker factors on the two
+    axes and applied axis by axis, with an exact ``lambda_min`` from a block
+    reduction and no dense product-grid matrix.
 
     Generators are carried to flat coordinates (square root of the total
     weight) and antisymmetrized there, so the operator is exactly symmetric
@@ -399,7 +404,8 @@ def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFuncti
 
 
 def sobolev_graph_check(f: HalfPlaneFunction, m: int, side: str, op: KroneckerLaplacian) -> dict:
-    """Ratio between the order-m Sobolev norm and the graph norm of ``Delta^{m/2}``.
+    """Ratio between the order-m Sobolev norm and the graph norm ``||f|| +
+    ||Delta^{m/2} f||``; the two norms are equivalent.
 
     ``op`` is the side's Laplacian, :func:`build_halfplane_laplacian`.
     """

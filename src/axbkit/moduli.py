@@ -128,6 +128,8 @@ class RepresentationSpace:
 
 @dataclass(frozen=True)
 class BesovParams:
+    """Smoothness ``0 < alpha < r``, integrability ``q >= 1`` and modulus order r."""
+
     alpha: float
     q: float
     r: int
@@ -243,7 +245,14 @@ def _word_sup(space: RepresentationSpace, word, t_sets, f) -> float:
 
 
 def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
-    """Order-r mixed modulus at a finite scale s >= 0 (a certified grid lower bound)."""
+    """The mixed modulus of continuity ``Omega^r(s, f)`` at a finite scale s >= 0,
+    as a certified grid lower bound.
+
+    It sums, over words ``(j1, ..., jr)`` in ``{1,2}^r``, the suprema over
+    ``0 <= t_i <= s`` of ``||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||``, each
+    searched on a grid (:func:`_word_sup`).  ``f`` is checked once at entry;
+    a non-finite result raises.
+    """
     f = _values(f, space.shape)
     require_finite("s", s)
     if s < 0:
@@ -286,17 +295,20 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
 
 
 def k_upper(space: RepresentationSpace, r: int, s: float, f) -> float:
-    """Upper K-functional surrogate: best of the H-witness and trivial splittings."""
+    """Upper K-functional surrogate from ``f = (f - H_r(s) f) + H_r(s) f``, capped by
+    the trivial splitting at ``||f||``.
+    """
     return k_upper_detail(space, r, s, f)["value"]
 
 
 def k_lower(space: RepresentationSpace, r: int, s: float, f) -> float:
-    """Lower K-functional surrogate: the mixed modulus itself."""
+    """Lower K-functional surrogate: the mixed modulus ``Omega^r(s, f)`` itself."""
     return modulus_mixed(space, r, s, f)
 
 
 def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
-    """Spectral K-surrogate ``(sum min(1, s^r lam^{r/2})^2 w_k)^{1/2}`` (Hilbert only).
+    """Spectral K-surrogate ``(sum min(1, s^r lam^{r/2})^2 w_k)^{1/2}`` (Hilbert only),
+    equivalent to the K-functional of the pair ``(H, D(Delta^{r/2}))``.
 
     ``s`` may be an array of scales: the spectral weights of ``f`` are
     computed once and an array of surrogates is returned, each summed as a
@@ -310,7 +322,8 @@ def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
 
 
 def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
-    """Empirical constants of the three modulus inequalities on one vector.
+    """Empirical constants of the three modulus inequalities on one vector: order
+    reduction through generators, scale doubling and the higher-order comparison.
 
     Returns the max over ``s_list`` of each left/right ratio:
 
@@ -348,6 +361,7 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
 
 
 def besov_s_grid() -> np.ndarray:
+    """The dyadic scales ``2^-16 .. 2^4`` that sample every Besov integral."""
     lo, hi = _BESOV_J_RANGE
     return 2.0 ** (-np.arange(lo, hi + 1, dtype=float))
 
@@ -370,11 +384,11 @@ def _weighted_integral(profile, alpha: float, q: float) -> float:
 
 
 def besov_norm(space, f, params, method: str = "k") -> float | list[float]:
-    """Besov norm via the K-functional surrogate or the modulus (truncated integral).
+    """Besov norm ``||f|| + (int_0^inf (s^{-alpha} core(s))^q ds/s)^{1/q}``, with
+    ``core`` the K-functional surrogate or the mixed modulus (sup for q = inf).
 
-    The integral ``int_0^inf (s^{-alpha} core(s))^q ds/s`` is sampled on
-    dyadic scales ``s in [2^-16, 2^4]``; see :func:`besov_tail_report` for
-    the analytically bounded truncation error.
+    The integral is sampled on :func:`besov_s_grid`; :func:`besov_tail_report`
+    bounds the truncation error analytically.
 
     ``params`` is one :class:`BesovParams` (returns a float) or a sequence of
     them sharing one ``r`` (returns a list, one norm per entry; ``[]`` for an
@@ -430,7 +444,8 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
 
 
 def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
-    """Besov norm through first-order moduli of the [alpha]-fold derivatives.
+    """Besov norm for non-integer alpha through first-order moduli of the
+    [alpha]-fold derivatives, with [alpha] the integer part of alpha.
 
     Valid for non-integer alpha: ``||f||_{E^[alpha]}`` plus, for every word
     of length [alpha], the weighted integral of ``Omega^1(s, A_word f)``
@@ -449,7 +464,8 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
 
 
 def zygmund_norm(space, f, k: int, q: float) -> float:
-    """Integer-order Besov norm via the Zygmund condition (second differences).
+    """Integer-order Besov norm via the Zygmund condition: second-order moduli of
+    the (k-1)-fold derivatives, weight 1/s.
 
     At ``k = 1`` this is exactly ``besov_norm(space, f, BesovParams(1.0, q, 2),
     "modulus")``: the same ``||f||`` plus the same weighted ``Omega^2`` profile.
@@ -466,7 +482,8 @@ def zygmund_norm(space, f, k: int, q: float) -> float:
 
 
 def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float) -> dict:
-    """Numerical face of the reiteration isomorphism and the interpolation bound.
+    """Numerical face of the reiteration isomorphism ``(E, E^r) ~ (E^k1, E^k2)``
+    and of the interpolation bound.
 
     Computes the modulus realizations of ``(E, E^r)_{alpha/r, q}`` and of
     ``(E^{k1}, E^{k2})_{(alpha-k1)/(k2-k1), q}`` and reports their ratio,

@@ -48,14 +48,15 @@ class BandLimit:
 
 def pw_project(omega: float, f: HalfLineFunction,
                op: DiscreteOperator | None = None) -> HalfLineFunction:
-    """Band projection ``1_{[0, omega]}(Delta^{1/2}) f`` through the matrix backend."""
+    """Projection onto ``PW_omega``, ``1_{[0, omega]}(Delta^{1/2}) f``, by the matrix backend."""
     omega = BandLimit(omega).omega
     return apply_multiplier(
         lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float), f, op=op)
 
 
 def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.ndarray:
-    """Distance to the sigma-band: ``||f - P_sigma f||``, computed spectrally.
+    """The best approximation ``E(sigma, f) = inf_{g in PW_sigma} ||f - g||``, which
+    is ``||f - P_sigma f||``, computed spectrally.
 
     Orthogonal projection attains the infimum in a Hilbert space, so this
     is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``.  ``sigma``
@@ -69,18 +70,19 @@ def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.
 
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
-    """Ratios ``||Delta^{s/2} f|| / (omega^s ||f||)`` for a bandlimited f."""
+    """Ratios of the Bernstein inequality ``||Delta^{s/2} f|| <= omega^s ||f||`` on ``PW_omega``."""
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
     total = np.sum(w)
     ratios = {}
     for s in s_exponents:
         num = np.sqrt(np.sum(np.maximum(lam, 0.0) ** s * w))
         ratios[float(s)] = float(num / (omega ** s * np.sqrt(total))) if total > 0 else 0.0
-    return {"ratios": ratios, "max_ratio": max(ratios.values()) if ratios else 0.0}
+    return {"ratios": ratios, "max_ratio": float(np.max(list(ratios.values()), initial=0.0))}
 
 
 def riesz_boas(omega: float, f: HalfLineFunction, k_trunc: int, op: DiscreteOperator):
-    """Truncated Riesz-Boas series for ``i sqrt(Delta) f`` on a bandlimited f.
+    """Truncated Riesz-Boas interpolation series for ``i sqrt(Delta) f`` on a
+    bandlimited f, with an a-priori tail bound.
 
     The sum runs over ``k in [-k_trunc+1, k_trunc]`` (symmetric about the
     half-integers).  Returns the series value, its relative deviation from
@@ -106,7 +108,8 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc: int, op: DiscreteOper
 
 
 def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOperator) -> float:
-    """``sup_{0 <= tau <= t} ||(exp(i tau Delta) - I)^r f||`` via spectral weights.
+    """Modulus of continuity of the Schroedinger group,
+    ``sup_{0 <= tau <= t} ||(exp(i tau Delta) - I)^r f||``, via spectral weights.
 
     The unitary group makes each factor a pointwise phase, so the norm is
     ``(sum_k |e^{i tau lam_k} - 1|^{2r} w_k)^{1/2}``; the supremum is taken
@@ -134,10 +137,10 @@ def decay_slope(sigmas, values, floor: float = 1e-11) -> float:
 
 def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
                   space) -> dict:
-    """Empirical Jackson constant and the large-sigma decay slope.
+    """Empirical constant C of the Jackson bound ``E(sigma, f) <= C (Omega^r(1/sigma, f)
+    + min(sigma^{-r}, 1) ||f||)``, and the large-sigma decay slope.
 
-    For every sigma the ratio ``E(sigma, f) / (Omega^r(1/sigma, f)
-    + min(sigma^{-r}, 1) ||f||)`` is recorded; the slope is fitted over an
+    The ratio of the two sides is recorded for every sigma; the slope is fitted over an
     adaptively chosen decade where the best-approximation error is neither
     saturated nor at the numeric floor.
     """

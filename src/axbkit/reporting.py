@@ -37,16 +37,19 @@ def _plainify(obj):
 
 
 def canonical_json(payload: dict) -> str:
+    """The payload as JSON with sorted keys and plain Python scalars."""
     return json.dumps(_plainify(payload), sort_keys=True, indent=1) + "\n"
 
 
 def write_report(payload: dict, path: str) -> None:
+    """Write :func:`canonical_json` of the payload to ``path``."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(canonical_json(payload))
 
 
 def write_profile_csv(rows, path: str, header: str = "s,value") -> None:
+    """Write rows of numbers to ``path`` as CSV under ``header``, floats in repr form."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")

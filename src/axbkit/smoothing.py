@@ -123,7 +123,9 @@ def _along(j: int, symbol, reach: float, values: np.ndarray, grid: LogGrid) -> n
 
 
 def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
-    """The r-fold averaging operator ``P_{j,r}(s)``."""
+    """The r-fold moving average ``P_{j,r}(s) f = (s/r)^{-r} int ... int
+    T_j(t_1 + ... + t_r) f dt`` along one subgroup.
+    """
     r, s = params.r, params.s
     hp = s / r
     return f.with_values(_along(params.j, lambda z: box_profile(z * hp) ** r, s,
@@ -137,9 +139,8 @@ def steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
 
 
 def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFunction:
-    """Alternating combination ``sum_{k=1}^r (-1)^k C(r,k) T_j(k t) f`` at ``t = t_sum``.
-
-    Satisfies ``f + M f = (I - T_j(t))^r f``; at ``t = 0`` it returns ``-f``.
+    """Alternating combination ``M f = sum_{k=1}^r (-1)^k C(r,k) T_j(k t) f`` at
+    ``t = t_sum``, so that ``f + M f = (I - T_j(t))^r f``; at ``t = 0`` it is ``-f``.
     """
     if not 1 <= r <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}]")
@@ -165,7 +166,8 @@ def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
 
 
 def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):
-    """``H_r(s) = H_{1,r}(s) H_{2,r}(s)``, the K-functional smoothing witness.
+    """An analog of the Hardy-Steklov operator, ``H_r(s) = H_{1,r}(s) H_{2,r}(s)``:
+    the smoothing witness for the upper K-functional bound.
 
     ``f`` is a container, or bare values on ``grid``.
     """
@@ -173,7 +175,8 @@ def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):
 
 
 def commutation_check(m: int, t1: float, t2: float, f: HalfLineFunction) -> float:
-    """Relative residual of ``D2^m T1(t1) T2(t2) f = e^{-m t1} T1(t1) T2(t2) D2^m f``.
+    """Relative residual of ``D2^m T1(t1) T2(t2) f = e^{-m t1} T1(t1) T2(t2) D2^m f``,
+    the commutation formula that ``(e^t1, 0)(1, t2) = (e^t1, t2 e^t1)`` implies.
 
     Both sides are exact pointwise operations up to the windowed shift, so
     the residual measures only roundoff and window loss.

@@ -94,7 +94,8 @@ class Spectrum:
 
 
 def macdonald_kernel(tau, x):
-    """Macdonald function ``K_{i tau}(x) = int_0^inf exp(-x cosh t) cos(tau t) dt``.
+    """Macdonald function ``K_{i tau}(x) = int_0^inf exp(-x cosh t) cos(tau t) dt``,
+    the generalized eigenfunction of the Laplacian with eigenvalue ``tau^2``.
 
     Trapezoid quadrature with 720 nodes on ``[0, t_max]``; the integrand is
     even in t and entire, so the rule converges superalgebraically.
@@ -131,13 +132,15 @@ def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:
 
 
 def kl_forward(f: HalfLineFunction, sgrid: SpectralGrid) -> Spectrum:
-    """Forward kernel transform ``F(tau) = int K_{i tau}(x) f(x) dx/x``."""
+    """Forward kernel transform ``F(tau) = int K_{i tau}(x) f(x) dx/x``, diagonalizing Delta."""
     table = kernel_table(f.grid, sgrid)
     return Spectrum(sgrid, table @ (f.grid.weights * f.values))
 
 
 def kl_inverse(spec: Spectrum, grid: LogGrid, constant: float = KL_CONSTANT) -> HalfLineFunction:
-    """Inverse transform with weight ``c * tau * sinh(pi tau)``."""
+    """Inverse transform with weight ``c * tau * sinh(pi tau)``; ``c`` defaults to
+    the analytic ``2/pi^2``, which :func:`estimate_kl_constant` re-derives.
+    """
     table = kernel_table(grid, spec.sgrid)
     sg = spec.sgrid
     weight = constant * sg.weights * sg.tau * np.sinh(np.pi * sg.tau)
@@ -260,7 +263,8 @@ class DiscreteOperator:
 
 @cache
 def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
-    """Dense eigendecomposition of ``-D_u^2 + diag(x^2)`` on the log grid.
+    """Dense eigendecomposition of the Laplacian ``Delta = -(x d/dx)^2 + x^2``, the
+    brute-force spectral oracle: ``-D_u^2 + diag(x^2)`` on the log grid.
 
     ``D_u`` is the antisymmetrized Fourier differentiation matrix carried
     to flat coordinates, so the assembly ``D^T D + diag(x^2)`` is
@@ -290,7 +294,7 @@ def apply_multiplier(
     op: DiscreteOperator | None = None,
     sgrid: SpectralGrid | None = None,
 ) -> HalfLineFunction:
-    """Spectral multiplier ``F(Delta) f`` for a scalar map ``F`` on ``lambda >= 0``.
+    """Functional calculus ``F(Delta) f`` for a scalar map ``F`` on ``lambda >= 0``.
 
     ``backend='matrix'`` uses the eigen-expansion (exact for the discrete
     operator); ``backend='kernel'`` uses the kernel transform with
@@ -318,12 +322,13 @@ def apply_multiplier(
 
 
 def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
-    """Pairs ``(lambda_k, |<f, v_k>|^2)``; the weights sum to ``||f||^2`` exactly."""
+    """Spectral measure of f, ``(lambda_k, |<f, v_k>|^2)``; the weights sum to ``||f||^2``."""
     if op.grid != f.grid:
         raise ValueError("operator was built on a different grid")
     return op.eigenvalues, op.spectral_weights(f.values)
 
 
 def clear_caches():
+    """Empty the kernel-table and Laplacian caches."""
     kernel_table.cache_clear()
     build_matrix_laplacian.cache_clear()

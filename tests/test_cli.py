@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 
@@ -176,6 +177,18 @@ def test_describe_contains_anchors():
     assert "hardy_steklov" in operation_names()
 
 
+def test_every_public_function_and_class_is_described():
+    modules = [importlib.import_module(f"axbkit.{m.name}")
+               for m in pkgutil.iter_modules(axbkit.__path__)]
+    names = set(operation_names())
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) or inspect.isfunction(inspect.unwrap(obj)):
+                assert name in names, f"{mod.__name__}.{name} is not described"
+                assert obj.__doc__ and describe(name).strip(), f"{mod.__name__}.{name}"
+
+
 def test_every_module_export_resolves():
     modules = [axbkit] + [importlib.import_module(f"axbkit.{m.name}")
                           for m in pkgutil.iter_modules(axbkit.__path__)]
@@ -255,12 +268,22 @@ def test_reports_are_deterministic(tmp_path):
     assert canonical_json(p1) == canonical_json(p2)
 
 
+def test_cli_describe_aliases(capsys):
+    assert main(["describe", "laplacian_2d"]) == 0
+    assert "Kronecker" in capsys.readouterr().out
+    assert main(["describe", "list_corpus"]) == 0
+    assert "corpus" in capsys.readouterr().out
+
+
 def test_reports_differ_across_seeds(tmp_path):
     pay1 = suite_group(RunConfig(seed=1))
     pay2 = suite_group(RunConfig(seed=2))
-    v1 = pay1["checks"][0]["value"]
-    v2 = pay2["checks"][0]["value"]
-    assert v1 != v2  # different random elements, different (tiny) defects
+    # different random elements, different (tiny) defects; the worst one is
+    # a whole number of ulps of the largest products, so compare all three
+    defects = ("associativity", "inverse", "roundtrip")
+    v1 = [pay1["checks"][0][k] for k in defects]
+    v2 = [pay2["checks"][0][k] for k in defects]
+    assert v1 != v2
 
 
 def test_profile_csv_schema(tmp_path):

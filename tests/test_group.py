@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axbkit.config import RunConfig
 from axbkit.group import (
     GroupElement,
     LieVector,
@@ -17,11 +18,20 @@ from axbkit.group import (
     multiply,
     to_matrix,
 )
+from axbkit.suites import suite_group
 
 elements = st.builds(
     GroupElement,
     a=st.floats(0.05, 20.0),
     b=st.floats(-20.0, 20.0),
+)
+
+
+#: the ``group`` suite's ranges: a = e^u with u in [-3, 3], |b| <= 10
+suite_elements = st.builds(
+    GroupElement,
+    a=st.floats(-3.0, 3.0).map(math.exp),
+    b=st.floats(-10.0, 10.0),
 )
 
 
@@ -35,6 +45,8 @@ def test_multiply_examples():
     g = GroupElement(1.7, -0.3)
     assert multiply(g, GroupElement(1, 0)) == g
     assert close(multiply(GroupElement(2, 3), GroupElement(0.5, -1.5)), GroupElement(1, 0))
+    # beyond the exact split's range the plain product is kept
+    assert multiply(GroupElement(1e301, 2.0), GroupElement(1.0, 1.0)) == GroupElement(1e301, 1e301)
 
 
 def test_inverse_examples():
@@ -81,6 +93,24 @@ def test_associativity(g1, g2, g3):
     lhs = multiply(multiply(g1, g2), g3)
     rhs = multiply(g1, multiply(g2, g3))
     assert close(lhs, rhs, 1e-12)
+
+
+@given(suite_elements, suite_elements, suite_elements)
+@settings(max_examples=300)
+def test_associativity_to_one_ulp_over_the_suite_ranges(g1, g2, g3):
+    lhs = multiply(multiply(g1, g2), g3)
+    rhs = multiply(g1, multiply(g2, g3))
+    # every b part here lies below 8192, where one ulp is 2^-40; the a parts
+    # are products of three roundings each and may differ by two ulps
+    assert abs(lhs.b - rhs.b) <= 2.0 ** -40
+    assert abs(lhs.a - rhs.a) <= 2 * math.ulp(max(lhs.a, rhs.a))
+
+
+@pytest.mark.parametrize("seed", [207, 1025])
+def test_ac1_holds_where_two_roundings_failed(seed):
+    # with a*d + b rounded twice, the associativity defect reached 1.364e-12 here
+    check = suite_group(RunConfig(seed=seed))["checks"][0]
+    assert check["passed"] and check["associativity"] <= 2.0 ** -40
 
 
 @given(elements)

@@ -1,5 +1,6 @@
 """The verdict rule of the suites: a check passes on its relation between value and threshold."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from axbkit import suites
 from axbkit.config import RunConfig
+from axbkit.group import GroupElement
 
 #: verdicts for a value below, equal to and above the threshold
 VERDICTS = {
@@ -58,3 +60,52 @@ def test_ac12c_gates_the_refinement_drift(monkeypatch, coarse_factor, passed):
     assert ac12c["coarse"] == coarse_factor * fine < 100
     assert ac12c["value"] == pytest.approx(abs(1.0 / coarse_factor - 1.0))
     assert ac12c["passed"] is passed
+
+
+def _nan_jackson(rep):
+    return {**rep, "C_hat": math.nan}
+
+
+def _nan_b(g):
+    return GroupElement(g.a, math.nan)
+
+
+#: (suite, module that owns the leaf, leaf, call that turns NaN, how, check ids
+#: that must then fail); each poisoned call belongs to a member that is not the
+#: first one of its fold
+FAULTS = [
+    ("partition", suites, "xp_norm", 3, lambda v: math.nan, {"AC3", "PART_reconstruction"}),
+    ("spectral", suites.sp, "kernel_leakage", 2, lambda v: math.nan, {"SPEC_parseval"}),
+    ("jackson", suites.pw, "jackson_check", 2, _nan_jackson, {"AC12a", "AC12c"}),
+    ("smoothing", suites.sm, "commutation_check", 2, lambda v: math.nan, {"AC8"}),
+    ("besov", suites.fr, "besov_norm_bands", 2, lambda v: [math.nan] * len(v),
+     {"AC11a", "AC11b"}),
+    ("group", suites, "multiply", 5, _nan_b, {"AC1"}),
+    ("group", suites, "inverse", 2, _nan_b, {"AC1"}),
+]
+
+
+@pytest.mark.parametrize("suite, owner, leaf, nth, spoil, failing", FAULTS,
+                         ids=[f"{f[0]}-{f[2]}" for f in FAULTS])
+def test_a_nan_from_one_member_fails_its_checks(monkeypatch, suite, owner, leaf, nth, spoil,
+                                                failing):
+    real = getattr(owner, leaf)
+    calls = itertools.count(1)
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return spoil(out) if next(calls) == nth else out
+
+    monkeypatch.setattr(owner, leaf, poisoned)
+    checks = {c["id"]: c for c in suites.SUITES[suite](RunConfig(grid_n=64, grid_n_coarse=32))
+              ["checks"]}
+    for cid in failing:
+        assert math.isnan(checks[cid]["value"]) and checks[cid]["passed"] is False, checks[cid]
+
+
+def test_worst_case_propagates_nan_and_rejects_empty():
+    assert suites._worst([1.0, 3.0, 2.0]) == 3.0
+    assert suites._worst([1.0, 3.0, 2.0], np.min) == 1.0
+    assert math.isnan(suites._worst([0.0, math.nan, 1.0]))
+    with pytest.raises(ValueError):
+        suites._worst([])
