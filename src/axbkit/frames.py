@@ -95,6 +95,14 @@ def _q_band(j: int, lam) -> np.ndarray:
     return np.maximum(h_cutoff(2.0 ** (-j) * lam), 0.0)
 
 
+def _q_bands(J: int, lam) -> np.ndarray:
+    """The rows ``_q_band(j, lam)`` for j = 0 .. J of a 1-D ``lam``, element for element
+    equal, from one call of each cutoff."""
+    lam = np.asarray(lam, dtype=float)
+    shifted = 2.0 ** -np.arange(1, J + 1)[:, None] * lam
+    return np.concatenate([g_cutoff(lam)[None], np.maximum(h_cutoff(shifted), 0.0)])
+
+
 def full_band_count(op: DiscreteOperator, convention: str = "lambda") -> int:
     """Smallest J with ``g(2^{-J} .) = 1`` on the resolved spectrum."""
     top = float(np.max(op.eigenvalues))
@@ -114,7 +122,7 @@ def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None
     if J is None:
         J = full_band_count(op, "lambda")
     c = op.coeffs(f.values)
-    return [f.with_values(op.synth(_q_band(j, op.eigenvalues) * c)) for j in range(J + 1)]
+    return [f.with_values(op.synth(q * c)) for q in _q_bands(J, op.eigenvalues)]
 
 
 def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None,
@@ -127,7 +135,7 @@ def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = Non
     lam = np.maximum(op.eigenvalues, 0.0)
     arg = np.sqrt(lam) if convention == "tau" else lam
     w = op.spectral_weights(f.values)
-    return np.array([math.sqrt(float(np.sum(_q_band(j, arg) * w))) for j in range(J + 1)])
+    return np.array([math.sqrt(float(np.sum(q * w))) for q in _q_bands(J, arg)])
 
 
 @dataclass

@@ -23,6 +23,7 @@ Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -49,6 +50,9 @@ __all__ = [
 
 #: maximum derivative-word order accepted by the default stencil setup
 MAX_SOBOLEV_ORDER = 4
+
+#: modulation phases kept by :func:`act_modulation`, each one grid long
+_PHASE_TABLE_SIZE = 512
 
 
 def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarray:
@@ -121,6 +125,14 @@ def act_dilation(t: float, f: HalfLineFunction) -> HalfLineFunction:
     return shift_log(f, t)
 
 
+@lru_cache(maxsize=_PHASE_TABLE_SIZE)
+def _phase(t: float, grid: LogGrid) -> np.ndarray:
+    """The read-only phase ``e^{itx}`` on the grid nodes, tabled per ``(t, grid)``."""
+    phase = np.exp(1j * t * grid.x)
+    phase.flags.writeable = False
+    return phase
+
+
 def act_modulation(t: float, f, grid: LogGrid | None = None):
     """One-parameter group ``U2(t) f(x) = e^{itx} f(x)``, exact for every finite t.
 
@@ -128,7 +140,7 @@ def act_modulation(t: float, f, grid: LogGrid | None = None):
     """
     require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
-    return wrap(np.exp(1j * t * g.x) * values)
+    return wrap(_phase(t, g) * values)
 
 
 def generator(j: int, f, grid: LogGrid | None = None):

@@ -329,6 +329,9 @@ def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
 
 
 def clear_caches():
-    """Empty the kernel-table and Laplacian caches."""
+    """Empty the kernel-table and Laplacian caches and the modulation phase table."""
+    from .halfline import _phase
+
     kernel_table.cache_clear()
     build_matrix_laplacian.cache_clear()
+    _phase.cache_clear()

@@ -253,6 +253,21 @@ def test_besov_band_sequence_validation(op, f_lg):
         besov_norm_bands(f_lg, op, (), (), "unknown")
 
 
+def test_band_rows_equal_the_per_band_cutoffs(op):
+    # one vectorized evaluation of the cutoffs gives, element for element,
+    # the rows of one evaluation per band
+    from axbkit.frames import _q_band, _q_bands
+
+    lam = op.eigenvalues
+    assert np.min(lam) > 0.0
+    tau = np.sqrt(lam)
+    for arg, J in ((lam, full_band_count(op, "lambda")), (tau, full_band_count(op, "tau"))):
+        rows = _q_bands(J, arg)
+        assert rows.shape == (J + 1, arg.size)
+        for j, row in enumerate(rows):
+            assert np.array_equal(row, _q_band(j, arg)), j
+
+
 def test_lp_decompose_equals_per_band_apply_fn(op, f_lg):
     # one coefficient vector for all bands, the same floating-point operations
     # as one functional-calculus call per band

@@ -260,3 +260,23 @@ def test_offgrid_shift_equals_padded_fft_reference(grid, f_lg, f_xexp, stacked):
     for t in (2.5 * grid.h, -2.5 * grid.h, 0.37, -1.3, 40.3 * grid.h):
         assert np.array_equal(shift_log(values, t, grid=grid),
                               _shift_log_padded_fft(values, t, grid)), t
+
+
+@pytest.mark.parametrize("form", ["container", "bare", "stack"])
+def test_modulation_phase_table_is_bit_identical(grid, f_lg, f_xexp, form):
+    from axbkit.halfline import _phase
+
+    if form == "container":
+        f, kw, values = f_lg, {}, f_lg.values
+    else:
+        values = _stack(grid, f_lg, f_xexp) if form == "stack" else f_lg.values.copy()
+        f, kw = values, {"grid": grid}
+    # the repeated t is served from the table
+    for t in (0.7, -1.3, 0.7, 0.0):
+        out = act_modulation(t, f, **kw)
+        got = out.values if form == "container" else out
+        assert np.array_equal(got, np.exp(1j * t * grid.x) * values), t
+        assert not np.shares_memory(got, _phase(t, grid))
+        if form != "container":
+            assert got.flags.writeable
+    assert not _phase(0.7, grid).flags.writeable

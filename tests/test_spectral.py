@@ -192,3 +192,13 @@ def test_kernel_table_is_memoized_and_read_only():
     assert kernel_table(grid, sgrid) is table
     assert table.shape == (48, 32) and not table.flags.writeable
     np.testing.assert_array_equal(table, macdonald_kernel(sgrid.tau, grid.x))
+
+
+def test_clear_caches_empties_the_phase_table(grid, f_lg):
+    from axbkit.halfline import _phase, act_modulation
+    from axbkit.spectral import clear_caches
+
+    act_modulation(0.7, f_lg)
+    assert _phase.cache_info().currsize > 0
+    clear_caches()
+    assert _phase.cache_info().currsize == 0
