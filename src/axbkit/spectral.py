@@ -216,6 +216,14 @@ def flat_skew(D: np.ndarray, sw: np.ndarray) -> np.ndarray:
     return skew((sw[:, None] * D) / sw[None, :])
 
 
+def _real_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for a real matrix ``M``; a complex ``x`` goes through two real
+    products, so ``M`` is never copied to complex, and a real ``x`` stays real."""
+    if np.iscomplexobj(x):
+        return (M @ x.real) + 1j * (M @ x.imag)
+    return M @ x
+
+
 @dataclass
 class DiscreteOperator:
     """Hermitian discretization of a Laplacian with its full eigensystem.
@@ -224,7 +232,8 @@ class DiscreteOperator:
     where ``w`` collects quadrature and measure weights; there the matrix
     is real symmetric and its eigenvectors are plainly orthonormal, so the
     discrete Parseval identity ``sum |<f, v_k>|^2 = ||f||^2`` is exact in
-    the weighted norm.
+    the weighted norm.  The eigen-expansion runs in real arithmetic: a
+    complex vector is transformed as its real and imaginary parts.
     """
 
     weights: np.ndarray
@@ -232,17 +241,18 @@ class DiscreteOperator:
     eigenvectors: np.ndarray  # columns, orthonormal in flat coordinates
     matrix: np.ndarray
     grid: LogGrid
+    sqrt_w: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def sqrt_w(self) -> np.ndarray:
-        return np.sqrt(self.weights)
+    def __post_init__(self):
+        self.sqrt_w = np.sqrt(self.weights)
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
         """Eigen-coefficients ``<f, v_k>`` in the weighted inner product."""
-        return self.eigenvectors.T @ (self.sqrt_w * values)
+        return _real_matvec(self.eigenvectors.T, self.sqrt_w * values)
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.eigenvectors @ coeffs) / self.sqrt_w
+        """The function whose eigen-coefficients are ``coeffs``; the inverse of :meth:`coeffs`."""
+        return _real_matvec(self.eigenvectors, coeffs) / self.sqrt_w
 
     def apply_fn(self, F, values: np.ndarray) -> np.ndarray:
         """Functional calculus ``F(Delta) f`` via the eigen-expansion."""

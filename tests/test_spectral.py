@@ -202,3 +202,19 @@ def test_clear_caches_empties_the_phase_table(grid, f_lg):
     assert _phase.cache_info().currsize > 0
     clear_caches()
     assert _phase.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [512, 256])
+def test_real_arithmetic_transforms_match_the_complex_product(n):
+    op = build_matrix_laplacian(LogGrid(-12.0, 6.0, n))
+    assert np.array_equal(op.sqrt_w, np.sqrt(op.weights))
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V = op.eigenvectors.astype(complex)
+    for got, ref in ((op.coeffs(z), V.T @ (op.sqrt_w * z)), (op.synth(z), (V @ z) / op.sqrt_w)):
+        assert got.dtype == complex
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a real input keeps the plain real product and a real result
+    e = np.eye(n)[:, 3]
+    assert op.synth(e).dtype == np.float64 and op.coeffs(e).dtype == np.float64
+    assert np.array_equal(op.synth(e), (op.eigenvectors @ e) / op.sqrt_w)
