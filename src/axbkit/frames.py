@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import HalfLineFunction
+from .grids import HalfLineFunction, _worst
 from .moduli import _accumulate
 from .spectral import DiscreteOperator
 
@@ -319,7 +319,7 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     J = full_band_count(op, "tau")
     scales = 2.0 ** np.arange(0, J + 1, dtype=float)
     errors = best_approx(scales, f, op)
-    jackson_hat = max(t ** r * err / graph for t, err in zip(scales, errors))
+    jackson_hat = _worst([t ** r * err / graph for t, err in zip(scales, errors)])
     significant = w > 1e-24 * max(total, 1e-300)
     omega_f = float(np.sqrt(np.max(lam[significant]))) if np.any(significant) else 0.0
     bern = float(np.sqrt(np.sum(lam ** r * w)))
@@ -327,7 +327,7 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     interp = besov_norm(space, f, BesovParams(r / 2.0, 2.0, r), method="k")
     approx = approx_space_norm(f, op, r / 2.0, 2.0)
     return {
-        "jackson_hypothesis_hat": float(jackson_hat),
+        "jackson_hypothesis_hat": jackson_hat,
         "bernstein_margin": bern_margin,
         "omega_quasi_norm": omega_f,
         "interp_norm": interp,

@@ -117,6 +117,16 @@ def require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _worst(values, reduce=np.max) -> float:
+    """The worst of a check's per-member values, NaN when any is NaN; none at all raises.
+
+    Python's ``max`` drops a NaN that is not its first argument.
+    """
+    if not len(values):
+        raise ValueError("no values to reduce")
+    return float(reduce(values))
+
+
 def _checked_samples(values, shape: tuple) -> np.ndarray:
     """``values`` as a complex array, checked to end in the grid ``shape`` and be finite.
 

@@ -70,7 +70,7 @@ from itertools import product
 
 import numpy as np
 
-from .grids import LogGrid, _checked_samples, require_finite
+from .grids import LogGrid, _checked_samples, _worst, require_finite
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -325,7 +325,8 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     """Empirical constants of the three modulus inequalities on one vector: order
     reduction through generators, scale doubling and the higher-order comparison.
 
-    Returns the max over ``s_list`` of each left/right ratio:
+    Returns the max over ``s_list`` of each left/right ratio, NaN when any
+    ratio is NaN:
 
     * C0: ``Omega^r(s, f) <= C0 s^k sum_words Omega^{r-k}(s, A_word f)``
     * C1: ``Omega^r(a s, f) <= C1 Omega^r(s, f)`` for a = 2 (compare (1+a)^r)
@@ -342,21 +343,21 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
             return space.norm(g)
         return modulus_mixed(space, order, scale, g)
 
-    c0 = c1 = c2 = 0.0
+    c0, c1, c2 = [], [], []
     for s in s_list:
         lhs = modulus_mixed(space, r, s, f)
         rhs = 0.0
         for word in product((1, 2), repeat=k):
             rhs += omega(r - k, s, apply_word(space, word, f))
-        c0 = max(c0, lhs / max(s ** k * rhs, floor))
-        c1 = max(c1, modulus_mixed(space, r, 2 * s, f) / max(lhs, floor))
+        c0.append(lhs / max(s ** k * rhs, floor))
+        c1.append(modulus_mixed(space, r, 2 * s, f) / max(lhs, floor))
         rplus = modulus_mixed(space, r + k, s, f)
-        c2 = max(c2, s ** k * lhs / max(s ** (r + k) * nf + rplus, floor))
+        c2.append(s ** k * lhs / max(s ** (r + k) * nf + rplus, floor))
     return {
-        "C0_hat": c0,
-        "C1_hat": c1,
+        "C0_hat": _worst(c0),
+        "C1_hat": _worst(c1),
         "C1_reference": (1.0 + 2.0) ** r,
-        "C2_hat": c2,
+        "C2_hat": _worst(c2),
     }
 
 

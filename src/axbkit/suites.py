@@ -23,7 +23,7 @@ from . import smoothing as sm
 from . import spectral as sp
 from .config import ConfigError, RunConfig
 from .corpus import build_corpus
-from .grids import HalfLineFunction, LogGrid, SpectralGrid, fd6
+from .grids import HalfLineFunction, LogGrid, SpectralGrid, _worst, fd6
 from .group import GroupElement, LieVector, exp_map, factor, inverse, multiply
 from .halfline import act_modulation, xp_norm
 from .reporting import canonical_json, write_profile_csv, write_report
@@ -71,16 +71,6 @@ def _check(cid, description, value, rule, threshold, also=True, **extra):
     }
     entry.update(extra)
     return entry
-
-
-def _worst(values, reduce=np.max) -> float:
-    """The worst of a check's per-member values, NaN when any is NaN; none at all raises.
-
-    Python's ``max`` drops a NaN that is not its first argument.
-    """
-    if not len(values):
-        raise ValueError("no values to reduce")
-    return float(reduce(values))
 
 
 def _payload(cfg, suite, checks, profiles=()):
@@ -538,7 +528,7 @@ def suite_besov(cfg: RunConfig):
             drifts.append(drift)
             keys = sorted(vals)
             pairwise = {
-                a: {b: float(max(vals[a], vals[b]) / min(vals[a], vals[b])) for b in keys}
+                a: {b: _worst([vals[a], vals[b]]) / _worst([vals[a], vals[b]], np.min) for b in keys}
                 for a in keys
             }
             table.append({"function": name, "alpha": alpha,

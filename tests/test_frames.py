@@ -277,3 +277,21 @@ def test_lp_decompose_equals_per_band_apply_fn(op, f_lg):
     assert len(pieces) == full_band_count(op, "lambda") + 1
     for j, piece in enumerate(pieces):
         assert np.array_equal(piece.values, op.apply_fn(lambda lam: _q_band(j, lam), f_lg.values))
+
+
+def test_direct_inverse_check_keeps_a_nan(monkeypatch, op, space, f_lg):
+    # a NaN best approximation at a scale after the first reaches the constant
+    from axbkit import paleywiener
+
+    real = paleywiener.best_approx
+
+    def poisoned(sigma, f, op):
+        errors = np.array(real(sigma, f, op), dtype=float)
+        if errors.ndim:
+            errors[1] = math.nan
+        return errors
+
+    monkeypatch.setattr(paleywiener, "best_approx", poisoned)
+    band = pw_project(4.0, f_lg, op=op)
+    rep = direct_inverse_check(band * (1.0 / xp_norm(band)), op, 2, space)
+    assert math.isnan(rep["jackson_hypothesis_hat"])

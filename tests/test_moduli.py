@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from axbkit.grids import HalfLineFunction
+from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfline import act_modulation, shift_log, xp_norm
 from axbkit.moduli import (
     BesovParams,
@@ -15,6 +15,7 @@ from axbkit.moduli import (
     besov_norm_fractional,
     besov_s_grid,
     besov_tail_report,
+    halfline_space,
     k_lower,
     k_spectral,
     k_upper,
@@ -434,3 +435,19 @@ def test_besov_realizations_take_zygmund_from_the_modulus_column(monkeypatch, op
     (vals,) = suites._besov_realizations(f_lg, op, space, [(1.0, q)])
     assert vals["zygmund"] == vals["modulus"] == expected
     assert calls == []
+
+
+def test_inequality_constants_keep_a_nan():
+    # ||f|| turns NaN, so every C2 ratio is NaN; the worst case must say so
+    grid = LogGrid(-12.0, 6.0, 128)
+    plain = halfline_space(grid)
+    calls = []
+
+    def norm(v):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else plain.norm(v)
+
+    f = np.exp(-((grid.u + 3.0) ** 2) / 2.0)
+    rep = verify_modulus_inequalities(plain.derived(norm), 2, 1, f, (0.25, 1.0, 4.0))
+    assert math.isnan(rep["C2_hat"])
+    assert np.isfinite(rep["C0_hat"]) and np.isfinite(rep["C1_hat"])

@@ -109,3 +109,20 @@ def test_worst_case_propagates_nan_and_rejects_empty():
     assert math.isnan(suites._worst([0.0, math.nan, 1.0]))
     with pytest.raises(ValueError):
         suites._worst([])
+
+
+def test_pairwise_ratios_are_nan_both_ways(monkeypatch):
+    real = suites.fr.besov_norm_bands
+
+    def poisoned(f, op, alphas, qs, variant):
+        out = real(f, op, alphas, qs, variant)
+        return [math.nan] * len(out) if variant == "projections" else out
+
+    monkeypatch.setattr(suites.fr, "besov_norm_bands", poisoned)
+    table = suites.suite_besov(RunConfig(grid_n=64, grid_n_coarse=32))["besov_table"]
+    assert table
+    for row in table:
+        pairs = row["pairwise_ratios"]
+        for other in pairs:
+            assert math.isnan(pairs[other]["projections"]) and math.isnan(pairs["projections"][other])
+        assert pairs["k"]["approx"] == pairs["approx"]["k"] >= 1.0
