@@ -140,7 +140,7 @@ def act_modulation(t: float, f, grid: LogGrid | None = None):
     """
     require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
-    return wrap(_phase(t, g) * values)
+    return wrap(_phase(float(t), g) * values)
 
 
 def generator(j: int, f, grid: LogGrid | None = None):

@@ -271,12 +271,12 @@ def test_modulation_phase_table_is_bit_identical(grid, f_lg, f_xexp, form):
     else:
         values = _stack(grid, f_lg, f_xexp) if form == "stack" else f_lg.values.copy()
         f, kw = values, {"grid": grid}
-    # the repeated t is served from the table
-    for t in (0.7, -1.3, 0.7, 0.0):
+    # the repeated t is served from the table, also as a numpy scalar or a 0-d array
+    for t in (0.7, -1.3, 0.7, 0.0, np.float64(-1.3), np.array(0.7)):
         out = act_modulation(t, f, **kw)
         got = out.values if form == "container" else out
         assert np.array_equal(got, np.exp(1j * t * grid.x) * values), t
-        assert not np.shares_memory(got, _phase(t, grid))
+        assert not np.shares_memory(got, _phase(float(t), grid))
         if form != "container":
             assert got.flags.writeable
     assert not _phase(0.7, grid).flags.writeable
