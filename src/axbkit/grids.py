@@ -118,7 +118,7 @@ def require_finite(name: str, value: float) -> None:
 
 
 def _worst(values, reduce=np.max) -> float:
-    """The worst of a check's per-member values, NaN when any is NaN; none at all raises.
+    """The worst of several values (by ``reduce``), NaN when any is NaN; none at all raises.
 
     Python's ``max`` drops a NaN that is not its first argument.
     """

@@ -527,10 +527,9 @@ def suite_besov(cfg: RunConfig):
             drift = abs(ratio / coarse_ratio - 1.0)
             drifts.append(drift)
             keys = sorted(vals)
-            pairwise = {
-                a: {b: _worst([vals[a], vals[b]]) / _worst([vals[a], vals[b]], np.min) for b in keys}
-                for a in keys
-            }
+            pairwise = {a: {b: _worst([vals[a], vals[b]]) / _worst([vals[a], vals[b]], np.min)
+                            for b in keys}
+                        for a in keys}
             table.append({"function": name, "alpha": alpha,
                           "q": "inf" if math.isinf(q) else q, "r": 2,
                           "ratio": ratio, "drift": drift,
