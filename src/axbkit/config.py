@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import corpus_names
+from .halfplane import DENSE_CAP_2D
 from .spectral import DENSE_CAP
 
 __all__ = ["RunConfig", "ConfigError", "TOLERANCES", "ORACLE_N_CAP", "parse_config_file"]
@@ -97,10 +98,6 @@ class RunConfig:
             raise ConfigError(f"tau_max: must be positive and finite, got {self.tau_max}")
         if self.tau_n < 32:
             raise ConfigError("tau_n: need at least 32 spectral nodes")
-        # a module-level import would load scipy.interpolate (through halfplane)
-        # ahead of the rest of the package, which raises peak RSS by about 2.5 MB
-        from .halfplane import DENSE_CAP_2D
-
         if self.hp_n < 16 or self.y_n < 16:
             raise ConfigError("hp_n/y_n: need at least 16 nodes")
         if self.hp_n * self.y_n > DENSE_CAP_2D:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_finite,
                     shift_zero_fill, trapezoid_weights, unwrap)
@@ -163,6 +162,40 @@ def lp_norm_2d(f, p: float, side: str, grid: HalfPlaneGrid | None = None) -> flo
     return pth_root(np.sum(w * np.abs(values) ** p, axis=(-2, -1)), p)
 
 
+def _natural_spline_coeffs(nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Piecewise-polynomial coefficients, shape ``(4, n - 1) + vals.shape[1:]``, of the
+    natural cubic spline through ``vals`` (axis 0) at ``nodes``.
+
+    The layout and the arithmetic are those of scipy's
+    ``CubicSpline(nodes, vals, axis=0, bc_type="natural").c``, so the result is
+    bit-for-bit the same.  The slope system is diagonally dominant, so LAPACK's
+    ``gtsv`` swaps no rows and divides real and imaginary parts by the same real
+    pivot: the elimination below runs on a real view of the right-hand side.
+    """
+    y = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)
+    n = y.shape[0]
+    dx = np.diff(nodes)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    s = np.empty_like(y)
+    s[0] = 3 * (y[1] - y[0])
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    s[-1] = 3 * (y[-1] - y[-2])
+    diag = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]))
+    upper = np.concatenate((dx[:1], dx[:-1]))
+    lower = np.concatenate((dx[1:], dx[-1:]))
+    rows = s.reshape(n, -1).view(float)
+    for k in range(n - 1):
+        m = lower[k] / diag[k]
+        diag[k + 1] -= m * upper[k]
+        rows[k + 1] -= m * rows[k]
+    rows[-1] /= diag[-1]
+    for k in range(n - 2, -1, -1):
+        rows[k] = (rows[k] - upper[k] * rows[k + 1]) / diag[k]
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 def _resample(values: np.ndarray, nodes: np.ndarray, scale: float, offset, axis: int,
               step: float) -> np.ndarray:
     """Sample a stack at ``scale * node + offset`` along grid ``axis`` (-2 for u, -1 for y).
@@ -188,7 +221,7 @@ def _resample(values: np.ndarray, nodes: np.ndarray, scale: float, offset, axis:
     # every sample's four coefficients in one gather, by flat (interval, line) cell
     width = vals[0].size
     cells = idx.reshape(lead) * width + np.arange(width).reshape(vals.shape[1:])
-    coeffs = CubicSpline(nodes, vals, axis=0, bc_type="natural").c.reshape(4, -1)
+    coeffs = _natural_spline_coeffs(nodes, vals).reshape(4, -1)
     c = np.take(coeffs, cells, axis=1)
     out = np.where(inside.reshape(lead), c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s), 0)
     return np.moveaxis(out, 0, axis)

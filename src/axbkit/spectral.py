@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
 
@@ -287,7 +286,7 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     D_flat = flat_skew(D, np.sqrt(w))
     A = D_flat.T @ D_flat + np.diag(grid.x ** 2)
     A = 0.5 * (A + A.T)
-    lam, V = sla.eigh(A)
+    lam, V = np.linalg.eigh(A)
     return DiscreteOperator(
         weights=w.copy(),
         eigenvalues=lam,

@@ -3,6 +3,8 @@ import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -215,6 +217,20 @@ def test_no_module_reads_the_environment():
                 found += [f"{fname}:{node.lineno} from os import {a.name}"
                           for a in node.names if a.name in hidden]
     assert found == []
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is a test oracle only, and
+    # importing it would dominate the start-up of every command
+    code = ("import sys, axbkit, axbkit.cli\n"
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "rc = axbkit.cli.main(['verify', 'group', '--out', sys.argv[1]])\n"
+            "after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(rc, len(before), len(after), before[:3], after[:3])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(axbkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[-2] == "0 0 0 [] []"
 
 
 def test_every_check_states_its_relation():

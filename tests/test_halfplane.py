@@ -17,6 +17,7 @@ from axbkit.halfplane import (
     halfplane_space,
     log_gaussian_2d,
     lp_norm_2d,
+    _natural_spline_coeffs,
     sobolev_graph_check,
 )
 from axbkit.moduli import halfline_space, k_upper, k_upper_detail, modulus_mixed
@@ -466,6 +467,23 @@ def test_act_2d_equals_per_member_reference(name, side):
             got = act_2d(g, v, side, grid=grid)
             assert got.shape == full
             assert np.array_equal(got, _act_2d_per_member(g, v, grid, side)), (shape, g)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [16, 20, 33, 48, 96])
+def test_natural_spline_coeffs_equal_scipy(n, kind):
+    rng = np.random.default_rng(n)
+    for nodes in (np.linspace(-6.0, 4.0, n), np.linspace(-8.0, 8.0, n)):
+        for trailing in ((5,), (3, 4), (2, 3, 4)):
+            shape = (n,) + trailing
+            scale = 10.0 ** rng.uniform(-4.0, 4.0, shape)
+            v = rng.standard_normal(shape) * scale
+            if kind == "complex":
+                v = v + 1j * rng.standard_normal(shape) * scale
+            got = _natural_spline_coeffs(nodes, v)
+            ref = CubicSpline(nodes, v, axis=0, bc_type="natural").c
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref), (nodes[0], trailing)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -218,3 +218,18 @@ def test_real_arithmetic_transforms_match_the_complex_product(n):
     e = np.eye(n)[:, 3]
     assert op.synth(e).dtype == np.float64 and op.coeffs(e).dtype == np.float64
     assert np.array_equal(op.synth(e), (op.eigenvectors @ e) / op.sqrt_w)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_eigensystem_agrees_with_scipy_eigh(n):
+    # paired oracle: the package's numpy eigh against scipy's LAPACK driver
+    sla = pytest.importorskip("scipy.linalg")
+    op = build_matrix_laplacian(LogGrid(-12.0, 6.0, n))
+    A, lam, V = op.matrix, op.eigenvalues, op.eigenvectors
+    lam_ref, V_ref = sla.eigh(A)
+    assert np.max(np.abs(lam - lam_ref) / np.abs(lam_ref)) <= 1e-10
+    assert np.linalg.norm(A @ V - V * lam) / np.linalg.norm(A) <= 1e-14
+    assert np.linalg.norm(V.T @ V - np.eye(n)) <= 1e-13
+    # eigenvector signs are arbitrary; the projector onto the lowest modes is not
+    P, P_ref = V[:, :32] @ V[:, :32].T, V_ref[:, :32] @ V_ref[:, :32].T
+    assert np.max(np.abs(P - P_ref)) <= 1e-10
