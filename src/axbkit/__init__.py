@@ -9,6 +9,11 @@ the Besov norms, all cross-validated against a brute-force matrix
 spectral oracle.
 """
 
+# numpy >= 2 imports these submodules on first attribute access; the package
+# uses each of them (np.unique reaches numpy.ma), so they load with it rather
+# than inside whichever computation touches them first
+import numpy.fft, numpy.ma, numpy.polynomial, numpy.random  # noqa: E401, F401
+
 from .config import RunConfig, parse_config_file
 from .corpus import DEFAULT_CORPUS, build_corpus, corpus_names
 from .describe import describe, operation_names
