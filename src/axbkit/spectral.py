@@ -290,7 +290,9 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     return DiscreteOperator(
         weights=w.copy(),
         eigenvalues=lam,
-        eigenvectors=V,
+        # column-major, as LAPACK returns it: numpy hands back a row-major copy,
+        # on which the coeffs/synth matvecs of a cold oracles run were slower
+        eigenvectors=np.asfortranarray(V),
         matrix=A,
         grid=grid,
     )

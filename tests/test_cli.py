@@ -229,8 +229,8 @@ def test_the_package_runs_without_scipy(tmp_path):
             "print(rc, len(before), len(after), before[:3], after[:3])\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(axbkit.__file__)))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
-                         capture_output=True, text=True).stdout.split("\n")
-    assert out[-2] == "0 0 0 [] []"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[-1] == "0 0 0 [] []"
 
 
 def test_every_check_states_its_relation():

@@ -10,6 +10,7 @@ from axbkit.group import GroupElement
 from axbkit.halfplane import (
     HalfPlaneFunction,
     HalfPlaneGrid,
+    _natural_spline_coeffs,
     act_2d,
     build_halfplane_laplacian,
     expanded_laplacian_apply,
@@ -17,7 +18,6 @@ from axbkit.halfplane import (
     halfplane_space,
     log_gaussian_2d,
     lp_norm_2d,
-    _natural_spline_coeffs,
     sobolev_graph_check,
 )
 from axbkit.moduli import halfline_space, k_upper, k_upper_detail, modulus_mixed
