@@ -24,10 +24,14 @@ leading batch axes, with the grid on the trailing axis or axes.  ``act``,
 ``gen`` and ``hardy`` apply to every member of a stack, and ``norm`` returns one
 value per leading index (a float for a single function).  The supremum
 search uses this: going right to left through a word, each factor applies
-its group once per candidate time to the whole stack built so far.  A word
-with candidate sets ``T_1 .. T_r`` thus makes ``|T_1| + ... + |T_r|``
-calls of the group action instead of ``r`` per candidate tuple, and every
-difference is computed with the same floating-point operations.
+its group once per candidate time to the whole stack built so far, and the
+stack of each proper suffix is built once per :func:`modulus_mixed` call
+and shared by every word that ends in it.  With candidate sets ``T_1`` and
+``T_2`` for the two directions, order r thus makes
+``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action, one per candidate
+for the first letter of each of the ``2^{r+1} - 2`` suffixes (the words
+included), instead of ``r`` per candidate tuple; every difference is
+computed with the same floating-point operations.
 
 The public functions of this module take a validated container
 (:class:`~axbkit.grids.HalfLineFunction`,
@@ -231,17 +235,26 @@ def _sobolev_sum(space: RepresentationSpace, f: np.ndarray, m: int) -> float | n
     return total if np.ndim(total) else float(total)
 
 
-def _word_sup(space: RepresentationSpace, word, t_sets, f) -> float:
-    """``max`` over candidate tuples of ``||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||``.
+def _differences(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
+    """The stack of ``(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f`` over every candidate tuple.
 
-    Right to left, each factor stacks ``T_j(t) g - g`` over its candidates,
-    acting once per candidate on the whole stack built by the factors to
-    its right; the last stack holds one difference per candidate tuple.
+    The first letter's factor writes ``T_j(t) g - g`` for each of its
+    candidates into one preallocated stack, acting once per candidate on the
+    whole stack ``g`` of the rest of the word.  That stack of a proper
+    suffix is built once and kept in ``suffixes``, which the caller owns, so
+    the words ending in the same letters share it.
     """
+    j, rest = word[0], word[1:]
     g = f
-    for j, ts in zip(reversed(word), reversed(t_sets)):
-        g = np.stack([space.act(j, t, g) for t in ts]) - g
-    return float(np.max(space.norm(g)))
+    if rest:
+        g = suffixes.get(rest)
+        if g is None:
+            g = suffixes[rest] = _differences(space, rest, candidates, f, suffixes)
+    ts = candidates[j]
+    out = np.empty((ts.size,) + g.shape, dtype=g.dtype)
+    for i, t in enumerate(ts):
+        np.subtract(space.act(j, t, g), g, out=out[i])
+    return out
 
 
 def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
@@ -250,8 +263,8 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
 
     It sums, over words ``(j1, ..., jr)`` in ``{1,2}^r``, the suprema over
     ``0 <= t_i <= s`` of ``||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||``, each
-    searched on a grid (:func:`_word_sup`).  ``f`` is checked once at entry;
-    a non-finite result raises.
+    searched on a grid (:func:`_differences`).  ``f`` is checked once at
+    entry; a non-finite result raises.
     """
     f = _values(f, space.shape)
     require_finite("s", s)
@@ -261,16 +274,16 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
         return 0.0
     cap = _SUP_CAP.get(r, 2)
     candidates = {j: np.asarray(space.t_candidates(j, s, cap)) for j in (1, 2)}
+    suffixes: dict = {}
     total = 0.0
     any_word = False
     for word in product((1, 2), repeat=r):
-        t_sets = [candidates[j] for j in word]
-        if any(ts.size == 0 for ts in t_sets):
+        if any(candidates[j].size == 0 for j in word):
             # no admissible step for some factor: the word contributes only
             # to the continuum value, and dropping it keeps a lower bound
             continue
         any_word = True
-        total += _word_sup(space, word, t_sets, f)
+        total += float(np.max(space.norm(_differences(space, word, candidates, f, suffixes))))
     if not any_word:
         raise ValueError(f"no admissible time steps below s={s}")
     return _finite(total, "modulus_mixed")

@@ -424,6 +424,22 @@ def test_candidate_times_computed_once_per_direction(space, f_lg, r):
     assert sorted(calls) == [1, 2]
 
 
+def test_shared_suffixes_act_once_per_candidate(space, f_lg):
+    # at s = 0.5 both directions have 8 candidates; the suffixes (1,) and (2,)
+    # act on f once per candidate, and each of the four words adds its outer
+    # factor on the shared stack
+    calls = []
+
+    def act(j, t, v):
+        calls.append(v.ndim)
+        return space.act(j, t, v)
+
+    assert [space.t_candidates(j, 0.5, 8).size for j in (1, 2)] == [8, 8]
+    counted = dataclasses.replace(space, act=act)
+    assert modulus_mixed(counted, 2, 0.5, f_lg) == modulus_mixed(space, 2, 0.5, f_lg)
+    assert (calls.count(1), calls.count(2)) == (2 * 8, 4 * 8)
+
+
 @pytest.mark.parametrize("q", [2.0, math.inf])
 def test_besov_realizations_take_zygmund_from_the_modulus_column(monkeypatch, op, space,
                                                                   f_lg, q):
