@@ -103,12 +103,12 @@ def shift_zero_fill(values: np.ndarray, steps: int, axis: int = 0) -> np.ndarray
 def pth_root(sums, p: float):
     """``sums ** (1/p)``: a float for one sum, an array of the same shape for several.
 
-    Every entry goes through numpy's scalar power, as a single norm does; the
-    vectorized array power can round differently in the last bit.
+    One array power over all of them, so a single sum (taken as a 0-d array)
+    rounds as each entry of a stack does; at ``p = 2`` numpy computes it as
+    ``sqrt``.
     """
-    if np.ndim(sums) == 0:
-        return float(sums ** (1.0 / p))
-    return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
+    root = np.asarray(sums) ** (1.0 / p)
+    return float(root) if root.ndim == 0 else root
 
 
 def require_finite(name: str, value: float) -> None:
@@ -191,6 +191,14 @@ class LogGrid:
     def weights(self) -> np.ndarray:
         """Trapezoid weights for integrals in the u variable (measure dx/x)."""
         w = trapezoid_weights(self.n, self.h)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def interleaved_weights(self) -> np.ndarray:
+        """:attr:`weights` with each entry twice, for complex samples viewed as
+        interleaved ``(real, imaginary)`` floats."""
+        w = np.repeat(self.weights, 2)
         w.flags.writeable = False
         return w
 

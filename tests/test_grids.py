@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from axbkit.grids import HalfLineFunction, LogGrid, fd6, grid_steps, shift_zero_fill
 from axbkit.halfline import act_modulation, generator, shift_log, xp_norm
@@ -88,9 +91,10 @@ def test_stack_container_checks_trailing_axis_and_finiteness():
         HalfLineFunction(grid, bad)
 
 
-@pytest.mark.parametrize("shape", [(5,), (3, 2)])
-def test_halfline_ops_on_a_stack_equal_row_by_row(shape):
-    grid = LogGrid(-12.0, 6.0, 64)
+# (8, 8) on 512 nodes is the shape the r = 2 supremum search measures
+@pytest.mark.parametrize("n, shape", [(64, (5,)), (64, (3, 2)), (512, (8, 8))])
+def test_halfline_ops_on_a_stack_equal_row_by_row(n, shape):
+    grid = LogGrid(-12.0, 6.0, n)
     f = HalfLineFunction(grid, _stack(grid, shape))
     rows = [HalfLineFunction(grid, row) for row in f.values.reshape(-1, grid.n)]
 
@@ -108,3 +112,20 @@ def test_halfline_ops_on_a_stack_equal_row_by_row(shape):
                                   per_row(lambda g: act_modulation(0.8, g)))
     for j in (1, 2):
         np.testing.assert_array_equal(generator(j, f).values, per_row(lambda g: generator(j, g)))
+
+
+def _bare_stacks(n):
+    finite = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 3)).map(lambda lead: lead + (n,))
+    return hnp.arrays(np.complex128, shapes, elements=finite)
+
+
+@given(st.integers(16, 80).flatmap(_bare_stacks))
+@settings(max_examples=60, deadline=None)
+def test_xp_norm_of_a_generated_stack_equals_row_by_row(values):
+    grid = LogGrid(-12.0, 6.0, values.shape[-1])
+    for p in (1.0, 2.0, 3.0):
+        norms = xp_norm(values, p, grid=grid)
+        assert norms.shape == values.shape[:-1]
+        np.testing.assert_array_equal(
+            norms.ravel(), [xp_norm(row, p, grid=grid) for row in values.reshape(-1, grid.n)])

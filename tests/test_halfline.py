@@ -43,6 +43,17 @@ def test_xp_norm_indicator_weight_cancellation(grid):
     assert abs(xp_norm(f, p) - 2.0 ** (1.0 / p)) < 0.05
 
 
+def test_xp_norm_matches_an_fsum_reference(grid, f_lg, f_xexp):
+    # the square root of the correctly rounded sum of the rounded terms
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal((4, grid.n)) + 1j * rng.standard_normal((4, grid.n))
+    for v in [f_lg.values, f_xexp.values, *(noise * np.exp(-((grid.u + 2.0) ** 2) / 9.0))]:
+        terms = [w * (z.real * z.real) for w, z in zip(grid.weights, v)]
+        terms += [w * (z.imag * z.imag) for w, z in zip(grid.weights, v)]
+        reference = math.sqrt(math.fsum(terms))
+        assert abs(xp_norm(v, grid=grid) - reference) <= 4 * math.ulp(reference)
+
+
 def test_xp_norm_rejects_small_p(grid, f_xexp):
     with pytest.raises(ValueError):
         xp_norm(f_xexp, 0.5)
