@@ -9,6 +9,7 @@ check passes, 1 on a failed assertion, 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, RunConfig, parse_config_file
@@ -33,8 +34,19 @@ def _build_config(args) -> RunConfig:
                  for k in ("grid_n", "tol_scale", "seed", "out_dir")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if getattr(args, "config", None):
-        return parse_config_file(args.config, **overrides)
+        try:
+            return parse_config_file(args.config, **overrides)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: cannot read {args.config!r}: {exc}") from exc
     return RunConfig(**overrides)
+
+
+def _make_out_dir(cfg: RunConfig) -> None:
+    """Create the report directory before any suite runs (an empty one is the working directory)."""
+    try:
+        os.makedirs(cfg.out_dir or os.curdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create {cfg.out_dir!r}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -78,7 +90,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = _build_config(args)
-    except (ConfigError, FileNotFoundError) as exc:
+        _make_out_dir(cfg)
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

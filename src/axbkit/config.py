@@ -146,7 +146,7 @@ def _coerce(name: str, raw: str):
 def parse_config_file(path: str, **overrides) -> RunConfig:
     """Read a plain key-value config file, then apply keyword overrides."""
     values: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -1,19 +1,28 @@
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import axbkit
+from axbkit import cli
 from axbkit.cli import main
-from axbkit.config import ConfigError, RunConfig, parse_config_file
+from axbkit.config import ORACLE_N_CAP, ConfigError, RunConfig, parse_config_file
 from axbkit.corpus import build_corpus, corpus_names
 from axbkit.describe import describe, operation_names
 from axbkit.reporting import canonical_json
+from axbkit.spectral import DENSE_CAP
 from axbkit.suites import run_suite, suite_group
 
 
@@ -36,8 +45,6 @@ def test_config_file_rejects_non_finite_tol_scale(tmp_path, value):
 
 @pytest.mark.parametrize("key", ["grid_n", "grid_n_coarse"])
 def test_config_rejects_grid_above_dense_cap(key):
-    from axbkit.spectral import DENSE_CAP
-
     # the coarse rung must stay below the fine one, so it reaches at most DENSE_CAP - 1
     RunConfig(grid_n=DENSE_CAP, grid_n_coarse=DENSE_CAP - 1)
     with pytest.raises(ConfigError, match=key):
@@ -52,8 +59,6 @@ def test_config_rejects_coarse_rung_not_below_fine(fine, coarse):
 
 
 def test_config_bounds_oracle_n():
-    from axbkit.config import ORACLE_N_CAP
-
     # construction allocates nothing, so the cap itself is cheap to accept
     assert RunConfig(oracle_n=ORACLE_N_CAP).oracle_n == ORACLE_N_CAP
     with pytest.raises(ConfigError, match="oracle_n"):
@@ -145,6 +150,95 @@ def test_config_file_bad_value(tmp_path):
     path.write_text("grid_n = many\n")
     with pytest.raises(ConfigError, match="grid_n"):
         parse_config_file(str(path))
+
+
+def _config_text(cfg: RunConfig) -> str:
+    """``cfg.to_dict()`` as config-file lines; lists are semicolon-separated."""
+    return "".join(f"{key} = {'; '.join(value) if isinstance(value, list) else value}\n"
+                   for key, value in cfg.to_dict().items())
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+run_configs = st.builds(
+    RunConfig,
+    u_min=st.floats(-30.0, -0.5, **_finite), u_max=st.floats(0.0, 12.0, **_finite),
+    grid_n=st.integers(256, DENSE_CAP), grid_n_coarse=st.integers(16, 255),
+    oracle_n=st.integers(16, ORACLE_N_CAP),
+    tau_max=st.floats(1e-3, 100.0, **_finite), tau_n=st.integers(32, 5000),
+    hp_u_min=st.floats(-10.0, -0.5, **_finite), hp_u_max=st.floats(0.0, 10.0, **_finite),
+    hp_n=st.integers(16, 64), y_n=st.integers(16, 64),
+    y_min=st.floats(-20.0, -0.5, **_finite), y_max=st.floats(0.0, 20.0, **_finite),
+    corpus=st.lists(st.sampled_from(corpus_names()), unique=True).map(tuple),
+    seed=st.integers(0, 2 ** 63), tol_scale=st.floats(1e-6, 1e6, **_finite),
+    out_dir=st.text("abcxyz019_-./", min_size=1, max_size=20),
+)
+
+
+@given(run_configs)
+@settings(max_examples=100, deadline=None)
+def test_run_config_round_trips_through_a_config_file(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_config_text(cfg))
+        assert parse_config_file(path) == cfg
+
+
+#: the keys a diagnostic may name, besides ``--config`` and a line number
+_NAMED = re.compile(r"--config|line \d+|\b(?:" + "|".join(RunConfig.__dataclass_fields__) + r")\b")
+_config_lines = st.one_of(
+    st.binary(max_size=24),
+    st.tuples(st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+              st.one_of(st.binary(max_size=12), st.text(max_size=12).map(str.encode)))
+    .map(lambda kv: kv[0].encode() + b" = " + kv[1]),
+)
+
+
+@given(st.lists(_config_lines, max_size=6).map(b"\n".join))
+@example(b"\xff\xfegrid_n = 64\n")
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_config_bytes_parse_or_exit_2_naming_a_key(text):
+    payload = {"checks": [], "all_passed": True}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "run_suite", lambda cfg, name: payload):
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["verify", "group", "--config", path, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("configuration error: ")
+        assert _NAMED.search(err.getvalue())
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfegrid_n = 64\n"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "run.cfg"
+    if content is None:
+        path.mkdir()  # a directory where the file should be
+    else:
+        path.write_bytes(content)
+    assert main(["verify", "group", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "--config" in err
+    assert not (tmp_path / "group.json").exists()
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_cli_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, via_file):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    args = ["verify", "group", "--out", out]
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out_dir = {out}\n")
+        args = ["verify", "group", "--config", str(cfg)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "out_dir" in err
 
 
 def test_tolerance_scaling():

@@ -126,6 +126,27 @@ def test_factor_exp_roundtrip(g):
     assert close(back, g, 1e-12)
 
 
+@given(suite_elements)
+@settings(max_examples=300)
+def test_inverse_is_an_involution_to_a_few_ulps(g):
+    # 1/(1/a) is two roundings; -(-b/a)/(1/a) is three
+    back = inverse(inverse(g))
+    assert abs(back.a - g.a) <= 2 * math.ulp(g.a)
+    assert abs(back.b - g.b) <= 3 * math.ulp(g.b)
+
+
+# t2 = 0 or large enough that a * t2 stays a normal number
+@given(st.floats(-3.0, 3.0), st.floats(-10.0, 10.0).filter(lambda t: t == 0.0 or abs(t) > 1e-300))
+@settings(max_examples=300)
+def test_factor_recovers_the_exponential_coordinates(t1, t2):
+    g = multiply(exp_map(LieVector(t1, 0.0)), exp_map(LieVector(0.0, t2)))
+    f1, f2 = factor(g)
+    # log(exp(t1)): an error of one ulp in exp is 2^-52 absolute in the log, plus log's own
+    assert abs(f1 - t1) <= math.ulp(1.0) + math.ulp(t1)
+    # (a * t2) / a: two roundings
+    assert abs(f2 - t2) <= 2 * math.ulp(t2)
+
+
 @given(elements, elements)
 @settings(max_examples=100)
 def test_matrix_oracle(g1, g2):
