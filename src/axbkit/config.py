@@ -2,7 +2,8 @@
 
 The configuration file is plain ``key = value`` text; ``#`` starts a
 comment.  Unknown keys are rejected with a diagnostic naming the key, so
-typos fail loudly.  A fixed seed makes every report byte-identical.
+typos fail loudly.  A fixed seed makes every report byte-identical for a fixed
+numpy and BLAS build and thread count.
 """
 
 from __future__ import annotations

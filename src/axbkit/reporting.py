@@ -3,7 +3,8 @@
 Reports are JSON (sorted keys, no timestamps, floats written with Python's
 shortest round-trip representation, which preserves the full 17
 significant digits of information) plus CSV profiles with a ``s,value``
-header.  Identical configuration and seed produce byte-identical files.
+header.  Identical configuration and seed produce byte-identical files for a
+fixed numpy and BLAS build and thread count.
 """
 
 from __future__ import annotations

@@ -92,8 +92,9 @@ def test_stack_container_checks_trailing_axis_and_finiteness():
 
 
 # (8, 8) on 512 nodes is the shape the r = 2 supremum search measures
-@pytest.mark.parametrize("n, shape", [(64, (5,)), (64, (3, 2)), (512, (8, 8))])
-def test_halfline_ops_on_a_stack_equal_row_by_row(n, shape):
+@pytest.mark.parametrize("shape, n", [((5,), 64), ((3, 2), 64), ((8, 8), 512)],
+                         ids=["shape0", "shape1", "shape2"])
+def test_halfline_ops_on_a_stack_equal_row_by_row(shape, n):
     grid = LogGrid(-12.0, 6.0, n)
     f = HalfLineFunction(grid, _stack(grid, shape))
     rows = [HalfLineFunction(grid, row) for row in f.values.reshape(-1, grid.n)]
