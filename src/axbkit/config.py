@@ -1,4 +1,4 @@
-"""Run configuration and pinned acceptance tolerances.
+"""Run configuration.
 
 The configuration file is plain ``key = value`` text; ``#`` starts a
 comment.  Unknown keys are rejected with a diagnostic naming the key, so
@@ -16,7 +16,7 @@ from .corpus import corpus_names
 from .halfplane import DENSE_CAP_2D
 from .spectral import DENSE_CAP
 
-__all__ = ["RunConfig", "ConfigError", "TOLERANCES", "ORACLE_N_CAP", "parse_config_file"]
+__all__ = ["RunConfig", "ConfigError", "ORACLE_N_CAP", "parse_config_file"]
 
 #: most nodes of the eigenrelation oracle grid; its ``oracle_n x 720`` float64
 #: Macdonald-kernel quadrature table then stays near 100 MB
@@ -25,29 +25,6 @@ ORACLE_N_CAP = 16384
 
 class ConfigError(ValueError):
     """A configuration value is invalid; the message names the offending key."""
-
-
-#: acceptance thresholds by criterion id; tol_scale multiplies the numeric ones
-TOLERANCES: dict[str, float] = {
-    "AC1_group_defect": 1e-12,
-    "AC2_telescoping": 1e-12,
-    "AC3_energy_identity": 1e-10,
-    "AC4_eigenrelation": 1e-4,
-    "AC5_two_oracle_heat": 1e-3,
-    "AC6_bernstein": 1.0 + 1e-8,
-    "AC7_riesz_boas_err": 1e-2,
-    "AC8_commutation": 1e-8,
-    "AC9_closed_form": 1e-10,
-    "AC9_h_order_min": 1.0,
-    "AC10_sandwich_C": 10.0,
-    "AC10_sandwich_Cprime": 100.0,
-    "AC11_besov_ratio": 50.0,
-    "AC11_besov_drift": 0.2,
-    "AC12_jackson_C": 100.0,
-    "AC12_jackson_slope": -2.0 + 0.25,
-    "AC13_isometry": 1e-10,
-    "AC13_nonneg": -1e-8,
-}
 
 
 @dataclass(frozen=True)
@@ -109,14 +86,6 @@ class RunConfig:
             raise ConfigError(f"corpus: unknown entries {unknown}; see 'axbkit corpus'")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
-
-    def tolerance(self, key: str) -> float:
-        base = TOLERANCES[key]
-        if key in ("AC13_nonneg", "AC12_jackson_slope"):
-            return base  # sign-flavored thresholds are not scaled
-        if key == "AC6_bernstein":
-            return 1.0 + (base - 1.0) * self.tol_scale
-        return base * self.tol_scale
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

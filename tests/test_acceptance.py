@@ -1,32 +1,27 @@
 """Acceptance gate: the fourteen criteria at desk scale, one line each.
 
 Runs every verification suite once (session-scoped) at the default
-configuration and asserts each criterion at its pinned tolerance.  Run
-with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
+configuration and asserts each criterion's checks at their pinned
+thresholds.  A criterion's checks are the rows of ``suites.CHECKS`` named
+after it (``AC9`` is ``AC9a`` and ``AC9b``).  Run with
+``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
 criterion.
 """
+
+import re
+from collections import Counter
 
 import pytest
 
 from axbkit.config import RunConfig
-from axbkit.suites import SUITES
+from axbkit.suites import CHECKS, SUITES
 
-#: criterion id -> (suite, check-id prefix, description)
+#: criterion id -> the suite that emits its checks
 CRITERIA = {
-    "AC1": ("group", "AC1", "group algebra defects < 1e-12"),
-    "AC2": ("partition", "AC2", "partition telescoping < 1e-12"),
-    "AC3": ("partition", "AC3", "energy identity < 1e-10 (matrix backend)"),
-    "AC4": ("spectral", "AC4", "kernel eigenrelation residual < 1e-4 at n=1024"),
-    "AC5": ("spectral", "AC5", "heat multiplier two-oracle agreement < 1e-3"),
-    "AC6": ("paleywiener", "AC6", "Bernstein ratio <= 1 + 1e-8"),
-    "AC7": ("paleywiener", "AC7", "Riesz-Boas errors decreasing, err(128) < 1e-2"),
-    "AC8": ("smoothing", "AC8", "commutation residual < 1e-8 for m in {1,2,3}"),
-    "AC9": ("smoothing", "AC9", "Steklov closed forms < 1e-10; H_r(s) order >= 1"),
-    "AC10": ("kfunctional", "AC10", "K sandwich: C < 10, C' < 100, spectral in band"),
-    "AC11": ("besov", "AC11", "Besov realizations ratio < 50, drift < 20%"),
-    "AC12": ("jackson", "AC12", "Jackson constant < 100; slope <= -r + 0.25"),
-    "AC13": ("halfplane", "AC13", "isometries < 1e-10; Laplacians >= -1e-8; ratios finite"),
-    "AC14": ("determinism", "AC14", "fixed seed gives byte-identical reports"),
+    "AC1": "group", "AC2": "partition", "AC3": "partition", "AC4": "spectral",
+    "AC5": "spectral", "AC6": "paleywiener", "AC7": "paleywiener", "AC8": "smoothing",
+    "AC9": "smoothing", "AC10": "kfunctional", "AC11": "besov", "AC12": "jackson",
+    "AC13": "halfplane", "AC14": "determinism",
 }
 
 
@@ -34,22 +29,28 @@ CRITERIA = {
 def suite_results(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acceptance_reports"))
     cfg = RunConfig(out_dir=out)
-    needed = sorted({suite for suite, _, _ in CRITERIA.values()})
-    return {name: SUITES[name](cfg) for name in needed}
+    return {name: SUITES[name](cfg) for name in sorted(SUITES)}
 
 
 @pytest.mark.parametrize("cid", sorted(CRITERIA, key=lambda c: int(c[2:])))
 def test_criterion(cid, suite_results):
-    suite, prefix, description = CRITERIA[cid]
-    checks = [c for c in suite_results[suite]["checks"] if c["id"].startswith(prefix)]
-    assert checks, f"no checks found for {cid}"
-    passed = all(c["passed"] for c in checks)
-    detail = "; ".join(
-        f"{c['id']}={c['value']:.3g} (tol {c['threshold']:.3g})" for c in checks
-    )
-    print(f"{cid} {'PASS' if passed else 'FAIL'}: {description} [{detail}]")
-    for c in checks:
-        assert c["passed"], f"{cid}/{c['id']}: value {c['value']} vs threshold {c['threshold']}"
+    rows = [row for row in CHECKS if re.fullmatch(rf"{cid}[a-z]?", row)]
+    assert rows, f"no checks found for {cid}"
+    checks = {c["id"]: c for c in suite_results[CRITERIA[cid]]["checks"]}
+    assert set(rows) <= set(checks), f"{cid}: not emitted by {CRITERIA[cid]}"
+    passed = all(checks[row]["passed"] for row in rows)
+    detail = "; ".join(f"{row}: {CHECKS[row][0]} [{checks[row]['value']:.3g} {CHECKS[row][1]} "
+                       f"{checks[row]['threshold']:.3g}]" for row in rows)
+    print(f"{cid} {'PASS' if passed else 'FAIL'}: {detail}")
+    for row in rows:
+        c = checks[row]
+        assert c["passed"], f"{cid}/{row}: value {c['value']} vs threshold {c['threshold']}"
+
+
+def test_every_emitted_check_has_exactly_one_row(suite_results):
+    emitted = Counter(c["id"] for payload in suite_results.values() for c in payload["checks"])
+    assert [cid for cid, n in emitted.items() if n > 1] == []
+    assert sorted(emitted) == sorted(CHECKS)
 
 
 def test_full_suite_summary(suite_results):

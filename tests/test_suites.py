@@ -19,27 +19,49 @@ VERDICTS = {
 }
 
 
+def _row(monkeypatch, rule="<", threshold=1.0):
+    """Enter a check ``X`` with this relation and an unscaled threshold into the table."""
+    monkeypatch.setitem(suites.CHECKS, "X", ("x", rule, threshold, "no"))
+    return RunConfig()
+
+
 @pytest.mark.parametrize("rule, expected", sorted(VERDICTS.items()))
-def test_check_applies_its_relation(rule, expected):
-    got = tuple(suites._check("X", "x", value, rule, 1.0)["passed"] for value in (0.5, 1.0, 2.0))
+def test_check_applies_its_relation(monkeypatch, rule, expected):
+    cfg = _row(monkeypatch, rule)
+    got = tuple(suites._check(cfg, "X", value)["passed"] for value in (0.5, 1.0, 2.0))
     assert got == expected
 
 
 @pytest.mark.parametrize("rule", sorted(VERDICTS))
-def test_nan_value_fails_every_relation(rule):
-    assert suites._check("X", "x", math.nan, rule, 1.0)["passed"] is False
+def test_nan_value_fails_every_relation(monkeypatch, rule):
+    assert suites._check(_row(monkeypatch, rule), "X", math.nan)["passed"] is False
 
 
-def test_side_condition_must_hold_as_well():
-    assert suites._check("X", "x", 0.5, "<", 1.0, also=False)["passed"] is False
-    entry = suites._check("X", "x", 0.5, "<", 1.0, also=True, side=3)
+def test_side_condition_must_hold_as_well(monkeypatch):
+    cfg = _row(monkeypatch)
+    assert suites._check(cfg, "X", 0.5, also=False)["passed"] is False
+    entry = suites._check(cfg, "X", 0.5, also=True, side=3)
     assert entry == {"id": "X", "description": "x", "value": 0.5, "threshold": 1.0,
                      "passed": True, "side": 3}
 
 
-def test_unknown_relation_is_rejected():
+def test_unknown_relation_is_rejected(monkeypatch):
     with pytest.raises(KeyError):
-        suites._check("X", "x", 0.5, "==", 1.0)
+        suites._check(_row(monkeypatch, "=="), "X", 0.5)
+
+
+def test_every_check_states_its_relation():
+    # a check's verdict is its row's relation between value and threshold, applied in
+    # suites._check, and its threshold moves with tol_scale by one of the three rules
+    assert len(suites.CHECKS) == 58
+    for cid, (description, rule, threshold, scaling) in suites.CHECKS.items():
+        assert description and isinstance(threshold, float), cid
+        assert rule in suites._RULES and scaling in suites._SCALINGS, cid
+
+
+def test_a_threshold_in_units_of_the_data_takes_its_factor():
+    entry = suites._check(RunConfig(), "SPEC_positivity", 0.0, factor=4.0)
+    assert entry["threshold"] == -4e-10 and entry["passed"]
 
 
 @pytest.mark.parametrize("coarse_factor, passed", [(3.0, False), (1.2, True)])
