@@ -97,7 +97,7 @@ CHECKS = {
     "PW_schrodinger_bound": ("Schroedinger modulus <= 2^r ||f||", "<=", 1.0 + 1e-12, "no"),
     # smoothing
     "AC9a": ("direction-2 quadrature vs analytic multipliers (P and H)", "<", 1e-10, "yes"),
-    "AC9b": ("||f - H_r(s) f|| -> 0 with observed order >= 1", ">=", 1.0, "yes"),
+    "AC9b": ("||f - H_r(s) f|| -> 0 with observed order >= 1", ">=", 1.0, "no"),
     "SMOOTH_binomial": ("(I - T)^r f = f + M_{j,r} f (direction 2)", "<", 1e-10, "no"),
     "SMOOTH_m_at_zero": ("M f = -f at t = 0", "<", 1e-14, "no"),
     "AC8": ("commutation formula residual, m in {1,2,3}", "<", 1e-8, "yes"),

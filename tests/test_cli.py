@@ -3,6 +3,8 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
+import math
 import os
 import pkgutil
 import re
@@ -246,6 +248,49 @@ def test_tolerance_scaling():
     assert suites._threshold(cfg, "AC2") == 2e-12
     assert suites._threshold(cfg, "AC6") == pytest.approx(1.0 + 2e-8, abs=1e-15)
     assert suites._threshold(cfg, "AC12b") == -1.75  # sign-flavored, unscaled
+
+
+#: every check's threshold in a ``--tol-scale 2`` report at seed 0: the tolerances double,
+#: AC6's excess over 1 doubles, and the bounds on a sign, a slope or an order stay put
+TOL_SCALE_2 = {
+    "AC1": 2e-12, "AC2": 2e-12, "PART_support": 1e-15, "AC3": 2e-10, "PART_reconstruction": 2e-10,
+    "AC4": 2e-4, "AC5": 2e-3, "SPEC_parseval": 2e-3, "SPEC_roundtrip": 2e-3,
+    "SPEC_constant": 1e-6, "SPEC_identity": 1e-12, "SPEC_product": 1e-12,
+    "SPEC_positivity": -1e-10, "SPEC_unitary": 1e-10, "SPEC_measure": 1e-12,
+    "SPEC_nonneg": -1e-10, "AC6": 1.0000000199999999, "AC7": 0.02, "PW_monotone": 1e-12,
+    "PW_idempotent": 1e-12, "PW_selfadjoint": 1e-12, "PW_pythagoras": 1e-12,
+    "PW_schrodinger_bound": 1.000000000001, "AC9a": 2e-10, "AC9b": 1.0,
+    "SMOOTH_binomial": 1e-10, "SMOOTH_m_at_zero": 1e-14, "AC8": 2e-8, "SMOOTH_unit_mass": 1e-6,
+    "SMOOTH_density_mass": 1e-12, "SMOOTH_bounded": 1.0, "SMOOTH_noncommuting": 1e-8,
+    "AC10a": 20.0, "AC10b": 200.0, "AC10c": 20.0, "AC10d": 200.0, "K_ineq_constants": math.inf,
+    "K_reiteration": math.inf, "AC11a": 100.0, "AC11b": 0.4, "AC12a": 200.0, "AC12b": -1.75,
+    "AC12c": 0.5, "FRAME_tight": 1e-10, "FRAME_redundant": 1e-10, "FRAME_parseval": 1e-10,
+    "FRAME_reconstruction": 1e-10, "FRAME_dual_reconstruction": 1e-10,
+    "FRAME_direct_inverse": math.inf, "AC13a": 2e-10, "AC13b": -1e-8, "AC13c": math.inf,
+    "HP_commutator_left": 5e-3, "HP_commutator_right": 5e-3, "HP_expanded_left": 5e-2,
+    "HP_expanded_right": 5e-2, "HP_modulus_bound": 1.0, "AC14": 0.5,
+}
+
+
+@pytest.fixture(scope="module")
+def tol_scale_2_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tol_scale_2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["report", "--tol-scale", "2", "--seed", "0", "--out", str(out)])
+    return rc, out
+
+
+def test_report_passes_at_tol_scale_2(tol_scale_2_report):
+    # --tol-scale loosens checks; it must not tighten AC9b's lower bound on the order
+    rc, out = tol_scale_2_report
+    assert rc == 0
+
+
+def test_tol_scale_2_thresholds(tol_scale_2_report):
+    _, out = tol_scale_2_report
+    got = {c["id"]: float(c["threshold"]) for name in suites.SUITES
+           for c in json.loads((out / f"{name}.json").read_text())["checks"]}
+    assert got == TOL_SCALE_2
 
 
 def test_corpus_registry(grid):
