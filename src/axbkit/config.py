@@ -1,7 +1,8 @@
 """Run configuration.
 
-The configuration file is plain ``key = value`` text; ``#`` starts a
-comment.  Unknown keys are rejected with a diagnostic naming the key, so
+The configuration file is plain ``key = value`` text; a line whose first
+non-blank character is ``#`` is a comment (a ``#`` later in a line belongs to
+the value).  Unknown keys are rejected with a diagnostic naming the key, so
 typos fail loudly.  A fixed seed makes every report byte-identical for a fixed
 numpy and BLAS build and thread count.
 """
@@ -18,8 +19,9 @@ from .spectral import DENSE_CAP
 
 __all__ = ["RunConfig", "ConfigError", "ORACLE_N_CAP", "parse_config_file"]
 
-#: most nodes of the eigenrelation oracle grid; its ``oracle_n x 720`` float64
-#: Macdonald-kernel quadrature table then stays near 100 MB
+#: most nodes of the eigenrelation oracle grid and of the spectral grid (``oracle_n`` and
+#: ``tau_n``); each one's ``n x 720`` float64 Macdonald-kernel quadrature table then stays
+#: near 100 MB
 ORACLE_N_CAP = 16384
 
 
@@ -76,6 +78,8 @@ class RunConfig:
             raise ConfigError(f"tau_max: must be positive and finite, got {self.tau_max}")
         if self.tau_n < 32:
             raise ConfigError("tau_n: need at least 32 spectral nodes")
+        if self.tau_n > ORACLE_N_CAP:
+            raise ConfigError(f"tau_n: at most {ORACLE_N_CAP} nodes (kernel quadrature table)")
         if self.hp_n < 16 or self.y_n < 16:
             raise ConfigError("hp_n/y_n: need at least 16 nodes")
         if self.hp_n * self.y_n > DENSE_CAP_2D:
@@ -118,8 +122,8 @@ def parse_config_file(path: str, **overrides) -> RunConfig:
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")

@@ -67,6 +67,20 @@ def test_config_bounds_oracle_n():
         RunConfig(oracle_n=ORACLE_N_CAP + 1)
 
 
+def test_config_bounds_tau_n():
+    # the spectral suite's kernel table is tau_n x 720, so tau_n shares oracle_n's cap
+    assert RunConfig(tau_n=ORACLE_N_CAP).tau_n == ORACLE_N_CAP
+    with pytest.raises(ConfigError, match="tau_n"):
+        RunConfig(tau_n=ORACLE_N_CAP + 1)
+
+
+def test_config_comment_is_a_whole_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\n   # an indented comment\nout_dir = runs#3\nseed = 3\n")
+    cfg = parse_config_file(str(path))
+    assert cfg.out_dir == "runs#3" and cfg.seed == 3
+
+
 #: ``(suite, config text, key)``: each text names one bad key and fails as the config is built
 BAD_CONFIG = [
     ("spectral", "tau_max = nan\n", "tau_max"),
@@ -78,6 +92,8 @@ BAD_CONFIG = [
     ("halfplane", "y_max = nan\n", "y_max"),
     ("halfplane", "hp_u_min = nan\n", "hp_u_min"),
     ("halfplane", "hp_u_max = nan\n", "hp_u_max"),
+    ("spectral", "tau_n = 2000000\n", "tau_n"),  # a 10.7 GiB kernel table
+    ("group", "seed = 3  # an inline comment is part of the value\n", "seed"),
     ("partition", "corpus = nosuch\n", "corpus"),
     ("group", "corpus = nosuch\n", "corpus"),
 ]
@@ -172,7 +188,7 @@ run_configs = st.builds(
     y_min=st.floats(-20.0, -0.5, **_finite), y_max=st.floats(0.0, 20.0, **_finite),
     corpus=st.lists(st.sampled_from(corpus_names()), unique=True).map(tuple),
     seed=st.integers(0, 2 ** 63), tol_scale=st.floats(1e-6, 1e6, **_finite),
-    out_dir=st.text("abcxyz019_-./", min_size=1, max_size=20),
+    out_dir=st.text("abcxyz019_-./#", min_size=1, max_size=20),
 )
 
 
