@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axbkit.config import RunConfig
@@ -127,12 +127,24 @@ def test_factor_exp_roundtrip(g):
 
 
 @given(suite_elements)
+@example(GroupElement(math.exp(3.0), 2.225073858507e-311))  # off by 7 * 2^-1074
 @settings(max_examples=300)
 def test_inverse_is_an_involution_to_a_few_ulps(g):
     # 1/(1/a) is two roundings; -(-b/a)/(1/a) is three
     back = inverse(inverse(g))
     assert abs(back.a - g.a) <= 2 * math.ulp(g.a)
-    assert abs(back.b - g.b) <= 3 * math.ulp(g.b)
+    if g.b == 0 or abs(g.b) > 1e-300:  # -b/a stays a normal number
+        assert abs(back.b - g.b) <= 3 * math.ulp(g.b)
+        return
+    # Near the subnormals a rounding can err by an absolute half spacing,
+    # 2^-1075, however small the result.  With c = fl(1/a) = (1 + d)/a and
+    # e = fl(-b/a) = -b/a + e1, the round trip is
+    #     fl(-e/c) = (b - a e1)/(1 + d) + e2 = b - b d/(1 + d) - a e1/(1 + d) + e2.
+    # The relative part b d/(1 + d) and the relative parts of e1 and e2 are
+    # the three roundings above, within 3 ulp(b); the absolute parts are
+    # |a e1/(1 + d)| <= (a/2)(1 + 2^-52) 2^-1074 and |e2| <= 2^-1074/2, within
+    # (a/2 + 1) 2^-1074.
+    assert abs(back.b - g.b) <= 3 * math.ulp(g.b) + (g.a / 2 + 1) * 2 ** -1074
 
 
 # t2 = 0 or large enough that a * t2 stays a normal number
