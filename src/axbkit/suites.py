@@ -57,8 +57,7 @@ def _corpus(cfg, grid, op=None, only_decaying=False, families=None):
 #: the relations a check may state between its value and its threshold
 _RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-#: how ``tol_scale`` moves a base threshold: it multiplies the threshold, its excess over 1,
-#: or nothing
+#: how ``tol_scale`` moves a base threshold: times it, times its excess over 1, or not at all
 _SCALINGS = {
     "yes": lambda base, k: base * k,
     "excess": lambda base, k: 1.0 + (base - 1.0) * k,
@@ -156,15 +155,9 @@ def _check(cfg, cid, value, also=True, factor=1.0, **extra):
     """
     description, rule, _, _ = CHECKS[cid]
     threshold = _threshold(cfg, cid) * factor
-    entry = {
-        "id": cid,
-        "description": description,
-        "value": value,
-        "threshold": threshold,
-        "passed": bool(also) and bool(_RULES[rule](value, threshold)),
-    }
-    entry.update(extra)
-    return entry
+    passed = bool(also) and bool(_RULES[rule](value, threshold))
+    return {"id": cid, "description": description, "value": value, "threshold": threshold,
+            "passed": passed, **extra}
 
 
 def _payload(cfg, suite, checks, profiles=()):

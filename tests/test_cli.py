@@ -74,13 +74,6 @@ def test_config_bounds_tau_n():
         RunConfig(tau_n=ORACLE_N_CAP + 1)
 
 
-def test_config_comment_is_a_whole_line(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# a comment\n   # an indented comment\nout_dir = runs#3\nseed = 3\n")
-    cfg = parse_config_file(str(path))
-    assert cfg.out_dir == "runs#3" and cfg.seed == 3
-
-
 #: ``(suite, config text, key)``: each text names one bad key and fails as the config is built
 BAD_CONFIG = [
     ("spectral", "tau_max = nan\n", "tau_max"),
@@ -142,6 +135,8 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# desk-scale run\n"
+        "   # a comment is a whole line; a later '#' belongs to the value\n"
+        "out_dir = runs#3\n"
         "grid_n = 256\n"
         "grid_n_coarse = 128\n"
         "seed = 3\n"
@@ -150,7 +145,7 @@ def test_config_file_roundtrip(tmp_path):
     )
     cfg = parse_config_file(str(path))
     assert cfg.grid_n == 256 and cfg.seed == 3 and cfg.tol_scale == 2.0
-    assert cfg.grid_n_coarse == 128
+    assert cfg.grid_n_coarse == 128 and cfg.out_dir == "runs#3"
     assert cfg.corpus == ("log_gaussian(sigma=1,u0=-3)", "power_exp(alpha=1,beta=1)")
     over = parse_config_file(str(path), grid_n=192)
     assert over.grid_n == 192
@@ -266,8 +261,8 @@ def test_tolerance_scaling():
     assert suites._threshold(cfg, "AC12b") == -1.75  # sign-flavored, unscaled
 
 
-#: every check's threshold in a ``--tol-scale 2`` report at seed 0: the tolerances double,
-#: AC6's excess over 1 doubles, and the bounds on a sign, a slope or an order stay put
+#: every check's threshold in a ``--tol-scale 2`` report at seed 0: the scaled tolerances
+#: double, AC6's excess over 1 doubles, and the rest stay put, AC9b's order bound among them
 TOL_SCALE_2 = {
     "AC1": 2e-12, "AC2": 2e-12, "PART_support": 1e-15, "AC3": 2e-10, "PART_reconstruction": 2e-10,
     "AC4": 2e-4, "AC5": 2e-3, "SPEC_parseval": 2e-3, "SPEC_roundtrip": 2e-3,
@@ -298,7 +293,7 @@ def tol_scale_2_report(tmp_path_factory):
 
 def test_report_passes_at_tol_scale_2(tol_scale_2_report):
     # --tol-scale loosens checks; it must not tighten AC9b's lower bound on the order
-    rc, out = tol_scale_2_report
+    rc, _ = tol_scale_2_report
     assert rc == 0
 
 

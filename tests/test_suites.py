@@ -1,7 +1,9 @@
-"""The verdict rule of the suites: a check passes on its relation between value and threshold."""
+"""The check table, and the verdict rule: a check passes on its relation between value and threshold."""
 
 import itertools
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ VERDICTS = {
 }
 
 
-def _row(monkeypatch, rule="<", threshold=1.0):
-    """Enter a check ``X`` with this relation and an unscaled threshold into the table."""
-    monkeypatch.setitem(suites.CHECKS, "X", ("x", rule, threshold, "no"))
+def _row(monkeypatch, rule="<"):
+    """Enter a check ``X`` with this relation and the unscaled threshold 1 into the table."""
+    monkeypatch.setitem(suites.CHECKS, "X", ("x", rule, 1.0, "no"))
     return RunConfig()
 
 
@@ -57,6 +59,16 @@ def test_every_check_states_its_relation():
     for cid, (description, rule, threshold, scaling) in suites.CHECKS.items():
         assert description and isinstance(threshold, float), cid
         assert rule in suites._RULES and scaling in suites._SCALINGS, cid
+
+
+def test_readme_threshold_table_matches_the_checks():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (AC\w+) \| `([<>=]+)` \| (\S+) \| (\w+) \|$", readme, re.MULTILINE)
+    stated = {cid: (rule, float(threshold), scaling) for cid, rule, threshold, scaling in rows}
+    assert len(stated) == len(rows)
+    assert stated == {cid: (rule, threshold, scaling)
+                      for cid, (_, rule, threshold, scaling) in suites.CHECKS.items()
+                      if re.fullmatch(r"AC\d+[a-z]?", cid)}
 
 
 def test_a_threshold_in_units_of_the_data_takes_its_factor():
