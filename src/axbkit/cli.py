@@ -45,8 +45,9 @@ def _make_out_dir(cfg: RunConfig) -> None:
     """Create the report directory before any suite runs (an empty one is the working directory)."""
     try:
         os.makedirs(cfg.out_dir or os.curdir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out_dir: cannot create {cfg.out_dir!r}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"out_dir: cannot create {cfg.out_dir!r}: {reason}") from exc
 
 
 def main(argv=None) -> int:

@@ -66,7 +66,7 @@ def g_cutoff(lam):
     lam = np.asarray(lam, dtype=float)
     out = np.where(lam <= 1.0, 1.0, 0.0)
     mid = (lam > 1.0) & (lam < 2.0)
-    out = np.where(mid, _ramp(2.0 - lam), out)
+    out[mid] = _ramp(2.0 - lam[mid])
     return out
 
 

@@ -59,35 +59,47 @@ IDENTITY = GroupElement(1.0, 0.0)
 _SPLIT = 134217729.0  # 2^27 + 1
 
 
-def _split(x: float) -> tuple[float, float]:
+def _split(x):
     """Veltkamp's split ``x = hi + lo`` into halves of at most 26 bits."""
     hi = _SPLIT * x
     hi -= hi - x
     return hi, x - hi
 
 
-def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Group law of the affine group: the half-plane ``a > 0`` equipped with the group
-    operation ``(a, b)(c, d) = (a*c, a*d + b)``.
+def _compose(a, b, c, d):
+    """The group law ``(a, b)(c, d) = (a*c, a*d + b)`` on floats or, elementwise, on arrays.
 
     ``a*d + b`` is rounded once, up to ``2^-53`` ulp: Dekker's TwoProduct and
     Knuth's TwoSum give it exactly as ``s + t + e`` (Ogita, Rump and Oishi,
-    SISC 2005).  Over the ``group`` suite's ranges (``a`` in ``[e^-3, e^3]``,
-    ``|b| <= 10``) the two bracketings of a triple product then differ by at
-    most about ``7.4e-13`` before their last rounding and lie below 8192, where
-    one ulp is ``2^-40 = 9.1e-13``, so their rounded ``b`` parts differ by at
-    most ``2^-40``.  The ``a`` parts of a triple product can still differ by
-    two ulps above 4096.  Where the split overflows (inputs above about
-    ``1e300``), ``e`` is not finite and the twice-rounded ``fl(a*d) + b`` is kept.
+    SISC 2005).  These are plain IEEE operations, so an array rounds exactly
+    as the same elements one at a time.  Where the split overflows (inputs
+    above about ``1e300``), ``e`` is not finite and the twice-rounded
+    ``fl(a*d) + b`` is kept.
     """
-    a, d, b = g1.a, g2.b, g1.b
-    p = a * d  # TwoProduct: p + e == a*d
-    (ah, al), (dh, dl) = _split(a), _split(d)
-    e = al * dl - (((p - ah * dh) - al * dh) - ah * dl)
-    s = p + b  # TwoSum: s + t == p + b
-    z = s - p
-    t = (p - (s - z)) + (b - z)
-    return GroupElement(g1.a * g2.a, s + (t + e) if math.isfinite(e) else s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * d  # TwoProduct: p + e == a*d
+        (ah, al), (dh, dl) = _split(a), _split(d)
+        e = al * dl - (((p - ah * dh) - al * dh) - ah * dl)
+        s = p + b  # TwoSum: s + t == p + b
+        z = s - p
+        t = (p - (s - z)) + (b - z)
+        return a * c, np.where(np.isfinite(e), s + (t + e), s)
+
+
+def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """Group law of the affine group: the half-plane ``a > 0`` equipped with the group
+    operation ``(a, b)(c, d) = (a*c, a*d + b)``, with ``a*d + b`` rounded once
+    (see :func:`_compose`).
+
+    Over the ``group`` suite's ranges (``a`` in ``[e^-3, e^3]``, ``|b| <= 10``)
+    the two bracketings of a triple product then differ by at most about
+    ``7.4e-13`` before their last rounding and lie below 8192, where one ulp
+    is ``2^-40 = 9.1e-13``, so their rounded ``b`` parts differ by at most
+    ``2^-40``.  The ``a`` parts of a triple product can still differ by two
+    ulps above 4096.
+    """
+    a, b = _compose(g1.a, g1.b, g2.a, g2.b)
+    return GroupElement(a, float(b))
 
 
 def inverse(g: GroupElement) -> GroupElement:

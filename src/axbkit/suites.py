@@ -26,7 +26,7 @@ from . import spectral as sp
 from .config import ConfigError, RunConfig
 from .corpus import build_corpus
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, _worst, fd6
-from .group import GroupElement, LieVector, exp_map, factor, inverse, multiply
+from .group import GroupElement, _compose
 from .halfline import act_modulation, xp_norm
 from .reporting import canonical_json, write_profile_csv, write_report
 
@@ -182,23 +182,22 @@ def _payload(cfg, suite, checks, profiles=()):
 def suite_group(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     n = 1000
-    elems = [GroupElement(float(np.exp(rng.uniform(-3, 3))), float(rng.uniform(-10, 10)))
-             for _ in range(n)]
+    draws = rng.uniform([-3, -10], [3, 10], size=(n, 2))
+    a, b = np.exp(draws[:, 0]), draws[:, 1]
+    i1, i2, i3 = rng.integers(n, size=(n, 3)).T
+    g1, g2, g3 = (a[i1], b[i1]), (a[i2], b[i2]), (a[i3], b[i3])
 
-    def defect(g1, g2):
-        return abs(g1.a - g2.a), abs(g1.b - g2.b)
+    def defect(g, h):
+        return np.abs(g[0] - h[0]), np.abs(g[1] - h[1])
 
-    assoc, inv, rt = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 4))
-    for i in range(n):
-        g1, g2, g3 = (elems[rng.integers(n)] for _ in range(3))
-        assoc[i] = defect(multiply(multiply(g1, g2), g3), multiply(g1, multiply(g2, g3)))
-    for i, g in enumerate(elems):
-        inv[i] = defect(multiply(g, inverse(g)), GroupElement(1.0, 0.0))
-        t1, t2 = factor(g)
-        back = multiply(exp_map(LieVector(t1, 0.0)), exp_map(LieVector(0.0, t2)))
-        tt1, tt2 = factor(back)
-        rt[i] = defect(back, g) + (abs(tt1 - t1), abs(tt2 - t2))
-    assoc, inv, rt = _worst(assoc), _worst(inv), _worst(rt)
+    assoc = defect(_compose(*_compose(*g1, *g2), *g3), _compose(*g1, *_compose(*g2, *g3)))
+    inv = defect(_compose(a, b, 1.0 / a, -b / a), (1.0, 0.0))
+    # math.log/math.exp as in factor/exp_map: numpy's vector exp/log round differently
+    t1, t2 = np.array([math.log(x) for x in a]), b / a
+    back = _compose(np.array([math.exp(x) for x in t1]), 0.0, 1.0, t2)
+    tt1, tt2 = np.array([math.log(x) for x in back[0]]), back[1] / back[0]
+    rt = defect(back, (a, b)) + (np.abs(tt1 - t1), np.abs(tt2 - t2))
+    assoc, inv, rt = (_worst(np.column_stack(d)) for d in (assoc, inv, rt))
     worst = _worst([assoc, inv, rt])
     checks = [_check(cfg, "AC1", worst, associativity=assoc, inverse=inv, roundtrip=rt)]
     return _payload(cfg, "group", checks)
@@ -382,12 +381,16 @@ def _dir2_tensor_quadrature(r: int, s: float, f: HalfLineFunction, dilation: int
     t = 0.5 * hp_ * (nodes + 1.0)
     w = 0.5 * hp_ * wts
     x = f.grid.x
-    acc = np.zeros(f.grid.n, dtype=complex)
-    for tup in product(range(nodes.size), repeat=r):
-        tsum = sum(t[i] for i in tup)
-        coeff = math.prod(w[i] for i in tup)
-        acc += coeff * np.exp(1j * dilation * tsum * x)
-    return f.with_values(acc / hp_ ** r * f.values)
+    # the tuples in product order, each sum and product reduced left to right
+    idx = np.array(list(product(range(nodes.size), repeat=r))).T
+    tsum, coeff = np.add.reduce(t[idx]), np.multiply.reduce(w[idx])
+    # one phase per distinct node sum; the terms added in tuple order, 24 rows at a time
+    sums, which = np.unique(tsum, return_inverse=True)
+    phase = np.exp(1j * dilation * sums[:, None] * x)
+    acc = np.zeros((1, f.grid.n), dtype=complex)
+    for c, k in zip(coeff.reshape(-1, nodes.size), which.reshape(-1, nodes.size)):
+        acc = np.add.reduce(np.concatenate([acc, c[:, None] * phase[k]]), keepdims=True)
+    return f.with_values(acc[0] / hp_ ** r * f.values)
 
 
 def _hardy_dir2_tensor_quadrature(r: int, s: float, f: HalfLineFunction):

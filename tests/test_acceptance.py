@@ -47,6 +47,14 @@ def test_criterion(cid, suite_results):
         assert c["passed"], f"{cid}/{row}: value {c['value']} vs threshold {c['threshold']}"
 
 
+@pytest.mark.xfail(strict=True, reason="open: AC10a = AC10c = 10.1378 against < 10 at seed 773 "
+                                       "(ROADMAP item 1); no threshold, seed or corpus moves")
+def test_ac10a_and_ac10c_hold_at_seed_773():
+    checks = {c["id"]: c for c in SUITES["kfunctional"](RunConfig(seed=773))["checks"]}
+    assert checks["AC10a"]["passed"] and checks["AC10c"]["passed"], (
+        checks["AC10a"]["value"], checks["AC10c"]["value"])
+
+
 def test_every_emitted_check_has_exactly_one_row(suite_results):
     emitted = Counter(c["id"] for payload in suite_results.values() for c in payload["checks"])
     assert [cid for cid, n in emitted.items() if n > 1] == []

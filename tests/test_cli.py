@@ -254,6 +254,14 @@ def test_cli_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, via_file):
     assert err.startswith("configuration error: ") and "out_dir" in err
 
 
+def test_cli_out_dir_with_a_nul_byte_in_the_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out_dir = a\0b\n")
+    assert main(["verify", "group", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out_dir: ") and "null byte" in err, err
+
+
 def test_tolerance_scaling():
     cfg = RunConfig(tol_scale=2.0)
     assert suites._threshold(cfg, "AC2") == 2e-12

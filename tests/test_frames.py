@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from axbkit.frames import (
+    _ramp,
     approx_space_norm,
     band_energies,
     band_frames,
@@ -31,6 +32,33 @@ def test_cutoff_shape():
     assert np.all(g[lam >= 2.0] == 0.0)
     assert np.all((0.0 <= g) & (g <= 1.0))
     assert np.all(np.diff(g) <= 1e-15)  # non-increasing
+
+
+def _g_cutoff_full(lam):
+    """``g_cutoff`` with the ramp evaluated on the whole array and the band kept."""
+    lam = np.asarray(lam, dtype=float)
+    mid = (lam > 1.0) & (lam < 2.0)
+    with np.errstate(invalid="ignore"):  # the ramp at NaN is 0/0
+        ramp = _ramp(2.0 - lam)
+    return np.where(mid, ramp, np.where(lam <= 1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("lam", [
+    pytest.param(1.0, id="1"),
+    pytest.param(2.0, id="2"),
+    pytest.param(np.nextafter(1.0, 2.0), id="nextafter(1,2)"),
+    pytest.param(np.nextafter(2.0, 1.0), id="nextafter(2,1)"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(np.array(1.5), id="0-d"),
+    pytest.param(np.array([]), id="empty"),
+    pytest.param(np.array([1.0, np.nextafter(1.0, 2.0), math.nan, 1.3, np.nextafter(2.0, 1.0),
+                           2.0, 7.0, 0.2]), id="mixed"),
+    pytest.param(np.logspace(-6, 6, 1001).reshape(7, 143), id="logspace-2d"),
+])
+def test_masked_cutoff_equals_the_full_array_formula(lam):
+    got, want = g_cutoff(lam), _g_cutoff_full(lam)
+    assert got.shape == want.shape == np.shape(lam)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_low_band_is_one():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from axbkit.config import RunConfig
 from axbkit.group import (
     GroupElement,
+    _compose,
     LieVector,
     bracket,
     exp_map,
@@ -111,6 +112,60 @@ def test_ac1_holds_where_two_roundings_failed(seed):
     # with a*d + b rounded twice, the associativity defect reached 1.364e-12 here
     check = suite_group(RunConfig(seed=seed))["checks"][0]
     assert check["passed"] and check["associativity"] <= 2.0 ** -40
+
+
+#: elements over the whole range where ``a*c`` stays a positive normal number
+wide_elements = st.builds(
+    GroupElement,
+    a=st.floats(1e-150, 1e150),
+    b=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@given(st.lists(st.tuples(wide_elements, wide_elements), min_size=1, max_size=20))
+@example([(GroupElement(1e301, 2.0), GroupElement(1.0, 1.0)),  # the split overflows
+          (GroupElement(2.0, 3.0), GroupElement(4.0, 5.0))])
+@example([(GroupElement(1.0, -0.0), GroupElement(1.0, -0.0))])
+def test_array_law_is_the_scalar_law_bit_for_bit(pairs):
+    a, b, c, d = (np.array(col) for col in zip(*((g.a, g.b, h.a, h.b) for g, h in pairs)))
+    prod_a, prod_b = _compose(a, b, c, d)
+    scalar = [multiply(g, h) for g, h in pairs]
+    np.testing.assert_array_equal(_bits(prod_a), _bits([p.a for p in scalar]))
+    np.testing.assert_array_equal(_bits(prod_b), _bits([p.b for p in scalar]))
+
+
+def _suite_group_scalar_loop(seed, n=1000):
+    """The group suite's AC1 extras from scalar ``multiply``/``inverse``/``factor``/``exp_map``."""
+    rng = np.random.default_rng(seed)
+    elems = [GroupElement(float(np.exp(rng.uniform(-3, 3))), float(rng.uniform(-10, 10)))
+             for _ in range(n)]
+
+    def defect(g1, g2):
+        return abs(g1.a - g2.a), abs(g1.b - g2.b)
+
+    assoc, inv, rt = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 4))
+    for i in range(n):
+        g1, g2, g3 = (elems[rng.integers(n)] for _ in range(3))
+        assoc[i] = defect(multiply(multiply(g1, g2), g3), multiply(g1, multiply(g2, g3)))
+    for i, g in enumerate(elems):
+        inv[i] = defect(multiply(g, inverse(g)), GroupElement(1.0, 0.0))
+        t1, t2 = factor(g)
+        back = multiply(exp_map(LieVector(t1, 0.0)), exp_map(LieVector(0.0, t2)))
+        tt1, tt2 = factor(back)
+        rt[i] = defect(back, g) + (abs(tt1 - t1), abs(tt2 - t2))
+    assoc, inv, rt = float(np.max(assoc)), float(np.max(inv)), float(np.max(rt))
+    return max(assoc, inv, rt), assoc, inv, rt
+
+
+@pytest.mark.parametrize("seed", [0, 5, 207, 1025])
+def test_suite_group_equals_the_scalar_loop(seed):
+    check = suite_group(RunConfig(seed=seed))["checks"][0]
+    got = (check["value"], check["associativity"], check["inverse"], check["roundtrip"])
+    assert [x.hex() for x in got] == [x.hex() for x in _suite_group_scalar_loop(seed)]
 
 
 @given(elements)

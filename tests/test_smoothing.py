@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from axbkit import suites
 from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfline import act_modulation, xp_norm
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
@@ -23,8 +24,8 @@ from axbkit.smoothing import (
 )
 
 
-def dir2_tensor_quadrature(r, s, f, n_gl=24):
-    """Oracle: the r-fold integral evaluated by tensor Gauss-Legendre."""
+def dir2_tensor_quadrature(r, s, f, n_gl=24, dilation=1):
+    """Oracle: the r-fold integral evaluated by tensor Gauss-Legendre, one tuple at a time."""
     nodes, wts = np.polynomial.legendre.leggauss(n_gl)
     hp = s / r
     t = 0.5 * hp * (nodes + 1.0)
@@ -33,7 +34,7 @@ def dir2_tensor_quadrature(r, s, f, n_gl=24):
     for tup in product(range(n_gl), repeat=r):
         tsum = sum(t[i] for i in tup)
         coeff = math.prod(w[i] for i in tup)
-        acc += coeff * np.exp(1j * tsum * f.grid.x)
+        acc += coeff * np.exp(1j * dilation * tsum * f.grid.x)
     return f.with_values(acc / hp ** r * f.values)
 
 
@@ -113,6 +114,17 @@ def test_dir2_closed_form_vs_quadrature(f_xexp):
         oracle = dir2_tensor_quadrature(r, s, f_xexp)
         closed = steklov_avg(SteklovParams(r, s, 2), f_xexp)
         assert xp_norm(oracle - closed) / xp_norm(closed) < 1e-10
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_suite_tensor_quadrature_equals_the_tuple_loop(r, dilation):
+    grid = LogGrid(-12.0, 6.0, 64)
+    f = HalfLineFunction(grid, grid.x * np.exp(-grid.x))
+    s = 0.5 if r < 3 else 2.0
+    got = suites._dir2_tensor_quadrature(r, s, f, dilation=dilation).values
+    want = dir2_tensor_quadrature(r, s, f, dilation=dilation).values
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_steklov_avg_identity_limit(f_lg):

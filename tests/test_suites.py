@@ -10,7 +10,6 @@ import pytest
 
 from axbkit import suites
 from axbkit.config import RunConfig
-from axbkit.group import GroupElement
 
 #: verdicts for a value below, equal to and above the threshold
 VERDICTS = {
@@ -100,27 +99,36 @@ def _nan_jackson(rep):
     return {**rep, "C_hat": math.nan}
 
 
-def _nan_b(g):
-    return GroupElement(g.a, math.nan)
+def _nan_member(out, i=4):
+    """The array group law's output with member ``i``'s ``b`` part NaN."""
+    a, b = out
+    b = np.array(b)
+    b[i] = math.nan
+    return a, b
+
+
+def _fault(suite, owner, leaf, nth, spoil, failing, path=None):
+    """A ``FAULTS`` row named ``<suite>-<path>``, the path being the leaf unless given."""
+    return pytest.param(suite, owner, leaf, nth, spoil, failing, id=f"{suite}-{path or leaf}")
 
 
 #: (suite, module that owns the leaf, leaf, call that turns NaN, how, check ids
 #: that must then fail); each poisoned call belongs to a member that is not the
-#: first one of its fold
+#: first one of its fold.  The group suite calls its array law for g1*g2 of the
+#: associativity triples first and for g*g^-1 fifth.
 FAULTS = [
-    ("partition", suites, "xp_norm", 3, lambda v: math.nan, {"AC3", "PART_reconstruction"}),
-    ("spectral", suites.sp, "kernel_leakage", 2, lambda v: math.nan, {"SPEC_parseval"}),
-    ("jackson", suites.pw, "jackson_check", 2, _nan_jackson, {"AC12a", "AC12c"}),
-    ("smoothing", suites.sm, "commutation_check", 2, lambda v: math.nan, {"AC8"}),
-    ("besov", suites.fr, "besov_norm_bands", 2, lambda v: [math.nan] * len(v),
-     {"AC11a", "AC11b"}),
-    ("group", suites, "multiply", 5, _nan_b, {"AC1"}),
-    ("group", suites, "inverse", 2, _nan_b, {"AC1"}),
+    _fault("partition", suites, "xp_norm", 3, lambda v: math.nan, {"AC3", "PART_reconstruction"}),
+    _fault("spectral", suites.sp, "kernel_leakage", 2, lambda v: math.nan, {"SPEC_parseval"}),
+    _fault("jackson", suites.pw, "jackson_check", 2, _nan_jackson, {"AC12a", "AC12c"}),
+    _fault("smoothing", suites.sm, "commutation_check", 2, lambda v: math.nan, {"AC8"}),
+    _fault("besov", suites.fr, "besov_norm_bands", 2, lambda v: [math.nan] * len(v),
+           {"AC11a", "AC11b"}),
+    _fault("group", suites, "_compose", 1, _nan_member, {"AC1"}, path="multiply"),
+    _fault("group", suites, "_compose", 5, _nan_member, {"AC1"}, path="inverse"),
 ]
 
 
-@pytest.mark.parametrize("suite, owner, leaf, nth, spoil, failing", FAULTS,
-                         ids=[f"{f[0]}-{f[2]}" for f in FAULTS])
+@pytest.mark.parametrize("suite, owner, leaf, nth, spoil, failing", FAULTS)
 def test_a_nan_from_one_member_fails_its_checks(monkeypatch, suite, owner, leaf, nth, spoil,
                                                 failing):
     real = getattr(owner, leaf)
