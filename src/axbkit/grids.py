@@ -49,35 +49,41 @@ def fd6(values: np.ndarray, h: float, order: int = 1, axis: int = 0) -> np.ndarr
     """Derivative of order 1 or 2 along ``axis`` by the 6th-order central stencil.
 
     Samples outside the array count as zero.  The result has the dtype of
-    ``values`` promoted with float64, so real input stays real.
+    ``values`` promoted with float64, so real input stays real.  The stencil
+    runs along the last axis of a zero-padded copy, so along the last axis
+    the result comes back C-contiguous.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     stencil = _FD6_D1 if order == 1 else _FD6_D2
-    vals = np.moveaxis(values, axis, 0)
-    n = vals.shape[0]
-    pad = np.zeros((3,) + vals.shape[1:], dtype=np.result_type(vals, stencil))
-    padded = np.concatenate([pad, vals, pad])
-    out = np.zeros(vals.shape, dtype=pad.dtype)
+    vals = np.moveaxis(values, axis, -1)
+    n = vals.shape[-1]
+    padded = np.zeros(vals.shape[:-1] + (n + 6,), dtype=np.result_type(vals, stencil))
+    padded[..., 3 : n + 3] = vals
+    out = np.zeros(vals.shape, dtype=padded.dtype)
     for k, c in enumerate(stencil):
         if c != 0.0:
-            out += c * padded[k : k + n]
-    return np.moveaxis(out / h ** order, 0, axis)
+            out += c * padded[..., k : k + n]
+    return np.moveaxis(out / h ** order, -1, axis)
 
 
-def fourier_multiplier(values: np.ndarray, h: float, symbol, left: int, right: int) -> np.ndarray:
-    """Fourier multiplier ``symbol(xi)`` along the last axis of a stack, step ``h``.
+def fourier_multiplier(values: np.ndarray, factors: np.ndarray, left: int) -> np.ndarray:
+    """Fourier multiplier along the last axis of a stack, by its ``factors``.
 
-    The samples are zero-padded by ``left`` and ``right`` nodes, so the
-    periodic transform does not wrap a kernel of that reach into the window;
-    ``symbol`` maps the angular frequencies of the padded axis to the factors.
+    The samples are zero-padded to the length of ``factors``, ``left`` nodes
+    before them and the rest after, so the periodic transform does not wrap a
+    kernel of that reach into the window; ``factors`` holds the symbol at the
+    angular frequencies of the padded axis (:func:`_frequencies`).
     """
     n = values.shape[-1]
-    npad = n + left + right
-    buf = np.zeros(values.shape[:-1] + (npad,), dtype=complex)
+    buf = np.zeros(values.shape[:-1] + factors.shape, dtype=complex)
     buf[..., left : left + n] = values
-    xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=h)
-    return np.fft.ifft(np.fft.fft(buf) * symbol(xi))[..., left : left + n]
+    return np.fft.ifft(np.fft.fft(buf) * factors)[..., left : left + n]
+
+
+def _frequencies(npad: int, h: float) -> np.ndarray:
+    """The angular frequencies ``2 pi fftfreq(npad, h)`` of an ``npad``-node axis, step ``h``."""
+    return 2.0 * np.pi * np.fft.fftfreq(npad, d=h)
 
 
 def grid_steps(t: float, h: float) -> int | None:

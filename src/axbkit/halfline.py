@@ -28,8 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .grids import (HalfLineFunction, LogGrid, fd6, fourier_multiplier, grid_steps, pth_root,
-                    require_finite, shift_zero_fill, unwrap)
+from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
+                    pth_root, require_finite, shift_zero_fill, unwrap)
 from .group import GroupElement
 from .moduli import apply_word, halfline_space, sobolev_space_norm
 
@@ -110,7 +110,8 @@ def shift_log(f, t: float, grid: LogGrid | None = None):
     if exact is not None:
         return wrap(shift_zero_fill(values, exact, axis=values.ndim - 1))
     pad = int(np.ceil(abs(t / g.h))) + 8
-    return wrap(fourier_multiplier(values, g.h, lambda xi: np.exp(1j * xi * t), pad, pad))
+    xi = _frequencies(values.shape[-1] + 2 * pad, g.h)
+    return wrap(fourier_multiplier(values, np.exp(1j * xi * t), pad))
 
 
 def dilation_loss(f: HalfLineFunction, t: float) -> float:

@@ -31,7 +31,11 @@ and shared by every word that ends in it.  With candidate sets ``T_1`` and
 ``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action, one per candidate
 for the first letter of each of the ``2^{r+1} - 2`` suffixes (the words
 included), instead of ``r`` per candidate tuple; every difference is
-computed with the same floating-point operations.
+computed with the same floating-point operations.  The candidate steps
+depend only on ``(s, cap, step)``, so :func:`grid_candidates` keeps them in
+a table of at most 1024 read-only arrays of at most 12 steps each (a whole
+report at the default grids fills 155 of them, about 7 kB), emptied by
+:func:`axbkit.spectral.clear_caches`.
 
 The public functions of this module take a validated container
 (:class:`~axbkit.grids.HalfLineFunction`,
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -106,6 +111,9 @@ _BESOV_J_RANGE = (-4, 16)
 
 #: denominator floor factor for ratio reports
 _FLOOR = 1e-14
+
+#: candidate arrays kept by :func:`grid_candidates`, each at most ``max(_SUP_CAP)`` long
+_CANDIDATE_TABLE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -192,14 +200,23 @@ def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
 
     With ``step=None`` (a group exact for every t) they are uniform; otherwise
     they are distinct integer multiples of ``step``, empty when ``s < step``.
+    The array is read-only and comes from a table of
+    ``_CANDIDATE_TABLE_SIZE`` entries keyed by ``(float(s), cap, step)``.
     """
+    return _candidates(float(s), cap, None if step is None else float(step))
+
+
+@lru_cache(maxsize=_CANDIDATE_TABLE_SIZE)
+def _candidates(s: float, cap: int, step: float | None) -> np.ndarray:
+    """The body of :func:`grid_candidates`, tabled."""
     if step is None:
-        return s * np.arange(1, cap + 1) / cap
-    mmax = int(math.floor(s / step + 1e-9))
-    if mmax < 1:
-        return np.empty(0)
-    count = min(cap, mmax)
-    return np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
+        ts = s * np.arange(1, cap + 1) / cap
+    else:
+        mmax = int(math.floor(s / step + 1e-9))
+        count = max(min(cap, mmax), 0)
+        ts = np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
+    ts.flags.writeable = False
+    return ts
 
 
 def apply_word(space: RepresentationSpace, word, f) -> np.ndarray:
@@ -252,7 +269,7 @@ def _differences(space: RepresentationSpace, word, candidates: dict, f, suffixes
             g = suffixes[rest] = _differences(space, rest, candidates, f, suffixes)
     ts = candidates[j]
     out = np.empty((ts.size,) + g.shape, dtype=g.dtype)
-    for i, t in enumerate(ts):
+    for i, t in enumerate(ts.tolist()):
         np.subtract(space.act(j, t, g), g, out=out[i])
     return out
 

@@ -28,10 +28,18 @@ the direction:
   multiplier of a one-dimensional convolution in ``u``, on a window
   zero-padded on the right by the kernel's reach (:func:`axbkit.grids.fourier_multiplier`).
 
+The factors of ``H_{j,r}(s)`` depend only on ``(j, r, s, grid)``:
+:func:`hardy_steklov_dir` keeps them, read-only, in a table of at most 256
+arrays, each one grid long (direction 2) or one padded frequency axis long
+(direction 1).  A whole report at the default grids fills 132 of them,
+about 1 MB; :func:`axbkit.spectral.clear_caches` empties the table.  ``s``
+and ``r * s`` must be finite, which :class:`SteklovParams` checks before
+the table is read.
+
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
 doubles as a cross-check oracle; it sums the arrays its action callback
-returns.
+returns.  Its Gauss-Legendre panel nodes are computed once, at import.
 
 Every closed-form operator (:func:`steklov_avg`, :func:`m_operator`,
 :func:`hardy_steklov_dir`, :func:`hardy_steklov`) also takes a stack of
@@ -46,11 +54,13 @@ ndarray out, the form the half-line representation interface binds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
-from .grids import HalfLineFunction, LogGrid, fourier_multiplier, unwrap
+from .grids import (HalfLineFunction, LogGrid, _frequencies, fourier_multiplier, require_finite,
+                    unwrap)
 from .halfline import shift_log
 from .moduli import halfline_space
 
@@ -72,6 +82,10 @@ MAX_ORDER = 4
 
 #: Gauss-Legendre nodes per panel of the Irwin-Hall quadrature
 _N_GL = 12
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_N_GL)
+
+#: factor arrays kept by :func:`hardy_steklov_dir`, each at most a padded grid long
+_FACTOR_TABLE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,8 @@ class SteklovParams:
             raise ValueError(f"order must be in [1, {MAX_ORDER}]")
         if not self.s > 0:
             raise ValueError("scale must be positive")
+        require_finite("s", self.s)
+        require_finite("r * s", self.r * self.s)
         if self.j not in (1, 2):
             raise ValueError("direction must be 1 or 2")
 
@@ -111,15 +127,24 @@ def _alternating(r: int, term):
     return sum(coeff * term(k) for k, coeff in _binomial(r))
 
 
-def _along(j: int, symbol, reach: float, values: np.ndarray, grid: LogGrid) -> np.ndarray:
-    """The operator with ``symbol`` along direction j, on bare values (a stack too).
-
-    Direction 2 multiplies by ``symbol(x)``; direction 1 applies ``symbol`` to
-    the angular frequencies in u, padding right by the kernel's ``reach`` in u.
+def _factors(j: int, symbol, reach: float, grid: LogGrid) -> np.ndarray:
+    """``symbol`` where direction j applies it: at the nodes ``x`` for direction 2;
+    for direction 1 at the angular frequencies in u of the grid padded right by
+    the kernel's ``reach`` in u.
     """
     if j == 2:
-        return symbol(grid.x) * values
-    return fourier_multiplier(values, grid.h, symbol, 0, int(np.ceil(reach / grid.h)) + 8)
+        return symbol(grid.x)
+    return symbol(_frequencies(grid.n + int(np.ceil(reach / grid.h)) + 8, grid.h))
+
+
+def _along(j: int, factors: np.ndarray, values: np.ndarray, grid: LogGrid) -> np.ndarray:
+    """The operator with the :func:`_factors` ``factors`` along direction j, on
+    bare values (a stack too): a pointwise product for direction 2, a Fourier
+    multiplier on the padded axis for direction 1.
+    """
+    if j == 2:
+        return factors * values
+    return fourier_multiplier(values, factors, 0)
 
 
 def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
@@ -128,8 +153,8 @@ def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
     """
     r, s = params.r, params.s
     hp = s / r
-    return f.with_values(_along(params.j, lambda z: box_profile(z * hp) ** r, s,
-                                f.values, f.grid))
+    factors = _factors(params.j, lambda z: box_profile(z * hp) ** r, s, f.grid)
+    return f.with_values(_along(params.j, factors, f.values, f.grid))
 
 
 def steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
@@ -150,19 +175,28 @@ def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFun
     return f.with_values(_alternating(r, lambda k: act(j, k * t_sum, f.values)))
 
 
-def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
-    """One-direction Hardy-Steklov operator ``H_{j,r}(s)``.
-
-    ``f`` is a container, or bare values on ``grid``.
-    """
-    params = SteklovParams(r, s, j)
-    hp = params.s / params.r
-    values, g, wrap = unwrap(f, grid)
+@lru_cache(maxsize=_FACTOR_TABLE_SIZE)
+def _hardy_factors(j: int, r: int, s: float, grid: LogGrid) -> np.ndarray:
+    """The read-only :func:`_factors` of ``H_{j,r}(s)`` on ``grid``, tabled per key."""
+    hp = s / r
 
     def symbol(z):
         return _alternating(r, lambda k: box_profile(k * z * hp) ** r)
 
-    return wrap(_along(j, symbol, r * s, values, g))
+    factors = _factors(j, symbol, r * s, grid)
+    factors.flags.writeable = False
+    return factors
+
+
+def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
+    """One-direction Hardy-Steklov operator ``H_{j,r}(s)``.
+
+    ``f`` is a container, or bare values on ``grid``.  ``s`` and ``r * s``
+    must be finite.
+    """
+    params = SteklovParams(r, s, j)
+    values, g, wrap = unwrap(f, grid)
+    return wrap(_along(j, _hardy_factors(j, params.r, float(params.s), g), values, g))
 
 
 def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):
@@ -213,12 +247,11 @@ def irwin_hall_nodes(r: int, s: float):
     between knots integrate it essentially exactly.  Weights sum to 1.
     """
     hp = s / r
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_N_GL)
     nodes, weights = [], []
     for k in range(r):
         a, b = k * hp, (k + 1) * hp
-        t = 0.5 * (b - a) * (gl_x + 1.0) + a
-        w = 0.5 * (b - a) * gl_w * _irwin_hall_std(t / hp, r) / hp
+        t = 0.5 * (b - a) * (_GL_X + 1.0) + a
+        w = 0.5 * (b - a) * _GL_W * _irwin_hall_std(t / hp, r) / hp
         nodes.append(t)
         weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)

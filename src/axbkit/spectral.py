@@ -340,9 +340,14 @@ def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
 
 
 def clear_caches():
-    """Empty the kernel-table and Laplacian caches and the modulation phase table."""
+    """Empty the kernel-table and Laplacian caches, the modulation phase table, the
+    candidate-step table and the Hardy-Steklov factor table."""
     from .halfline import _phase
+    from .moduli import _candidates
+    from .smoothing import _hardy_factors
 
     kernel_table.cache_clear()
     build_matrix_laplacian.cache_clear()
     _phase.cache_clear()
+    _candidates.cache_clear()
+    _hardy_factors.cache_clear()

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from axbkit.grids import HalfLineFunction, LogGrid, fd6, grid_steps, shift_zero_fill
+from axbkit.grids import (_FD6_D1, _FD6_D2, HalfLineFunction, LogGrid, fd6, grid_steps,
+                          shift_zero_fill)
 from axbkit.halfline import act_modulation, generator, shift_log, xp_norm
 
 
@@ -56,6 +57,43 @@ def test_fd6_keeps_real_input_real():
     interior = slice(8, -8)
     exact = (4 * u ** 2 - 2) * real
     assert np.max(np.abs(fd6(real, h, 2) - exact)[interior]) < 1e-6
+
+
+def _fd6_first_axis(values, h, order, axis):
+    """The stencil run along the first axis of a ``concatenate``-padded copy."""
+    stencil = [None, _FD6_D1, _FD6_D2][order]
+    vals = np.moveaxis(values, axis, 0)
+    n = vals.shape[0]
+    pad = np.zeros((3,) + vals.shape[1:], dtype=np.result_type(vals, stencil))
+    padded = np.concatenate([pad, vals, pad])
+    out = np.zeros(vals.shape, dtype=pad.dtype)
+    for k, c in enumerate(stencil):
+        if c != 0.0:
+            out += c * padded[k : k + n]
+    return np.moveaxis(out / h ** order, 0, axis)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape, axis", [
+    ((40,), 0),  # one function: axis 0 is the last axis
+    ((20, 16), 0), ((20, 16), 1),  # a half-plane grid: axes ndim-2 and last
+    ((3, 20, 16), 0), ((3, 20, 16), 1), ((3, 20, 16), 2),  # a stack of them
+    ((2, 3, 40), 2),  # a stack of half-line functions
+])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd6_equals_the_first_axis_form_bit_for_bit(dtype, shape, axis, order):
+    rng = np.random.default_rng(len(shape) * 10 + axis)
+    values = rng.standard_normal(shape)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(shape)
+    h = 18.0 / 511
+    got = fd6(values, h, order, axis=axis)
+    ref = _fd6_first_axis(values, h, order, axis)
+    assert got.dtype == ref.dtype == values.dtype and got.shape == ref.shape
+    as_bits = lambda a: np.ascontiguousarray(a).view(np.uint64)  # noqa: E731
+    assert np.array_equal(as_bits(got), as_bits(ref))
+    if axis == len(shape) - 1:
+        assert got.flags.c_contiguous
 
 
 def test_fd6_axis_matches_per_slice():

@@ -15,6 +15,7 @@ from axbkit.moduli import (
     besov_norm_fractional,
     besov_s_grid,
     besov_tail_report,
+    grid_candidates,
     halfline_space,
     k_lower,
     k_spectral,
@@ -422,6 +423,39 @@ def test_candidate_times_computed_once_per_direction(space, f_lg, r):
     counted = dataclasses.replace(space, t_candidates=t_candidates)
     assert modulus_mixed(counted, r, 0.7, f_lg) == modulus_mixed(space, r, 0.7, f_lg)
     assert sorted(calls) == [1, 2]
+
+
+def _fresh_candidates(s, cap, step):
+    """The candidate steps computed directly, without the table."""
+    if step is None:
+        return s * np.arange(1, cap + 1) / cap
+    mmax = int(math.floor(s / step + 1e-9))
+    if mmax < 1:
+        return np.empty(0)
+    count = min(cap, mmax)
+    return np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
+
+
+@pytest.mark.parametrize("s, cap, step", [
+    (0.5, 12, None), (2.0 ** -16, 8, None), (3.0, 4, None),
+    (4.0, 8, 18.0 / 511), (0.1, 8, 18.0 / 511), (16.0, 3, 0.375),
+    (0.01, 8, 18.0 / 511), (2.0 ** -16, 12, 0.375),  # empty: s below the step
+])
+def test_grid_candidates_are_a_read_only_table_of_the_direct_steps(s, cap, step):
+    from axbkit.spectral import clear_caches
+
+    clear_caches()
+    ts = grid_candidates(s, cap, step)
+    fresh = _fresh_candidates(s, cap, step)
+    assert ts.dtype == fresh.dtype == np.float64 and ts.shape == fresh.shape
+    assert np.array_equal(ts.view(np.uint64), fresh.view(np.uint64))
+    assert not ts.flags.writeable
+    if ts.size:
+        with pytest.raises(ValueError):
+            ts[0] = 1.0
+    # the same key, however the scale arrives, is the same table entry
+    for same in (s, np.float64(s), np.array(s)):
+        assert grid_candidates(same, cap, step) is ts
 
 
 def test_shared_suffixes_act_once_per_candidate(space, f_lg):

@@ -287,6 +287,60 @@ def test_dir1_operators_equal_padded_fft_reference(f_lg, f_xexp, r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_tabled_hardy_factors_equal_direct_symbol_evaluation(f_lg, f_xexp, r):
+    from axbkit.smoothing import _hardy_factors
+    from axbkit.spectral import clear_caches
+
+    grid = f_lg.grid
+    stack = np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])
+    clear_caches()
+    for s in (0.3, 1.7, 16.0):
+        symbol = dir1_hardy_symbol(r, s)  # the symbol of either direction, as a function of z
+        npad = grid.n + int(np.ceil(r * s / grid.h)) + 8
+        xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=grid.h)
+        for j, z in ((1, xi), (2, grid.x)):
+            factors = _hardy_factors(j, r, s, grid)
+            assert not factors.flags.writeable and factors.shape == z.shape
+            assert np.array_equal(factors, symbol(z))
+            if j == 2:
+                expected = symbol(grid.x) * stack
+            else:
+                expected = np.stack([dir1_padded_fft(symbol, v, grid, r * s) for v in stack])
+            # the first call fills the table, the second reads it; both calling forms
+            for _ in range(2):
+                assert np.array_equal(hardy_steklov_dir(j, r, s, stack, grid=grid), expected)
+                assert np.array_equal(
+                    hardy_steklov_dir(j, r, s, HalfLineFunction(grid, stack)).values, expected)
+            assert _hardy_factors(j, r, np.float64(s), grid) is factors
+
+
+@pytest.mark.parametrize("s", [math.inf, 1e308])
+def test_non_finite_or_overflowing_scale_is_rejected_before_the_table(f_lg, s):
+    import warnings
+
+    from axbkit.smoothing import _hardy_factors
+
+    grid = f_lg.grid
+    before = _hardy_factors.cache_info()
+    calls = [
+        lambda: hardy_steklov(2, s, f_lg.values, grid=grid),
+        lambda: hardy_steklov(2, s, f_lg),
+        lambda: hardy_steklov_dir(1, 2, s, f_lg.values, grid=grid),
+        lambda: hardy_steklov_dir(2, 2, s, f_lg),
+        lambda: steklov(2, s, f_lg),
+        lambda: SteklovParams(2, s, 1),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^(s|r \* s) must be finite"):
+                call()
+    after = _hardy_factors.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                          before.currsize)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_stacked_hardy_steklov_equals_per_member(f_lg, f_xexp, r):
     grid = f_lg.grid
     stack = np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])

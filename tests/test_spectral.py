@@ -196,12 +196,17 @@ def test_kernel_table_is_memoized_and_read_only():
 
 def test_clear_caches_empties_the_phase_table(grid, f_lg):
     from axbkit.halfline import _phase, act_modulation
+    from axbkit.moduli import _candidates, grid_candidates
+    from axbkit.smoothing import _hardy_factors, hardy_steklov
     from axbkit.spectral import clear_caches
 
     act_modulation(0.7, f_lg)
-    assert _phase.cache_info().currsize > 0
+    grid_candidates(0.7, 8, grid.h)
+    hardy_steklov(2, 0.7, f_lg)
+    tables = (_phase, _candidates, _hardy_factors)
+    assert all(table.cache_info().currsize > 0 for table in tables)
     clear_caches()
-    assert _phase.cache_info().currsize == 0
+    assert all(table.cache_info().currsize == 0 for table in tables)
 
 
 @pytest.mark.parametrize("n", [512, 256])
