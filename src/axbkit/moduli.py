@@ -213,7 +213,7 @@ def _candidates(s: float, cap: int, step: float | None) -> np.ndarray:
         ts = s * np.arange(1, cap + 1) / cap
     else:
         mmax = int(math.floor(s / step + 1e-9))
-        count = max(min(cap, mmax), 0)
+        count = max(min(cap, mmax), 0)  # none when s < step
         ts = np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
     ts.flags.writeable = False
     return ts
