@@ -26,7 +26,10 @@ value per leading index (a float for a single function).  The supremum
 search uses this: going right to left through a word, each factor applies
 its group once per candidate time to the whole stack built so far, and the
 stack of each proper suffix is built once per :func:`modulus_mixed` call
-and shared by every word that ends in it.  With candidate sets ``T_1`` and
+and shared by every word that ends in it.  The first letter's factor is
+normed block by block, one block per candidate, as it is formed, and a
+running maximum keeps each member's best, so the stack of a whole word over
+every candidate tuple is never built.  With candidate sets ``T_1`` and
 ``T_2`` for the two directions, order r thus makes
 ``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action, one per candidate
 for the first letter of each of the ``2^{r+1} - 2`` suffixes (the words
@@ -42,10 +45,19 @@ The public functions of this module take a validated container
 :class:`~axbkit.halfplane.HalfPlaneFunction`) or bare values.  Bare values
 are checked once, at entry: they must be finite and end in the space's grid
 shape (a ``(n, 1)`` array on an n-point grid is rejected, not broadcast).
-Past that boundary only arrays flow, and no container is built.  The
-scalar results of :func:`modulus_mixed`, :func:`k_upper_detail` and the
-Besov norms are checked to be finite, so a non-finite intermediate raises
-instead of being lost in a later ``max``.
+Past that boundary only arrays flow, and no container is built.
+
+:func:`modulus_mixed`, :func:`k_upper_detail`, :func:`k_upper`,
+:func:`k_lower`, :func:`sobolev_space_norm` and the Besov norms
+(:func:`besov_norm`, :func:`besov_norm_fractional`, :func:`zygmund_norm`)
+take a stack of functions as well as one function.  A stack goes through
+each group-action call of the search once, for every member at once, and
+one result per member comes back, an array over the leading axes; one
+function gives a Python float.  Each member gets exactly the bits it gets
+alone: its words are added in the same order, and its Besov profile is
+folded on its own.  These results, one per member, are checked to be
+finite, so a non-finite intermediate of any member raises instead of being
+lost in a later ``max``.
 
 K-functional surrogates for the pair (E, E^r):
 
@@ -252,43 +264,66 @@ def _sobolev_sum(space: RepresentationSpace, f: np.ndarray, m: int) -> float | n
     return total if np.ndim(total) else float(total)
 
 
-def _differences(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
-    """The stack of ``(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f`` over every candidate tuple.
+def _suffix(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
+    """The stack of ``(T_{j1}(t1) - I) ... (T_{jk}(tk) - I) f`` over every candidate tuple
+    of a proper suffix ``word``, candidate axes first.
 
-    The first letter's factor writes ``T_j(t) g - g`` for each of its
+    Its first letter's factor writes ``T_j(t) g - g`` for each of its
     candidates into one preallocated stack, acting once per candidate on the
-    whole stack ``g`` of the rest of the word.  That stack of a proper
-    suffix is built once and kept in ``suffixes``, which the caller owns, so
-    the words ending in the same letters share it.
+    whole stack ``g`` of the rest of the word.  Each stack is built once and
+    kept in ``suffixes``, which the caller owns, so the words ending in the
+    same letters share it.
+    """
+    g = suffixes.get(word)
+    if g is None:
+        j, rest = word[0], word[1:]
+        inner = _suffix(space, rest, candidates, f, suffixes) if rest else f
+        ts = candidates[j]
+        g = suffixes[word] = np.empty((ts.size,) + inner.shape, dtype=inner.dtype)
+        for i, t in enumerate(ts.tolist()):
+            np.subtract(space.act(j, t, inner), inner, out=g[i])
+    return g
+
+
+def _word_sup(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
+    """``max ||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||`` over every candidate tuple, per member.
+
+    The first letter's factor is normed one candidate block at a time, and a
+    running ``np.maximum`` (which keeps a NaN) folds each block's maximum over
+    the suffix's candidate axes.
     """
     j, rest = word[0], word[1:]
-    g = f
-    if rest:
-        g = suffixes.get(rest)
-        if g is None:
-            g = suffixes[rest] = _differences(space, rest, candidates, f, suffixes)
-    ts = candidates[j]
-    out = np.empty((ts.size,) + g.shape, dtype=g.dtype)
-    for i, t in enumerate(ts.tolist()):
-        np.subtract(space.act(j, t, g), g, out=out[i])
-    return out
+    g = _suffix(space, rest, candidates, f, suffixes) if rest else f
+    axes = tuple(range(len(rest)))
+    best = None
+    for t in candidates[j].tolist():
+        block = np.max(space.norm(space.act(j, t, g) - g), axis=axes)
+        best = block if best is None else np.maximum(best, block)
+    return best
 
 
-def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
+def _members(total):
+    """A Python float for one function's result, the array itself for a stack's."""
+    return total if np.ndim(total) else float(total)
+
+
+def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np.ndarray:
     """The mixed modulus of continuity ``Omega^r(s, f)`` at a finite scale s >= 0,
     as a certified grid lower bound.
 
     It sums, over words ``(j1, ..., jr)`` in ``{1,2}^r``, the suprema over
     ``0 <= t_i <= s`` of ``||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||``, each
-    searched on a grid (:func:`_differences`).  ``f`` is checked once at
-    entry; a non-finite result raises.
+    searched on a grid (:func:`_word_sup`).  ``f`` is one function or a stack
+    (one value per member); it is checked once at entry, and a non-finite
+    result raises.
     """
     f = _values(f, space.shape)
     require_finite("s", s)
     if s < 0:
         raise ValueError("scale must be nonnegative")
+    lead = f.shape[:f.ndim - len(space.shape)]
     if s == 0.0:
-        return 0.0
+        return _members(np.zeros(lead))
     cap = _SUP_CAP.get(r, 2)
     candidates = {j: np.asarray(space.t_candidates(j, s, cap)) for j in (1, 2)}
     suffixes: dict = {}
@@ -300,14 +335,19 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float:
             # to the continuum value, and dropping it keeps a lower bound
             continue
         any_word = True
-        total += float(np.max(space.norm(_differences(space, word, candidates, f, suffixes))))
+        total = total + _word_sup(space, word, candidates, f, suffixes)
     if not any_word:
         raise ValueError(f"no admissible time steps below s={s}")
-    return _finite(total, "modulus_mixed")
+    return _finite(_members(total), "modulus_mixed")
 
 
 def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
-    """Hardy-Steklov witness split with its components and the trivial cap; ``s`` must be finite."""
+    """Hardy-Steklov witness split with its components and the trivial cap; ``s`` must be finite.
+
+    For a stack every field holds one value per member.  The value is the
+    smaller of the witness and the cap, NaN when either is NaN, so a
+    non-finite cap raises as a non-finite witness does.
+    """
     f = _values(f, space.shape)
     require_finite("s", s)
     hf = space.hardy(r, s, f)
@@ -320,19 +360,19 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
         "smooth": smooth,
         "witness": witness,
         "trivial": cap,
-        "value": _finite(min(witness, cap), "k_upper"),
+        "value": _finite(_members(np.minimum(witness, cap)), "k_upper"),
     }
 
 
-def k_upper(space: RepresentationSpace, r: int, s: float, f) -> float:
+def k_upper(space: RepresentationSpace, r: int, s: float, f) -> float | np.ndarray:
     """Upper K-functional surrogate from ``f = (f - H_r(s) f) + H_r(s) f``, capped by
-    the trivial splitting at ``||f||``.
+    the trivial splitting at ``||f||``; one value per member of a stack.
     """
     return k_upper_detail(space, r, s, f)["value"]
 
 
-def k_lower(space: RepresentationSpace, r: int, s: float, f) -> float:
-    """Lower K-functional surrogate: the mixed modulus ``Omega^r(s, f)`` itself."""
+def k_lower(space: RepresentationSpace, r: int, s: float, f) -> float | np.ndarray:
+    """Lower K-functional surrogate: the mixed modulus ``Omega^r(s, f)`` itself, per member."""
     return modulus_mixed(space, r, s, f)
 
 
@@ -373,12 +413,14 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
             return space.norm(g)
         return modulus_mixed(space, order, scale, g)
 
+    # the order-k derivative words of f, one stack searched in one call per scale
+    words = np.stack([apply_word(space, word, f) for word in product((1, 2), repeat=k)])
     c0, c1, c2 = [], [], []
     for s in s_list:
         lhs = modulus_mixed(space, r, s, f)
         rhs = 0.0
-        for word in product((1, 2), repeat=k):
-            rhs += omega(r - k, s, apply_word(space, word, f))
+        for value in omega(r - k, s, words):
+            rhs += value
         c0.append(lhs / max(s ** k * rhs, floor))
         c1.append(modulus_mixed(space, r, 2 * s, f) / max(lhs, floor))
         rplus = modulus_mixed(space, r + k, s, f)
@@ -409,22 +451,34 @@ def _accumulate(weighted, q: float, measure: float = math.log(2.0)) -> float:
     return float((np.sum(vals ** q) * measure) ** (1.0 / q))
 
 
-def _weighted_integral(profile, alpha: float, q: float) -> float:
-    """``(int_0^inf (s^{-alpha} core(s))^q ds/s)^{1/q}`` from ``core`` on :func:`besov_s_grid`."""
-    return _accumulate([s ** (-alpha) * core for s, core in zip(besov_s_grid(), profile)], q)
+def _weighted_integral(profile, alpha: float, q: float) -> float | np.ndarray:
+    """``(int_0^inf (s^{-alpha} core(s))^q ds/s)^{1/q}`` from ``core`` on :func:`besov_s_grid`.
+
+    ``profile`` holds one value per scale, or per scale one value per member
+    of a stack (then one integral per member comes back).  Each member's
+    profile is folded by :func:`_accumulate` on its own floats: a sum over
+    the scale axis of the stacked profile would not add as a 1-D sum does.
+    """
+    cols = np.asarray(profile, dtype=float)
+    if cols.ndim > 1:
+        per_member = cols.reshape(len(cols), -1).T
+        return np.array([_weighted_integral(col, alpha, q)
+                         for col in per_member]).reshape(cols.shape[1:])
+    return _accumulate([s ** (-alpha) * core for s, core in zip(besov_s_grid(), cols)], q)
 
 
-def besov_norm(space, f, params, method: str = "k") -> float | list[float]:
+def besov_norm(space, f, params, method: str = "k") -> float | np.ndarray | list:
     """Besov norm ``||f|| + (int_0^inf (s^{-alpha} core(s))^q ds/s)^{1/q}``, with
     ``core`` the K-functional surrogate or the mixed modulus (sup for q = inf).
 
     The integral is sampled on :func:`besov_s_grid`; :func:`besov_tail_report`
     bounds the truncation error analytically.
 
-    ``params`` is one :class:`BesovParams` (returns a float) or a sequence of
+    ``params`` is one :class:`BesovParams` (returns one norm) or a sequence of
     them sharing one ``r`` (returns a list, one norm per entry; ``[]`` for an
     empty sequence).  The profile ``core(s)`` depends only on ``f`` and ``r``,
-    so it is computed once and each entry only weights it.
+    so it is computed once and each entry only weights it.  A norm is a float
+    for one function and an array, one per member, for a stack.
     """
     if method not in ("k", "modulus"):
         raise ValueError(f"method must be 'k' or 'modulus', got {method!r}")
@@ -474,42 +528,49 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
     return {"high_tail_bound": high, "low_tail_bound": low}
 
 
-def besov_norm_fractional(space, f, alpha: float, q: float) -> float:
+def _word_profiles(space, f, k: int, r: int, alpha: float, q: float):
+    """Per order-k derivative word of ``f``, the weighted integral of its order-r modulus
+    profile, one integral per member; the words form one stack searched in one call per scale.
+    """
+    words = np.stack([apply_word(space, word, f) for word in product((1, 2), repeat=k)])
+    profile = [modulus_mixed(space, r, s, words) for s in besov_s_grid()]
+    return _weighted_integral(profile, alpha, q)
+
+
+def besov_norm_fractional(space, f, alpha: float, q: float) -> float | np.ndarray:
     """Besov norm for non-integer alpha through first-order moduli of the
     [alpha]-fold derivatives, with [alpha] the integer part of alpha.
 
     Valid for non-integer alpha: ``||f||_{E^[alpha]}`` plus, for every word
     of length [alpha], the weighted integral of ``Omega^1(s, A_word f)``
-    with weight ``s^{[alpha]-alpha}``.
+    with weight ``s^{[alpha]-alpha}``, added word by word.  One norm per
+    member of a stack.
     """
     if float(alpha).is_integer():
         raise ValueError("alpha must not be an integer; use zygmund_norm")
     k = int(math.floor(alpha))
     f = _values(f, space.shape)
     total = _sobolev_sum(space, f, k)
-    for word in product((1, 2), repeat=k):  # the empty word when k = 0
-        g = apply_word(space, word, f)
-        profile = [modulus_mixed(space, 1, s, g) for s in besov_s_grid()]
-        total += _weighted_integral(profile, alpha - k, q)
-    return _finite(total, "besov_norm_fractional")
+    for integral in _word_profiles(space, f, k, 1, alpha - k, q):  # the empty word when k = 0
+        total = total + integral
+    return _finite(_members(total), "besov_norm_fractional")
 
 
-def zygmund_norm(space, f, k: int, q: float) -> float:
+def zygmund_norm(space, f, k: int, q: float) -> float | np.ndarray:
     """Integer-order Besov norm via the Zygmund condition: second-order moduli of
     the (k-1)-fold derivatives, weight 1/s.
 
     At ``k = 1`` this is exactly ``besov_norm(space, f, BesovParams(1.0, q, 2),
     "modulus")``: the same ``||f||`` plus the same weighted ``Omega^2`` profile.
+    One norm per member of a stack.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     f = _values(f, space.shape)
     total = _sobolev_sum(space, f, k - 1)
-    for word in product((1, 2), repeat=k - 1):  # the empty word when k = 1
-        g = apply_word(space, word, f)
-        profile = [modulus_mixed(space, 2, s, g) for s in besov_s_grid()]
-        total += _weighted_integral(profile, 1.0, q)
-    return _finite(total, "zygmund_norm")
+    for integral in _word_profiles(space, f, k - 1, 2, 1.0, q):  # the empty word when k = 1
+        total = total + integral
+    return _finite(_members(total), "zygmund_norm")
 
 
 def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float) -> dict:

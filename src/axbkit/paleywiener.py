@@ -136,22 +136,34 @@ def decay_slope(sigmas, values, floor: float = 1e-11) -> float:
 
 
 def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
-                  space) -> dict:
+                  space) -> dict | list[dict]:
     """Empirical constant C of the Jackson bound ``E(sigma, f) <= C (Omega^r(1/sigma, f)
     + min(sigma^{-r}, 1) ||f||)``, and the large-sigma decay slope.
 
     The ratio of the two sides is recorded for every sigma; the slope is fitted over an
     adaptively chosen decade where the best-approximation error is neither
-    saturated nor at the numeric floor.
+    saturated nor at the numeric floor.  ``f`` may hold a stack: the moduli
+    of every member are then searched in one call per sigma, the best
+    approximations stay per member, and one report per member comes back.
     """
     from .moduli import modulus_mixed
 
-    nf = space.norm(f.values)
-    sigmas = np.asarray(list(sigma_list), dtype=float)
+    sigma_seq = list(sigma_list)
+    moduli = [modulus_mixed(space, r, 1.0 / sigma, f) for sigma in sigma_seq]
+    norms = space.norm(f.values)
+    if f.values.ndim == 1:
+        return _jackson_report(sigma_seq, r, f, op, norms, moduli)
+    return [_jackson_report(sigma_seq, r, f.with_values(values), op, nf, [om[i] for om in moduli])
+            for i, (values, nf) in enumerate(zip(f.values, norms))]
+
+
+def _jackson_report(sigma_seq, r: int, f: HalfLineFunction, op: DiscreteOperator, nf: float,
+                    moduli) -> dict:
+    """:func:`jackson_check` of one function from its norm ``nf`` and its moduli, one per sigma."""
+    sigmas = np.asarray(sigma_seq, dtype=float)
     errors = best_approx(sigmas, f, op)
     ratios = []
-    for sigma, err in zip(sigma_list, errors):
-        om = modulus_mixed(space, r, 1.0 / sigma, f)
+    for sigma, err, om in zip(sigma_seq, errors, moduli):
         denom = om + min(sigma ** (-r), 1.0) * nf
         ratios.append(err / max(denom, 1e-14 * max(nf, 1.0)))
     # decade choice: start where the error first drops below 0.5 ||f||

@@ -33,8 +33,12 @@ The factors of ``H_{j,r}(s)`` depend only on ``(j, r, s, grid)``:
 arrays, each one grid long (direction 2) or one padded frequency axis long
 (direction 1).  A whole report at the default grids fills 132 of them,
 about 1 MB; :func:`axbkit.spectral.clear_caches` empties the table.  ``s``
-and ``r * s`` must be finite, which :class:`SteklovParams` checks before
-the table is read.
+and ``r * s`` must be finite, which :class:`SteklovParams` checks, and the
+kernel's reach ``r s / h`` in grid steps of the log grid must be at most
+``MAX_REACH_STEPS``, which :func:`hardy_steklov_dir` checks before the table
+is read: a larger ``s`` would pad direction 1 by as many nodes and turns
+direction 2's factors to NaN near ``s = 1e308``.  The suites reach at most
+about 1,800 steps (``s = 16`` at ``r = 4`` on the 512-node default grid).
 
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
@@ -79,6 +83,10 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+
+#: most grid steps of the log grid a kernel may reach, ``r s / h`` for ``H_{j,r}(s)``
+#: and ``s / h`` for ``P_{j,r}(s)``: direction 1 pads every member by that many nodes
+MAX_REACH_STEPS = 1 << 16
 
 #: Gauss-Legendre nodes per panel of the Irwin-Hall quadrature
 _N_GL = 12
@@ -127,6 +135,15 @@ def _alternating(r: int, term):
     return sum(coeff * term(k) for k, coeff in _binomial(r))
 
 
+def _check_reach(reach: float, s: float, grid: LogGrid) -> None:
+    """Raise a ``ValueError`` naming ``s`` when the kernel's ``reach`` in u spans more
+    than ``MAX_REACH_STEPS`` steps of ``grid``."""
+    steps = reach / grid.h
+    if not steps <= MAX_REACH_STEPS:
+        raise ValueError(f"s = {s} reaches {steps:.3g} grid steps of h = {grid.h:.3g}, "
+                         f"beyond the cap of {MAX_REACH_STEPS}")
+
+
 def _factors(j: int, symbol, reach: float, grid: LogGrid) -> np.ndarray:
     """``symbol`` where direction j applies it: at the nodes ``x`` for direction 2;
     for direction 1 at the angular frequencies in u of the grid padded right by
@@ -152,6 +169,7 @@ def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
     T_j(t_1 + ... + t_r) f dt`` along one subgroup.
     """
     r, s = params.r, params.s
+    _check_reach(s, s, f.grid)
     hp = s / r
     factors = _factors(params.j, lambda z: box_profile(z * hp) ** r, s, f.grid)
     return f.with_values(_along(params.j, factors, f.values, f.grid))
@@ -192,10 +210,11 @@ def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
     """One-direction Hardy-Steklov operator ``H_{j,r}(s)``.
 
     ``f`` is a container, or bare values on ``grid``.  ``s`` and ``r * s``
-    must be finite.
+    must be finite, and ``r s / h`` at most ``MAX_REACH_STEPS``.
     """
     params = SteklovParams(r, s, j)
     values, g, wrap = unwrap(f, grid)
+    _check_reach(params.r * params.s, params.s, g)
     return wrap(_along(j, _hardy_factors(j, params.r, float(params.s), g), values, g))
 
 

@@ -54,6 +54,11 @@ def _corpus(cfg, grid, op=None, only_decaying=False, families=None):
     return pairs
 
 
+def _stack(pairs) -> HalfLineFunction:
+    """The corpus members of ``pairs`` as one stack, in corpus order."""
+    return HalfLineFunction(pairs[0][1].grid, np.stack([f.values for _, f in pairs]))
+
+
 #: the relations a check may state between its value and its threshold
 _RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -480,18 +485,23 @@ def suite_kfunctional(cfg: RunConfig):
     space = md.halfline_space(grid)
     corpus = _corpus(cfg, grid, op=op, only_decaying=True)
     svals = 2.0 ** np.arange(-8, 5, dtype=float)
+    # the surrogates of the whole corpus at once, one value per member
+    stack = _stack(corpus)
+    lower = {r: [md.k_lower(space, r, s, stack) for s in svals] for r in (1, 2)}
+    upper = {r: [md.k_upper(space, r, s, stack) for s in svals] for r in (1, 2)}
+    norms = space.norm(stack.values)
     c_hat, cp_hat, cs_hat, csp_hat = [], [], [], []
     profiles = []
     order1 = []  # the order-1 moduli of corpus[0], emitted as their own profile
-    for entry, f in corpus:
-        nf = space.norm(f.values)
+    for i, (entry, f) in enumerate(corpus):
+        nf = norms[i]
         rows = []
         for r in (1, 2):
-            for s, ksp in zip(svals, md.k_spectral(op, r, svals, f)):
-                kl = md.k_lower(space, r, s, f)
+            for s, ksp, kls, kus in zip(svals, md.k_spectral(op, r, svals, f), lower[r], upper[r]):
+                kl = kls[i]
                 if r == 1 and not profiles:
                     order1.append((float(s), kl))
-                ku = md.k_upper(space, r, s, f)
+                ku = kus[i]
                 trivial = min(s ** r, 1.0) * nf
                 c_hat.append(kl / max(ku, 1e-300))
                 cp_hat.append(ku / max(kl + trivial, 1e-300))
@@ -520,28 +530,33 @@ def _besov_realizations(f, op, space, params, r=2):
     """One dict of realization norms per ``(alpha, q)`` in ``params``.
 
     Each profile (the order-r K and modulus profiles, each band variant's
-    band data) is computed once for all pairs.
+    band data) is computed once for all pairs.  ``f`` may hold a stack: the
+    K, modulus, Zygmund and fractional forms then run on every member at
+    once, the band forms (through the eigenbasis) per member, and one list
+    of dicts per member comes back.
     """
     alphas, qs = zip(*params)
     besov = [md.BesovParams(alpha, q, r) for alpha, q in params]
-    columns = {
-        "k": md.besov_norm(space, f, besov, method="k"),
-        "modulus": md.besov_norm(space, f, besov, method="modulus"),
-        "approx": fr.besov_norm_bands(f, op, alphas, qs, variant="approx"),
-        "projections": fr.besov_norm_bands(f, op, alphas, qs, variant="projections"),
-        "frames": fr.besov_norm_bands(f, op, alphas, qs, variant="frames"),
-    }
-    out = []
+    stack = f if f.values.ndim > 1 else f.with_values(f.values[None])
+    k = md.besov_norm(space, stack, besov, method="k")
+    modulus = md.besov_norm(space, stack, besov, method="modulus")
+    extra = []  # per pair: the Zygmund or fractional form's name and its norms
     for i, (alpha, q) in enumerate(params):
-        vals = {name: column[i] for name, column in columns.items()}
         if alpha == 1 and r == 2:  # the modulus form exactly, see md.zygmund_norm
-            vals["zygmund"] = vals["modulus"]
+            extra.append(("zygmund", modulus[i]))
         elif float(alpha).is_integer():
-            vals["zygmund"] = md.zygmund_norm(space, f, int(alpha), q)
+            extra.append(("zygmund", md.zygmund_norm(space, stack, int(alpha), q)))
         else:
-            vals["fractional"] = md.besov_norm_fractional(space, f, alpha, q)
-        out.append(vals)
-    return out
+            extra.append(("fractional", md.besov_norm_fractional(space, stack, alpha, q)))
+    out = []
+    for m, values in enumerate(stack.values):
+        member = f.with_values(values)
+        columns = {"k": [norms[m] for norms in k], "modulus": [norms[m] for norms in modulus]}
+        for variant in ("approx", "projections", "frames"):
+            columns[variant] = fr.besov_norm_bands(member, op, alphas, qs, variant=variant)
+        out.append([{**{key: column[i] for key, column in columns.items()}, name: norms[m]}
+                    for i, (name, norms) in enumerate(extra)])
+    return out if f.values.ndim > 1 else out[0]
 
 
 def suite_besov(cfg: RunConfig):
@@ -552,8 +567,10 @@ def suite_besov(cfg: RunConfig):
         grid = _grid(cfg, n)
         op = sp.build_matrix_laplacian(grid)
         space = md.halfline_space(grid)
-        for entry, f in _corpus(cfg, grid, op=op, only_decaying=True, families=families):
-            for (alpha, q), vals in zip(params, _besov_realizations(f, op, space, params)):
+        corpus = _corpus(cfg, grid, op=op, only_decaying=True, families=families)
+        for (entry, _), member in zip(corpus, _besov_realizations(_stack(corpus), op, space,
+                                                                  params)):
+            for (alpha, q), vals in zip(params, member):
                 arr = np.array(list(vals.values()))
                 ratio = float(arr.max() / arr.min())
                 results[(entry.name, alpha, q, label)] = (ratio, vals)
@@ -605,9 +622,9 @@ def suite_jackson(cfg: RunConfig):
         space = md.halfline_space(grid)
         constants = []
         slopes = []  # a member without a decade to fit reports a NaN slope
-        for entry, f in _corpus(cfg, grid, op=op, only_decaying=True,
-                                families={"log_gaussian", "power_exp"}):
-            rep = pw.jackson_check(sigmas, r, f, op, space)
+        corpus = _corpus(cfg, grid, op=op, only_decaying=True,
+                         families={"log_gaussian", "power_exp"})
+        for (entry, _), rep in zip(corpus, pw.jackson_check(sigmas, r, _stack(corpus), op, space)):
             constants.append(rep["C_hat"])
             if not math.isnan(rep["slope"]):
                 slopes.append(rep["slope"])

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -395,3 +396,44 @@ def test_dir2_hardy_equals_loop_oracle(f_lg, f_xexp, r):
                 assert np.array_equal(new, old)
             else:
                 assert xp_norm(new - old, grid=grid) <= 5e-15 * xp_norm(old, grid=grid)
+
+
+@pytest.mark.parametrize("r, s", [(1, 1e308), (1, 1e6), (4, 4096.0)])
+def test_scale_beyond_the_reach_cap_is_rejected_before_the_table(f_lg, r, s):
+    import warnings
+
+    from axbkit.smoothing import MAX_REACH_STEPS, _hardy_factors
+
+    grid = f_lg.grid
+    assert math.isfinite(r * s) and r * s / grid.h > MAX_REACH_STEPS
+    message = rf"^s = {re.escape(str(s))} reaches .* beyond the cap"
+    before = _hardy_factors.cache_info()
+    calls = [
+        lambda: hardy_steklov(r, s, f_lg.values, grid=grid),
+        lambda: hardy_steklov(r, s, f_lg),
+        lambda: hardy_steklov_dir(1, r, s, f_lg.values, grid=grid),
+        lambda: hardy_steklov_dir(1, r, s, f_lg),
+        lambda: hardy_steklov_dir(2, r, s, f_lg.values, grid=grid),
+        lambda: hardy_steklov_dir(2, r, s, f_lg),
+        lambda: steklov(r, s, f_lg),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call()
+    after = _hardy_factors.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                          before.currsize)
+
+
+@pytest.mark.parametrize("n", [512, 256])
+def test_reach_cap_admits_the_suite_scales(n):
+    # the moduli suites reach s = 16; MAX_ORDER = 4 is the largest order
+    from axbkit.smoothing import MAX_ORDER
+
+    grid = LogGrid(-12.0, 6.0, n)
+    f = np.exp(-((grid.u + 3.0) ** 2) / 2.0)
+    for r in range(1, MAX_ORDER + 1):
+        out = hardy_steklov(r, 16.0, np.stack([f, 2.0 * f]), grid=grid)
+        assert out.shape == (2, n) and np.all(np.isfinite(out))

@@ -83,8 +83,9 @@ def test_ac12c_gates_the_refinement_drift(monkeypatch, coarse_factor, passed):
     fine = 20.0
 
     def jackson_check(sigmas, r, f, op, space):
+        # the suite passes each grid's corpus as one stack: one report per member
         c_hat = fine if f.grid.n == cfg.grid_n else coarse_factor * fine
-        return {"C_hat": c_hat, "slope": -3.0, "errors": np.ones(len(sigmas))}
+        return [{"C_hat": c_hat, "slope": -3.0, "errors": np.ones(len(sigmas))}] * len(f.values)
 
     monkeypatch.setattr(suites.pw, "jackson_check", jackson_check)
     checks = {c["id"]: c for c in suites.suite_jackson(cfg)["checks"]}
@@ -95,8 +96,9 @@ def test_ac12c_gates_the_refinement_drift(monkeypatch, coarse_factor, passed):
     assert ac12c["passed"] is passed
 
 
-def _nan_jackson(rep):
-    return {**rep, "C_hat": math.nan}
+def _nan_jackson(reps, i=1):
+    """The per-member Jackson reports of one stack with member ``i``'s ``C_hat`` NaN."""
+    return [{**rep, "C_hat": math.nan} if k == i else rep for k, rep in enumerate(reps)]
 
 
 def _nan_member(out, i=4):
@@ -115,11 +117,12 @@ def _fault(suite, owner, leaf, nth, spoil, failing, path=None):
 #: (suite, module that owns the leaf, leaf, call that turns NaN, how, check ids
 #: that must then fail); each poisoned call belongs to a member that is not the
 #: first one of its fold.  The group suite calls its array law for g1*g2 of the
-#: associativity triples first and for g*g^-1 fifth.
+#: associativity triples first and for g*g^-1 fifth.  The jackson suite calls
+#: its leaf once per grid, fine first, with the corpus as one stack.
 FAULTS = [
     _fault("partition", suites, "xp_norm", 3, lambda v: math.nan, {"AC3", "PART_reconstruction"}),
     _fault("spectral", suites.sp, "kernel_leakage", 2, lambda v: math.nan, {"SPEC_parseval"}),
-    _fault("jackson", suites.pw, "jackson_check", 2, _nan_jackson, {"AC12a", "AC12c"}),
+    _fault("jackson", suites.pw, "jackson_check", 1, _nan_jackson, {"AC12a", "AC12c"}),
     _fault("smoothing", suites.sm, "commutation_check", 2, lambda v: math.nan, {"AC8"}),
     _fault("besov", suites.fr, "besov_norm_bands", 2, lambda v: [math.nan] * len(v),
            {"AC11a", "AC11b"}),
