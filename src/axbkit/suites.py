@@ -59,6 +59,20 @@ def _stack(pairs) -> HalfLineFunction:
     return HalfLineFunction(pairs[0][1].grid, np.stack([f.values for _, f in pairs]))
 
 
+#: the analytic decaying families, on which the kernel backend and the refinement checks run
+_ANALYTIC = frozenset({"log_gaussian", "power_exp"})
+
+
+def _rungs(cfg: RunConfig):
+    """The fine rung, then the coarse one, as ``(label, op, space, corpus)``; the corpus
+    holds the analytic decaying members on that rung's grid."""
+    for label, n in (("fine", cfg.grid_n), ("coarse", cfg.grid_n_coarse)):
+        grid = _grid(cfg, n)
+        op = sp.build_matrix_laplacian(grid)
+        yield (label, op, md.halfline_space(grid),
+               _corpus(cfg, grid, op=op, only_decaying=True, families=_ANALYTIC))
+
+
 #: the relations a check may state between its value and its threshold
 _RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -271,8 +285,7 @@ def suite_spectral(cfg: RunConfig):
     # the kernel backend approximates the continuum transform, so it is
     # cross-validated on the analytic decaying families; the band-limited
     # members are constructed from the matrix oracle itself
-    corpus = _corpus(cfg, grid, op=op, only_decaying=True,
-                     families={"log_gaussian", "power_exp"})
+    corpus = _corpus(cfg, grid, op=op, only_decaying=True, families=_ANALYTIC)
 
     heat, leak, rts = [], [], []
     for entry, f in corpus:
@@ -485,35 +498,25 @@ def suite_kfunctional(cfg: RunConfig):
     space = md.halfline_space(grid)
     corpus = _corpus(cfg, grid, op=op, only_decaying=True)
     svals = 2.0 ** np.arange(-8, 5, dtype=float)
-    # the surrogates of the whole corpus at once, one value per member
+    # every surrogate as a (scale, member) array; the moduli of the whole corpus at once
     stack = _stack(corpus)
-    lower = {r: [md.k_lower(space, r, s, stack) for s in svals] for r in (1, 2)}
-    upper = {r: [md.k_upper(space, r, s, stack) for s in svals] for r in (1, 2)}
     norms = space.norm(stack.values)
-    c_hat, cp_hat, cs_hat, csp_hat = [], [], [], []
-    profiles = []
-    order1 = []  # the order-1 moduli of corpus[0], emitted as their own profile
-    for i, (entry, f) in enumerate(corpus):
-        nf = norms[i]
-        rows = []
-        for r in (1, 2):
-            for s, ksp, kls, kus in zip(svals, md.k_spectral(op, r, svals, f), lower[r], upper[r]):
-                kl = kls[i]
-                if r == 1 and not profiles:
-                    order1.append((float(s), kl))
-                ku = kus[i]
-                trivial = min(s ** r, 1.0) * nf
-                c_hat.append(kl / max(ku, 1e-300))
-                cp_hat.append(ku / max(kl + trivial, 1e-300))
-                cs_hat.append(kl / max(ksp, 1e-300))
-                csp_hat.append(ksp / max(kl + trivial, 1e-300))
-                if r == 2:
-                    rows.append((s, kl, ku, ksp))
-        profiles.append((f"kprofile_{entry.family}_{len(profiles)}", rows,
-                         "s,k_lower,k_upper,k_spectral"))
-    profiles.append(("modulus_order1", order1, "s,value"))
-    checks = [_check(cfg, cid, _worst(hats)) for cid, hats in
-              (("AC10a", c_hat), ("AC10b", cp_hat), ("AC10c", cs_hat), ("AC10d", csp_hat))]
+    lower, upper, spectral = {}, {}, {}
+    hats = {"AC10a": [], "AC10b": [], "AC10c": [], "AC10d": []}
+    for r in (1, 2):
+        kl = lower[r] = np.array([md.k_lower(space, r, s, stack) for s in svals])
+        ku = upper[r] = np.array([md.k_upper(space, r, s, stack) for s in svals])
+        ksp = spectral[r] = np.array([md.k_spectral(op, r, svals, f) for _, f in corpus]).T
+        trivial = np.minimum(svals ** r, 1.0)[:, None] * norms
+        for cid, num, den in (("AC10a", kl, ku), ("AC10b", ku, kl + trivial),
+                              ("AC10c", kl, ksp), ("AC10d", ksp, kl + trivial)):
+            hats[cid].append(num / np.maximum(den, 1e-300))
+    checks = [_check(cfg, cid, _worst(ratios)) for cid, ratios in hats.items()]
+    profiles = [(f"kprofile_{entry.family}_{i}",
+                 list(zip(svals, lower[2][:, i], upper[2][:, i], spectral[2][:, i])),
+                 "s,k_lower,k_upper,k_spectral") for i, (entry, _) in enumerate(corpus)]
+    # the order-1 moduli of corpus[0], emitted as their own profile
+    profiles.append(("modulus_order1", list(zip(svals.tolist(), lower[1][:, 0])), "s,value"))
     entry, f = corpus[0]
     ineq = md.verify_modulus_inequalities(space, 2, 1, f, (0.25, 1.0, 4.0))
     checks.append(_check(cfg, "K_ineq_constants", ineq["C0_hat"],
@@ -526,56 +529,49 @@ def suite_kfunctional(cfg: RunConfig):
 # ---------------------------------------------------------------------- besov
 
 
-def _besov_realizations(f, op, space, params, r=2):
-    """One dict of realization norms per ``(alpha, q)`` in ``params``.
+def _besov_realizations(corpus, op, space, params):
+    """Per member of the ``(entry, function)`` pairs ``corpus``, one dict of
+    realization norms per ``(alpha, q)`` in ``params``, all of order 2.
 
-    Each profile (the order-r K and modulus profiles, each band variant's
-    band data) is computed once for all pairs.  ``f`` may hold a stack: the
-    K, modulus, Zygmund and fractional forms then run on every member at
-    once, the band forms (through the eigenbasis) per member, and one list
-    of dicts per member comes back.
+    The K, modulus, Zygmund and fractional forms run on the corpus as one
+    stack, the band forms (through the eigenbasis) on each member's own
+    container.  Each profile is computed once for all pairs.
     """
     alphas, qs = zip(*params)
-    besov = [md.BesovParams(alpha, q, r) for alpha, q in params]
-    stack = f if f.values.ndim > 1 else f.with_values(f.values[None])
+    stack = _stack(corpus)
+    besov = [md.BesovParams(alpha, q, 2) for alpha, q in params]
     k = md.besov_norm(space, stack, besov, method="k")
     modulus = md.besov_norm(space, stack, besov, method="modulus")
     extra = []  # per pair: the Zygmund or fractional form's name and its norms
     for i, (alpha, q) in enumerate(params):
-        if alpha == 1 and r == 2:  # the modulus form exactly, see md.zygmund_norm
+        if alpha == 1:  # the modulus form exactly, see md.zygmund_norm
             extra.append(("zygmund", modulus[i]))
         elif float(alpha).is_integer():
             extra.append(("zygmund", md.zygmund_norm(space, stack, int(alpha), q)))
         else:
             extra.append(("fractional", md.besov_norm_fractional(space, stack, alpha, q)))
     out = []
-    for m, values in enumerate(stack.values):
-        member = f.with_values(values)
+    for m, (_, f) in enumerate(corpus):
         columns = {"k": [norms[m] for norms in k], "modulus": [norms[m] for norms in modulus]}
         for variant in ("approx", "projections", "frames"):
-            columns[variant] = fr.besov_norm_bands(member, op, alphas, qs, variant=variant)
+            columns[variant] = fr.besov_norm_bands(f, op, alphas, qs, variant=variant)
         out.append([{**{key: column[i] for key, column in columns.items()}, name: norms[m]}
                     for i, (name, norms) in enumerate(extra)])
-    return out if f.values.ndim > 1 else out[0]
+    return out
 
 
 def suite_besov(cfg: RunConfig):
     params = ((0.5, 2.0), (1.0, math.inf), (1.3, 1.0))
-    families = {"log_gaussian", "power_exp"}
     results = {}
-    for label, n in (("fine", cfg.grid_n), ("coarse", cfg.grid_n_coarse)):
-        grid = _grid(cfg, n)
-        op = sp.build_matrix_laplacian(grid)
-        space = md.halfline_space(grid)
-        corpus = _corpus(cfg, grid, op=op, only_decaying=True, families=families)
-        for (entry, _), member in zip(corpus, _besov_realizations(_stack(corpus), op, space,
-                                                                  params)):
+    tails = {}  # truncation bounds of the integral-based realizations, per fine-rung member
+    for label, op, space, corpus in _rungs(cfg):
+        for (entry, f), member in zip(corpus, _besov_realizations(corpus, op, space, params)):
             for (alpha, q), vals in zip(params, member):
                 arr = np.array(list(vals.values()))
-                ratio = float(arr.max() / arr.min())
-                results[(entry.name, alpha, q, label)] = (ratio, vals)
-    fine_grid = _grid(cfg)
-    fine_space = md.halfline_space(fine_grid)
+                results[(entry.name, alpha, q, label)] = (float(arr.max() / arr.min()), vals)
+                if label == "fine":
+                    key = f"{entry.name}|alpha={alpha}|q={'inf' if math.isinf(q) else q}"
+                    tails[key] = md.besov_tail_report(space, f, md.BesovParams(alpha, q, 2))
     ratios = []
     drifts = []
     table = []
@@ -596,12 +592,6 @@ def suite_besov(cfg: RunConfig):
                           "pairwise_ratios": pairwise})
     checks = [_check(cfg, "AC11a", _worst(ratios)), _check(cfg, "AC11b", _worst(drifts))]
     payload = _payload(cfg, "besov", checks)
-    # truncation bounds of the integral-based realizations, per corpus member
-    tails = {}
-    for entry, f in _corpus(cfg, fine_grid, only_decaying=True, families=families):
-        for alpha, q in params:
-            rep = md.besov_tail_report(fine_space, f, md.BesovParams(alpha, q, 2))
-            tails[f"{entry.name}|alpha={alpha}|q={'inf' if math.isinf(q) else q}"] = rep
     payload["besov_table"] = table
     payload["truncation_bounds"] = tails
     return payload
@@ -613,31 +603,20 @@ def suite_besov(cfg: RunConfig):
 def suite_jackson(cfg: RunConfig):
     r = 2
     sigmas = 2.0 ** np.arange(-2.0, 5.01, 0.5)
-    checks = []
-    profiles = []
-    hats = {}
-    for label, n in (("fine", cfg.grid_n), ("coarse", cfg.grid_n_coarse)):
-        grid = _grid(cfg, n)
-        op = sp.build_matrix_laplacian(grid)
-        space = md.halfline_space(grid)
-        constants = []
-        slopes = []  # a member without a decade to fit reports a NaN slope
-        corpus = _corpus(cfg, grid, op=op, only_decaying=True,
-                         families={"log_gaussian", "power_exp"})
-        for (entry, _), rep in zip(corpus, pw.jackson_check(sigmas, r, _stack(corpus), op, space)):
-            constants.append(rep["C_hat"])
-            if not math.isnan(rep["slope"]):
-                slopes.append(rep["slope"])
-            if label == "fine":
-                profiles.append((f"jackson_{entry.family}_{len(profiles)}",
-                                 list(zip(sigmas, rep["errors"])), "s,value"))
-        hats[label] = _worst(constants)
-        if label == "fine":
-            checks.append(_check(cfg, "AC12a", hats[label]))
-            checks.append(_check(cfg, "AC12b", _worst(slopes or [math.nan])))
+    # per rung: its corpus and one Jackson report per member
+    reports = {label: (corpus, pw.jackson_check(sigmas, r, _stack(corpus), op, space))
+               for label, op, space, corpus in _rungs(cfg)}
+    hats = {label: _worst([rep["C_hat"] for rep in reps]) for label, (_, reps) in reports.items()}
+    corpus, fine = reports["fine"]
+    # a member without a decade to fit reports a NaN slope
+    slopes = [rep["slope"] for rep in fine if not math.isnan(rep["slope"])]
+    profiles = [(f"jackson_{entry.family}_{i}", list(zip(sigmas, rep["errors"])), "s,value")
+                for i, ((entry, _), rep) in enumerate(zip(corpus, fine))]
     drift = abs(hats["fine"] / hats["coarse"] - 1.0)
-    checks.append(_check(cfg, "AC12c", drift, also=hats["coarse"] < _threshold(cfg, "AC12a"),
-                         fine=hats["fine"], coarse=hats["coarse"]))
+    checks = [_check(cfg, "AC12a", hats["fine"]),
+              _check(cfg, "AC12b", _worst(slopes or [math.nan])),
+              _check(cfg, "AC12c", drift, also=hats["coarse"] < _threshold(cfg, "AC12a"),
+                     fine=hats["fine"], coarse=hats["coarse"])]
     return _payload(cfg, "jackson", checks, profiles)
 
 

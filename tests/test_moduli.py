@@ -478,11 +478,13 @@ def test_shared_suffixes_act_once_per_candidate(space, f_lg):
 def test_besov_realizations_take_zygmund_from_the_modulus_column(monkeypatch, op, space,
                                                                   f_lg, q):
     from axbkit import suites
+    from axbkit.corpus import DEFAULT_CORPUS
 
+    entry = DEFAULT_CORPUS[0]  # log_gaussian(sigma=1,u0=-3), the member f_lg samples
     expected = zygmund_norm(space, f_lg, 1, q)
     calls = []
     monkeypatch.setattr(suites.md, "zygmund_norm", lambda *a: calls.append(a))
-    (vals,) = suites._besov_realizations(f_lg, op, space, [(1.0, q)])
+    ((vals,),) = suites._besov_realizations([(entry, f_lg)], op, space, [(1.0, q)])
     assert vals["zygmund"] == vals["modulus"] == expected
     assert calls == []
 

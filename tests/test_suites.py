@@ -96,6 +96,20 @@ def test_ac12c_gates_the_refinement_drift(monkeypatch, coarse_factor, passed):
     assert ac12c["passed"] is passed
 
 
+def test_suite_besov_builds_one_corpus_per_rung(monkeypatch):
+    # the truncation bounds read the fine rung's own corpus, not a second build
+    real = suites.build_corpus
+    grids = []
+
+    def counted(grid, *args, **kwargs):
+        grids.append(grid.n)
+        return real(grid, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "build_corpus", counted)
+    suites.suite_besov(RunConfig(grid_n=64, grid_n_coarse=32))
+    assert grids == [64, 32]
+
+
 def _nan_jackson(reps, i=1):
     """The per-member Jackson reports of one stack with member ``i``'s ``C_hat`` NaN."""
     return [{**rep, "C_hat": math.nan} if k == i else rep for k, rep in enumerate(reps)]
