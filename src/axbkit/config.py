@@ -54,7 +54,6 @@ class RunConfig:
     seed: int = 0
     tol_scale: float = 1.0
     out_dir: str = "reports"
-    schema_version: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):

@@ -32,6 +32,9 @@ from .reporting import canonical_json, write_profile_csv, write_report
 
 __all__ = ["CHECKS", "SUITES", "run_suite", "run_all"]
 
+#: the version of the report layout, written at the top of every JSON report
+_SCHEMA_VERSION = 1
+
 
 def _grid(cfg: RunConfig, n: int | None = None) -> LogGrid:
     return LogGrid(cfg.u_min, cfg.u_max, n or cfg.grid_n)
@@ -184,7 +187,7 @@ def _payload(cfg, suite, checks, profiles=()):
     echo = cfg.to_dict()
     echo.pop("out_dir", None)  # environmental, would break byte-determinism
     return {
-        "schema_version": cfg.schema_version,
+        "schema_version": _SCHEMA_VERSION,
         "suite": suite,
         "seed": cfg.seed,
         "config": echo,
@@ -759,7 +762,7 @@ def run_suite(cfg: RunConfig, name: str, out_dir: str | None = None):
 def run_all(cfg: RunConfig, out_dir: str | None = None):
     """Run every suite in name order and write the ``report.json`` summary."""
     out = out_dir or cfg.out_dir
-    summary = {"schema_version": cfg.schema_version, "seed": cfg.seed,
+    summary = {"schema_version": _SCHEMA_VERSION, "seed": cfg.seed,
                "config": cfg.to_dict(), "suites": {}}
     ok = True
     for name in sorted(SUITES):

@@ -89,6 +89,7 @@ BAD_CONFIG = [
     ("group", "seed = 3  # an inline comment is part of the value\n", "seed"),
     ("partition", "corpus = nosuch\n", "corpus"),
     ("group", "corpus = nosuch\n", "corpus"),
+    ("group", "schema_version = 7\n", "schema_version"),  # fixed by the package, not a key
 ]
 
 
