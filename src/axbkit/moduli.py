@@ -152,13 +152,14 @@ class RepresentationSpace:
 
 @dataclass(frozen=True)
 class BesovParams:
-    """Smoothness ``0 < alpha < r``, integrability ``q >= 1`` and modulus order r."""
+    """Smoothness ``0 < alpha < r``, integrability ``q >= 1`` and integer modulus order ``r >= 1``."""
 
     alpha: float
     q: float
     r: int
 
     def __post_init__(self):
+        _require_order(self.r)
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not (self.q >= 1):
@@ -198,6 +199,12 @@ def _values(f, shape: tuple) -> np.ndarray:
     axes must be the grid ``shape`` exactly and every sample finite.
     """
     return _checked_samples(getattr(f, "values", f), shape)
+
+
+def _require_order(r) -> None:
+    """Raise unless the modulus order ``r`` is an integer >= 1."""
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"r must be an integer >= 1, got {r!r}")
 
 
 def _finite(value, what: str):
@@ -317,6 +324,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
     (one value per member); it is checked once at entry, and a non-finite
     result raises.
     """
+    _require_order(r)
     f = _values(f, space.shape)
     require_finite("s", s)
     if s < 0:

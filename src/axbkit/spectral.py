@@ -246,12 +246,20 @@ class DiscreteOperator:
         self.sqrt_w = np.sqrt(self.weights)
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients ``<f, v_k>`` in the weighted inner product."""
-        return _real_matvec(self.eigenvectors.T, self.sqrt_w * values)
+        """Eigen-coefficients ``<f, v_k>`` in the weighted inner product, of one function."""
+        return _real_matvec(self.eigenvectors.T, self.sqrt_w * self._one("values", values))
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         """The function whose eigen-coefficients are ``coeffs``; the inverse of :meth:`coeffs`."""
-        return _real_matvec(self.eigenvectors, coeffs) / self.sqrt_w
+        return _real_matvec(self.eigenvectors, self._one("coeffs", coeffs)) / self.sqrt_w
+
+    def _one(self, what: str, x):
+        """``x`` itself, checked to hold one function's samples or coefficients: a stack
+        would make the matrix-vector product a matrix product."""
+        if np.shape(x) != self.sqrt_w.shape:
+            raise ValueError(f"{what}: the eigenbasis takes one function of {self.sqrt_w.size} "
+                             f"samples, got shape {np.shape(x)}")
+        return x
 
     def apply_fn(self, F, values: np.ndarray) -> np.ndarray:
         """Functional calculus ``F(Delta) f`` via the eigen-expansion."""

@@ -208,6 +208,15 @@ def test_besov_params_validation():
         BesovParams(0.5, 0.5, 2)
 
 
+@pytest.mark.parametrize("r", [0, -1, 1.5])
+def test_modulus_order_must_be_an_integer_from_one(space, f_lg, r):
+    # at r = 0 the search had no letter to index, and 1.5 reached itertools as a float
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
+        modulus_mixed(space, r, 0.5, f_lg)
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
+        BesovParams(0.5, 2.0, r)
+
+
 def test_besov_bad_method(space, f_lg):
     with pytest.raises(ValueError):
         besov_norm(space, f_lg, BesovParams(0.5, 2.0, 2), "nope")

@@ -2,7 +2,8 @@
 
 Every stacked result is compared with a loop over the members through
 ``.view(np.uint64)``, so a difference in the last bit, or a NaN payload,
-fails the test.
+fails the test.  The eigenbasis paths take one function at a time and
+reject a stack.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from axbkit.frames import band_energies, besov_norm_bands, lp_decompose
 from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
@@ -18,12 +20,14 @@ from axbkit.moduli import (
     besov_norm,
     besov_norm_fractional,
     k_lower,
+    k_spectral,
     k_upper,
     k_upper_detail,
     modulus_mixed,
     zygmund_norm,
 )
-from axbkit.paleywiener import jackson_check
+from axbkit.paleywiener import best_approx, bernstein_check, jackson_check
+from axbkit.spectral import apply_multiplier, build_matrix_laplacian, spectral_measure
 
 
 def _bits(values):
@@ -175,3 +179,29 @@ def test_k_upper_keeps_a_nan_cap(space, f_lg, members):
     # one member's cap NaN in a stack is enough
     with pytest.raises(ValueError, match="k_upper is not finite"):
         k_upper(_nan_norm_of(space, members[1]), 2, 0.5, members)
+
+
+@pytest.mark.parametrize("members", [16, 3])
+def test_eigenbasis_paths_reject_a_stack(members):
+    # 16 members on a 16-node grid would broadcast into a meaningless matrix product
+    grid = LogGrid(-12.0, 6.0, 16)
+    op = build_matrix_laplacian(grid)
+    values = np.random.default_rng(members).standard_normal((members, grid.n))
+    stack = HalfLineFunction(grid, values)
+    calls = {
+        "coeffs": lambda: op.coeffs(values),
+        "synth": lambda: op.synth(values),
+        "k_spectral": lambda: k_spectral(op, 2, 0.5, stack),
+        "best_approx": lambda: best_approx(2.0, stack, op),
+        "besov_norm_bands": lambda: besov_norm_bands(stack, op, 0.5, 2.0, "projections"),
+        "bernstein_check": lambda: bernstein_check(stack, 2.0, (1, 2), op),
+        "apply_multiplier": lambda: apply_multiplier(np.exp, stack, "matrix", op=op),
+        "band_energies": lambda: band_energies(stack, op),
+        "spectral_measure": lambda: spectral_measure(stack, op),
+        "lp_decompose": lambda: lp_decompose(stack, op),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"one function of 16 samples, got shape "
+                                             rf"\({members}, 16\)"):
+            call()
+            pytest.fail(name)
