@@ -1,0 +1,5 @@
+"""``python -m axbkit``: the ``axbkit`` command."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .corpus import corpus_names
 from .halfplane import DENSE_CAP_2D
 from .spectral import DENSE_CAP
 
-__all__ = ["RunConfig", "ConfigError", "ORACLE_N_CAP", "parse_config_file"]
+__all__ = ["RunConfig", "ConfigError", "ORACLE_N_CAP", "U_RANGE", "parse_config_file"]
 
 #: most nodes of the eigenrelation oracle grid and of the spectral grid (``oracle_n`` and
 #: ``tau_n``); each one's ``n x 720`` float64 Macdonald-kernel quadrature table then stays
 #: near 100 MB
 ORACLE_N_CAP = 16384
+
+
+#: the window of u: the operators square ``x = e^u``, so ``log(min normal) <= u`` keeps ``x``
+#: a normal float and ``2 u <= log(max float)`` keeps ``x^2`` finite
+U_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max) / 2.0)
 
 
 class ConfigError(ValueError):
@@ -73,6 +79,11 @@ class RunConfig:
             a, b = getattr(self, lo), getattr(self, hi)
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ConfigError(f"{lo}/{hi}: need finite {lo} < {hi}, got {a} and {b}")
+        for key in ("u_min", "u_max", "hp_u_min", "hp_u_max"):
+            u = getattr(self, key)
+            if not U_RANGE[0] <= u <= U_RANGE[1]:
+                raise ConfigError(f"{key}: x = e^u must be a normal float with a finite square, "
+                                  f"so {U_RANGE[0]:.6g} <= {key} <= {U_RANGE[1]:.6g}, got {u}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0):
             raise ConfigError(f"tau_max: must be positive and finite, got {self.tau_max}")
         if self.tau_n < 32:

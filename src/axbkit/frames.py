@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import paleywiener as pw
 from .grids import HalfLineFunction, _worst
-from .moduli import _accumulate
+from .moduli import BesovParams, _accumulate, besov_norm
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -88,16 +89,8 @@ def partition_values(J: int, lam) -> np.ndarray:
     return np.stack(rows)
 
 
-def _q_band(j: int, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if j == 0:
-        return g_cutoff(lam)
-    return np.maximum(h_cutoff(2.0 ** (-j) * lam), 0.0)
-
-
 def _q_bands(J: int, lam) -> np.ndarray:
-    """The rows ``_q_band(j, lam)`` for j = 0 .. J of a 1-D ``lam``, element for element
-    equal, from one call of each cutoff."""
+    """The band profiles ``Q_j`` at a 1-D ``lam``, j = 0 .. J, clipped at 0; one row per band."""
     lam = np.asarray(lam, dtype=float)
     shifted = 2.0 ** -np.arange(1, J + 1)[:, None] * lam
     return np.concatenate([g_cutoff(lam)[None], np.maximum(h_cutoff(shifted), 0.0)])
@@ -117,25 +110,28 @@ def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None
 
     With the default J the partial sums telescope to 1 on the whole
     resolved spectrum, so the reconstruction ``sum_j Q_j(Delta) f = f`` is
-    exact up to roundoff.  Returns the list of band functions.
+    exact up to roundoff.  Returns the list of band functions (stacks for a stack), all
+    synthesized in one matrix product.
     """
     if J is None:
         J = full_band_count(op, "lambda")
     c = op.coeffs(f.values)
-    return [f.with_values(op.synth(q * c)) for q in _q_bands(J, op.eigenvalues)]
+    rows = _q_bands(J, op.eigenvalues)[:, None] * c.reshape(-1, c.shape[-1])
+    return [f.with_values(band) for band in op.synth(rows.reshape(-1, c.shape[-1]))
+            .reshape((J + 1,) + c.shape)]
 
 
 def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None,
                   convention: str = "lambda") -> np.ndarray:
     """Norms ``||F_j(Delta) f||`` of the quadratic partition pieces, j = 0 .. J, exact
-    through the spectral weights; their squares sum to ``||f||^2``.
+    through the spectral weights; their squares sum to ``||f||^2``.  A stack adds an axis.
     """
     if J is None:
         J = full_band_count(op, convention)
     lam = np.maximum(op.eigenvalues, 0.0)
     arg = np.sqrt(lam) if convention == "tau" else lam
     w = op.spectral_weights(f.values)
-    return np.array([math.sqrt(float(np.sum(q * w))) for q in _q_bands(J, arg)])
+    return np.array([np.sqrt(np.sum(q * w, axis=-1)) for q in _q_bands(J, arg)])
 
 
 @dataclass
@@ -158,13 +154,9 @@ class BandFrame:
     def n_atoms(self) -> int:
         return self.amat.shape[1]
 
-    def analysis(self, f: HalfLineFunction, op: DiscreteOperator) -> np.ndarray:
-        """Coefficients ``<f, Phi_k>`` for every atom of this band."""
-        return self.analyze_coeffs(op.coeffs(f.values))
-
     def analyze_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """:meth:`analysis` from f's eigen-coefficients ``c = op.coeffs(f.values)``."""
-        return self.amat.conj().T @ c[self.eigen_indices]
+        """Coefficients ``<f, Phi_k>`` of every atom, from ``c = op.coeffs(f.values)``."""
+        return (self.amat.conj().T @ c[..., self.eigen_indices].T).T
 
     def estimated_bounds(self) -> tuple[float, float]:
         """Extremal nonzero eigenvalues of the frame operator on the span."""
@@ -227,13 +219,13 @@ def frame_analysis(f: HalfLineFunction, frames, op: DiscreteOperator):
 
 def frame_synthesis(coefficients, duals, op: DiscreteOperator) -> HalfLineFunction:
     """Reconstruction ``f = sum_{j,k} c^j_k Psi^j_k`` from the canonical dual frames."""
-    total = np.zeros(op.eigenvalues.shape[0], dtype=complex)
-    grid = op.grid
+    lead = np.shape(coefficients[0])[:-1] if len(coefficients) else ()
+    total = np.zeros(lead + op.eigenvalues.shape, dtype=complex)
     for cvec, fr in zip(coefficients, duals):
         if fr.n_atoms == 0:
             continue
-        total[fr.eigen_indices] += fr.amat @ cvec
-    return HalfLineFunction(grid, op.synth(total))
+        total[..., fr.eigen_indices] += (fr.amat @ cvec.T).T
+    return HalfLineFunction(op.grid, op.synth(total))
 
 
 def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
@@ -250,7 +242,7 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
 
     ``alpha`` and ``q`` are two numbers (returns a float) or two sequences of
     one length (returns a list, one norm per pair; ``[]`` when empty).  The
-    band data of the variant is computed once for all pairs.
+    band data of the variant is computed once for all pairs, and of all members of a stack.
     """
     single = np.ndim(alpha) == 0
     alphas = [alpha] if single else list(alpha)
@@ -270,15 +262,13 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
     js = np.arange(J + 1)
     base = 0.0
     if variant == "approx":
-        from .paleywiener import best_approx
-
-        band = best_approx(2.0 ** js, f, op)
+        band = pw.best_approx(2.0 ** js, f, op)
         base = op.norm(f.values)
     elif variant == "projections":
         band = band_energies(f, op, J, convention="tau")
     else:
         c = op.coeffs(f.values)
-        band = [math.sqrt(float(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2)))
+        band = [np.sqrt(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2, axis=-1))
                 for fr in band_frames(op, J)]
     norms = [base + _accumulate([2.0 ** (j * a) * band[j] for j in js], b, 1.0)
              for a, b in zip(alphas, qs)]
@@ -292,11 +282,9 @@ def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q
     Its quasi-norm is ``inf { omega : f in PW_omega }``, so the distance at
     budget t is exactly ``best_approx(t, f)``.
     """
-    from .paleywiener import best_approx
-
     J = full_band_count(op, "tau")
     scales = 2.0 ** np.arange(0, J + 1, dtype=float)
-    errors = best_approx(scales, f, op)
+    errors = pw.best_approx(scales, f, op)
     return _accumulate([t ** alpha * err for t, err in zip(scales, errors)], q)
 
 
@@ -307,18 +295,17 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     the Bernstein margin ``||Delta^{r/2} f|| / (omega_f^r ||f||)`` with
     ``omega_f`` the spectral quasi-norm of f, and the two one-sided ratios
     between the interpolation-space norm and the approximation-space norm,
-    both at ``alpha = r / 2`` and ``q = 2``.
+    both at ``alpha = r / 2`` and ``q = 2``, of one function.
     """
-    from .moduli import BesovParams, besov_norm
-    from .paleywiener import best_approx
-
+    if f.values.ndim != 1:
+        raise ValueError(f"takes one function, got a stack of shape {f.values.shape}")
     lam = np.maximum(op.eigenvalues, 0.0)
     w = op.spectral_weights(f.values)
     total = float(np.sum(w))
     graph = op.norm(f.values) + float(np.sqrt(np.sum(lam ** r * w)))
     J = full_band_count(op, "tau")
     scales = 2.0 ** np.arange(0, J + 1, dtype=float)
-    errors = best_approx(scales, f, op)
+    errors = pw.best_approx(scales, f, op)
     jackson_hat = _worst([t ** r * err / graph for t, err in zip(scales, errors)])
     significant = w > 1e-24 * max(total, 1e-300)
     omega_f = float(np.sqrt(np.max(lam[significant]))) if np.any(significant) else 0.0

@@ -390,13 +390,13 @@ def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
 
     ``s`` may be an array of scales: the spectral weights of ``f`` are
     computed once and an array of surrogates is returned, each summed as a
-    single scale is.
+    single scale is; a stack adds a trailing axis.
     """
     w = op.spectral_weights(_values(f, op.weights.shape))
     root = op.eigenvalues ** (r / 2.0)
-    out = [float(np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w)))
-           for si in ([s] if np.ndim(s) == 0 else s)]
-    return out[0] if np.ndim(s) == 0 else np.array(out)
+    out = np.array([np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w, axis=-1))
+                    for si in np.atleast_1d(s)])
+    return out if np.ndim(s) else _members(out[0])
 
 
 def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
@@ -447,13 +447,18 @@ def besov_s_grid() -> np.ndarray:
     return 2.0 ** (-np.arange(lo, hi + 1, dtype=float))
 
 
-def _accumulate(weighted, q: float, measure: float = math.log(2.0)) -> float:
+def _accumulate(weighted, q: float, measure: float = math.log(2.0)) -> float | np.ndarray:
     """``(sum_k weighted_k^q * measure)^{1/q}``, the max for ``q = inf``.
 
     ``measure`` is the weight of one entry: ``log 2`` of ``ds/s`` on a
-    dyadic scale grid, 1.0 for a plain l^q sum over bands.
+    dyadic scale grid, 1.0 for a plain l^q sum over bands.  An entry may hold
+    one value per member of a stack: each member is then folded on its own
+    floats, as a sum over axis 0 would not add.
     """
     vals = np.asarray(weighted, dtype=float)
+    if vals.ndim > 1:
+        per_member = vals.reshape(len(vals), -1).T
+        return np.array([_accumulate(col, q, measure) for col in per_member]).reshape(vals.shape[1:])
     if math.isinf(q):
         return float(np.max(vals)) if vals.size else 0.0
     return float((np.sum(vals ** q) * measure) ** (1.0 / q))
@@ -463,15 +468,9 @@ def _weighted_integral(profile, alpha: float, q: float) -> float | np.ndarray:
     """``(int_0^inf (s^{-alpha} core(s))^q ds/s)^{1/q}`` from ``core`` on :func:`besov_s_grid`.
 
     ``profile`` holds one value per scale, or per scale one value per member
-    of a stack (then one integral per member comes back).  Each member's
-    profile is folded by :func:`_accumulate` on its own floats: a sum over
-    the scale axis of the stacked profile would not add as a 1-D sum does.
+    of a stack (then one integral per member comes back).
     """
     cols = np.asarray(profile, dtype=float)
-    if cols.ndim > 1:
-        per_member = cols.reshape(len(cols), -1).T
-        return np.array([_weighted_integral(col, alpha, q)
-                         for col in per_member]).reshape(cols.shape[1:])
     return _accumulate([s ** (-alpha) * core for s, core in zip(besov_s_grid(), cols)], q)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import HalfLineFunction
+from .moduli import modulus_mixed
 from .spectral import DiscreteOperator, apply_multiplier
 
 __all__ = [
@@ -61,16 +62,20 @@ def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.
     Orthogonal projection attains the infimum in a Hilbert space, so this
     is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``.  ``sigma``
     may be an array of bands: the spectral weights are computed once and
-    an array of distances is returned.
+    an array of distances is returned; a stack adds a trailing axis.
     """
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
     root = np.sqrt(np.maximum(lam, 0.0))
-    tails = np.array([np.sqrt(np.sum(w[root > s])) for s in np.atleast_1d(sigma)])
-    return float(tails[0]) if np.ndim(sigma) == 0 else tails
+    tails = np.array([np.sqrt(np.sum(w[..., root > s], axis=-1)) for s in np.atleast_1d(sigma)])
+    if np.ndim(sigma):
+        return tails
+    return tails[0] if tails.ndim > 1 else float(tails[0])
 
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
     """Ratios of the Bernstein inequality ``||Delta^{s/2} f|| <= omega^s ||f||`` on ``PW_omega``."""
+    if f.values.ndim != 1:
+        raise ValueError(f"takes one function, got a stack of shape {f.values.shape}")
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
     total = np.sum(w)
     ratios = {}
@@ -87,7 +92,7 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc: int, op: DiscreteOper
     The sum runs over ``k in [-k_trunc+1, k_trunc]`` (symmetric about the
     half-integers).  Returns the series value, its relative deviation from
     ``i sqrt(Delta) f``, and the a-priori tail bound
-    ``(omega/pi^2) * 2 * sum_{k > k_trunc} (k - 1/2)^{-2} * ||f||``.
+    ``(omega/pi^2) * 2 * sum_{k > k_trunc} (k - 1/2)^{-2} * ||f||``, per member of a stack.
     """
     if k_trunc < 1:
         raise ValueError("need k_trunc >= 1")
@@ -101,10 +106,9 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc: int, op: DiscreteOper
     c = op.coeffs(f.values)
     series = f.with_values(op.synth(multiplier * c))
     exact = f.with_values(op.synth(1j * root * c))
-    norm_exact = op.norm(exact.values)
-    err = op.norm(series.values - exact.values) / max(norm_exact, 1e-300)
+    err = op.norm(series.values - exact.values) / np.maximum(op.norm(exact.values), 1e-300)
     tail = (omega / np.pi ** 2) * 2.0 / (k_trunc - 0.5) * op.norm(f.values)
-    return series, float(err), float(tail)
+    return series, err if np.ndim(err) else float(err), tail
 
 
 def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOperator) -> float:
@@ -117,12 +121,11 @@ def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOpera
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
     taus = np.linspace(0.0, t, 65)[1:]
     phase = np.abs(np.exp(1j * np.outer(taus, lam)) - 1.0) ** (2 * r)
-    return float(np.sqrt(np.max(phase @ w)))
+    out = np.sqrt(np.max(phase @ w.T, axis=0))
+    return out if out.ndim else float(out)
 
 
 def decay_slope(sigmas, values, floor: float = 1e-11) -> float:
@@ -142,40 +145,27 @@ def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
 
     The ratio of the two sides is recorded for every sigma; the slope is fitted over an
     adaptively chosen decade where the best-approximation error is neither
-    saturated nor at the numeric floor.  ``f`` may hold a stack: the moduli
-    of every member are then searched in one call per sigma, the best
-    approximations stay per member, and one report per member comes back.
+    saturated nor at the numeric floor.  ``f`` may hold a stack: the moduli and the best
+    approximations of all members are then computed together, and one report per member
+    comes back.
     """
-    from .moduli import modulus_mixed
-
     sigma_seq = list(sigma_list)
-    moduli = [modulus_mixed(space, r, 1.0 / sigma, f) for sigma in sigma_seq]
-    norms = space.norm(f.values)
-    if f.values.ndim == 1:
-        return _jackson_report(sigma_seq, r, f, op, norms, moduli)
-    return [_jackson_report(sigma_seq, r, f.with_values(values), op, nf, [om[i] for om in moduli])
-            for i, (values, nf) in enumerate(zip(f.values, norms))]
-
-
-def _jackson_report(sigma_seq, r: int, f: HalfLineFunction, op: DiscreteOperator, nf: float,
-                    moduli) -> dict:
-    """:func:`jackson_check` of one function from its norm ``nf`` and its moduli, one per sigma."""
     sigmas = np.asarray(sigma_seq, dtype=float)
-    errors = best_approx(sigmas, f, op)
-    ratios = []
-    for sigma, err, om in zip(sigma_seq, errors, moduli):
-        denom = om + min(sigma ** (-r), 1.0) * nf
-        ratios.append(err / max(denom, 1e-14 * max(nf, 1.0)))
-    # decade choice: start where the error first drops below 0.5 ||f||
-    active = np.where(errors < 0.5 * nf)[0]
-    slope = float("nan")
-    if active.size:
-        lo = sigmas[active[0]]
-        window = (sigmas >= lo) & (sigmas <= 10.0 * lo)
-        slope = decay_slope(sigmas[window], errors[window], floor=1e-11 * max(nf, 1.0))
-    return {
-        "C_hat": float(np.max(ratios)),
-        "ratios": [float(v) for v in ratios],
-        "errors": [float(v) for v in errors],
-        "slope": slope,
-    }
+    members = best_approx(sigmas, f, op).reshape(len(sigmas), -1).T
+    # per sigma, one value per member
+    moduli = np.array([modulus_mixed(space, r, 1.0 / sigma, f) for sigma in sigma_seq])
+    norms = np.atleast_1d(space.norm(f.values))
+    reports = []
+    for errors, member_moduli, nf in zip(members, moduli.reshape(len(sigmas), -1).T, norms):
+        ratios = [err / max(om + min(sigma ** (-r), 1.0) * nf, 1e-14 * max(nf, 1.0))
+                  for sigma, err, om in zip(sigma_seq, errors, member_moduli)]
+        # decade choice: start where the error first drops below 0.5 ||f||
+        active = np.where(errors < 0.5 * nf)[0]
+        slope = float("nan")
+        if active.size:
+            lo = sigmas[active[0]]
+            window = (sigmas >= lo) & (sigmas <= 10.0 * lo)
+            slope = decay_slope(sigmas[window], errors[window], floor=1e-11 * max(nf, 1.0))
+        reports.append({"C_hat": float(np.max(ratios)), "ratios": [float(v) for v in ratios],
+                        "errors": [float(v) for v in errors], "slope": slope})
+    return reports if f.values.ndim > 1 else reports[0]

@@ -232,7 +232,9 @@ class DiscreteOperator:
     is real symmetric and its eigenvectors are plainly orthonormal, so the
     discrete Parseval identity ``sum |<f, v_k>|^2 = ||f||^2`` is exact in
     the weighted norm.  The eigen-expansion runs in real arithmetic: a
-    complex vector is transformed as its real and imaginary parts.
+    complex vector is transformed as its real and imaginary parts.  Each method takes
+    one function ``(n,)``, by matrix-vector products, or a stack ``(k, n)``, by matrix
+    products, which round each member within about 1e-15 of its own matrix-vector product.
     """
 
     weights: np.ndarray
@@ -246,19 +248,21 @@ class DiscreteOperator:
         self.sqrt_w = np.sqrt(self.weights)
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients ``<f, v_k>`` in the weighted inner product, of one function."""
-        return _real_matvec(self.eigenvectors.T, self.sqrt_w * self._one("values", values))
+        """Eigen-coefficients ``<f, v_k>`` in the weighted inner product."""
+        x = self.sqrt_w * self._shaped("values", values)
+        return _real_matvec(self.eigenvectors.T, x.T).T
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         """The function whose eigen-coefficients are ``coeffs``; the inverse of :meth:`coeffs`."""
-        return _real_matvec(self.eigenvectors, self._one("coeffs", coeffs)) / self.sqrt_w
+        return _real_matvec(self.eigenvectors, self._shaped("coeffs", coeffs).T).T / self.sqrt_w
 
-    def _one(self, what: str, x):
-        """``x`` itself, checked to hold one function's samples or coefficients: a stack
-        would make the matrix-vector product a matrix product."""
-        if np.shape(x) != self.sqrt_w.shape:
-            raise ValueError(f"{what}: the eigenbasis takes one function of {self.sqrt_w.size} "
-                             f"samples, got shape {np.shape(x)}")
+    def _shaped(self, what: str, x):
+        """``x`` itself, checked to be one function ``(n,)`` or a stack ``(k, n)``: any
+        other shape, ``(n, 1)`` for one, would broadcast into a wrong product."""
+        n = self.sqrt_w.size
+        if np.ndim(x) not in (1, 2) or np.shape(x)[-1:] != (n,):
+            raise ValueError(f"{what}: the eigenbasis takes one function of {n} samples or a "
+                             f"(k, {n}) stack, got shape {np.shape(x)}")
         return x
 
     def apply_fn(self, F, values: np.ndarray) -> np.ndarray:
@@ -269,8 +273,9 @@ class DiscreteOperator:
     def spectral_weights(self, values: np.ndarray) -> np.ndarray:
         return np.abs(self.coeffs(values)) ** 2
 
-    def norm(self, values: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2)))
+    def norm(self, values: np.ndarray) -> float | np.ndarray:
+        out = np.sqrt(np.sum(self.weights * np.abs(self._shaped("values", values)) ** 2, axis=-1))
+        return out if out.ndim else float(out)
 
     def hermitian_residual(self) -> float:
         """Relative reassembly residual ``||V L V^T - M|| / ||M||`` (oracle check)."""

@@ -245,20 +245,17 @@ def suite_partition(cfg: RunConfig):
 
     grid = _grid(cfg)
     op = sp.build_matrix_laplacian(grid)
-    energy = []
-    recon_defects = []
-    profiles = []
-    for entry, f in _corpus(cfg, grid, op=op, only_decaying=True):
-        nrm2 = xp_norm(f) ** 2
-        energies = fr.band_energies(f, op)
-        energy.append(abs(float(np.sum(energies ** 2)) - nrm2) / nrm2)
-        pieces = fr.lp_decompose(f, op)
-        recon = np.sum([p.values for p in pieces], axis=0)
-        recon_defects.append(xp_norm(f.with_values(recon - f.values)) / math.sqrt(nrm2))
-        alpha = 0.5
-        rows = [(j, e, 2.0 ** (j * alpha) * e) for j, e in enumerate(energies)]
-        name = f"band_energy_{entry.family}_{len(profiles)}"
-        profiles.append((name, rows, "j,energy,weighted"))
+    corpus = _corpus(cfg, grid, op=op, only_decaying=True)
+    stack = _stack(corpus)
+    nrm2 = xp_norm(stack) ** 2
+    energies = fr.band_energies(stack, op)  # (band, member)
+    energy = [abs(float(np.sum(e ** 2)) - n2) / n2 for e, n2 in zip(energies.T, nrm2)]
+    recon = np.sum([p.values for p in fr.lp_decompose(stack, op)], axis=0)
+    recon_defects = xp_norm(stack.with_values(recon - stack.values)) / np.sqrt(nrm2)
+    alpha = 0.5
+    profiles = [(f"band_energy_{entry.family}_{i}",
+                 [(j, e, 2.0 ** (j * alpha) * e) for j, e in enumerate(energies[:, i])],
+                 "j,energy,weighted") for i, (entry, _) in enumerate(corpus)]
     checks.append(_check(cfg, "AC3", _worst(energy)))
     checks.append(_check(cfg, "PART_reconstruction", _worst(recon_defects)))
     return _payload(cfg, "partition", checks, profiles)
@@ -509,7 +506,7 @@ def suite_kfunctional(cfg: RunConfig):
     for r in (1, 2):
         kl = lower[r] = np.array([md.k_lower(space, r, s, stack) for s in svals])
         ku = upper[r] = np.array([md.k_upper(space, r, s, stack) for s in svals])
-        ksp = spectral[r] = np.array([md.k_spectral(op, r, svals, f) for _, f in corpus]).T
+        ksp = spectral[r] = md.k_spectral(op, r, svals, stack)
         trivial = np.minimum(svals ** r, 1.0)[:, None] * norms
         for cid, num, den in (("AC10a", kl, ku), ("AC10b", ku, kl + trivial),
                               ("AC10c", kl, ksp), ("AC10d", ksp, kl + trivial)):
@@ -536,31 +533,26 @@ def _besov_realizations(corpus, op, space, params):
     """Per member of the ``(entry, function)`` pairs ``corpus``, one dict of
     realization norms per ``(alpha, q)`` in ``params``, all of order 2.
 
-    The K, modulus, Zygmund and fractional forms run on the corpus as one
-    stack, the band forms (through the eigenbasis) on each member's own
-    container.  Each profile is computed once for all pairs.
+    Every form runs on the corpus as one stack, and each profile is computed
+    once for all pairs.
     """
     alphas, qs = zip(*params)
     stack = _stack(corpus)
     besov = [md.BesovParams(alpha, q, 2) for alpha, q in params]
-    k = md.besov_norm(space, stack, besov, method="k")
-    modulus = md.besov_norm(space, stack, besov, method="modulus")
+    columns = {"k": md.besov_norm(space, stack, besov, method="k"),
+               "modulus": md.besov_norm(space, stack, besov, method="modulus")}
+    for variant in ("approx", "projections", "frames"):
+        columns[variant] = fr.besov_norm_bands(stack, op, alphas, qs, variant=variant)
     extra = []  # per pair: the Zygmund or fractional form's name and its norms
     for i, (alpha, q) in enumerate(params):
         if alpha == 1:  # the modulus form exactly, see md.zygmund_norm
-            extra.append(("zygmund", modulus[i]))
+            extra.append(("zygmund", columns["modulus"][i]))
         elif float(alpha).is_integer():
             extra.append(("zygmund", md.zygmund_norm(space, stack, int(alpha), q)))
         else:
             extra.append(("fractional", md.besov_norm_fractional(space, stack, alpha, q)))
-    out = []
-    for m, (_, f) in enumerate(corpus):
-        columns = {"k": [norms[m] for norms in k], "modulus": [norms[m] for norms in modulus]}
-        for variant in ("approx", "projections", "frames"):
-            columns[variant] = fr.besov_norm_bands(f, op, alphas, qs, variant=variant)
-        out.append([{**{key: column[i] for key, column in columns.items()}, name: norms[m]}
-                    for i, (name, norms) in enumerate(extra)])
-    return out
+    return [[{**{key: column[i][m] for key, column in columns.items()}, name: norms[m]}
+             for i, (name, norms) in enumerate(extra)] for m in range(len(corpus))]
 
 
 def suite_besov(cfg: RunConfig):

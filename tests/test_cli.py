@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 import axbkit
 from axbkit import cli, suites
 from axbkit.cli import main
-from axbkit.config import ORACLE_N_CAP, ConfigError, RunConfig, parse_config_file
+from axbkit.config import ORACLE_N_CAP, U_RANGE, ConfigError, RunConfig, parse_config_file
 from axbkit.corpus import build_corpus, corpus_names
 from axbkit.describe import describe, operation_names
 from axbkit.reporting import canonical_json
-from axbkit.spectral import DENSE_CAP
+from axbkit.spectral import DENSE_CAP, clear_caches
 from axbkit.suites import run_suite, suite_group
 
 
@@ -74,6 +74,19 @@ def test_config_bounds_tau_n():
         RunConfig(tau_n=ORACLE_N_CAP + 1)
 
 
+@pytest.mark.parametrize("key, partner", [("u_min", "u_max"), ("hp_u_min", "hp_u_max"),
+                                          ("u_max", "u_min"), ("hp_u_max", "hp_u_min")])
+def test_config_bounds_the_log_window(key, partner):
+    # log(min normal) <= u keeps x = e^u normal, 2u <= log(max float) keeps x^2 finite; a
+    # window's low end meets the first bound, its high end the second
+    lo, hi = U_RANGE
+    assert lo == math.log(sys.float_info.min) and 2.0 * hi == math.log(sys.float_info.max)
+    bound, beyond = (lo, -math.inf) if key.endswith("min") else (hi, math.inf)
+    assert getattr(RunConfig(**{key: bound, partner: 0.0}), key) == bound
+    with pytest.raises(ConfigError, match=rf"^{key}: .* got {math.nextafter(bound, beyond)}$"):
+        RunConfig(**{key: math.nextafter(bound, beyond), partner: 0.0})
+
+
 #: ``(suite, config text, key)``: each text names one bad key and fails as the config is built
 BAD_CONFIG = [
     ("spectral", "tau_max = nan\n", "tau_max"),
@@ -90,6 +103,11 @@ BAD_CONFIG = [
     ("partition", "corpus = nosuch\n", "corpus"),
     ("group", "corpus = nosuch\n", "corpus"),
     ("group", "schema_version = 7\n", "schema_version"),  # fixed by the package, not a key
+    # x = e^u underflows or x^2 overflows: each ended in a traceback before the window bound
+    ("spectral", "u_min = -800\n", "u_min"),
+    ("partition", "u_max = 710\n", "u_max"),
+    ("halfplane", "hp_u_min = -800\n", "hp_u_min"),
+    ("halfplane", "hp_u_max = 800\n", "hp_u_max"),
 ]
 
 
@@ -390,6 +408,33 @@ def test_the_package_runs_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out[-1] == "0 0 0 [] []"
+
+
+def test_python_m_axbkit_runs_the_command(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(axbkit.__file__)))
+    run = subprocess.run([sys.executable, "-m", "axbkit", "verify", "group", "--out",
+                          str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and "[pass] AC1" in run.stdout, run.stderr
+    assert (tmp_path / "group.json").exists()
+    bad = subprocess.run([sys.executable, "-m", "axbkit", "verify", "group", "--tol-scale", "nan"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and "tol_scale" in bad.stderr
+
+
+@pytest.mark.parametrize("suite", ["partition", "kfunctional", "besov", "jackson"])
+def test_a_suite_writes_identical_files_into_two_directories(tmp_path, suite):
+    # the stacked eigenbasis and moduli paths, run twice at a fixed seed on small grids, each
+    # run from empty caches
+    cfg = RunConfig(grid_n=64, grid_n_coarse=32, seed=3)
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        out.mkdir()
+        clear_caches()
+        run_suite(cfg, suite, out_dir=str(out))
+    names = sorted(os.listdir(first))
+    assert f"{suite}.json" in names and names == sorted(os.listdir(second))
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_cli_describe_and_corpus(capsys):

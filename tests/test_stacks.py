@@ -2,23 +2,38 @@
 
 Every stacked result is compared with a loop over the members through
 ``.view(np.uint64)``, so a difference in the last bit, or a NaN payload,
-fails the test.  The eigenbasis paths take one function at a time and
-reject a stack.
+fails the test.  Through the eigenbasis a stack is one matrix product: each
+member is within ``EIGEN_TOL`` of its value alone, relative to its norm, one
+function keeps the bits of its matrix-vector product, and an array that is
+neither one function nor a stack of them raises.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from axbkit.frames import band_energies, besov_norm_bands, lp_decompose
-from axbkit.grids import HalfLineFunction, LogGrid
+from axbkit.frames import (
+    approx_space_norm,
+    band_energies,
+    band_frames,
+    besov_norm_bands,
+    direct_inverse_check,
+    frame_analysis,
+    frame_synthesis,
+    full_band_count,
+    lp_decompose,
+    partition_values,
+)
+from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
     BesovParams,
     besov_norm,
     besov_norm_fractional,
+    halfline_space,
     k_lower,
     k_spectral,
     k_upper,
@@ -26,7 +41,14 @@ from axbkit.moduli import (
     modulus_mixed,
     zygmund_norm,
 )
-from axbkit.paleywiener import best_approx, bernstein_check, jackson_check
+from axbkit.paleywiener import (
+    bernstein_check,
+    best_approx,
+    jackson_check,
+    pw_project,
+    riesz_boas,
+    schrodinger_modulus,
+)
 from axbkit.spectral import apply_multiplier, build_matrix_laplacian, spectral_measure
 
 
@@ -112,9 +134,16 @@ def test_stacked_jackson_check_equals_per_member(grid, op, space, members):
     assert len(reps) == len(members)
     for rep, values in zip(reps, members):
         one = jackson_check(sigmas, 2, HalfLineFunction(grid, values), op, space)
-        assert set(rep) == set(one)
-        for field in one:
-            _same_bits(rep[field], one[field])
+        assert set(rep) == {"C_hat", "ratios", "errors", "slope"}
+        # every field comes from the best approximations, one matrix product for the stack:
+        # an error moves by EIGEN_TOL ||f||, its ratio by that over the Jackson denominator,
+        # which is at least min(sigma^-2, 1) ||f||; the slope (measured: 5e-12) by 1e-9
+        ratio_tol = EIGEN_TOL * np.maximum(sigmas ** 2, 1.0)
+        assert np.all(np.abs(np.subtract(rep["errors"], one["errors"]))
+                      <= EIGEN_TOL * op.norm(values))
+        assert np.all(np.abs(np.subtract(rep["ratios"], one["ratios"])) <= ratio_tol)
+        assert abs(rep["C_hat"] - one["C_hat"]) <= np.max(ratio_tol)
+        assert abs(rep["slope"] - one["slope"]) <= 1e-9
 
 
 def test_one_function_gives_python_floats(space, f_lg):
@@ -181,27 +210,123 @@ def test_k_upper_keeps_a_nan_cap(space, f_lg, members):
         k_upper(_nan_norm_of(space, members[1]), 2, 0.5, members)
 
 
-@pytest.mark.parametrize("members", [16, 3])
-def test_eigenbasis_paths_reject_a_stack(members):
-    # 16 members on a 16-node grid would broadcast into a meaningless matrix product
+#: the largest deviation through the eigenbasis of a member of a stack from its value
+#: alone, relative to the member's norm: a stack is one matrix product and one function a
+#: matrix-vector product, which round differently
+EIGEN_TOL = 1e-12
+
+
+def _eigen_grid(members):
+    """A 16-node grid, its operator and ``members`` unit-norm random functions on it."""
     grid = LogGrid(-12.0, 6.0, 16)
     op = build_matrix_laplacian(grid)
-    values = np.random.default_rng(members).standard_normal((members, grid.n))
+    rng = np.random.default_rng(members)
+    values = rng.standard_normal((members, grid.n)) + 1j * rng.standard_normal((members, grid.n))
+    return grid, op, values / op.norm(values)[:, None]
+
+
+def _deviation(op, got, ref):
+    """The largest member's distance from its reference: the weighted norm for functions,
+    the Euclidean one for coefficients and numbers (members on axis 0)."""
+    if isinstance(ref, HalfLineFunction):
+        assert got.values.shape == ref.values.shape
+        return float(np.max(op.norm(got.values - ref.values)))
+    assert np.shape(got) == np.shape(ref)
+    diff = np.asarray(got) - np.asarray(ref)
+    return float(np.max(np.linalg.norm(diff.reshape(len(diff), -1), axis=-1)))
+
+
+@pytest.mark.parametrize("members", [16, 3])
+def test_eigenbasis_paths_take_a_stack(members):
+    # 16 members on a 16-node grid: the stack must not be read as a matrix the other way round
+    grid, op, values = _eigen_grid(members)
     stack = HalfLineFunction(grid, values)
-    calls = {
-        "coeffs": lambda: op.coeffs(values),
-        "synth": lambda: op.synth(values),
-        "k_spectral": lambda: k_spectral(op, 2, 0.5, stack),
-        "best_approx": lambda: best_approx(2.0, stack, op),
-        "besov_norm_bands": lambda: besov_norm_bands(stack, op, 0.5, 2.0, "projections"),
-        "bernstein_check": lambda: bernstein_check(stack, 2.0, (1, 2), op),
-        "apply_multiplier": lambda: apply_multiplier(np.exp, stack, "matrix", op=op),
-        "band_energies": lambda: band_energies(stack, op),
-        "spectral_measure": lambda: spectral_measure(stack, op),
-        "lp_decompose": lambda: lp_decompose(stack, op),
+    frames = band_frames(op)
+    duals = [b.dual() for b in frames]
+    calls = {  # name -> the call on one function or a stack, its result with members on axis 0
+        "coeffs": lambda f: op.coeffs(f.values),
+        "synth": lambda f: f.with_values(op.synth(f.values)),
+        "apply_fn": lambda f: f.with_values(op.apply_fn(lambda lam: np.exp(-lam), f.values)),
+        "spectral_weights": lambda f: op.spectral_weights(f.values),
+        "norm": lambda f: op.norm(f.values),
+        "spectral_measure": lambda f: spectral_measure(f, op)[1],
+        "apply_multiplier": lambda f: apply_multiplier(lambda lam: np.exp(-lam), f, op=op),
+        "pw_project": lambda f: pw_project(2.0, f, op),
+        "k_spectral": lambda f: k_spectral(op, 2, 0.5, f),
+        "k_spectral_scales": lambda f: np.moveaxis(k_spectral(op, 2, [0.1, 0.5, 4.0], f), 0, -1),
+        "best_approx": lambda f: best_approx(2.0, f, op),
+        "best_approx_bands": lambda f: np.moveaxis(best_approx([0.5, 2.0, 8.0], f, op), 0, -1),
+        "band_energies": lambda f: np.moveaxis(band_energies(f, op), 0, -1),
+        "lp_decompose": lambda f: np.moveaxis([p.values for p in lp_decompose(f, op)], 0, -2),
+        "riesz_boas": lambda f: riesz_boas(2.0, f, 8, op)[0],
+        "riesz_boas_error": lambda f: riesz_boas(2.0, f, 8, op)[1],
+        "schrodinger_modulus": lambda f: schrodinger_modulus(2, 0.5, f, op),
+        "approx_space_norm": lambda f: approx_space_norm(f, op, 1.0, 2.0),
+        "frame_analysis": lambda f: np.concatenate(frame_analysis(f, frames, op), axis=-1),
+        "frame_synthesis": lambda f: frame_synthesis(frame_analysis(f, frames, op), duals, op),
+        **{f"besov_norm_bands_{variant}": lambda f, v=variant: np.moveaxis(
+            besov_norm_bands(f, op, [0.5, 1.0, 1.3], [2.0, math.inf, 1.0], v), 0, -1)
+           for variant in ("approx", "projections", "frames")},
     }
     for name, call in calls.items():
-        with pytest.raises(ValueError, match=rf"one function of 16 samples, got shape "
-                                             rf"\({members}, 16\)"):
+        stacked = call(stack)
+        singles = [call(stack.with_values(v)) for v in values]
+        if isinstance(stacked, HalfLineFunction):
+            singles = stack.with_values(np.stack([one.values for one in singles]))
+        assert _deviation(op, stacked, singles) <= EIGEN_TOL, name
+
+
+def test_one_function_keeps_the_matrix_vector_bits(op, f_lg, f_xexp):
+    # the one-function paths as they were before stacks: each a matrix-vector product
+    V, sqrt_w = op.eigenvectors, op.sqrt_w
+    lam, root = op.eigenvalues, np.sqrt(np.maximum(op.eigenvalues, 0.0))
+    for f in (f_lg, f_xexp):
+        x = sqrt_w * f.values
+        c = (V.T @ x.real) + 1j * (V.T @ x.imag)
+        w = np.abs(c) ** 2
+        _same_bits(op.coeffs(f.values).view(float), c.view(float))
+        _same_bits(op.synth(c).view(float), (((V @ c.real) + 1j * (V @ c.imag)) / sqrt_w)
+                   .view(float))
+        _same_bits(k_spectral(op, 2, 0.5, f),
+                   float(np.sqrt(np.sum(np.minimum(1.0, 0.5 ** 2 * lam) ** 2 * w))))
+        _same_bits(best_approx([0.5, 2.0], f, op), [np.sqrt(np.sum(w[root > s])) for s in (0.5, 2.0)])
+        _same_bits(band_energies(f, op), [math.sqrt(float(np.sum(q * w)))
+                                          for q in partition_values(full_band_count(op), lam)
+                                          .clip(0.0)])
+        for value in (k_spectral(op, 2, 0.5, f), best_approx(2.0, f, op), op.norm(f.values),
+                      besov_norm_bands(f, op, 0.5, 2.0, "approx")):
+            assert type(value) is float
+
+
+def test_eigenbasis_paths_reject_a_wrong_shape():
+    grid, op, values = _eigen_grid(3)
+    n = grid.n
+    for shape in ((n, 1), (n - 1,), (2, 3, n), (3, n + 1), ()):
+        x = np.ones(shape)
+        for name, call in (("values", op.coeffs), ("coeffs", op.synth), ("values", op.norm),
+                           ("values", op.spectral_weights),
+                           ("values", lambda v: op.apply_fn(np.exp, v))):
+            with pytest.raises(ValueError, match=rf"{name}: the eigenbasis takes one function of "
+                                                 rf"{n} samples or a \(k, {n}\) stack, got "
+                                                 rf"shape {re.escape(str(shape))}"):
+                call(x)
+    # a deeper stack passes the containers and the moduli entry, and stops at the eigenbasis
+    deep = HalfLineFunction(grid, np.stack([values, values]))
+    for call in (lambda: k_spectral(op, 2, 0.5, deep), lambda: best_approx(2.0, deep, op),
+                 lambda: band_energies(deep, op), lambda: lp_decompose(deep, op),
+                 lambda: besov_norm_bands(deep, op, 0.5, 2.0, "frames")):
+        with pytest.raises(ValueError, match=r"got shape \(2, 3, 16\)"):
             call()
-            pytest.fail(name)
+
+
+def test_one_function_paths_reject_a_stack():
+    # these sum over the whole spectral measure; a stack would be summed as one function
+    grid, op, values = _eigen_grid(3)
+    stack = HalfLineFunction(grid, values)
+    for call in (lambda: bernstein_check(stack, 2.0, (1, 2), op),
+                 lambda: direct_inverse_check(stack, op, 2, halfline_space(grid))):
+        with pytest.raises(ValueError, match=r"takes one function, got a stack of shape \(3, 16\)"):
+            call()
+    # the kernel transform is not stacked either
+    with pytest.raises(ValueError):
+        apply_multiplier(np.exp, stack, "kernel", sgrid=SpectralGrid(6.0, 32))

@@ -128,17 +128,24 @@ def _fault(suite, owner, leaf, nth, spoil, failing, path=None):
     return pytest.param(suite, owner, leaf, nth, spoil, failing, id=f"{suite}-{path or leaf}")
 
 
+def _nan_at(values, i=1):
+    """A stacked result, one value per member, with member ``i`` NaN."""
+    return np.where(np.arange(len(values)) == i, math.nan, values)
+
+
 #: (suite, module that owns the leaf, leaf, call that turns NaN, how, check ids
-#: that must then fail); each poisoned call belongs to a member that is not the
-#: first one of its fold.  The group suite calls its array law for g1*g2 of the
-#: associativity triples first and for g*g^-1 fifth.  The jackson suite calls
-#: its leaf once per grid, fine first, with the corpus as one stack.
+#: that must then fail); each poisoned call or member is not the first one of
+#: its fold.  The group suite calls its array law for g1*g2 of the
+#: associativity triples first and for g*g^-1 fifth.  The partition suite
+#: norms its corpus as one stack first; the besov suite calls its leaf once per
+#: variant and grid, fine first, with the corpus as one stack, and the jackson
+#: suite once per grid.
 FAULTS = [
-    _fault("partition", suites, "xp_norm", 3, lambda v: math.nan, {"AC3", "PART_reconstruction"}),
+    _fault("partition", suites, "xp_norm", 1, _nan_at, {"AC3", "PART_reconstruction"}),
     _fault("spectral", suites.sp, "kernel_leakage", 2, lambda v: math.nan, {"SPEC_parseval"}),
     _fault("jackson", suites.pw, "jackson_check", 1, _nan_jackson, {"AC12a", "AC12c"}),
     _fault("smoothing", suites.sm, "commutation_check", 2, lambda v: math.nan, {"AC8"}),
-    _fault("besov", suites.fr, "besov_norm_bands", 2, lambda v: [math.nan] * len(v),
+    _fault("besov", suites.fr, "besov_norm_bands", 2, lambda v: [_nan_at(n) for n in v],
            {"AC11a", "AC11b"}),
     _fault("group", suites, "_compose", 1, _nan_member, {"AC1"}, path="multiply"),
     _fault("group", suites, "_compose", 5, _nan_member, {"AC1"}, path="inverse"),
@@ -175,14 +182,18 @@ def test_pairwise_ratios_are_nan_both_ways(monkeypatch):
 
     def poisoned(f, op, alphas, qs, variant):
         out = real(f, op, alphas, qs, variant)
-        return [math.nan] * len(out) if variant == "projections" else out
+        return [_nan_at(n) for n in out] if variant == "projections" else out
 
     monkeypatch.setattr(suites.fr, "besov_norm_bands", poisoned)
-    table = suites.suite_besov(RunConfig(grid_n=64, grid_n_coarse=32))["besov_table"]
-    assert table
+    cfg = RunConfig(grid_n=64, grid_n_coarse=32)
+    table = suites.suite_besov(cfg)["besov_table"]
+    spoiled = suites._corpus(cfg, suites._grid(cfg), only_decaying=True,
+                             families=suites._ANALYTIC)[1][0].name
+    assert {row["function"] for row in table} - {spoiled}
     for row in table:
         pairs = row["pairwise_ratios"]
         for other in pairs:
-            assert math.isnan(pairs[other]["projections"])
-            assert math.isnan(pairs["projections"][other])
+            both = (pairs[other]["projections"], pairs["projections"][other])
+            assert all(map(math.isnan, both)) if row["function"] == spoiled else \
+                not any(map(math.isnan, both))
         assert pairs["k"]["approx"] == pairs["approx"]["k"] >= 1.0
