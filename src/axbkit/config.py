@@ -43,7 +43,6 @@ class RunConfig:
     u_min: float = -12.0
     u_max: float = 6.0
     grid_n: int = 512
-    grid_n_coarse: int = 256
     oracle_n: int = 1024
     # spectral grid
     tau_max: float = 12.0
@@ -64,15 +63,11 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise ConfigError(f"tol_scale: must be positive and finite, got {self.tol_scale}")
-        if self.grid_n < 16 or self.grid_n_coarse < 16 or self.oracle_n < 16:
-            raise ConfigError("grid_n/grid_n_coarse/oracle_n: need at least 16 nodes")
-        if self.grid_n > DENSE_CAP:
-            raise ConfigError(f"grid_n: at most {DENSE_CAP} nodes (dense eigensolver cap)")
-        # below grid_n, so the coarse rung is within the dense cap too
-        if not self.grid_n_coarse < self.grid_n:
-            raise ConfigError(
-                f"grid_n_coarse: must be below grid_n = {self.grid_n} (the refinement checks "
-                f"compare the coarse grid with the fine one), got {self.grid_n_coarse}")
+        if not 32 <= self.grid_n <= DENSE_CAP:
+            raise ConfigError(f"grid_n: need 32 to {DENSE_CAP} nodes (the coarse rung has "
+                              f"grid_n // 2, the dense eigensolver cap is {DENSE_CAP})")
+        if self.oracle_n < 16:
+            raise ConfigError("oracle_n: need at least 16 nodes")
         if self.oracle_n > ORACLE_N_CAP:
             raise ConfigError(f"oracle_n: at most {ORACLE_N_CAP} nodes (kernel quadrature table)")
         for lo, hi in (("u_min", "u_max"), ("hp_u_min", "hp_u_max"), ("y_min", "y_max")):
@@ -100,6 +95,11 @@ class RunConfig:
             raise ConfigError(f"corpus: unknown entries {unknown}; see 'axbkit corpus'")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
+
+    @property
+    def grid_n_coarse(self) -> int:
+        """Nodes of the coarse rung the refinement checks compare with ``grid_n``."""
+        return self.grid_n // 2
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

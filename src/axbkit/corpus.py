@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import HalfLineFunction, LogGrid
+from .halfline import xp_norm
+from .spectral import build_matrix_laplacian, macdonald_kernel
 
 __all__ = ["CorpusEntry", "DEFAULT_CORPUS", "build_corpus", "corpus_names"]
 
@@ -29,8 +31,6 @@ class CorpusEntry:
     decaying: bool = True
 
     def build(self, grid: LogGrid, op=None, seed: int = 0) -> HalfLineFunction:
-        from .halfline import xp_norm
-
         u, x = grid.u, grid.x
         p = self.params
         if self.family == "log_gaussian":
@@ -38,13 +38,9 @@ class CorpusEntry:
         elif self.family == "power_exp":
             vals = x ** p["alpha"] * np.exp(-p["beta"] * x)
         elif self.family == "macdonald":
-            from .spectral import macdonald_kernel
-
             vals = macdonald_kernel(p["tau0"], x)
         elif self.family == "bandlimited_random":
             if op is None:
-                from .spectral import build_matrix_laplacian
-
                 op = build_matrix_laplacian(grid)
             rng = np.random.default_rng(seed + int(1000 * p["omega"]))
             noise = rng.standard_normal(grid.n)

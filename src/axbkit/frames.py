@@ -148,7 +148,6 @@ class BandFrame:
     tau_hi: float
     eigen_indices: np.ndarray
     amat: np.ndarray = field(repr=False)
-    bounds: tuple[float, float] = (1.0, 1.0)
 
     @property
     def n_atoms(self) -> int:
@@ -175,10 +174,7 @@ class BandFrame:
             return self
         S = self.amat @ self.amat.conj().T
         damat = np.linalg.pinv(S, hermitian=True) @ self.amat
-        lo, hi = self.bounds
-        dual_bounds = (1.0 / hi if hi > 0 else 0.0, 1.0 / lo if lo > 0 else 0.0)
-        return BandFrame(self.j, self.tau_lo, self.tau_hi, self.eigen_indices,
-                         damat, dual_bounds)
+        return BandFrame(self.j, self.tau_lo, self.tau_hi, self.eigen_indices, damat)
 
 
 def _tau_bin(j: int) -> tuple[float, float]:
@@ -193,15 +189,8 @@ def build_band_frame(op: DiscreteOperator, j: int, redundant: bool = False) -> B
     tau = np.sqrt(np.maximum(op.eigenvalues, 0.0))
     idx = np.where((tau >= lo) & (tau < hi))[0]
     eye = np.eye(idx.size)
-    if redundant:
-        amat = np.concatenate([eye, eye], axis=1)
-        bounds = (2.0, 2.0)
-    else:
-        amat = eye
-        bounds = (1.0, 1.0)
-    if idx.size == 0:
-        bounds = (0.0, 0.0)
-    return BandFrame(j, lo, hi, idx, amat, bounds)
+    amat = np.concatenate([eye, eye], axis=1) if redundant else eye
+    return BandFrame(j, lo, hi, idx, amat)
 
 
 def band_frames(op: DiscreteOperator, J: int | None = None, redundant: bool = False):
@@ -302,14 +291,14 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     lam = np.maximum(op.eigenvalues, 0.0)
     w = op.spectral_weights(f.values)
     total = float(np.sum(w))
-    graph = op.norm(f.values) + float(np.sqrt(np.sum(lam ** r * w)))
+    bern = float(np.sqrt(np.sum(lam ** r * w)))
+    graph = op.norm(f.values) + bern
     J = full_band_count(op, "tau")
     scales = 2.0 ** np.arange(0, J + 1, dtype=float)
     errors = pw.best_approx(scales, f, op)
     jackson_hat = _worst([t ** r * err / graph for t, err in zip(scales, errors)])
     significant = w > 1e-24 * max(total, 1e-300)
     omega_f = float(np.sqrt(np.max(lam[significant]))) if np.any(significant) else 0.0
-    bern = float(np.sqrt(np.sum(lam ** r * w)))
     bern_margin = bern / max(omega_f ** r * math.sqrt(total), 1e-300)
     interp = besov_norm(space, f, BesovParams(r / 2.0, 2.0, r), method="k")
     approx = approx_space_norm(f, op, r / 2.0, 2.0)

@@ -43,7 +43,8 @@ from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, requir
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
-from .moduli import RepresentationSpace, grid_candidates, modulus_mixed  # noqa: F401
+from .moduli import (RepresentationSpace, grid_candidates, modulus_mixed,  # noqa: F401
+                     sobolev_space_norm)
 from .smoothing import hardy_steklov_generic
 from .spectral import flat_skew, fourier_diff_matrix, skew
 
@@ -442,8 +443,6 @@ def sobolev_graph_check(f: HalfPlaneFunction, m: int, side: str, op: KroneckerLa
 
     ``op`` is the side's Laplacian, :func:`build_halfplane_laplacian`.
     """
-    from .moduli import sobolev_space_norm
-
     space = halfplane_space(f.grid, side, 2.0)
     sob = sobolev_space_norm(space, f, m)
     graph = op.norm(f.values) + math.sqrt(max(op.power_form(f.values, m), 0.0))

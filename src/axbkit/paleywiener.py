@@ -16,8 +16,6 @@ is checked with symmetric truncation and an explicit tail bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import HalfLineFunction
@@ -25,7 +23,6 @@ from .moduli import modulus_mixed
 from .spectral import DiscreteOperator, apply_multiplier
 
 __all__ = [
-    "BandLimit",
     "pw_project",
     "best_approx",
     "bernstein_check",
@@ -36,21 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BandLimit:
-    """Bound on the spectrum of ``Delta^{1/2}``, i.e. on tau."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-
-
 def pw_project(omega: float, f: HalfLineFunction,
                op: DiscreteOperator | None = None) -> HalfLineFunction:
     """Projection onto ``PW_omega``, ``1_{[0, omega]}(Delta^{1/2}) f``, by the matrix backend."""
-    omega = BandLimit(omega).omega
+    if not omega > 0:
+        raise ValueError(f"omega: must be positive, got {omega}")
     return apply_multiplier(
         lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float), f, op=op)
 

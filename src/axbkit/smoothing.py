@@ -65,7 +65,7 @@ import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fourier_multiplier, require_finite,
                     unwrap)
-from .halfline import shift_log
+from .halfline import act_modulation, shift_log, xp_norm
 from .moduli import halfline_space
 
 __all__ = [
@@ -234,8 +234,6 @@ def commutation_check(m: int, t1: float, t2: float, f: HalfLineFunction) -> floa
     Both sides are exact pointwise operations up to the windowed shift, so
     the residual measures only roundoff and window loss.
     """
-    from .halfline import act_modulation, xp_norm
-
     x = f.grid.x
     moved = shift_log(act_modulation(t2, f), t1)
     lhs = moved.with_values((1j * x) ** m * moved.values)

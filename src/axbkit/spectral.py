@@ -111,7 +111,9 @@ def macdonald_kernel(tau, x):
     t = np.linspace(0.0, _KERNEL_T_MAX, _KERNEL_N_T)
     wt = trapezoid_weights(_KERNEL_N_T, t[1] - t[0])
     with np.errstate(under="ignore"):
-        decay = np.exp(-np.outer(x_arr, np.cosh(t)))
+        # exponentiated in place: one (len(x), 720) buffer instead of two
+        decay = np.outer(x_arr, -np.cosh(t))
+        np.exp(decay, out=decay)
     table = (np.cos(np.outer(tau_arr, t)) * wt) @ decay.T
     if np.isscalar(tau) and np.isscalar(x):
         return float(table[0, 0])
@@ -131,7 +133,11 @@ def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:
 
 
 def kl_forward(f: HalfLineFunction, sgrid: SpectralGrid) -> Spectrum:
-    """Forward kernel transform ``F(tau) = int K_{i tau}(x) f(x) dx/x``, diagonalizing Delta."""
+    """Forward kernel transform ``F(tau) = int K_{i tau}(x) f(x) dx/x``, diagonalizing Delta,
+    of one function: the transform is not stacked."""
+    if f.values.shape != (f.grid.n,):
+        raise ValueError(f"kl_forward: the kernel transform takes one function of {f.grid.n} "
+                         f"samples, got shape {f.values.shape}")
     table = kernel_table(f.grid, sgrid)
     return Spectrum(sgrid, table @ (f.grid.weights * f.values))
 

@@ -27,7 +27,7 @@ from .config import ConfigError, RunConfig
 from .corpus import build_corpus
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, _worst, fd6
 from .group import GroupElement, _compose
-from .halfline import act_modulation, xp_norm
+from .halfline import act_modulation, inner, xp_norm
 from .reporting import canonical_json, write_profile_csv, write_report
 
 __all__ = ["CHECKS", "SUITES", "run_suite", "run_all"]
@@ -287,11 +287,12 @@ def suite_spectral(cfg: RunConfig):
     # members are constructed from the matrix oracle itself
     corpus = _corpus(cfg, grid, op=op, only_decaying=True, families=_ANALYTIC)
 
-    heat, leak, rts = [], [], []
+    heat, leak, rts, heat_ms = [], [], [], []
     for entry, f in corpus:
         heat_m = sp.apply_multiplier(lambda lam: np.exp(-lam), f, "matrix", op=op)
         heat_k = sp.apply_multiplier(lambda lam: np.exp(-lam), f, "kernel", sgrid=sgrid)
         heat.append(xp_norm(heat_k - heat_m) / xp_norm(heat_m))
+        heat_ms.append(heat_m)
         leak.append(sp.kernel_leakage(f, sgrid))
         rt = sp.kl_inverse(sp.kl_forward(f, sgrid), grid)
         rts.append(xp_norm(rt - f) / xp_norm(f))
@@ -307,13 +308,12 @@ def suite_spectral(cfg: RunConfig):
     ident = sp.apply_multiplier(lambda lam: np.ones_like(lam), f, "matrix", op=op)
     v_ident = xp_norm(ident - f) / xp_norm(f)
     checks.append(_check(cfg, "SPEC_identity", v_ident))
+    # the heat multiplier of f, from the loop above
+    pos = heat_ms[0]
     fg = sp.apply_multiplier(lambda lam: np.exp(-lam) / (1 + lam), f, "matrix", op=op)
-    gf = sp.apply_multiplier(
-        lambda lam: 1.0 / (1 + lam),
-        sp.apply_multiplier(lambda lam: np.exp(-lam), f, "matrix", op=op), "matrix", op=op)
+    gf = sp.apply_multiplier(lambda lam: 1.0 / (1 + lam), pos, "matrix", op=op)
     v_prod = xp_norm(fg - gf) / xp_norm(fg)
     checks.append(_check(cfg, "SPEC_product", v_prod))
-    pos = sp.apply_multiplier(lambda lam: np.exp(-lam), f, "matrix", op=op)
     quad = float(np.real(np.sum(grid.weights * pos.values * np.conj(f.values))))
     checks.append(_check(cfg, "SPEC_positivity", quad, factor=xp_norm(f) ** 2))
     schro = sp.apply_multiplier(lambda lam: np.exp(0.7j * lam), f, "matrix", op=op)
@@ -374,8 +374,6 @@ def suite_paleywiener(cfg: RunConfig):
     idem = xp_norm(pw.pw_project(2.0, p2, op=op) - p2) / xp_norm(p2)
     checks.append(_check(cfg, "PW_idempotent", idem))
     g = HalfLineFunction(grid, np.exp(-((grid.u + 5.0) ** 2) / 3.0))
-    from .halfline import inner
-
     sym = abs(inner(p2, g) - inner(f, pw.pw_project(2.0, g, op=op)))
     checks.append(_check(cfg, "PW_selfadjoint", sym))
     pyth = abs(pw.best_approx(2.0, f, op) ** 2 + xp_norm(p2) ** 2 - xp_norm(f) ** 2)
@@ -632,7 +630,7 @@ def suite_frames(cfg: RunConfig):
     rb = red.estimated_bounds()
     red_dev = _worst([abs(rb[0] - 2.0), abs(rb[1] - 2.0)])
     checks.append(_check(cfg, "FRAME_redundant", red_dev))
-    f = build_corpus(grid, op=op, seed=cfg.seed, only_decaying=True)[0][1]
+    f = _corpus(cfg, grid, op=op, only_decaying=True)[0][1]
     coeffs = fr.frame_analysis(f, frames, op)
     mass = sum(float(np.sum(np.abs(c) ** 2)) for c in coeffs)
     pars = abs(mass - xp_norm(f) ** 2) / xp_norm(f) ** 2
@@ -682,12 +680,10 @@ def suite_halfplane(cfg: RunConfig):
 
     # commutator residuals: the symbolically forced identities
     for side, sign in (("left", -1.0), ("right", 1.0)):
-        d1d2 = hp.generator_2d(1, hp.generator_2d(2, f, side), side)
-        d2d1 = hp.generator_2d(2, hp.generator_2d(1, f, side), side)
-        comm = d1d2 - d2d1
-        target = sign * hp.generator_2d(2, f, side)
+        alt, d2 = hp.generator_2d(1, f, side), hp.generator_2d(2, f, side)
+        comm = hp.generator_2d(1, d2, side) - hp.generator_2d(2, alt, side)
+        target = sign * d2
         res_forced = hp.lp_norm_2d(comm - target, 2, side) / hp.lp_norm_2d(target, 2, side)
-        alt = hp.generator_2d(1, f, side)
         res_doc = hp.lp_norm_2d(comm - alt, 2, side) / hp.lp_norm_2d(alt, 2, side)
         checks.append(_check(cfg, f"HP_commutator_{side}", res_forced,
                              alternative_residual=res_doc))

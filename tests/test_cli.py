@@ -45,19 +45,21 @@ def test_config_file_rejects_non_finite_tol_scale(tmp_path, value):
         parse_config_file(str(path))
 
 
-@pytest.mark.parametrize("key", ["grid_n", "grid_n_coarse"])
+@pytest.mark.parametrize("key", ["grid_n"])
 def test_config_rejects_grid_above_dense_cap(key):
-    # the coarse rung must stay below the fine one, so it reaches at most DENSE_CAP - 1
-    RunConfig(grid_n=DENSE_CAP, grid_n_coarse=DENSE_CAP - 1)
+    RunConfig(**{key: DENSE_CAP})
     with pytest.raises(ConfigError, match=key):
         RunConfig(**{key: DENSE_CAP + 1})
 
 
-@pytest.mark.parametrize("fine, coarse", [(256, 512), (512, 512), (128, 256)])
-def test_config_rejects_coarse_rung_not_below_fine(fine, coarse):
-    with pytest.raises(ConfigError, match="grid_n_coarse"):
-        RunConfig(grid_n=fine, grid_n_coarse=coarse)
-    RunConfig(grid_n=coarse + 1, grid_n_coarse=coarse)
+@pytest.mark.parametrize("n", [32, 33, 64, 511, 512, DENSE_CAP])
+def test_coarse_rung_is_half_the_fine_grid(n):
+    # the coarse rung is derived, not a key: it is never at or above the fine one
+    cfg = RunConfig(grid_n=n)
+    assert cfg.grid_n_coarse == n // 2
+    assert "grid_n_coarse" not in cfg.to_dict()
+    with pytest.raises(TypeError, match="grid_n_coarse"):
+        RunConfig(grid_n=n, grid_n_coarse=n // 2)
 
 
 def test_config_bounds_oracle_n():
@@ -141,13 +143,20 @@ def test_cli_bad_bound_exits_2(tmp_path, capsys, suite, text, key):
     (["--tol-scale", "inf"], "tol_scale"),
     (["--tol-scale", "nan"], "tol_scale"),
     (["--grid-n", "3000"], "grid_n"),
-    (["--grid-n", "128"], "grid_n_coarse"),  # below the default coarse rung, 256
+    (["--grid-n", "31"], "grid_n"),  # its coarse rung, 15, is below 16 nodes
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, args, key):
     assert main(["verify", "group", "--out", str(tmp_path)] + args) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert not (tmp_path / "group.json").exists()
+
+
+def test_cli_grid_n_below_the_old_coarse_default_runs(tmp_path):
+    # the coarse rung follows grid_n down, so a 128-node run no longer collides with it
+    assert main(["verify", "group", "--grid-n", "128", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "group.json").read_text())
+    assert report["config"]["grid_n"] == 128 and "grid_n_coarse" not in report["config"]
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -157,7 +166,6 @@ def test_config_file_roundtrip(tmp_path):
         "   # a comment is a whole line; a later '#' belongs to the value\n"
         "out_dir = runs#3\n"
         "grid_n = 256\n"
-        "grid_n_coarse = 128\n"
         "seed = 3\n"
         "tol_scale = 2.0\n"
         "corpus = log_gaussian(sigma=1,u0=-3); power_exp(alpha=1,beta=1)\n"
@@ -194,7 +202,7 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 run_configs = st.builds(
     RunConfig,
     u_min=st.floats(-30.0, -0.5, **_finite), u_max=st.floats(0.0, 12.0, **_finite),
-    grid_n=st.integers(256, DENSE_CAP), grid_n_coarse=st.integers(16, 255),
+    grid_n=st.integers(32, DENSE_CAP),
     oracle_n=st.integers(16, ORACLE_N_CAP),
     tau_max=st.floats(1e-3, 100.0, **_finite), tau_n=st.integers(32, 5000),
     hp_u_min=st.floats(-10.0, -0.5, **_finite), hp_u_max=st.floats(0.0, 10.0, **_finite),
@@ -396,6 +404,27 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+#: the functions that import from the package at call time, each to break an import cycle:
+#: halfline imports moduli, and spectral sits below halfline, moduli and smoothing
+_CYCLE_IMPORTS = {("moduli", "halfline_space"), ("spectral", "_leakage"),
+                  ("spectral", "clear_caches")}
+
+
+def test_function_level_imports_only_break_cycles():
+    src_dir = os.path.dirname(axbkit.__file__)
+    found = set()
+    for fname in sorted(os.listdir(src_dir)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src_dir, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(fname[:-3], fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert found == _CYCLE_IMPORTS
+
+
 def test_the_package_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is a test oracle only, and
     # importing it would dominate the start-up of every command
@@ -425,7 +454,7 @@ def test_python_m_axbkit_runs_the_command(tmp_path):
 def test_a_suite_writes_identical_files_into_two_directories(tmp_path, suite):
     # the stacked eigenbasis and moduli paths, run twice at a fixed seed on small grids, each
     # run from empty caches
-    cfg = RunConfig(grid_n=64, grid_n_coarse=32, seed=3)
+    cfg = RunConfig(grid_n=64, seed=3)
     first, second = tmp_path / "first", tmp_path / "second"
     for out in (first, second):
         out.mkdir()

@@ -148,7 +148,7 @@ def test_redundant_frame(grid, op, f_lg):
 def test_empty_band_flagged(grid, op):
     b = build_band_frame(op, 40)
     assert b.n_atoms == 0
-    assert b.bounds == (0.0, 0.0)
+    assert b.estimated_bounds() == (0.0, 0.0)
 
 
 def test_frame_analysis_zero(grid, op):

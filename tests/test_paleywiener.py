@@ -6,7 +6,6 @@ import pytest
 from axbkit.grids import HalfLineFunction
 from axbkit.halfline import inner, xp_norm
 from axbkit.paleywiener import (
-    BandLimit,
     bernstein_check,
     best_approx,
     decay_slope,
@@ -21,9 +20,10 @@ def eigvec(grid, op, k):
     return HalfLineFunction(grid, op.synth(np.eye(op.eigenvalues.size)[:, k]))
 
 
-def test_band_limit_validation():
-    with pytest.raises(ValueError):
-        BandLimit(-1.0)
+def test_band_limit_validation(f_lg, op):
+    for omega in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="omega"):
+            pw_project(omega, f_lg, op=op)
 
 
 def test_projection_fixes_bandlimited(grid, op, f_lg):

@@ -49,7 +49,8 @@ from axbkit.paleywiener import (
     riesz_boas,
     schrodinger_modulus,
 )
-from axbkit.spectral import apply_multiplier, build_matrix_laplacian, spectral_measure
+from axbkit.spectral import (apply_multiplier, build_matrix_laplacian, kernel_leakage, kl_forward,
+                             spectral_measure)
 
 
 def _bits(values):
@@ -327,6 +328,12 @@ def test_one_function_paths_reject_a_stack():
                  lambda: direct_inverse_check(stack, op, 2, halfline_space(grid))):
         with pytest.raises(ValueError, match=r"takes one function, got a stack of shape \(3, 16\)"):
             call()
-    # the kernel transform is not stacked either
-    with pytest.raises(ValueError):
-        apply_multiplier(np.exp, stack, "kernel", sgrid=SpectralGrid(6.0, 32))
+    # the kernel transform is not stacked either, a stack of as many members as nodes included
+    square = HalfLineFunction(grid, np.tile(values[0], (16, 1)))
+    sgrid = SpectralGrid(6.0, 32)
+    for g in (stack, square):
+        shape = re.escape(str(g.values.shape))
+        for call in (lambda: apply_multiplier(np.exp, g, "kernel", sgrid=sgrid),
+                     lambda: kernel_leakage(g, sgrid), lambda: kl_forward(g, sgrid)):
+            with pytest.raises(ValueError, match=f"one function of 16 samples, got shape {shape}"):
+                call()

@@ -79,7 +79,7 @@ def test_a_threshold_in_units_of_the_data_takes_its_factor():
 def test_ac12c_gates_the_refinement_drift(monkeypatch, coarse_factor, passed):
     # both constants stay below the AC12 bound of 100, so only the drift
     # |fine / coarse - 1| against 0.5 can fail the check
-    cfg = RunConfig(grid_n=64, grid_n_coarse=32)
+    cfg = RunConfig(grid_n=64)
     fine = 20.0
 
     def jackson_check(sigmas, r, f, op, space):
@@ -106,8 +106,24 @@ def test_suite_besov_builds_one_corpus_per_rung(monkeypatch):
         return real(grid, *args, **kwargs)
 
     monkeypatch.setattr(suites, "build_corpus", counted)
-    suites.suite_besov(RunConfig(grid_n=64, grid_n_coarse=32))
+    suites.suite_besov(RunConfig(grid_n=64))
     assert grids == [64, 32]
+
+
+@pytest.mark.parametrize("suite", ["partition", "spectral", "smoothing", "kfunctional", "besov",
+                                   "jackson", "frames"])
+def test_a_corpus_suite_builds_the_configured_corpus(monkeypatch, suite):
+    name = "power_exp(alpha=1,beta=1)"  # analytic and decaying, so every corpus suite takes it
+    real = suites.build_corpus
+    asked = []
+
+    def recorded(grid, names=None, **kwargs):
+        asked.append(names)
+        return real(grid, names=names, **kwargs)
+
+    monkeypatch.setattr(suites, "build_corpus", recorded)
+    suites.SUITES[suite](RunConfig(grid_n=64, corpus=(name,)))
+    assert asked and all(names == (name,) for names in asked), asked
 
 
 def _nan_jackson(reps, i=1):
@@ -163,7 +179,7 @@ def test_a_nan_from_one_member_fails_its_checks(monkeypatch, suite, owner, leaf,
         return spoil(out) if next(calls) == nth else out
 
     monkeypatch.setattr(owner, leaf, poisoned)
-    checks = {c["id"]: c for c in suites.SUITES[suite](RunConfig(grid_n=64, grid_n_coarse=32))
+    checks = {c["id"]: c for c in suites.SUITES[suite](RunConfig(grid_n=64))
               ["checks"]}
     for cid in failing:
         assert math.isnan(checks[cid]["value"]) and checks[cid]["passed"] is False, checks[cid]
@@ -185,7 +201,7 @@ def test_pairwise_ratios_are_nan_both_ways(monkeypatch):
         return [_nan_at(n) for n in out] if variant == "projections" else out
 
     monkeypatch.setattr(suites.fr, "besov_norm_bands", poisoned)
-    cfg = RunConfig(grid_n=64, grid_n_coarse=32)
+    cfg = RunConfig(grid_n=64)
     table = suites.suite_besov(cfg)["besov_table"]
     spoiled = suites._corpus(cfg, suites._grid(cfg), only_decaying=True,
                              families=suites._ANALYTIC)[1][0].name
