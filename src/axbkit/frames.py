@@ -83,17 +83,8 @@ def partition_values(J: int, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
-    rows = [g_cutoff(lam)]
-    for j in range(1, J + 1):
-        rows.append(h_cutoff(2.0 ** (-j) * lam))
-    return np.stack(rows)
-
-
-def _q_bands(J: int, lam) -> np.ndarray:
-    """The band profiles ``Q_j`` at a 1-D ``lam``, j = 0 .. J, clipped at 0; one row per band."""
-    lam = np.asarray(lam, dtype=float)
-    shifted = 2.0 ** -np.arange(1, J + 1)[:, None] * lam
-    return np.concatenate([g_cutoff(lam)[None], np.maximum(h_cutoff(shifted), 0.0)])
+    shifted = np.multiply.outer(2.0 ** -np.arange(1, J + 1), lam)
+    return np.concatenate([g_cutoff(lam)[None], h_cutoff(shifted)])
 
 
 def full_band_count(op: DiscreteOperator, convention: str = "lambda") -> int:
@@ -116,7 +107,9 @@ def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None
     if J is None:
         J = full_band_count(op, "lambda")
     c = op.coeffs(f.values)
-    rows = _q_bands(J, op.eigenvalues)[:, None] * c.reshape(-1, c.shape[-1])
+    # a roundoff-negative eigenvalue is read as 0, where g and h are already constant
+    q = np.maximum(partition_values(J, np.maximum(op.eigenvalues, 0.0)), 0.0)
+    rows = q[:, None] * c.reshape(-1, c.shape[-1])
     return [f.with_values(band) for band in op.synth(rows.reshape(-1, c.shape[-1]))
             .reshape((J + 1,) + c.shape)]
 
@@ -131,7 +124,8 @@ def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = Non
     lam = np.maximum(op.eigenvalues, 0.0)
     arg = np.sqrt(lam) if convention == "tau" else lam
     w = op.spectral_weights(f.values)
-    return np.array([np.sqrt(np.sum(q * w, axis=-1)) for q in _q_bands(J, arg)])
+    q = np.maximum(partition_values(J, arg), 0.0)
+    return np.array([np.sqrt(np.sum(row * w, axis=-1)) for row in q])
 
 
 @dataclass
@@ -286,8 +280,7 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     between the interpolation-space norm and the approximation-space norm,
     both at ``alpha = r / 2`` and ``q = 2``, of one function.
     """
-    if f.values.ndim != 1:
-        raise ValueError(f"takes one function, got a stack of shape {f.values.shape}")
+    f._check_one()
     lam = np.maximum(op.eigenvalues, 0.0)
     w = op.spectral_weights(f.values)
     total = float(np.sum(w))

@@ -278,3 +278,8 @@ class HalfLineFunction:
     def _check_same_grid(self, other: "HalfLineFunction"):
         if self.grid != other.grid:
             raise ValueError("functions live on different grids")
+
+    def _check_one(self):
+        """Raise unless this holds one function, not a stack."""
+        if self.values.ndim != 1:
+            raise ValueError(f"takes one function, got a stack of shape {self.values.shape}")

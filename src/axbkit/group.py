@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "GroupElement",
     "LieVector",
-    "IDENTITY",
     "multiply",
     "inverse",
     "exp_map",
@@ -53,8 +52,6 @@ class LieVector:
     x1: float
     x2: float
 
-
-IDENTITY = GroupElement(1.0, 0.0)
 
 _SPLIT = 134217729.0  # 2^27 + 1
 

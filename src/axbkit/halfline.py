@@ -77,17 +77,21 @@ def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarra
 
 
 def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
-    """Inner product ``<f, g> = int_0^inf f conj(g) dx/x`` of ``X^2``, conjugate-linear in ``g``."""
+    """Inner product ``<f, g> = int_0^inf f conj(g) dx/x`` of ``X^2`` of two single functions,
+    conjugate-linear in ``g``; a stack is rejected."""
     f._check_same_grid(g)
+    f._check_one()
+    g._check_one()
     return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))
 
 
 def window_loss(f: HalfLineFunction) -> float:
-    """Fraction of the squared norm sitting on the outermost two nodes per side.
+    """Fraction of the squared norm of one function sitting on the outermost two nodes per side.
 
     A proxy for the mass the zero-extension policy would misplace under
     grid-size shifts; small values certify that the window resolves ``f``.
     """
+    f._check_one()
     g = f.grid
     a2 = np.abs(f.values) ** 2
     edge = g.h * (0.5 * (a2[0] + a2[-1]) + a2[1] + a2[-2])

@@ -43,8 +43,7 @@ from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, requir
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
-from .moduli import (RepresentationSpace, grid_candidates, modulus_mixed,  # noqa: F401
-                     sobolev_space_norm)
+from .moduli import RepresentationSpace, modulus_mixed, sobolev_space_norm  # noqa: F401
 from .smoothing import hardy_steklov_generic
 from .spectral import flat_skew, fourier_diff_matrix, skew
 
@@ -131,6 +130,8 @@ class HalfPlaneFunction:
         return HalfPlaneFunction(self.grid, values)
 
     def __sub__(self, other):
+        if self.grid != other.grid:
+            raise ValueError("functions live on different grids")
         return self.with_values(self.values - other.values)
 
     def __mul__(self, scalar):
@@ -299,25 +300,15 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
         g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
         return act_2d(g, v, side, grid=grid)
 
-    def t_candidates(j, s, cap):
-        # exact steps exist for left y-shifts and for log-x shifts; the
-        # remaining directions are interpolated, so their suprema are
-        # empirical rather than certified
-        if side == "left" and j == 2:
-            step = grid.h_y
-        elif j == 1:
-            step = grid.xgrid.h
-        else:
-            step = None
-        return grid_candidates(s, cap, step)
-
     return RepresentationSpace(
-        name=f"L^{p:g}({side})",
         shape=(grid.xgrid.n, grid.n_y),
         norm=lambda v: lp_norm_2d(v, p, side, grid=grid),
         act=act,
         gen=lambda j, v: generator_2d(j, v, side, grid=grid),
-        t_candidates=t_candidates,
+        # exact steps exist for log-x shifts and for left y-shifts; the right
+        # y-shift is interpolated, so its suprema are empirical rather than
+        # certified
+        steps=(grid.xgrid.h, grid.h_y if side == "left" else None),
         hardy=lambda r, s, v: hardy_steklov_generic(act, r, s, v),
     )
 

@@ -18,9 +18,12 @@ only the favorable side where possible and are otherwise reported as
 empirical constants.
 
 The interface works on plain complex ndarrays: the space's grid is bound
-into its callables when the space is built, and ``shape`` is the grid's
-sample shape.  An array may hold a stack of functions on that grid:
-leading batch axes, with the grid on the trailing axis or axes.  ``act``,
+into its callables when the space is built, ``shape`` is the grid's
+sample shape, and ``steps`` holds, per direction, the step whose multiples
+are the group's exact times (``None`` when every time is exact), from
+which :func:`grid_candidates` draws the supremum search's candidates.  An
+array may hold a stack of functions on that grid: leading batch axes, with
+the grid on the trailing axis or axes.  ``act``,
 ``gen`` and ``hardy`` apply to every member of a stack, and ``norm`` returns one
 value per leading index (a float for a single function).  The supremum
 search uses this: going right to left through a word, each factor applies
@@ -88,11 +91,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grids import LogGrid, _checked_samples, _worst, require_finite
-from .spectral import DiscreteOperator
+
+if TYPE_CHECKING:
+    from .spectral import DiscreteOperator
 
 __all__ = [
     "RepresentationSpace",
@@ -137,17 +143,12 @@ class RepresentationSpace:
     of functions as well as one function (see the module docstring).
     """
 
-    name: str
     shape: tuple  # the grid's sample shape, the trailing axes of every array
     norm: callable  # norm(v) -> float; for a stack, one norm per leading index
     act: callable  # act(j, t, v) -> array, the group T_j(t), on every member of a stack
     gen: callable  # gen(j, v) -> array, the generator A_j, on every member of a stack
-    t_candidates: callable  # t_candidates(j, s, cap) -> iterable of t in (0, s]
+    steps: tuple  # steps[j - 1]: T_j is exact on multiples of it, None if on every t
     hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on every member of a stack
-
-    def derived(self, norm) -> "RepresentationSpace":
-        """Same actions, different norm (used by the reiteration check)."""
-        return replace(self, norm=norm, name=f"{self.name}|renormed")
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,14 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     def act(j, t, v):
         return shift_log(v, t, grid=grid) if j == 1 else act_modulation(t, v, grid=grid)
 
-    def t_candidates(j, s, cap):
-        # the modulation group is exact for every t, dilations only on
-        # grid multiples of the step
-        return grid_candidates(s, cap, grid.h if j == 1 else None)
-
     return RepresentationSpace(
-        name=f"X^{p:g}",
         shape=(grid.n,),
         norm=lambda v: xp_norm(v, p, grid=grid),
         act=act,
         gen=lambda j, v: generator(j, v, grid=grid),
-        t_candidates=t_candidates,
+        # dilations are exact only on grid multiples of the step, the
+        # modulation group for every t
+        steps=(grid.h, None),
         hardy=lambda r, s, v: hardy_steklov(r, s, v, grid=grid),
     )
 
@@ -333,7 +330,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
     if s == 0.0:
         return _members(np.zeros(lead))
     cap = _SUP_CAP.get(r, 2)
-    candidates = {j: np.asarray(space.t_candidates(j, s, cap)) for j in (1, 2)}
+    candidates = {j: grid_candidates(s, cap, space.steps[j - 1]) for j in (1, 2)}
     suffixes: dict = {}
     total = 0.0
     any_word = False
@@ -593,7 +590,7 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
     f = _values(f, space.shape)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
-    base = space.derived(lambda g: _sobolev_sum(space, g, k1))
+    base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1))
     k = k2 - k1
     profile = [modulus_mixed(base, k, s, f) for s in besov_s_grid()]
     rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)

@@ -61,8 +61,7 @@ def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
     """Ratios of the Bernstein inequality ``||Delta^{s/2} f|| <= omega^s ||f||`` on ``PW_omega``."""
-    if f.values.ndim != 1:
-        raise ValueError(f"takes one function, got a stack of shape {f.values.shape}")
+    f._check_one()
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
     total = np.sum(w)
     ratios = {}

@@ -35,6 +35,9 @@ from functools import cache
 import numpy as np
 
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
+from .halfline import _phase, xp_norm
+from .moduli import _candidates
+from .smoothing import _hardy_factors
 
 __all__ = [
     "KL_CONSTANT",
@@ -164,8 +167,6 @@ def kernel_leakage(f: HalfLineFunction, sgrid: SpectralGrid) -> float:
 
 def _leakage(f: HalfLineFunction, spec: Spectrum) -> float:
     """:func:`kernel_leakage` from the forward transform ``spec`` of ``f``."""
-    from .halfline import xp_norm
-
     sg = spec.sgrid
     captured = KL_CONSTANT * np.sum(
         sg.weights * sg.tau * np.sinh(np.pi * sg.tau) * np.abs(spec.coeffs) ** 2
@@ -361,10 +362,6 @@ def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
 def clear_caches():
     """Empty the kernel-table and Laplacian caches, the modulation phase table, the
     candidate-step table and the Hardy-Steklov factor table."""
-    from .halfline import _phase
-    from .moduli import _candidates
-    from .smoothing import _hardy_factors
-
     kernel_table.cache_clear()
     build_matrix_laplacian.cache_clear()
     _phase.cache_clear()

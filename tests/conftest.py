@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from axbkit.moduli import (
     _accumulate,
     apply_word,
     besov_s_grid,
+    grid_candidates,
     halfline_space,
     k_upper,
     modulus_mixed,
@@ -75,7 +77,7 @@ def _word_sup_per_tuple(space, word, t_sets, f) -> float:
 def _modulus_per_tuple(space, r: int, s: float, f) -> float:
     total = 0.0
     for word in product((1, 2), repeat=r):
-        t_sets = [np.asarray(space.t_candidates(j, s, _SUP_CAP.get(r, 2))) for j in word]
+        t_sets = [grid_candidates(s, _SUP_CAP.get(r, 2), space.steps[j - 1]) for j in word]
         if all(ts.size for ts in t_sets):
             total += _word_sup_per_tuple(space, word, t_sets, f)
     return total
@@ -129,7 +131,7 @@ def _zygmund_per_scale(space, f, k, q):
 
 def _reiteration_per_scale(space, f, k1, k2, r, alpha, q):
     lhs = _besov_per_scale(space, f, BesovParams(alpha, q, r), "modulus")
-    base = space.derived(lambda g: _sobolev_per_word(space, g, k1))
+    base = dataclasses.replace(space, norm=lambda g: _sobolev_per_word(space, g, k1))
     weighted = [s ** (-(alpha - k1)) * modulus_mixed(base, k2 - k1, s, f)
                 for s in besov_s_grid()]
     rhs = base.norm(f.values) + _accumulate(weighted, q)

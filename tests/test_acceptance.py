@@ -55,6 +55,14 @@ def test_ac10a_and_ac10c_hold_at_seed_773():
         checks["AC10a"]["value"], checks["AC10c"]["value"])
 
 
+@pytest.mark.xfail(strict=True, reason="open: SMOOTH_unit_mass = 2.75e-05 against < 1e-06 at "
+                                       "grid_n = 128, the defect shrinking with the grid step; "
+                                       "no threshold, node window or grid moves")
+def test_smooth_unit_mass_holds_at_grid_n_128():
+    checks = {c["id"]: c for c in SUITES["smoothing"](RunConfig(grid_n=128))["checks"]}
+    assert checks["SMOOTH_unit_mass"]["passed"], checks["SMOOTH_unit_mass"]["value"]
+
+
 def test_every_emitted_check_has_exactly_one_row(suite_results):
     emitted = Counter(c["id"] for payload in suite_results.values() for c in payload["checks"])
     assert [cid for cid, n in emitted.items() if n > 1] == []

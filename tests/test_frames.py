@@ -290,17 +290,18 @@ def _q_band(j, lam):
 
 def test_band_rows_equal_the_per_band_cutoffs(op):
     # one vectorized evaluation of the cutoffs gives, element for element,
-    # the rows of one evaluation per band
-    from axbkit.frames import _q_bands
-
+    # the rows of one evaluation per band, and clipped at 0 the band rows
+    # that lp_decompose and band_energies weight
     lam = op.eigenvalues
     assert np.min(lam) > 0.0
     tau = np.sqrt(lam)
     for arg, J in ((lam, full_band_count(op, "lambda")), (tau, full_band_count(op, "tau"))):
-        rows = _q_bands(J, arg)
+        rows = partition_values(J, arg)
         assert rows.shape == (J + 1, arg.size)
         for j, row in enumerate(rows):
-            assert np.array_equal(row, _q_band(j, arg)), j
+            one = g_cutoff(arg) if j == 0 else h_cutoff(2.0 ** (-j) * arg)
+            assert np.array_equal(row, one), j
+            assert np.array_equal(np.maximum(row, 0.0), _q_band(j, arg)), j
 
 
 def test_lp_decompose_equals_per_band_apply_fn(op, f_lg):

@@ -20,7 +20,7 @@ from axbkit.halfplane import (
     lp_norm_2d,
     sobolev_graph_check,
 )
-from axbkit.moduli import halfline_space, k_upper, k_upper_detail, modulus_mixed
+from axbkit.moduli import grid_candidates, halfline_space, k_upper, k_upper_detail, modulus_mixed
 from axbkit.spectral import fourier_diff_matrix
 
 
@@ -49,6 +49,16 @@ def test_norm_zero(hgrid):
     assert lp_norm_2d(zero, 2.0, "left") == 0.0
     with pytest.raises(ValueError):
         lp_norm_2d(zero, 0.5, "left")
+
+
+def test_difference_needs_one_grid(hgrid, f2):
+    # the u-windows start at -6 and -5: the samples have the same shape but
+    # sit at different points
+    other = log_gaussian_2d(HalfPlaneGrid(LogGrid(-5.0, 4.0, 48), -8.0, 8.0, 48))
+    assert other.values.shape == f2.values.shape
+    with pytest.raises(ValueError, match="different grids"):
+        f2 - other
+    assert np.array_equal((f2 - f2).values, np.zeros((48, 48)))
 
 
 def test_separable_norm_factorizes(hgrid):
@@ -296,7 +306,7 @@ def test_modulus_separable_y_shift_matches_1d(hgrid):
     f = HalfPlaneFunction(hgrid, np.outer(ux, vy))
     space = halfplane_space(hgrid, "left")
     s = 4 * hgrid.h_y
-    ts = np.asarray(space.t_candidates(2, s, 12))
+    ts = grid_candidates(s, 12, space.steps[1])
     best = 0.0
     for t in ts:
         best = max(best, lp_norm_2d(space.act(2, t, f.values) - f.values, 2.0, "left", grid=hgrid))

@@ -37,7 +37,7 @@ def test_modulus_equals_per_tuple_reference(grid, space, f_lg, modulus_reference
 
 
 def test_derived_norm_accepts_stacks(grid, space, f_lg, f_xexp):
-    base = space.derived(lambda g: sobolev_space_norm(space, g, 1))
+    base = dataclasses.replace(space, norm=lambda g: sobolev_space_norm(space, g, 1))
     rows = np.stack([f_lg.values, f_xexp.values, 2.0 * f_lg.values])
     norms = base.norm(rows)
     assert norms.shape == (3,)
@@ -49,7 +49,7 @@ def test_reiteration_with_derived_sobolev_base(space, f_lg, modulus_reference):
     # the derived Sobolev norm
     alpha, q = 1.5, 2.0
     rep = reiteration_check(space, f_lg, 1, 2, 2, alpha, q)
-    base = space.derived(lambda g: sobolev_space_norm(space, g, 1))
+    base = dataclasses.replace(space, norm=lambda g: sobolev_space_norm(space, g, 1))
     weighted = [s ** (-(alpha - 1)) * modulus_reference(base, 1, s, f_lg) for s in besov_s_grid()]
     assert rep["rhs_norm"] == base.norm(f_lg.values) + _accumulate(weighted, q)
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
@@ -62,14 +62,14 @@ def test_modulus_zero_scale(space, f_lg):
 def test_modulus_r1_matches_direct_computation(grid, space, f_lg):
     s = 0.8
     cap = 12
-    t2 = np.asarray(space.t_candidates(2, s, cap))
+    t2 = grid_candidates(s, cap, space.steps[1])
     sup2 = 0.0
     for t in t2:
         # |e^{itx} - 1|^2 = 4 sin^2(tx/2)
         val = math.sqrt(float(np.sum(
             grid.weights * 4.0 * np.sin(t * grid.x / 2.0) ** 2 * np.abs(f_lg.values) ** 2)))
         sup2 = max(sup2, val)
-    t1 = np.asarray(space.t_candidates(1, s, cap))
+    t1 = grid_candidates(s, cap, space.steps[0])
     sup1 = max(xp_norm(shift_log(f_lg, t) - f_lg) for t in t1)
     assert modulus_mixed(space, 1, s, f_lg) == pytest.approx(sup1 + sup2, rel=1e-12)
 
@@ -96,19 +96,19 @@ def test_modulus_small_s_drops_dilation_words(grid, space, f_lg):
     # the value remains a certified lower bound
     s = grid.h / 4
     val = modulus_mixed(space, 1, s, f_lg)
-    t2 = np.asarray(space.t_candidates(2, s, 12))
+    t2 = grid_candidates(s, 12, space.steps[1])
     sup2 = max(xp_norm(act_modulation(t, f_lg) - f_lg) for t in t2)
     assert val == pytest.approx(sup2, rel=1e-12)
 
 
 def test_modulus_raises_when_no_steps_at_all(grid, f_lg):
+    # both directions exact only on multiples of a step longer than s
     dead = RepresentationSpace(
-        name="dead",
         shape=(grid.n,),
         norm=lambda v: xp_norm(v, grid=grid),
         act=lambda j, t, f: f,
         gen=lambda j, f: f,
-        t_candidates=lambda j, s, cap: np.empty(0),
+        steps=(1.0, 1.0),
         hardy=lambda r, s, f: f,
     )
     with pytest.raises(ValueError):
@@ -422,16 +422,19 @@ def test_non_finite_results_raise(space, f_lg):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_candidate_times_computed_once_per_direction(space, f_lg, r):
+def test_candidate_times_computed_once_per_direction(monkeypatch, space, f_lg, r):
+    from axbkit import moduli
+
+    expected = modulus_mixed(space, r, 0.7, f_lg)
     calls = []
 
-    def t_candidates(j, s, cap):
-        calls.append(j)
-        return space.t_candidates(j, s, cap)
+    def counted(s, cap, step):
+        calls.append(step)
+        return grid_candidates(s, cap, step)
 
-    counted = dataclasses.replace(space, t_candidates=t_candidates)
-    assert modulus_mixed(counted, r, 0.7, f_lg) == modulus_mixed(space, r, 0.7, f_lg)
-    assert sorted(calls) == [1, 2]
+    monkeypatch.setattr(moduli, "grid_candidates", counted)
+    assert modulus_mixed(space, r, 0.7, f_lg) == expected
+    assert calls == list(space.steps)
 
 
 def _fresh_candidates(s, cap, step):
@@ -477,7 +480,7 @@ def test_shared_suffixes_act_once_per_candidate(space, f_lg):
         calls.append(v.ndim)
         return space.act(j, t, v)
 
-    assert [space.t_candidates(j, 0.5, 8).size for j in (1, 2)] == [8, 8]
+    assert [grid_candidates(0.5, 8, step).size for step in space.steps] == [8, 8]
     counted = dataclasses.replace(space, act=act)
     assert modulus_mixed(counted, 2, 0.5, f_lg) == modulus_mixed(space, 2, 0.5, f_lg)
     assert (calls.count(1), calls.count(2)) == (2 * 8, 4 * 8)
@@ -509,6 +512,7 @@ def test_inequality_constants_keep_a_nan():
         return math.nan if len(calls) == 1 else plain.norm(v)
 
     f = np.exp(-((grid.u + 3.0) ** 2) / 2.0)
-    rep = verify_modulus_inequalities(plain.derived(norm), 2, 1, f, (0.25, 1.0, 4.0))
+    rep = verify_modulus_inequalities(dataclasses.replace(plain, norm=norm), 2, 1, f,
+                                      (0.25, 1.0, 4.0))
     assert math.isnan(rep["C2_hat"])
     assert np.isfinite(rep["C0_hat"]) and np.isfinite(rep["C1_hat"])

@@ -28,6 +28,7 @@ from axbkit.frames import (
     partition_values,
 )
 from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
+from axbkit.halfline import inner, window_loss
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
     BesovParams,
@@ -194,7 +195,7 @@ def _nan_norm_of(space, f):
         out[np.all(v == f, axis=-1)] = np.nan
         return out if out.ndim else float(out)
 
-    return space.derived(norm)
+    return dataclasses.replace(space, norm=norm)
 
 
 def test_k_upper_keeps_a_nan_cap(space, f_lg, members):
@@ -324,8 +325,11 @@ def test_one_function_paths_reject_a_stack():
     # these sum over the whole spectral measure; a stack would be summed as one function
     grid, op, values = _eigen_grid(3)
     stack = HalfLineFunction(grid, values)
+    one = HalfLineFunction(grid, values[0])
     for call in (lambda: bernstein_check(stack, 2.0, (1, 2), op),
-                 lambda: direct_inverse_check(stack, op, 2, halfline_space(grid))):
+                 lambda: direct_inverse_check(stack, op, 2, halfline_space(grid)),
+                 lambda: inner(stack, stack), lambda: inner(one, stack),
+                 lambda: inner(stack, one), lambda: window_loss(stack)):
         with pytest.raises(ValueError, match=r"takes one function, got a stack of shape \(3, 16\)"):
             call()
     # the kernel transform is not stacked either, a stack of as many members as nodes included
