@@ -79,12 +79,17 @@ def h_cutoff(lam):
 def partition_values(J: int, lam) -> np.ndarray:
     """Values at lam of the dyadic partition of unity ``Q_0 = g``, ``Q_j = h(2^{-j} .)``,
     whose partial sums telescope to ``g(2^{-J} .)``; axis 0 indexes the band.
+
+    ``g`` is evaluated once per scale ``2^{-j} lam``, j = 0 .. J, and band j
+    is the difference of rows j and j - 1: doubling is exact, so each row has
+    the bits of ``h_cutoff(2^{-j} lam)``.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
-    shifted = np.multiply.outer(2.0 ** -np.arange(1, J + 1), lam)
-    return np.concatenate([g_cutoff(lam)[None], h_cutoff(shifted)])
+    g = g_cutoff(np.multiply.outer(2.0 ** -np.arange(0, J + 1), lam))
+    g[1:] -= g[:-1]  # numpy buffers the overlapping operands
+    return g
 
 
 def full_band_count(op: DiscreteOperator, convention: str = "lambda") -> int:

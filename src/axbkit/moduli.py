@@ -21,7 +21,12 @@ The interface works on plain complex ndarrays: the space's grid is bound
 into its callables when the space is built, ``shape`` is the grid's
 sample shape, and ``steps`` holds, per direction, the step whose multiples
 are the group's exact times (``None`` when every time is exact), from
-which :func:`grid_candidates` draws the supremum search's candidates.  An
+which :func:`grid_candidates` draws the supremum search's candidates.
+``multiplies`` says per direction whether ``T_j(t)`` is pointwise
+multiplication by its symbol ``T_j(t) 1``, and ``lp`` gives
+``(weights, p)`` when the norm is ``(sum weights |v|^p)^{1/p}``; the
+half-line declares its modulation group and its ``X^p`` norm this way, the
+half-plane nothing.  An
 array may hold a stack of functions on that grid: leading batch axes, with
 the grid on the trailing axis or axes.  ``act``,
 ``gen`` and ``hardy`` apply to every member of a stack, and ``norm`` returns one
@@ -32,12 +37,22 @@ stack of each proper suffix is built once per :func:`modulus_mixed` call
 and shared by every word that ends in it.  The first letter's factor is
 normed block by block, one block per candidate, as it is formed, and a
 running maximum keeps each member's best, so the stack of a whole word over
-every candidate tuple is never built.  With candidate sets ``T_1`` and
-``T_2`` for the two directions, order r thus makes
+every candidate tuple is never built.  A first letter that multiplies, under
+an ``l^p`` norm, forms no block at all: ``||(T_j(t) - I) g||^p`` is the dot
+of ``|g|^p`` with ``weights |T_j(t) 1 - 1|^p``, and the symbols are taken
+once per candidate and :func:`modulus_mixed` call, on the constant
+function, and shared by every word they begin.  With candidate sets ``T_1``
+and ``T_2`` for the two directions, order r thus makes
 ``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action, one per candidate
 for the first letter of each of the ``2^{r+1} - 2`` suffixes (the words
-included), instead of ``r`` per candidate tuple; every difference is
-computed with the same floating-point operations.  The candidate steps
+included), instead of ``r`` per candidate tuple; when direction j
+multiplies, its ``2^{r-1}`` words make ``|T_j|`` calls between them instead
+of ``2^{r-1} |T_j|`` (the half-line: ``(2^r - 1)|T_1| + 2^{r-1}|T_2|``).
+Every acted difference is computed with the same floating-point operations
+as one candidate tuple at a time.  The symbol path sums the same positive
+terms in another order, so each modulus is within ``1e-13`` relative of the
+acted path (measured over the eleven suites at seeds 0 and 5: at most
+2.6e-16).  The candidate steps
 depend only on ``(s, cap, step)``, so :func:`grid_candidates` keeps them in
 a table of at most 1024 read-only arrays of at most 12 steps each (a whole
 report at the default grids fills 155 of them, about 7 kB), emptied by
@@ -95,7 +110,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import LogGrid, _checked_samples, _worst, require_finite
+from .grids import LogGrid, _checked_samples, _worst, pth_root, require_finite
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -149,6 +164,11 @@ class RepresentationSpace:
     gen: callable  # gen(j, v) -> array, the generator A_j, on every member of a stack
     steps: tuple  # steps[j - 1]: T_j is exact on multiples of it, None if on every t
     hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on every member of a stack
+    # multiplies[j - 1]: T_j(t) is pointwise multiplication by its symbol T_j(t) 1
+    multiplies: tuple = (False, False)
+    # (weights, p) when norm(v) == (sum weights * |v|^p) ** (1/p) over the grid axes, else
+    # None; a space given another norm must set it to None as well
+    lp: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -186,6 +206,8 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
         # modulation group for every t
         steps=(grid.h, None),
         hardy=lambda r, s, v: hardy_steklov(r, s, v, grid=grid),
+        multiplies=(False, True),
+        lp=(grid.weights, p),
     )
 
 
@@ -289,16 +311,36 @@ def _suffix(space: RepresentationSpace, word, candidates: dict, f, suffixes: dic
     return g
 
 
-def _word_sup(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
+def _symbol_weights(space: RepresentationSpace, j: int, ts: np.ndarray) -> np.ndarray:
+    """``weights * |T_j(t) 1 - 1|^p`` over the flattened grid, one row per candidate ``t``.
+
+    For a multiplication ``T_j`` and an ``l^p`` norm, ``||(T_j(t) - I) g||^p``
+    is the dot of ``|g|^p`` with the row of ``t``.
+    """
+    weights, p = space.lp
+    one = np.ones(space.shape, dtype=complex)
+    return np.stack([(weights * np.abs(space.act(j, t, one) - 1.0) ** p).ravel()
+                     for t in ts.tolist()])
+
+
+def _word_sup(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict,
+              symbols: dict):
     """``max ||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||`` over every candidate tuple, per member.
 
-    The first letter's factor is normed one candidate block at a time, and a
-    running ``np.maximum`` (which keeps a NaN) folds each block's maximum over
-    the suffix's candidate axes.
+    When the first letter has its rows in ``symbols``, every candidate's norm
+    comes from ``|g|^p`` at once, one BLAS dot per (row, candidate) pair, so a
+    member of a stack gets the bits it gets alone.  Otherwise the first
+    letter's factor is normed one candidate block at a time, and a running
+    ``np.maximum`` folds each block's maximum over the suffix's candidate
+    axes.  Both maxima keep a NaN.
     """
     j, rest = word[0], word[1:]
     g = _suffix(space, rest, candidates, f, suffixes) if rest else f
     axes = tuple(range(len(rest)))
+    if j in symbols:
+        p = space.lp[1]
+        gp = np.abs(g.reshape(g.shape[:g.ndim - len(space.shape)] + (1, -1))) ** p
+        return np.max(pth_root(np.vecdot(gp, symbols[j]), p), axis=axes + (-1,))
     best = None
     for t in candidates[j].tolist():
         block = np.max(space.norm(space.act(j, t, g) - g), axis=axes)
@@ -331,6 +373,9 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
         return _members(np.zeros(lead))
     cap = _SUP_CAP.get(r, 2)
     candidates = {j: grid_candidates(s, cap, space.steps[j - 1]) for j in (1, 2)}
+    # a multiplication letter's rows, shared by every word it begins
+    symbols = {j: _symbol_weights(space, j, candidates[j]) for j in (1, 2)
+               if space.lp is not None and space.multiplies[j - 1] and candidates[j].size}
     suffixes: dict = {}
     total = 0.0
     any_word = False
@@ -340,7 +385,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
             # to the continuum value, and dropping it keeps a lower bound
             continue
         any_word = True
-        total = total + _word_sup(space, word, candidates, f, suffixes)
+        total = total + _word_sup(space, word, candidates, f, suffixes, symbols)
     if not any_word:
         raise ValueError(f"no admissible time steps below s={s}")
     return _finite(_members(total), "modulus_mixed")
@@ -590,7 +635,7 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
     f = _values(f, space.shape)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
-    base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1))
+    base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1), lp=None)
     k = k2 - k1
     profile = [modulus_mixed(base, k, s, f) for s in besov_s_grid()]
     rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)

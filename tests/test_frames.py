@@ -289,18 +289,21 @@ def _q_band(j, lam):
 
 
 def test_band_rows_equal_the_per_band_cutoffs(op):
-    # one vectorized evaluation of the cutoffs gives, element for element,
-    # the rows of one evaluation per band, and clipped at 0 the band rows
-    # that lp_decompose and band_energies weight
+    # one vectorized evaluation of the cutoffs gives, bit for bit, the rows
+    # of one evaluation per band, and clipped at 0 the band rows that
+    # lp_decompose and band_energies weight; 2^-j lam turns subnormal at the
+    # smallest points, where the cutoffs are 1
     lam = op.eigenvalues
     assert np.min(lam) > 0.0
     tau = np.sqrt(lam)
-    for arg, J in ((lam, full_band_count(op, "lambda")), (tau, full_band_count(op, "tau"))):
+    points = np.concatenate([np.logspace(-6.0, 8.0, 10 ** 4), [0.0, 1.0, 1.5, 2.0, 1e-300, 3e-308]])
+    for arg, J in ((lam, full_band_count(op, "lambda")), (tau, full_band_count(op, "tau")),
+                   *((points, J) for J in (0, 1, 3, 12, 20))):
         rows = partition_values(J, arg)
         assert rows.shape == (J + 1, arg.size)
         for j, row in enumerate(rows):
             one = g_cutoff(arg) if j == 0 else h_cutoff(2.0 ** (-j) * arg)
-            assert np.array_equal(row, one), j
+            assert np.array_equal(row.view(np.uint64), one.view(np.uint64)), j
             assert np.array_equal(np.maximum(row, 0.0), _q_band(j, arg)), j
 
 

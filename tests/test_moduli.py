@@ -7,6 +7,7 @@ import pytest
 from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfline import act_modulation, shift_log, xp_norm
 from axbkit.moduli import (
+    _SUP_CAP,
     BesovParams,
     RepresentationSpace,
     _accumulate,
@@ -29,11 +30,34 @@ from axbkit.moduli import (
 )
 
 
+#: the largest relative deviation of a modulus from the act path when a multiplication
+#: letter is normed through its symbol: the two paths round positive-term sums differently
+CLOSED_FORM_TOL = 1e-13
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_modulus_equals_per_tuple_reference(grid, space, f_lg, modulus_reference, r):
-    # below one grid step (modulation words only), a mid scale, and s = 50
+    # below one grid step (modulation words only), a mid scale, and s = 50; with no
+    # multiplication declared the search acts on every candidate, as the reference does
+    acting = dataclasses.replace(space, multiplies=(False, False))
     for s in (grid.h / 4, 0.7, 50.0):
-        assert modulus_mixed(space, r, s, f_lg) == modulus_reference(space, r, s, f_lg)
+        ref = modulus_reference(space, r, s, f_lg)
+        assert modulus_mixed(acting, r, s, f_lg) == ref
+        assert abs(modulus_mixed(space, r, s, f_lg) - ref) <= CLOSED_FORM_TOL * ref
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_symbol_path_within_tolerance_of_per_tuple_reference(grid, f_lg, f_xexp, f_lg_wide,
+                                                             modulus_reference, p, r):
+    space = halfline_space(grid, p)
+    funcs = (f_lg, f_xexp, f_lg_wide)
+    stack = np.stack([g.values for g in funcs])
+    for s in (grid.h / 4, 0.7):
+        one = modulus_mixed(space, r, s, f_lg)
+        for value, g in zip((one, *modulus_mixed(space, r, s, stack)), (f_lg, *funcs)):
+            ref = modulus_reference(space, r, s, g)
+            assert abs(value - ref) <= CLOSED_FORM_TOL * ref
 
 
 def test_derived_norm_accepts_stacks(grid, space, f_lg, f_xexp):
@@ -472,8 +496,9 @@ def test_grid_candidates_are_a_read_only_table_of_the_direct_steps(s, cap, step)
 
 def test_shared_suffixes_act_once_per_candidate(space, f_lg):
     # at s = 0.5 both directions have 8 candidates; the suffixes (1,) and (2,)
-    # act on f once per candidate, and each of the four words adds its outer
-    # factor on the shared stack
+    # act on f once per candidate, the words (1, 1) and (1, 2) add their outer
+    # factor on the shared stack, and the modulation letter of (2, 1) and
+    # (2, 2) acts once per candidate on the constant function
     calls = []
 
     def act(j, t, v):
@@ -483,7 +508,26 @@ def test_shared_suffixes_act_once_per_candidate(space, f_lg):
     assert [grid_candidates(0.5, 8, step).size for step in space.steps] == [8, 8]
     counted = dataclasses.replace(space, act=act)
     assert modulus_mixed(counted, 2, 0.5, f_lg) == modulus_mixed(space, 2, 0.5, f_lg)
-    assert (calls.count(1), calls.count(2)) == (2 * 8, 4 * 8)
+    assert (calls.count(1), calls.count(2)) == (3 * 8, 2 * 8)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_symbols_taken_once_per_candidate(space, f_lg, f_xexp, r):
+    # on a stack the only one-function input of the search is the constant 1,
+    # acted on by the modulation group once per candidate, for all the words
+    stack = np.stack([f_lg.values, f_xexp.values])
+    calls = []
+
+    def act(j, t, v):
+        if v.ndim == 1:
+            assert np.all(v == 1.0)
+            calls.append((j, t))
+        return space.act(j, t, v)
+
+    counted = dataclasses.replace(space, act=act)
+    assert np.array_equal(modulus_mixed(counted, r, 0.5, stack),
+                          modulus_mixed(space, r, 0.5, stack))
+    assert calls == [(2, t) for t in grid_candidates(0.5, _SUP_CAP.get(r, 2), None).tolist()]
 
 
 @pytest.mark.parametrize("q", [2.0, math.inf])

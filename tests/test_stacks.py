@@ -160,11 +160,13 @@ def test_one_function_gives_python_floats(space, f_lg):
 
 
 def _poison_member(call, i=1):
-    """``call``'s array result with member ``i`` (axis -2 of a stack of grid functions) NaN."""
+    """``call``'s array result with member ``i`` (axis -2 of a stack of grid functions) NaN;
+    one function's result is left as it is."""
 
     def poisoned(*args):
         out = np.array(call(*args))
-        out[..., i, :] = np.nan
+        if out.ndim > 1:
+            out[..., i, :] = np.nan
         return out
 
     return poisoned
@@ -185,6 +187,16 @@ def test_one_non_finite_member_raises(space, members):
         k_upper(blown_hardy, 2, 0.5, members)
     with pytest.raises(ValueError, match="not finite"):
         besov_norm(blown_hardy, members, BesovParams(0.5, 2.0, 2), "k")
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_nan_member_through_the_symbols_raises(grid, space, members, r):
+    # below one grid step only the all-modulation word has candidates: its
+    # suffix stack turns member 1 NaN, and the outer letter norms it through
+    # the symbols, which act on the constant function only
+    blown_act = dataclasses.replace(space, act=_poison_member(space.act))
+    with pytest.raises(ValueError, match="modulus_mixed is not finite"):
+        modulus_mixed(blown_act, r, grid.h / 4, members)
 
 
 def _nan_norm_of(space, f):
