@@ -103,7 +103,7 @@ exactly the modulus form at ``alpha = 1``, ``r = 2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
@@ -168,7 +168,7 @@ class RepresentationSpace:
     multiplies: tuple = (False, False)
     # (weights, p) when norm(v) == (sum weights * |v|^p) ** (1/p) over the grid axes, else
     # None; a space given another norm must set it to None as well
-    lp: tuple | None = None
+    lp: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
