@@ -92,8 +92,15 @@ def partition_values(J: int, lam) -> np.ndarray:
     return g
 
 
+def _require_convention(convention: str) -> None:
+    """Raise unless ``convention`` names one of the two band conventions."""
+    if convention not in ("lambda", "tau"):
+        raise ValueError(f"convention must be 'lambda' or 'tau', got {convention!r}")
+
+
 def full_band_count(op: DiscreteOperator, convention: str = "lambda") -> int:
     """Smallest J with ``g(2^{-J} .) = 1`` on the resolved spectrum."""
+    _require_convention(convention)
     top = float(np.max(op.eigenvalues))
     if convention == "tau":
         top = math.sqrt(max(top, 0.0))
@@ -124,6 +131,7 @@ def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = Non
     """Norms ``||F_j(Delta) f||`` of the quadratic partition pieces, j = 0 .. J, exact
     through the spectral weights; their squares sum to ``||f||^2``.  A stack adds an axis.
     """
+    _require_convention(convention)
     if J is None:
         J = full_band_count(op, convention)
     lam = np.maximum(op.eigenvalues, 0.0)

@@ -24,14 +24,13 @@ Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
                     pth_root, require_finite, shift_zero_fill, unwrap)
 from .group import GroupElement
-from .moduli import apply_word, halfline_space, sobolev_space_norm
+from .moduli import _word_stacks, apply_word, halfline_space, sobolev_space_norm
 
 __all__ = [
     "xp_norm",
@@ -201,5 +200,6 @@ def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
     """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``."""
     _check_order(m)
     space = halfline_space(f.grid, p)
-    words = product((1, 2), repeat=m) if m > 0 else ()
-    return space.norm(f.values) + sum(space.norm(apply_word(space, w, f)) for w in words)
+    *_, words = _word_stacks(space, f.values, m)
+    top = sum(space.norm(words)) if m > 0 else 0.0
+    return space.norm(f.values) + float(top)

@@ -22,11 +22,13 @@ into its callables when the space is built, ``shape`` is the grid's
 sample shape, and ``steps`` holds, per direction, the step whose multiples
 are the group's exact times (``None`` when every time is exact), from
 which :func:`grid_candidates` draws the supremum search's candidates.
-``multiplies`` says per direction whether ``T_j(t)`` is pointwise
-multiplication by its symbol ``T_j(t) 1``, and ``lp`` gives
-``(weights, p)`` when the norm is ``(sum weights |v|^p)^{1/p}``; the
+Two optional declarations ride on the callables they describe: an
+attribute ``act.multiplies`` says per direction whether ``T_j(t)`` is
+pointwise multiplication by its symbol ``T_j(t) 1``, and ``norm.lp`` gives
+``(weights, p)`` when the norm is ``(sum weights |v|^p)^{1/p}``.  The
 half-line declares its modulation group and its ``X^p`` norm this way, the
-half-plane nothing.  An
+half-plane nothing; a space made by ``dataclasses.replace`` with a plain
+callable in place of either declares nothing for it.  An
 array may hold a stack of functions on that grid: leading batch axes, with
 the grid on the trailing axis or axes.  ``act``,
 ``gen`` and ``hardy`` apply to every member of a stack, and ``norm`` returns one
@@ -103,7 +105,7 @@ exactly the modulus form at ``alpha = 1``, ``r = 2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
@@ -164,11 +166,6 @@ class RepresentationSpace:
     gen: callable  # gen(j, v) -> array, the generator A_j, on every member of a stack
     steps: tuple  # steps[j - 1]: T_j is exact on multiples of it, None if on every t
     hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on every member of a stack
-    # multiplies[j - 1]: T_j(t) is pointwise multiplication by its symbol T_j(t) 1
-    multiplies: tuple = (False, False)
-    # (weights, p) when norm(v) == (sum weights * |v|^p) ** (1/p) over the grid axes, else
-    # None; a space given another norm must set it to None as well
-    lp: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -194,20 +191,24 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     from .halfline import act_modulation, generator, shift_log, xp_norm
     from .smoothing import hardy_steklov
 
+    def norm(v):
+        return xp_norm(v, p, grid=grid)
+
     def act(j, t, v):
         return shift_log(v, t, grid=grid) if j == 1 else act_modulation(t, v, grid=grid)
 
+    # the declarations the supremum search reads (see the module docstring)
+    norm.lp = (grid.weights, p)
+    act.multiplies = (False, True)
     return RepresentationSpace(
         shape=(grid.n,),
-        norm=lambda v: xp_norm(v, p, grid=grid),
+        norm=norm,
         act=act,
         gen=lambda j, v: generator(j, v, grid=grid),
         # dilations are exact only on grid multiples of the step, the
         # modulation group for every t
         steps=(grid.h, None),
         hardy=lambda r, s, v: hardy_steklov(r, s, v, grid=grid),
-        multiplies=(False, True),
-        lp=(grid.weights, p),
     )
 
 
@@ -271,23 +272,33 @@ def apply_word(space: RepresentationSpace, word, f) -> np.ndarray:
 def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndarray:
     """``||f|| + sum_{k<=m} sum_{words of length k} ||A_word f||``, per member of a stack.
 
-    The words of order k form one stack, ``A_1`` and then ``A_2`` applied to
-    the whole stack of order k-1, so order k costs two generator calls and
-    the stack keeps the ``product((1, 2), repeat=k)`` order.  The norms are
-    added one word at a time in that order.
+    The norms are added one word at a time, order by order, each order in
+    the ``product((1, 2), repeat=k)`` order of :func:`_word_stacks`.
     """
     return _sobolev_sum(space, _values(f, space.shape), m)
 
 
+def _word_stacks(space: RepresentationSpace, f: np.ndarray, m: int):
+    """Yield, for k = 0 .. m, the stack of ``A_word f`` over the words of order k, the words
+    on axis 0 in ``product((1, 2), repeat=k)`` order (order 0: ``f`` alone, the empty word).
+
+    Order k is ``A_1`` and then ``A_2`` applied to the whole stack of order k-1,
+    so it costs two generator calls and recomputes no lower order.
+    """
+    g = f[None]
+    yield g
+    for k in range(1, m + 1):
+        g = np.stack([space.gen(1, g), space.gen(2, g)]).reshape((2 ** k,) + f.shape)
+        yield g
+
+
 def _sobolev_sum(space: RepresentationSpace, f: np.ndarray, m: int) -> float | np.ndarray:
     """The body of :func:`sobolev_space_norm`, on values already checked or computed inside."""
-    total = space.norm(f)
-    g = f
-    for k in range(1, m + 1):
-        g = np.stack([space.gen(1, g), space.gen(2, g)])
-        for norm in space.norm(g).reshape((2 ** k,) + np.shape(total)):
+    total = 0.0
+    for words in _word_stacks(space, f, m):
+        for norm in space.norm(words):
             total = total + norm
-    return total if np.ndim(total) else float(total)
+    return _members(total)
 
 
 def _suffix(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
@@ -312,12 +323,13 @@ def _suffix(space: RepresentationSpace, word, candidates: dict, f, suffixes: dic
 
 
 def _symbol_weights(space: RepresentationSpace, j: int, ts: np.ndarray) -> np.ndarray:
-    """``weights * |T_j(t) 1 - 1|^p`` over the flattened grid, one row per candidate ``t``.
+    """``weights * |T_j(t) 1 - 1|^p`` over the flattened grid, one row per candidate ``t``,
+    with ``(weights, p)`` the declaration ``space.norm.lp``.
 
     For a multiplication ``T_j`` and an ``l^p`` norm, ``||(T_j(t) - I) g||^p``
     is the dot of ``|g|^p`` with the row of ``t``.
     """
-    weights, p = space.lp
+    weights, p = space.norm.lp
     one = np.ones(space.shape, dtype=complex)
     return np.stack([(weights * np.abs(space.act(j, t, one) - 1.0) ** p).ravel()
                      for t in ts.tolist()])
@@ -338,7 +350,7 @@ def _word_sup(space: RepresentationSpace, word, candidates: dict, f, suffixes: d
     g = _suffix(space, rest, candidates, f, suffixes) if rest else f
     axes = tuple(range(len(rest)))
     if j in symbols:
-        p = space.lp[1]
+        p = space.norm.lp[1]
         gp = np.abs(g.reshape(g.shape[:g.ndim - len(space.shape)] + (1, -1))) ** p
         return np.max(pth_root(np.vecdot(gp, symbols[j]), p), axis=axes + (-1,))
     best = None
@@ -373,9 +385,11 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
         return _members(np.zeros(lead))
     cap = _SUP_CAP.get(r, 2)
     candidates = {j: grid_candidates(s, cap, space.steps[j - 1]) for j in (1, 2)}
-    # a multiplication letter's rows, shared by every word it begins
+    # a multiplication letter's rows, shared by every word it begins; only a norm and
+    # an action that carry their declarations take this path
+    multiplies = getattr(space.act, "multiplies", (False, False))
     symbols = {j: _symbol_weights(space, j, candidates[j]) for j in (1, 2)
-               if space.lp is not None and space.multiplies[j - 1] and candidates[j].size}
+               if hasattr(space.norm, "lp") and multiplies[j - 1] and candidates[j].size}
     suffixes: dict = {}
     total = 0.0
     any_word = False
@@ -398,6 +412,7 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
     smaller of the witness and the cap, NaN when either is NaN, so a
     non-finite cap raises as a non-finite witness does.
     """
+    _require_order(r)
     f = _values(f, space.shape)
     require_finite("s", s)
     hf = space.hardy(r, s, f)
@@ -464,7 +479,7 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
         return modulus_mixed(space, order, scale, g)
 
     # the order-k derivative words of f, one stack searched in one call per scale
-    words = np.stack([apply_word(space, word, f) for word in product((1, 2), repeat=k)])
+    *_, words = _word_stacks(space, f, k)
     c0, c1, c2 = [], [], []
     for s in s_list:
         lhs = modulus_mixed(space, r, s, f)
@@ -561,7 +576,8 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
     lo, hi = _BESOV_J_RANGE
     s_big = 2.0 ** (-(lo - 1))
     s_small = 2.0 ** (-(hi + 1))
-    top = sum(space.norm(apply_word(space, word, f)) for word in product((1, 2), repeat=r))
+    *_, words = _word_stacks(space, f, r)
+    top = _members(sum(space.norm(words)))
     if math.isinf(q):
         high = (4.0 ** r) * nf * s_big ** (-alpha)
         low = math.exp(r * s_small) * top * s_small ** (r - alpha)
@@ -581,7 +597,7 @@ def _word_profiles(space, f, k: int, r: int, alpha: float, q: float):
     """Per order-k derivative word of ``f``, the weighted integral of its order-r modulus
     profile, one integral per member; the words form one stack searched in one call per scale.
     """
-    words = np.stack([apply_word(space, word, f) for word in product((1, 2), repeat=k)])
+    *_, words = _word_stacks(space, f, k)
     profile = [modulus_mixed(space, r, s, words) for s in besov_s_grid()]
     return _weighted_integral(profile, alpha, q)
 
@@ -635,7 +651,7 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
     f = _values(f, space.shape)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
-    base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1), lp=None)
+    base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1))
     k = k2 - k1
     profile = [modulus_mixed(base, k, s, f) for s in besov_s_grid()]
     rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)

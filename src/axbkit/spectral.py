@@ -35,7 +35,7 @@ from functools import cache
 import numpy as np
 
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
-from .halfline import _phase, xp_norm
+from .halfline import _phase, inner, xp_norm
 from .moduli import _candidates
 from .smoothing import _hardy_factors
 
@@ -188,9 +188,8 @@ def estimate_kl_constant(grid: LogGrid, sgrid: SpectralGrid, corpus) -> float:
     den = 0.0
     for f in corpus:
         raw = kl_inverse(kl_forward(f, sgrid), grid, constant=1.0)
-        w = grid.weights
-        num += float(np.real(np.sum(w * raw.values * np.conj(f.values))))
-        den += float(np.real(np.sum(w * np.abs(raw.values) ** 2)))
+        num += inner(raw, f).real
+        den += float(np.real(np.sum(grid.weights * np.abs(raw.values) ** 2)))
     if den == 0.0:
         raise ValueError("corpus carries no energy")
     return num / den

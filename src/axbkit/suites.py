@@ -314,7 +314,7 @@ def suite_spectral(cfg: RunConfig):
     gf = sp.apply_multiplier(lambda lam: 1.0 / (1 + lam), pos, "matrix", op=op)
     v_prod = xp_norm(fg - gf) / xp_norm(fg)
     checks.append(_check(cfg, "SPEC_product", v_prod))
-    quad = float(np.real(np.sum(grid.weights * pos.values * np.conj(f.values))))
+    quad = inner(pos, f).real
     checks.append(_check(cfg, "SPEC_positivity", quad, factor=xp_norm(f) ** 2))
     schro = sp.apply_multiplier(lambda lam: np.exp(0.7j * lam), f, "matrix", op=op)
     drift = abs(xp_norm(schro) - xp_norm(f)) / xp_norm(f)

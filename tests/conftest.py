@@ -131,7 +131,7 @@ def _zygmund_per_scale(space, f, k, q):
 
 def _reiteration_per_scale(space, f, k1, k2, r, alpha, q):
     lhs = _besov_per_scale(space, f, BesovParams(alpha, q, r), "modulus")
-    base = dataclasses.replace(space, norm=lambda g: _sobolev_per_word(space, g, k1), lp=None)
+    base = dataclasses.replace(space, norm=lambda g: _sobolev_per_word(space, g, k1))
     weighted = [s ** (-(alpha - k1)) * modulus_mixed(base, k2 - k1, s, f)
                 for s in besov_s_grid()]
     rhs = base.norm(f.values) + _accumulate(weighted, q)

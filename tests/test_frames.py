@@ -225,6 +225,16 @@ def test_full_band_count_covers_spectrum(grid, op):
     assert 2.0 ** (-J) * top <= 1.0
 
 
+@pytest.mark.parametrize("convention", ["Tau", "LAMBDA", "sqrt", ""])
+def test_band_convention_must_be_lambda_or_tau(op, f_lg, convention):
+    # any other spelling used to be read as "lambda", which doubles the tau exponents
+    with pytest.raises(ValueError, match=f"convention must be 'lambda' or 'tau', got {convention!r}"):
+        full_band_count(op, convention)
+    for J in (None, 3):
+        with pytest.raises(ValueError, match="convention must be"):
+            band_energies(f_lg, op, J, convention=convention)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

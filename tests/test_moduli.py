@@ -1,16 +1,19 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfline import act_modulation, shift_log, xp_norm
+from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
     _SUP_CAP,
     BesovParams,
     RepresentationSpace,
     _accumulate,
+    _word_stacks,
     apply_word,
     besov_norm,
     besov_norm_fractional,
@@ -37,13 +40,30 @@ CLOSED_FORM_TOL = 1e-13
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_modulus_equals_per_tuple_reference(grid, space, f_lg, modulus_reference, r):
-    # below one grid step (modulation words only), a mid scale, and s = 50; with no
-    # multiplication declared the search acts on every candidate, as the reference does
-    acting = dataclasses.replace(space, multiplies=(False, False))
+    # below one grid step (modulation words only), a mid scale, and s = 50; a plain
+    # action declares no multiplication, so the search acts on every candidate, as the
+    # reference does
+    acting = dataclasses.replace(space, act=lambda j, t, v: space.act(j, t, v))
     for s in (grid.h / 4, 0.7, 50.0):
         ref = modulus_reference(space, r, s, f_lg)
         assert modulus_mixed(acting, r, s, f_lg) == ref
         assert abs(modulus_mixed(space, r, s, f_lg) - ref) <= CLOSED_FORM_TOL * ref
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_replaced_callables_take_the_acted_path(grid, space, f_lg, modulus_reference, r):
+    # a plain norm or action put in by dataclasses.replace carries no declaration, so
+    # the search acts on every candidate and matches the reference bit for bit: neither
+    # the X^2 weights nor the modulation symbol of the original space reach it
+    sobolev = dataclasses.replace(space, norm=lambda g: sobolev_space_norm(space, g, 1))
+
+    def dilating(j, t, v):
+        return space.act(1, t, v)  # direction 2 moves by a log-shift, not a multiplication
+
+    replaced = (sobolev, dataclasses.replace(space, act=dilating))
+    for s in (grid.h / 4, 0.7):  # below and above one grid step
+        for other in replaced:
+            assert modulus_mixed(other, r, s, f_lg) == modulus_reference(other, r, s, f_lg)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
@@ -239,6 +259,10 @@ def test_modulus_order_must_be_an_integer_from_one(space, f_lg, r):
         modulus_mixed(space, r, 0.5, f_lg)
     with pytest.raises(ValueError, match="r must be an integer >= 1"):
         BesovParams(0.5, 2.0, r)
+    # the K-functional checks it before the smoothing, where 1.5 reached math.comb
+    for k_functional in (k_upper, k_upper_detail):
+        with pytest.raises(ValueError, match=f"r must be an integer >= 1, got {r!r}"):
+            k_functional(space, r, 0.5, f_lg)
 
 
 def test_besov_bad_method(space, f_lg):
@@ -351,6 +375,32 @@ def test_stacked_sobolev_equals_per_word_reference(grid, space, f_lg, f_xexp,
     assert norms.shape == (3,)
     assert np.array_equal(norms, sobolev_reference(space, stack.values, m))
     assert list(norms) == [sobolev_reference(space, row, m) for row in stack.values]
+
+
+def _small_spaces():
+    """The half-line and both half-plane sides on small grids, each with three smooth members,
+    as the complex values the public entry points pass on."""
+    line = LogGrid(-8.0, 4.0, 64)
+    plane = HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
+    ones = [np.exp(-((line.u - u0) ** 2) / 2.0 + 1j * line.x) for u0 in (-3.0, -1.0, 0.5)]
+    twos = [log_gaussian_2d(plane, u0=u0, y0=y0).values for u0, y0 in ((-1.0, 0.0), (0.0, 2.0),
+                                                                       (-2.0, -1.0))]
+    return {"halfline": (halfline_space(line), np.stack(ones)),
+            "left": (halfplane_space(plane, "left"), np.stack(twos)),
+            "right": (halfplane_space(plane, "right"), np.stack(twos))}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["halfline", "left", "right"])
+def test_word_stacks_equal_apply_word(name, k):
+    space, members = _small_spaces()[name]
+    for f in (members[0], members):
+        stacks = list(_word_stacks(space, f, k))
+        assert [g.shape for g in stacks] == [(2 ** order,) + f.shape for order in range(k + 1)]
+        for order, g in enumerate(stacks):
+            for row, word in zip(g, product((1, 2), repeat=order)):
+                assert np.array_equal(row.view(np.uint64),
+                                      apply_word(space, word, f).view(np.uint64))
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -505,6 +555,7 @@ def test_shared_suffixes_act_once_per_candidate(space, f_lg):
         calls.append(v.ndim)
         return space.act(j, t, v)
 
+    act.multiplies = space.act.multiplies
     assert [grid_candidates(0.5, 8, step).size for step in space.steps] == [8, 8]
     counted = dataclasses.replace(space, act=act)
     assert modulus_mixed(counted, 2, 0.5, f_lg) == modulus_mixed(space, 2, 0.5, f_lg)
@@ -524,6 +575,7 @@ def test_symbols_taken_once_per_candidate(space, f_lg, f_xexp, r):
             calls.append((j, t))
         return space.act(j, t, v)
 
+    act.multiplies = space.act.multiplies
     counted = dataclasses.replace(space, act=act)
     assert np.array_equal(modulus_mixed(counted, r, 0.5, stack),
                           modulus_mixed(space, r, 0.5, stack))
