@@ -30,7 +30,7 @@ import numpy as np
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
                     pth_root, require_finite, shift_zero_fill, unwrap)
 from .group import GroupElement
-from .moduli import _word_stacks, apply_word, halfline_space, sobolev_space_norm
+from .moduli import _members, _top_words, apply_word, halfline_space, sobolev_space_norm
 
 __all__ = [
     "xp_norm",
@@ -196,10 +196,10 @@ def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
     return sobolev_space_norm(halfline_space(f.grid, p), f, m)
 
 
-def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
-    """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``."""
+def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float | np.ndarray:
+    """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``,
+    per member of a stack."""
     _check_order(m)
     space = halfline_space(f.grid, p)
-    *_, words = _word_stacks(space, f.values, m)
-    top = sum(space.norm(words)) if m > 0 else 0.0
-    return space.norm(f.values) + float(top)
+    top = sum(space.norm(_top_words(space, f.values, m))) if m > 0 else 0.0
+    return _members(space.norm(f.values) + top)

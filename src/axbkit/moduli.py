@@ -105,6 +105,7 @@ exactly the modulus form at ``alpha = 1``, ``r = 2``.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -290,6 +291,11 @@ def _word_stacks(space: RepresentationSpace, f: np.ndarray, m: int):
     for k in range(1, m + 1):
         g = np.stack([space.gen(1, g), space.gen(2, g)]).reshape((2 ** k,) + f.shape)
         yield g
+
+
+def _top_words(space: RepresentationSpace, f: np.ndarray, k: int) -> np.ndarray:
+    """The last stack of :func:`_word_stacks`, the order-k words, keeping no lower order."""
+    return deque(_word_stacks(space, f, k), maxlen=1)[0]
 
 
 def _sobolev_sum(space: RepresentationSpace, f: np.ndarray, m: int) -> float | np.ndarray:
@@ -479,7 +485,7 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
         return modulus_mixed(space, order, scale, g)
 
     # the order-k derivative words of f, one stack searched in one call per scale
-    *_, words = _word_stacks(space, f, k)
+    words = _top_words(space, f, k)
     c0, c1, c2 = [], [], []
     for s in s_list:
         lhs = modulus_mixed(space, r, s, f)
@@ -576,7 +582,7 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
     lo, hi = _BESOV_J_RANGE
     s_big = 2.0 ** (-(lo - 1))
     s_small = 2.0 ** (-(hi + 1))
-    *_, words = _word_stacks(space, f, r)
+    words = _top_words(space, f, r)
     top = _members(sum(space.norm(words)))
     if math.isinf(q):
         high = (4.0 ** r) * nf * s_big ** (-alpha)
@@ -597,7 +603,7 @@ def _word_profiles(space, f, k: int, r: int, alpha: float, q: float):
     """Per order-k derivative word of ``f``, the weighted integral of its order-r modulus
     profile, one integral per member; the words form one stack searched in one call per scale.
     """
-    *_, words = _word_stacks(space, f, k)
+    words = _top_words(space, f, k)
     profile = [modulus_mixed(space, r, s, words) for s in besov_s_grid()]
     return _weighted_integral(profile, alpha, q)
 

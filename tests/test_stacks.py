@@ -9,6 +9,7 @@ neither one function nor a stack of them raises.
 """
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -28,7 +29,7 @@ from axbkit.frames import (
     partition_values,
 )
 from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
-from axbkit.halfline import inner, window_loss
+from axbkit.halfline import inner, sobolev_norm_top, window_loss
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
     BesovParams,
@@ -130,6 +131,14 @@ def test_stacked_zygmund_equals_per_member(space, members, k, q):
                [zygmund_norm(space, v, k, q) for v in members])
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_stacked_sobolev_norm_top_equals_per_member(grid, members, m):
+    for p in (1.0, 2.0):
+        alone = [sobolev_norm_top(HalfLineFunction(grid, v), m, p) for v in members]
+        assert all(type(value) is float for value in alone)
+        _same_bits(sobolev_norm_top(HalfLineFunction(grid, members), m, p), alone)
+
+
 def test_stacked_jackson_check_equals_per_member(grid, op, space, members):
     sigmas = 2.0 ** np.arange(-2.0, 5.01, 0.5)
     reps = jackson_check(sigmas, 2, HalfLineFunction(grid, members), op, space)
@@ -161,8 +170,10 @@ def test_one_function_gives_python_floats(space, f_lg):
 
 def _poison_member(call, i=1):
     """``call``'s array result with member ``i`` (axis -2 of a stack of grid functions) NaN;
-    one function's result is left as it is."""
+    one function's result is left as it is.  The wrapper keeps ``call``'s attributes, so an
+    action's ``multiplies`` declaration, and with it the symbol path, stays."""
 
+    @functools.wraps(call)
     def poisoned(*args):
         out = np.array(call(*args))
         if out.ndim > 1:
@@ -174,6 +185,7 @@ def _poison_member(call, i=1):
 
 def test_one_non_finite_member_raises(space, members):
     blown_act = dataclasses.replace(space, act=_poison_member(space.act))
+    assert blown_act.act.multiplies == space.act.multiplies == (False, True)
     with pytest.raises(ValueError, match="modulus_mixed is not finite"):
         modulus_mixed(blown_act, 2, 0.5, members)
     with pytest.raises(ValueError, match="not finite"):
@@ -194,9 +206,19 @@ def test_a_nan_member_through_the_symbols_raises(grid, space, members, r):
     # below one grid step only the all-modulation word has candidates: its
     # suffix stack turns member 1 NaN, and the outer letter norms it through
     # the symbols, which act on the constant function only
-    blown_act = dataclasses.replace(space, act=_poison_member(space.act))
+    poisoned = _poison_member(space.act)
+    symbols = []
+
+    @functools.wraps(poisoned)
+    def act(j, t, v):
+        if v.ndim == 1:
+            symbols.append((j, t))
+        return poisoned(j, t, v)
+
     with pytest.raises(ValueError, match="modulus_mixed is not finite"):
-        modulus_mixed(blown_act, r, grid.h / 4, members)
+        modulus_mixed(dataclasses.replace(space, act=act), r, grid.h / 4, members)
+    # on a stack only the symbols act on one function, so the search took the symbol path
+    assert symbols and {j for j, _ in symbols} == {2}
 
 
 def _nan_norm_of(space, f):
