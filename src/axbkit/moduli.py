@@ -35,14 +35,14 @@ the grid on the trailing axis or axes.  ``act``,
 value per leading index (a float for a single function).  The supremum
 search uses this: going right to left through a word, each factor applies
 its group once per candidate time to the whole stack built so far, and the
-stack of each proper suffix is built once per :func:`modulus_mixed` call
-and shared by every word that ends in it.  The first letter's factor is
+stack of each proper suffix is built once per scale and shared by every
+word that ends in it.  The first letter's factor is
 normed block by block, one block per candidate, as it is formed, and a
 running maximum keeps each member's best, so the stack of a whole word over
 every candidate tuple is never built.  A first letter that multiplies, under
 an ``l^p`` norm, forms no block at all: ``||(T_j(t) - I) g||^p`` is the dot
 of ``|g|^p`` with ``weights |T_j(t) 1 - 1|^p``, and the symbols are taken
-once per candidate and :func:`modulus_mixed` call, on the constant
+once per candidate and scale, on the constant
 function, and shared by every word they begin.  With candidate sets ``T_1``
 and ``T_2`` for the two directions, order r thus makes
 ``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action, one per candidate
@@ -77,7 +77,11 @@ function gives a Python float.  Each member gets exactly the bits it gets
 alone: its words are added in the same order, and its Besov profile is
 folded on its own.  These results, one per member, are checked to be
 finite, so a non-finite intermediate of any member raises instead of being
-lost in a later ``max``.
+lost in a later ``max``.  The scale ``s`` of :func:`modulus_mixed`,
+:func:`k_lower`, :func:`k_upper` and :func:`k_spectral` (``sigma`` of
+:func:`axbkit.paleywiener.best_approx`) is one number or a 1-D ladder, each
+finite and nonnegative (positive for :func:`k_upper`).  A ladder gives
+``(scale, member...)``, row i with the bits of the call at ``s[i]``.
 
 K-functional surrogates for the pair (E, E^r):
 
@@ -88,8 +92,7 @@ K-functional surrogates for the pair (E, E^r):
   splitting ``f = f + 0`` which caps the value at ``||f||``.  The gap to
   the true infimum is reported, never assumed zero;
 * ``k_spectral`` (Hilbert case) = ``(sum_k min(1, s^r lam_k^{r/2})^2 w_k)^{1/2}``
-  from the discrete spectral measure; an array of scales shares one set of
-  spectral weights.
+  from the discrete spectral measure, one set of weights for a whole ladder.
 
 Besov norms ``B^alpha_q`` are realized four independent ways across this
 module and :mod:`axbkit.frames`; here live the K-functional and modulus
@@ -113,7 +116,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import LogGrid, _checked_samples, _worst, pth_root, require_finite
+from .grids import LogGrid, _checked_samples, _worst, pth_root
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -213,13 +216,33 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     )
 
 
-def _values(f, shape: tuple) -> np.ndarray:
+def _values(f, shape: tuple, one: bool = False) -> np.ndarray:
     """The values of ``f`` at a public entry point, checked once.
 
     A container's values or bare values, converted to complex; the trailing
-    axes must be the grid ``shape`` exactly and every sample finite.
+    axes (with ``one``, all axes) must be the grid ``shape`` exactly and every sample finite.
     """
-    return _checked_samples(getattr(f, "values", f), shape)
+    values = _checked_samples(getattr(f, "values", f), shape)
+    if one and values.shape != shape:
+        raise ValueError(f"takes one function, got a stack of shape {values.shape}")
+    return values
+
+
+def _ladder(s, name: str = "s", positive: bool = False) -> np.ndarray:
+    """The scales ``s``: one number or a 1-D ladder, finite and nonnegative (or ``positive``)."""
+    scales = np.asarray(s, dtype=float)
+    ok = np.isfinite(scales) & ((scales > 0) if positive else (scales >= 0))
+    if scales.ndim > 1 or not ok.all():
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}"
+                         f" (one scale or a 1-D ladder), got {s!r}")
+    return scales
+
+
+def _by_scale(scales: np.ndarray, lead: tuple, at) -> float | np.ndarray:
+    """``at(s)`` per checked scale, packed as ``(scale,) + lead``; one number gives ``at(s)``."""
+    if scales.ndim == 0:
+        return at(float(scales))
+    return np.array([at(s) for s in scales.tolist()]).reshape(scales.shape + lead)
 
 
 def _require_order(r) -> None:
@@ -371,9 +394,9 @@ def _members(total):
     return total if np.ndim(total) else float(total)
 
 
-def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np.ndarray:
+def modulus_mixed(space: RepresentationSpace, r: int, s, f) -> float | np.ndarray:
     """The mixed modulus of continuity ``Omega^r(s, f)`` at a finite scale s >= 0,
-    as a certified grid lower bound.
+    as a certified grid lower bound; a 1-D ladder ``s`` gives ``(scale, member...)``.
 
     It sums, over words ``(j1, ..., jr)`` in ``{1,2}^r``, the suprema over
     ``0 <= t_i <= s`` of ``||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||``, each
@@ -383,10 +406,12 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
     """
     _require_order(r)
     f = _values(f, space.shape)
-    require_finite("s", s)
-    if s < 0:
-        raise ValueError("scale must be nonnegative")
     lead = f.shape[:f.ndim - len(space.shape)]
+    return _by_scale(_ladder(s), lead, lambda si: _modulus(space, r, si, f, lead))
+
+
+def _modulus(space: RepresentationSpace, r: int, s: float, f: np.ndarray, lead: tuple):
+    """The body of :func:`modulus_mixed` at one checked scale ``s``."""
     if s == 0.0:
         return _members(np.zeros(lead))
     cap = _SUP_CAP.get(r, 2)
@@ -412,7 +437,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s: float, f) -> float | np
 
 
 def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
-    """Hardy-Steklov witness split with its components and the trivial cap; ``s`` must be finite.
+    """Hardy-Steklov witness split with its components and the trivial cap, at one scale ``s > 0``.
 
     For a stack every field holds one value per member.  The value is the
     smaller of the witness and the cap, NaN when either is NaN, so a
@@ -420,54 +445,56 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
     """
     _require_order(r)
     f = _values(f, space.shape)
-    require_finite("s", s)
+    scale = _ladder(s, positive=True)
+    if scale.ndim:
+        raise ValueError(f"s must be one scale, got shape {scale.shape}; k_upper takes a ladder")
+    return _k_upper_at(space, r, float(scale), f, space.norm(f))
+
+
+def _k_upper_at(space: RepresentationSpace, r: int, s: float, f: np.ndarray, cap) -> dict:
+    """The body of :func:`k_upper_detail` at one checked scale, with the cap ``||f||`` given."""
     hf = space.hardy(r, s, f)
     rough = space.norm(f - hf)
     smooth = s ** r * _sobolev_sum(space, hf, r)
     witness = rough + smooth
-    cap = space.norm(f)
-    return {
-        "rough": rough,
-        "smooth": smooth,
-        "witness": witness,
-        "trivial": cap,
-        "value": _finite(_members(np.minimum(witness, cap)), "k_upper"),
-    }
+    return {"rough": rough, "smooth": smooth, "witness": witness, "trivial": cap,
+            "value": _finite(_members(np.minimum(witness, cap)), "k_upper")}
 
 
-def k_upper(space: RepresentationSpace, r: int, s: float, f) -> float | np.ndarray:
-    """Upper K-functional surrogate from ``f = (f - H_r(s) f) + H_r(s) f``, capped by
-    the trivial splitting at ``||f||``; one value per member of a stack.
+def k_upper(space: RepresentationSpace, r: int, s, f) -> float | np.ndarray:
+    """Upper K-functional surrogate from ``f = (f - H_r(s) f) + H_r(s) f``, capped by the
+    trivial splitting at ``||f||``; per member, or ``(scale, member...)`` for a ladder ``s > 0``.
     """
-    return k_upper_detail(space, r, s, f)["value"]
+    _require_order(r)
+    f = _values(f, space.shape)
+    cap = space.norm(f)
+    return _by_scale(_ladder(s, positive=True), f.shape[:f.ndim - len(space.shape)],
+                     lambda si: _k_upper_at(space, r, si, f, cap)["value"])
 
 
-def k_lower(space: RepresentationSpace, r: int, s: float, f) -> float | np.ndarray:
-    """Lower K-functional surrogate: the mixed modulus ``Omega^r(s, f)`` itself, per member."""
+def k_lower(space: RepresentationSpace, r: int, s, f) -> float | np.ndarray:
+    """Lower K-functional surrogate: the mixed modulus ``Omega^r(s, f)`` itself, per member;
+    a 1-D ladder ``s`` gives ``(scale, member...)``."""
     return modulus_mixed(space, r, s, f)
 
 
 def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
     """Spectral K-surrogate ``(sum min(1, s^r lam^{r/2})^2 w_k)^{1/2}`` (Hilbert only),
-    equivalent to the K-functional of the pair ``(H, D(Delta^{r/2}))``.
-
-    ``s`` may be an array of scales: the spectral weights of ``f`` are
-    computed once and an array of surrogates is returned, each summed as a
-    single scale is; a stack adds a trailing axis.
+    equivalent to the K-functional of the pair ``(H, D(Delta^{r/2}))``; a 1-D ladder
+    ``s`` gives ``(scale, member...)``, one set of spectral weights for all.
     """
     w = op.spectral_weights(_values(f, op.weights.shape))
     root = op.eigenvalues ** (r / 2.0)
-    out = np.array([np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w, axis=-1))
-                    for si in np.atleast_1d(s)])
-    return out if np.ndim(s) else _members(out[0])
+    return _by_scale(_ladder(s), w.shape[:-1], lambda si: _members(
+        np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w, axis=-1))))
 
 
 def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     """Empirical constants of the three modulus inequalities on one vector: order
     reduction through generators, scale doubling and the higher-order comparison.
 
-    Returns the max over ``s_list`` of each left/right ratio, NaN when any
-    ratio is NaN:
+    Returns the max over the ladder ``s_list`` of each left/right ratio, NaN
+    when any ratio is NaN; ``f`` must be one function:
 
     * C0: ``Omega^r(s, f) <= C0 s^k sum_words Omega^{r-k}(s, A_word f)``
     * C1: ``Omega^r(a s, f) <= C1 Omega^r(s, f)`` for a = 2 (compare (1+a)^r)
@@ -475,26 +502,23 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     """
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= r")
-    f = _values(f, space.shape)
+    f = _values(f, space.shape, one=True)
+    scales = _ladder(s_list)
     nf = space.norm(f)
     floor = _FLOOR * max(nf, 1.0)
-
-    def omega(order, scale, g):
-        if order == 0:
-            return space.norm(g)
-        return modulus_mixed(space, order, scale, g)
-
-    # the order-k derivative words of f, one stack searched in one call per scale
+    # per scale, the order-(r - k) moduli of the order-k derivative words of f, one stack
     words = _top_words(space, f, k)
+    rest = (modulus_mixed(space, r - k, scales, words) if r > k
+            else [space.norm(words)] * len(scales))
     c0, c1, c2 = [], [], []
-    for s in s_list:
-        lhs = modulus_mixed(space, r, s, f)
+    for s, lhs, doubled, rplus, word_moduli in zip(
+            scales.tolist(), modulus_mixed(space, r, scales, f),
+            modulus_mixed(space, r, 2 * scales, f), modulus_mixed(space, r + k, scales, f), rest):
         rhs = 0.0
-        for value in omega(r - k, s, words):
+        for value in word_moduli:
             rhs += value
         c0.append(lhs / max(s ** k * rhs, floor))
-        c1.append(modulus_mixed(space, r, 2 * s, f) / max(lhs, floor))
-        rplus = modulus_mixed(space, r + k, s, f)
+        c1.append(doubled / max(lhs, floor))
         c2.append(s ** k * lhs / max(s ** (r + k) * nf + rplus, floor))
     return {
         "C0_hat": _worst(c0),
@@ -560,8 +584,7 @@ def besov_norm(space, f, params, method: str = "k") -> float | np.ndarray | list
     f = _values(f, space.shape)
     if not plist:
         return []
-    core = k_upper if method == "k" else modulus_mixed
-    profile = [core(space, orders[0], s, f) for s in besov_s_grid()]
+    profile = (k_upper if method == "k" else modulus_mixed)(space, orders[0], besov_s_grid(), f)
     nf = space.norm(f)
     norms = [_finite(nf + _weighted_integral(profile, p.alpha, p.q), "besov_norm")
              for p in plist]
@@ -601,11 +624,10 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
 
 def _word_profiles(space, f, k: int, r: int, alpha: float, q: float):
     """Per order-k derivative word of ``f``, the weighted integral of its order-r modulus
-    profile, one integral per member; the words form one stack searched in one call per scale.
+    profile, one integral per member; the words form one stack searched in one ladder call.
     """
     words = _top_words(space, f, k)
-    profile = [modulus_mixed(space, r, s, words) for s in besov_s_grid()]
-    return _weighted_integral(profile, alpha, q)
+    return _weighted_integral(modulus_mixed(space, r, besov_s_grid(), words), alpha, q)
 
 
 def besov_norm_fractional(space, f, alpha: float, q: float) -> float | np.ndarray:
@@ -652,14 +674,15 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
     ``(E^{k1}, E^{k2})_{(alpha-k1)/(k2-k1), q}`` and reports their ratio,
     together with the Gagliardo-type constant of
     ``||f||_{E^k} <= C ||f||^{1-k/r} ||f||_{E^r}^{k/r}`` at ``k = k2 - k1``.
+    ``f`` must be one function.
     """
     if not (0 <= k1 < alpha < k2 <= r):
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
-    f = _values(f, space.shape)
+    f = _values(f, space.shape, one=True)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
     base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1))
     k = k2 - k1
-    profile = [modulus_mixed(base, k, s, f) for s in besov_s_grid()]
+    profile = modulus_mixed(base, k, besov_s_grid(), f)
     rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)
     nf = space.norm(f)
     nk = _sobolev_sum(space, f, k)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import HalfLineFunction
-from .moduli import modulus_mixed
+from .moduli import _by_scale, _ladder, _members, modulus_mixed
 from .spectral import DiscreteOperator, apply_multiplier
 
 __all__ = [
@@ -44,19 +44,17 @@ def pw_project(omega: float, f: HalfLineFunction,
 
 def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.ndarray:
     """The best approximation ``E(sigma, f) = inf_{g in PW_sigma} ||f - g||``, which
-    is ``||f - P_sigma f||``, computed spectrally.
+    is ``||f - P_sigma f||``, computed spectrally; a 1-D ladder of bands ``sigma >= 0``
+    gives ``(band, member...)``.
 
     Orthogonal projection attains the infimum in a Hilbert space, so this
-    is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``.  ``sigma``
-    may be an array of bands: the spectral weights are computed once and
-    an array of distances is returned; a stack adds a trailing axis.
+    is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``; the spectral
+    weights are computed once for a whole ladder.
     """
     lam, w = op.eigenvalues, op.spectral_weights(f.values)
     root = np.sqrt(np.maximum(lam, 0.0))
-    tails = np.array([np.sqrt(np.sum(w[..., root > s], axis=-1)) for s in np.atleast_1d(sigma)])
-    if np.ndim(sigma):
-        return tails
-    return tails[0] if tails.ndim > 1 else float(tails[0])
+    return _by_scale(_ladder(sigma, "sigma"), w.shape[:-1],
+                     lambda s: _members(np.sqrt(np.sum(w[..., root > s], axis=-1))))
 
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
@@ -133,18 +131,17 @@ def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
     adaptively chosen decade where the best-approximation error is neither
     saturated nor at the numeric floor.  ``f`` may hold a stack: the moduli and the best
     approximations of all members are then computed together, and one report per member
-    comes back.
+    comes back.  Every sigma must be positive, as the modulus is taken at ``1 / sigma``.
     """
-    sigma_seq = list(sigma_list)
-    sigmas = np.asarray(sigma_seq, dtype=float)
+    sigmas = _ladder(sigma_list, "sigma", positive=True)
+    # per member, its best approximations and its moduli at 1 / sigma, one value per sigma
     members = best_approx(sigmas, f, op).reshape(len(sigmas), -1).T
-    # per sigma, one value per member
-    moduli = np.array([modulus_mixed(space, r, 1.0 / sigma, f) for sigma in sigma_seq])
+    moduli = modulus_mixed(space, r, 1.0 / sigmas, f).reshape(len(sigmas), -1).T
     norms = np.atleast_1d(space.norm(f.values))
     reports = []
-    for errors, member_moduli, nf in zip(members, moduli.reshape(len(sigmas), -1).T, norms):
+    for errors, member_moduli, nf in zip(members, moduli, norms):
         ratios = [err / max(om + min(sigma ** (-r), 1.0) * nf, 1e-14 * max(nf, 1.0))
-                  for sigma, err, om in zip(sigma_seq, errors, member_moduli)]
+                  for sigma, err, om in zip(sigmas, errors, member_moduli)]
         # decade choice: start where the error first drops below 0.5 ||f||
         active = np.where(errors < 0.5 * nf)[0]
         slope = float("nan")

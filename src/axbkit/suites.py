@@ -502,8 +502,8 @@ def suite_kfunctional(cfg: RunConfig):
     lower, upper, spectral = {}, {}, {}
     hats = {"AC10a": [], "AC10b": [], "AC10c": [], "AC10d": []}
     for r in (1, 2):
-        kl = lower[r] = np.array([md.k_lower(space, r, s, stack) for s in svals])
-        ku = upper[r] = np.array([md.k_upper(space, r, s, stack) for s in svals])
+        kl = lower[r] = md.k_lower(space, r, svals, stack)
+        ku = upper[r] = md.k_upper(space, r, svals, stack)
         ksp = spectral[r] = md.k_spectral(op, r, svals, stack)
         trivial = np.minimum(svals ** r, 1.0)[:, None] * norms
         for cid, num, den in (("AC10a", kl, ku), ("AC10b", ku, kl + trivial),

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from axbkit.corpus import DEFAULT_CORPUS
 from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.halfline import act_modulation, shift_log, xp_norm
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
@@ -31,6 +32,7 @@ from axbkit.moduli import (
     verify_modulus_inequalities,
     zygmund_norm,
 )
+from axbkit.paleywiener import best_approx, jackson_check
 
 
 #: the largest relative deviation of a modulus from the act path when a multiplication
@@ -410,6 +412,50 @@ def test_k_spectral_array_of_scales_equals_per_scale_calls(op, f_lg, r):
     assert values.shape == svals.shape
     assert list(values) == [k_spectral(op, r, s, f_lg) for s in svals]
     assert type(k_spectral(op, r, 0.5, f_lg)) is float
+
+
+# every scale check of a ladder, as (op, space, f) -> call, and the start of its message
+_BAD_SCALES = {
+    "k_spectral nan": (lambda op, space, f: k_spectral(op, 2, math.nan, f), "s must be finite"),
+    "k_spectral negative": (lambda op, space, f: k_spectral(op, 2, -1.0, f),
+                            "s must be finite and nonnegative"),
+    "best_approx nan": (lambda op, space, f: best_approx(math.nan, f, op), "sigma must be finite"),
+    "best_approx 2-D": (lambda op, space, f: best_approx([[1.0]], f, op),
+                        r"sigma must be finite and nonnegative \(one scale or a 1-D ladder\)"),
+    "jackson_check zero": (lambda op, space, f: jackson_check([0.0, 1.0], 2, f, op, space),
+                           "sigma must be finite and positive"),
+    "k_upper negative": (lambda op, space, f: k_upper(space, 2, -1.0, f),
+                         "s must be finite and positive"),
+    "k_upper zero in a ladder": (lambda op, space, f: k_upper(space, 2, [0.5, 0.0], f),
+                                 "s must be finite and positive"),
+    "k_upper_detail ladder": (lambda op, space, f: k_upper_detail(space, 2, [0.5, 1.0], f),
+                              r"s must be one scale, got shape \(2,\)"),
+    "modulus_mixed negative": (lambda op, space, f: modulus_mixed(space, 2, -1.0, f),
+                               "s must be finite and nonnegative"),
+    "k_lower nan in a ladder": (lambda op, space, f: k_lower(space, 2, [0.5, math.nan], f),
+                                "s must be finite"),
+    "verify_modulus_inequalities inf": (
+        lambda op, space, f: verify_modulus_inequalities(space, 2, 1, f, (0.5, math.inf)),
+        "s must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SCALES))
+def test_every_ladder_takes_one_scale_rule(op, space, f_lg, case):
+    call, match = _BAD_SCALES[case]
+    with pytest.raises(ValueError, match=f"^{match}"):
+        call(op, space, f_lg)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open: the modulus profile is not monotone in s (ROADMAP item 10); "
+                          "from s = 8 to 16 it drops from 9.052902 to 9.050644 at r = 2 and "
+                          "from 2.995296 to 2.995249 at r = 1")
+def test_modulus_profile_is_monotone_in_s(grid, space):
+    f = DEFAULT_CORPUS[4].build(grid)  # power_exp(alpha=1.5,beta=2), analytic: no seed
+    svals = 2.0 ** np.arange(-8, 5, dtype=float)  # the kfunctional suite's ladder
+    drops = {r: np.flatnonzero(np.diff(modulus_mixed(space, r, svals, f)) < 0) for r in (1, 2)}
+    assert all(idx.size == 0 for idx in drops.values()), drops
 
 
 def test_hot_path_builds_no_container(monkeypatch, space, f_lg):

@@ -1,4 +1,5 @@
-"""A stack of functions through the moduli gives each member exactly the bits it gets alone.
+"""A stack of functions through the moduli gives each member exactly the bits it gets alone,
+and a ladder of scales gives each scale exactly the bits of the call at that scale.
 
 Every stacked result is compared with a loop over the members through
 ``.view(np.uint64)``, so a difference in the last bit, or a NaN payload,
@@ -15,6 +16,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from axbkit.frames import (
     approx_space_norm,
@@ -41,6 +44,8 @@ from axbkit.moduli import (
     k_upper,
     k_upper_detail,
     modulus_mixed,
+    reiteration_check,
+    verify_modulus_inequalities,
     zygmund_norm,
 )
 from axbkit.paleywiener import (
@@ -94,6 +99,56 @@ def test_stacked_halfplane_modulus_equals_per_member(side, r):
                       log_gaussian_2d(hgrid, u0=0.5, y0=1.0, su=0.7, sy=1.5).values])
     _same_bits(modulus_mixed(space, r, 1.0, stack),
                _per_member(lambda v: modulus_mixed(space, r, 1.0, v), stack, (2,)))
+
+
+@functools.cache
+def _ladder_cases():
+    """A 128-node half-line with its operator, both sides of a 20x16 half-plane, and two
+    members on each."""
+    line = LogGrid(-12.0, 6.0, 128)
+    plane = HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
+    ones = np.stack([np.exp(-((line.u - u0) ** 2) / 2.0 + 1j * line.x) for u0 in (-3.0, -1.0)])
+    twos = np.stack([log_gaussian_2d(plane).values,
+                     log_gaussian_2d(plane, u0=0.5, y0=1.0, su=0.7, sy=1.5).values])
+    return (line, build_matrix_laplacian(line), halfline_space(line), ones,
+            {side: halfplane_space(plane, side) for side in ("left", "right")}, twos)
+
+
+def _ladder_rows_equal_scalar_calls(call, ladder, stack):
+    """``call(ladder, f)`` is ``(scale, member...)`` and row i has the bits of ``call`` at
+    ``ladder[i]``, for one function and for the stack."""
+    for f, lead in ((stack[0], ()), (stack, stack.shape[:1])):
+        got = call(ladder, f)
+        assert got.shape == (len(ladder),) + lead
+        for row, s in zip(got, ladder):
+            _same_bits(row, call(s, f))
+
+
+#: the scales a ladder draws from, by index: 0, then on the half-line one scale below its step
+#: (modulation words only) and three above; on the half-plane four at or above its u step
+LINE_SCALES = (0.0, 0.05, 0.3, 1.0, 2.5)
+PLANE_SCALES = (0.0, 0.6, 1.2, 2.5, 4.0)
+
+
+@given(picks=st.lists(st.integers(0, 4), max_size=6), r=st.sampled_from([1, 2]),
+       side=st.sampled_from(["left", "right"]))
+@example(picks=[], r=2, side="left")
+@example(picks=[4, 0, 2, 2], r=2, side="right")
+@settings(max_examples=20, deadline=None)
+def test_ladder_rows_equal_the_calls_at_each_scale(picks, r, side):
+    # unsorted ladders, with repeats, with 0 or empty; the witness needs H_r(s), so s > 0
+    line, op, space, ones, planes, twos = _ladder_cases()
+    ladder = [LINE_SCALES[i] for i in picks]
+    positive = [s for s in ladder if s > 0]
+    for call, scales in (
+            (lambda s, f: modulus_mixed(space, r, s, f), ladder),
+            (lambda s, f: k_lower(space, r, s, f), ladder),
+            (lambda s, f: k_upper(space, r, s, f), positive),
+            (lambda s, f: k_spectral(op, r, s, f), ladder),
+            (lambda s, f: best_approx(s, HalfLineFunction(line, f), op), ladder)):
+        _ladder_rows_equal_scalar_calls(call, scales, ones)
+    _ladder_rows_equal_scalar_calls(lambda s, f: modulus_mixed(planes[side], r, s, f),
+                                    [PLANE_SCALES[i] for i in picks], twos)
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -360,8 +415,11 @@ def test_one_function_paths_reject_a_stack():
     grid, op, values = _eigen_grid(3)
     stack = HalfLineFunction(grid, values)
     one = HalfLineFunction(grid, values[0])
+    space = halfline_space(grid)
     for call in (lambda: bernstein_check(stack, 2.0, (1, 2), op),
-                 lambda: direct_inverse_check(stack, op, 2, halfline_space(grid)),
+                 lambda: direct_inverse_check(stack, op, 2, space),
+                 lambda: verify_modulus_inequalities(space, 2, 1, stack, (0.5,)),
+                 lambda: reiteration_check(space, stack.values, 0, 1, 2, 0.5, 2.0),
                  lambda: inner(stack, stack), lambda: inner(one, stack),
                  lambda: inner(stack, one), lambda: window_loss(stack)):
         with pytest.raises(ValueError, match=r"takes one function, got a stack of shape \(3, 16\)"):
