@@ -16,14 +16,25 @@ from dataclasses import dataclass
 
 from .corpus import corpus_names
 from .halfplane import DENSE_CAP_2D
-from .spectral import DENSE_CAP
+from .spectral import DENSE_CAP, KERNEL_NYQUIST
 
-__all__ = ["RunConfig", "ConfigError", "ORACLE_N_CAP", "U_RANGE", "parse_config_file"]
+__all__ = ["RunConfig", "ConfigError", "ORACLE_N_CAP", "U_RANGE", "Y_STEP_MAX",
+           "parse_config_file"]
 
 #: most nodes of the eigenrelation oracle grid and of the spectral grid (``oracle_n`` and
-#: ``tau_n``); each one's ``n x 720`` float64 Macdonald-kernel quadrature table then stays
-#: near 100 MB
+#: ``tau_n``): at the cap the spectral suite's kernel table, ``(tau_n, grid_n)`` float64, holds
+#: at most 256 MiB and its ``(tau_n, 720)`` cosine table 90 MiB; the quadrature's decay is
+#: tabled for one block of ``x`` nodes at a time, whatever ``oracle_n``
 ORACLE_N_CAP = 16384
+
+#: longest y step ``(y_max - y_min) / (y_n - 1)``: the half-plane suite's test function
+#: (``halfplane.log_gaussian_2d``) is a Gaussian in y of width 1.5 about ``y = 0``, and each
+#: half-plane check divides by a norm of it or of its y-derivative.  With ``y = 0`` in the
+#: window and the step at most twice the width, a node lies within one width of the centre,
+#: where the function is above ``e^{-1/2}`` of its peak.  A window off the centre (y in
+#: [100, 116]) or a step of 2e298 (``y_max = 1e300``) left those norms 0, and the suite ended
+#: in ZeroDivisionError
+Y_STEP_MAX = 3.0
 
 
 #: the window of u: the operators square ``x = e^u``, so ``log(min normal) <= u`` keeps ``x``
@@ -81,6 +92,13 @@ class RunConfig:
                                   f"so {U_RANGE[0]:.6g} <= {key} <= {U_RANGE[1]:.6g}, got {u}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0):
             raise ConfigError(f"tau_max: must be positive and finite, got {self.tau_max}")
+        # the kernel quadrature samples cos(tau t) at a step dt = 18 / 719 in t, so a tau above
+        # pi / dt reads the table of its alias 2 pi / dt - tau.  Up to that bound the inverse
+        # transform's weight tau sinh(pi tau) stays below 1.1e173; it overflows past tau = 224,
+        # which ended the spectral suite in a ValueError
+        if self.tau_max > KERNEL_NYQUIST:
+            raise ConfigError(f"tau_max: at most {KERNEL_NYQUIST!r}, the Nyquist frequency of "
+                              f"the kernel quadrature in t, got {self.tau_max}")
         if self.tau_n < 32:
             raise ConfigError("tau_n: need at least 32 spectral nodes")
         if self.tau_n > ORACLE_N_CAP:
@@ -90,6 +108,16 @@ class RunConfig:
         if self.hp_n * self.y_n > DENSE_CAP_2D:
             raise ConfigError(f"hp_n/y_n: grid has {self.hp_n * self.y_n} points, "
                               f"half-plane operator cap is {DENSE_CAP_2D}")
+        if self.y_min > 0.0 or self.y_max < 0.0:
+            key = "y_min" if self.y_min > 0.0 else "y_max"
+            raise ConfigError(f"{key}: the y window must hold y = 0, the centre of the "
+                              f"half-plane test function, got {getattr(self, key)}")
+        step = (self.y_max - self.y_min) / (self.y_n - 1)
+        if step > Y_STEP_MAX:
+            key = "y_max" if self.y_max >= -self.y_min else "y_min"
+            raise ConfigError(f"{key}: the y step (y_max - y_min) / (y_n - 1) = {step!r} is "
+                              f"above {Y_STEP_MAX}, twice the width of the half-plane test "
+                              f"function, got {getattr(self, key)}")
         unknown = sorted(set(self.corpus) - set(corpus_names()))
         if unknown:
             raise ConfigError(f"corpus: unknown entries {unknown}; see 'axbkit corpus'")

@@ -41,6 +41,7 @@ from .smoothing import _hardy_factors
 
 __all__ = [
     "KL_CONSTANT",
+    "KERNEL_NYQUIST",
     "Spectrum",
     "DiscreteOperator",
     "UnresolvedSpectrumWarning",
@@ -66,8 +67,21 @@ KL_CONSTANT = 2.0 / np.pi ** 2
 _KERNEL_T_MAX = 18.0
 _KERNEL_N_T = 720
 
+#: the Nyquist frequency ``pi / dt`` of the kernel quadrature's step in t (about 125.49):
+#: above it a ``tau`` reads the table of its alias ``2 pi / dt - tau``
+KERNEL_NYQUIST = np.pi * (_KERNEL_N_T - 1) / _KERNEL_T_MAX
+
 #: dense eigensolver size cap
 DENSE_CAP = 2048
+
+#: identity columns transformed at once by :func:`fourier_diff_matrix`, and the fewest ``x``
+#: nodes whose quadrature decay :func:`macdonald_kernel` tables at once (the last block takes
+#: the remainder too): each block's temporaries stay well below the ``(n, n)`` matrix or the
+#: ``(m, len(x))`` table being filled.  A shorter last block would change bits: on one thread,
+#: OpenBLAS 0.3.31 (Haswell kernels) rounds the last ``len(x) % 8`` columns of a product with
+#: fewer than about 200 of them differently from those of a longer one.
+_FFT_BLOCK = 64
+_KERNEL_X_BLOCK = 256
 
 #: energy fraction above the resolved band that triggers a flag
 UNRESOLVED_FRACTION = 1e-3
@@ -105,7 +119,9 @@ def macdonald_kernel(tau, x):
     to ``3e-8``.
 
     Accepts scalars or arrays; with array-valued ``tau`` and ``x`` the
-    result has shape ``(len(tau), len(x))``.
+    result has shape ``(len(tau), len(x))``.  The decay ``exp(-x cosh t)`` is
+    tabled for a block of ``x`` nodes at a time, so no ``(len(x), 720)`` table is
+    held; on one BLAS thread each entry has the bits of one product over all of ``x``.
     """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -113,11 +129,18 @@ def macdonald_kernel(tau, x):
         raise ValueError("x must be positive")
     t = np.linspace(0.0, _KERNEL_T_MAX, _KERNEL_N_T)
     wt = trapezoid_weights(_KERNEL_N_T, t[1] - t[0])
+    cos_wt = np.cos(np.outer(tau_arr, t)) * wt
+    neg_cosh = -np.cosh(t)
+    n_blocks = max(x_arr.size // _KERNEL_X_BLOCK, 1)
+    edges = [i * _KERNEL_X_BLOCK for i in range(n_blocks)] + [x_arr.size]
+    table = np.empty((tau_arr.size, x_arr.size))
+    decay = np.empty((edges[-1] - edges[-2], _KERNEL_N_T))
     with np.errstate(under="ignore"):
-        # exponentiated in place: one (len(x), 720) buffer instead of two
-        decay = np.outer(x_arr, -np.cosh(t))
-        np.exp(decay, out=decay)
-    table = (np.cos(np.outer(tau_arr, t)) * wt) @ decay.T
+        for a, b in zip(edges[:-1], edges[1:]):
+            block = decay[:b - a]
+            np.multiply(x_arr[a:b, None], neg_cosh, out=block)
+            np.exp(block, out=block)
+            table[:, a:b] = cos_wt @ block.T
     if np.isscalar(tau) and np.isscalar(x):
         return float(table[0, 0])
     if np.isscalar(tau):
@@ -199,15 +222,19 @@ def fourier_diff_matrix(n: int, h: float) -> np.ndarray:
     """Spectral d/du matrix on the periodic window, exactly antisymmetric.
 
     The Nyquist mode is zeroed so the matrix is real; antisymmetrization
-    removes roundoff asymmetry.
+    removes roundoff asymmetry.  The columns are the transforms of the identity's
+    columns, a block at a time into one real matrix: each column's transform is
+    independent of the others, so no complex ``(n, n)`` array is needed.
     """
     length = n * h
     k = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         k[n // 2] = 0.0
-    ik = 1j * 2.0 * np.pi / length * k
-    eye = np.eye(n)
-    D = np.fft.ifft(ik[:, None] * np.fft.fft(eye, axis=0), axis=0).real
+    ik = (1j * 2.0 * np.pi / length * k)[:, None]
+    D = np.empty((n, n))
+    for j in range(0, n, _FFT_BLOCK):
+        cols = np.eye(n, min(_FFT_BLOCK, n - j), -j)
+        D[:, j:j + cols.shape[1]] = np.fft.ifft(ik * np.fft.fft(cols, axis=0), axis=0).real
     return skew(D)
 
 
@@ -241,17 +268,24 @@ class DiscreteOperator:
     complex vector is transformed as its real and imaginary parts.  Each method takes
     one function ``(n,)``, by matrix-vector products, or a stack ``(k, n)``, by matrix
     products, which round each member within about 1e-15 of its own matrix-vector product.
+
+    The operator keeps only its eigensystem; :attr:`matrix` re-assembles the matrix
+    from ``grid`` on each read, bit for bit the one that was diagonalized.
     """
 
     weights: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal in flat coordinates
-    matrix: np.ndarray
     grid: LogGrid
     sqrt_w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.sqrt_w = np.sqrt(self.weights)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The assembled flat-coordinate matrix, re-assembled on each read."""
+        return _assemble(self.grid)
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
         """Eigen-coefficients ``<f, v_k>`` in the weighted inner product."""
@@ -285,8 +319,23 @@ class DiscreteOperator:
 
     def hermitian_residual(self) -> float:
         """Relative reassembly residual ``||V L V^T - M|| / ||M||`` (oracle check)."""
+        A = self.matrix
         re = self.eigenvectors @ (self.eigenvalues[:, None] * self.eigenvectors.T)
-        return float(np.linalg.norm(re - self.matrix) / np.linalg.norm(self.matrix))
+        return float(np.linalg.norm(re - A) / np.linalg.norm(A))
+
+
+def _assemble(grid: LogGrid) -> np.ndarray:
+    """The flat-coordinate matrix ``D^T D + diag(x^2)``, symmetrized, built in place so
+    that only ``A`` outlives the assembly.  Adding ``x^2`` to the diagonal alone has the
+    bits of adding ``diag(x^2)``: its off-diagonal zeros would change only a ``-0.0``,
+    and ``D^T D`` has none, its columns sharing nonzero rows."""
+    D_flat = flat_skew(fourier_diff_matrix(grid.n, grid.h), np.sqrt(grid.weights))
+    A = D_flat.T @ D_flat
+    del D_flat
+    A.flat[::grid.n + 1] += grid.x ** 2
+    A += A.T
+    A *= 0.5
+    return A
 
 
 @cache
@@ -296,23 +345,18 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
 
     ``D_u`` is the antisymmetrized Fourier differentiation matrix carried
     to flat coordinates, so the assembly ``D^T D + diag(x^2)`` is
-    symmetric positive semidefinite by construction.
+    symmetric positive semidefinite by construction.  The assembled matrix is
+    dropped once diagonalized.
     """
     if grid.n > DENSE_CAP:
         raise ValueError(f"grid size {grid.n} exceeds dense eigensolver cap {DENSE_CAP}")
-    w = grid.weights
-    D = fourier_diff_matrix(grid.n, grid.h)
-    D_flat = flat_skew(D, np.sqrt(w))
-    A = D_flat.T @ D_flat + np.diag(grid.x ** 2)
-    A = 0.5 * (A + A.T)
-    lam, V = np.linalg.eigh(A)
+    lam, V = np.linalg.eigh(_assemble(grid))
     return DiscreteOperator(
-        weights=w.copy(),
+        weights=grid.weights.copy(),
         eigenvalues=lam,
         # column-major, as LAPACK returns it: numpy hands back a row-major copy,
         # on which the coeffs/synth matvecs of a cold oracles run were slower
         eigenvectors=np.asfortranarray(V),
-        matrix=A,
         grid=grid,
     )
 

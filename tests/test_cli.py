@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import pytest
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 import axbkit
 from axbkit import cli, suites
 from axbkit.cli import main
-from axbkit.config import ORACLE_N_CAP, U_RANGE, ConfigError, RunConfig, parse_config_file
+from axbkit.config import (ORACLE_N_CAP, U_RANGE, Y_STEP_MAX, ConfigError, RunConfig,
+                           parse_config_file)
 from axbkit.corpus import build_corpus, corpus_names
 from axbkit.describe import describe, operation_names
 from axbkit.reporting import canonical_json
-from axbkit.spectral import DENSE_CAP, clear_caches
+from axbkit.spectral import DENSE_CAP, KERNEL_NYQUIST, UnresolvedSpectrumWarning, clear_caches
 from axbkit.suites import run_all, run_suite, suite_group
 
 
@@ -89,6 +91,50 @@ def test_config_bounds_the_log_window(key, partner):
         RunConfig(**{key: math.nextafter(bound, beyond), partner: 0.0})
 
 
+def test_config_bounds_tau_max_by_the_kernel_quadrature_nyquist_frequency():
+    # the kernel quadrature samples cos(tau t) at dt = 18 / 719; above pi / dt a tau aliases
+    assert KERNEL_NYQUIST == math.pi / (18.0 / 719.0) and 125.48 < KERNEL_NYQUIST < 125.49
+    assert RunConfig(tau_max=KERNEL_NYQUIST).tau_max == KERNEL_NYQUIST
+    beyond = math.nextafter(KERNEL_NYQUIST, math.inf)
+    with pytest.raises(ConfigError, match=rf"^tau_max: .* got {beyond}$"):
+        RunConfig(tau_max=beyond)
+
+
+@pytest.mark.parametrize("key, window, toward", [
+    # the step (y_max - y_min) / 47 reaches Y_STEP_MAX = 3 at a span of 141, from either end
+    ("y_max", dict(y_min=-8.0, y_max=133.0), math.inf),
+    ("y_min", dict(y_min=-133.0, y_max=8.0), -math.inf),
+    # y = 0, the centre of the half-plane test function, stays in the window
+    ("y_min", dict(y_min=0.0, y_max=16.0), math.inf),
+    ("y_max", dict(y_min=-16.0, y_max=0.0), -math.inf),
+])
+def test_config_bounds_the_y_window(key, window, toward):
+    assert Y_STEP_MAX == 3.0
+    assert getattr(RunConfig(**window), key) == window[key]
+    beyond = math.nextafter(window[key], toward)
+    with pytest.raises(ConfigError, match=rf"^{key}: .* got {beyond}$"):
+        RunConfig(**{**window, key: beyond})
+
+
+@pytest.mark.parametrize("suite, text", [
+    ("halfplane", "y_max = 133\n"),
+    ("halfplane", "y_min = -133\n"),
+    ("halfplane", "y_min = 0\ny_max = 16\n"),
+    ("halfplane", "y_min = -45\ny_max = 0\ny_n = 16\n"),
+    ("spectral", f"tau_max = {KERNEL_NYQUIST!r}\n"),
+])
+def test_a_window_at_its_bound_runs_without_a_traceback(tmp_path, suite, text):
+    # each accepted edge runs its suite to a verdict; the checks may fail (exit 1), and at
+    # the tau_max cap the kernel backend flags its inputs as unresolved
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnresolvedSpectrumWarning)
+        assert main(["verify", suite, "--config", str(path), "--out", str(tmp_path)]) in (0, 1)
+    report = json.loads((tmp_path / f"{suite}.json").read_text())
+    assert all(math.isfinite(check["value"]) for check in report["checks"])
+
+
 #: ``(suite, config text, key)``: each text names one bad key and fails as the config is built
 BAD_CONFIG = [
     ("spectral", "tau_max = nan\n", "tau_max"),
@@ -110,6 +156,13 @@ BAD_CONFIG = [
     ("partition", "u_max = 710\n", "u_max"),
     ("halfplane", "hp_u_min = -800\n", "hp_u_min"),
     ("halfplane", "hp_u_max = 800\n", "hp_u_max"),
+    # tau sinh(pi tau) overflowed in kl_inverse, and a ValueError ended the spectral suite
+    ("spectral", "tau_max = 1e6\n", "tau_max"),
+    ("spectral", "tau_max = 225\n", "tau_max"),
+    # no y node sampled the half-plane test function, and a ZeroDivisionError ended the suite
+    ("halfplane", "y_max = 1e300\n", "y_max"),
+    ("halfplane", "y_min = -1e300\n", "y_min"),
+    ("halfplane", "y_min = 100\ny_max = 116\n", "y_min"),
 ]
 
 

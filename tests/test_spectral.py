@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
+from axbkit import spectral
+from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
 from axbkit.halfline import xp_norm
 from axbkit.spectral import (
     KL_CONSTANT,
@@ -12,12 +14,14 @@ from axbkit.spectral import (
     apply_multiplier,
     build_matrix_laplacian,
     estimate_kl_constant,
+    flat_skew,
     fourier_diff_matrix,
     kernel_leakage,
     kernel_table,
     kl_forward,
     kl_inverse,
     macdonald_kernel,
+    skew,
     spectral_measure,
 )
 
@@ -238,3 +242,117 @@ def test_eigensystem_agrees_with_scipy_eigh(n):
     # eigenvector signs are arbitrary; the projector onto the lowest modes is not
     P, P_ref = V[:, :32] @ V[:, :32].T, V_ref[:, :32] @ V_ref[:, :32].T
     assert np.max(np.abs(P - P_ref)) <= 1e-10
+
+
+# one-shot forms of the blocked builders, kept as their oracles
+
+
+def _fourier_diff_one_shot(n, h):
+    """The Fourier differentiation matrix from the complex FFT of all of ``np.eye(n)``."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    ik = 1j * 2.0 * np.pi / (n * h) * k
+    D = np.fft.ifft(ik[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+    return skew(D)
+
+
+def _macdonald_one_shot(tau, x):
+    """The Macdonald table from one ``(len(x), 720)`` decay table and one product."""
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.linspace(0.0, 18.0, 720)
+    wt = trapezoid_weights(720, t[1] - t[0])
+    with np.errstate(under="ignore"):
+        decay = np.exp(np.outer(x_arr, -np.cosh(t)))
+    table = (np.cos(np.outer(tau_arr, t)) * wt) @ decay.T
+    if np.isscalar(tau) and np.isscalar(x):
+        return float(table[0, 0])
+    if np.isscalar(tau):
+        return table[0]
+    if np.isscalar(x):
+        return table[:, 0]
+    return table
+
+
+def _assembled_inline(grid):
+    """The flat-coordinate Laplacian matrix, assembled with ``np.diag`` and out of place."""
+    D_flat = flat_skew(fourier_diff_matrix(grid.n, grid.h), np.sqrt(grid.weights))
+    A = D_flat.T @ D_flat + np.diag(grid.x ** 2)
+    return 0.5 * (A + A.T)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [100, 511, 1000])
+def test_blocked_fourier_diff_matrix_has_the_one_shot_bits(n):
+    # none of the sizes is a multiple of the column block
+    h = 18.0 / n
+    assert _same_bits(fourier_diff_matrix(n, h), _fourier_diff_one_shot(n, h))
+
+
+@pytest.mark.parametrize("n", [100, 511, 1000])
+def test_blocked_macdonald_kernel_has_the_one_shot_bits(n):
+    # 1000 ends in a longer last block.  A ragged size above 511 keeps the bits on one BLAS
+    # thread only: two threads split a long product's columns where the blocks do not
+    x = LogGrid(-12.0, 6.0, n).x
+    tau = SpectralGrid(12.0, 401).tau
+    for args in ((tau, x), (2.0, x), (tau, float(x[n // 2])), (2.0, float(x[n // 2]))):
+        assert _same_bits(macdonald_kernel(*args), _macdonald_one_shot(*args))
+
+
+@pytest.mark.parametrize("n", [100, 511])
+def test_operator_keeps_the_eigensystem_of_the_inline_assembly(n):
+    grid = LogGrid(-12.0, 6.0, n)
+    op = build_matrix_laplacian(grid)
+    A = _assembled_inline(grid)
+    assert _same_bits(op.matrix, A)
+    lam, V = np.linalg.eigh(A)
+    assert _same_bits(op.eigenvalues, lam)
+    assert _same_bits(op.eigenvectors, V)
+    assert _same_bits(op.weights, grid.weights)
+
+
+def test_assembly_matches_the_inline_form_at_a_large_odd_size():
+    grid = LogGrid(-12.0, 6.0, 1001)
+    assert _same_bits(spectral._assemble(grid), _assembled_inline(grid))
+
+
+# Memory guards.  tracemalloc counts numpy's array buffers only: the work arrays of LAPACK's
+# eigh and pocketfft's own buffers are allocated outside it, so these bound the package's
+# arrays, not the process's peak.
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_laplacian_build_holds_few_dense_matrices():
+    # the one-shot FFT and the out-of-place assembly peaked at 5.05 n x n float64 matrices
+    # (10.1 MiB at n = 512); the build needs the flat skew's three and then A, V and V's
+    # column-major copy
+    grid = LogGrid(-12.0, 6.0, 512)
+    spectral.clear_caches()
+    peak, op = _traced_peak(lambda: build_matrix_laplacian(grid))
+    assert peak <= 3.5 * op.eigenvectors.nbytes
+
+
+@pytest.mark.parametrize("tau", [1.0, SpectralGrid(12.0, 400).tau], ids=["scalar", "m400"])
+def test_macdonald_kernel_holds_one_decay_block(tau):
+    # the one-shot form held the whole (1024, 720) decay table, 5.6 MiB; the blocked one
+    # holds the output, the (m, 720) cosine table and, per x block, the decay block (256
+    # nodes, a quarter of the table) and the block's product
+    x = LogGrid(-12.0, 6.0, 1024).x
+    peak, table = _traced_peak(lambda: macdonald_kernel(tau, x))
+    cos_bytes = np.size(tau) * spectral._KERNEL_N_T * 8
+    block_bytes = spectral._KERNEL_X_BLOCK * spectral._KERNEL_N_T * 8
+    assert peak <= table.nbytes + cos_bytes + 2 * block_bytes
