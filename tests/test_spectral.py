@@ -317,11 +317,6 @@ def test_operator_keeps_the_eigensystem_of_the_inline_assembly(n):
     assert _same_bits(op.weights, grid.weights)
 
 
-def test_assembly_matches_the_inline_form_at_a_large_odd_size():
-    grid = LogGrid(-12.0, 6.0, 1001)
-    assert _same_bits(spectral._assemble(grid), _assembled_inline(grid))
-
-
 # Memory guards.  tracemalloc counts numpy's array buffers only: the work arrays of LAPACK's
 # eigh and pocketfft's own buffers are allocated outside it, so these bound the package's
 # arrays, not the process's peak.
@@ -337,7 +332,7 @@ def _traced_peak(call):
 
 
 def test_matrix_laplacian_build_holds_few_dense_matrices():
-    # the one-shot FFT and the out-of-place assembly peaked at 5.05 n x n float64 matrices
+    # the one-shot FFT and the out-of-place assembly peaked at 5.07 n x n float64 matrices
     # (10.1 MiB at n = 512); the build needs the flat skew's three and then A, V and V's
     # column-major copy
     grid = LogGrid(-12.0, 6.0, 512)
