@@ -9,10 +9,12 @@ the Besov norms, all cross-validated against a brute-force matrix
 spectral oracle.
 """
 
-# numpy >= 2 imports these submodules on first attribute access; the package
-# uses each of them (np.unique reaches numpy.ma), so they load with it rather
-# than inside whichever computation touches them first
-import numpy.fft, numpy.ma, numpy.polynomial, numpy.random  # noqa: E401, F401
+# numpy >= 2 imports these submodules on first attribute access; every run uses
+# both, so they load with the package rather than inside whichever computation
+# touches them first.  numpy.polynomial (the Gauss-Legendre nodes) and numpy.ma
+# (np.unique's masked-array test) load on first use instead: the moduli reach
+# neither, and together they hold about 2.6 MB
+import numpy.fft, numpy.random  # noqa: E401, F401
 
 from .config import RunConfig, parse_config_file
 from .corpus import DEFAULT_CORPUS, build_corpus, corpus_names

@@ -95,14 +95,18 @@ def grid_steps(t: float, h: float) -> int | None:
 
 def shift_zero_fill(values: np.ndarray, steps: int, axis: int = 0) -> np.ndarray:
     """``out[i] = values[i + steps]`` along ``axis``, zero where ``i + steps`` is outside."""
-    out = np.zeros_like(values)
     n = values.shape[axis]
-    if abs(steps) < n:
-        lead = (slice(None),) * axis
-        if steps >= 0:
-            out[lead + (slice(0, n - steps),)] = values[lead + (slice(steps, None),)]
-        else:
-            out[lead + (slice(-steps, None),)] = values[lead + (slice(0, n + steps),)]
+    if abs(steps) >= n:
+        return np.zeros_like(values)
+    # one write per entry: the kept part is copied and only the vacated end is zeroed
+    out = np.empty_like(values)
+    lead = (slice(None),) * axis
+    if steps >= 0:
+        out[lead + (slice(0, n - steps),)] = values[lead + (slice(steps, None),)]
+        out[lead + (slice(n - steps, None),)] = 0
+    else:
+        out[lead + (slice(-steps, None),)] = values[lead + (slice(0, n + steps),)]
+        out[lead + (slice(0, -steps),)] = 0
     return out
 
 

@@ -277,7 +277,12 @@ def _candidates(s: float, cap: int, step: float | None) -> np.ndarray:
     else:
         mmax = int(math.floor(s / step + 1e-9))
         count = max(min(cap, mmax), 0)  # none when s < step
-        ts = np.unique(np.round(np.linspace(1, mmax, count)).astype(int)) * step
+        m = np.round(np.linspace(1, mmax, count)).astype(int)
+        # m is non-decreasing, so dropping each entry equal to its predecessor gives
+        # np.unique(m) without loading numpy.ma (np.unique calls np.ma.is_masked)
+        keep = np.ones(m.size, dtype=bool)
+        keep[1:] = m[1:] != m[:-1]
+        ts = m[keep] * step
     ts.flags.writeable = False
     return ts
 

@@ -58,7 +58,7 @@ ndarray out, the form the half-line representation interface binds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -90,7 +90,6 @@ MAX_REACH_STEPS = 1 << 16
 
 #: Gauss-Legendre nodes per panel of the Irwin-Hall quadrature
 _N_GL = 12
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_N_GL)
 
 #: factor arrays kept by :func:`hardy_steklov_dir`, each at most a padded grid long
 _FACTOR_TABLE_SIZE = 256
@@ -256,6 +255,18 @@ def _irwin_hall_std(y: np.ndarray, r: int) -> np.ndarray:
     return out / factorial(r - 1)
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-point Gauss-Legendre nodes and weights on ``[-1, 1]``, read-only.
+
+    Computed on first use, so ``numpy.polynomial`` loads only in a process
+    that integrates.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def irwin_hall_nodes(r: int, s: float):
     """Quadrature nodes and weights for ``int_0^s rho_r(t) (.) dt``.
 
@@ -264,11 +275,12 @@ def irwin_hall_nodes(r: int, s: float):
     between knots integrate it essentially exactly.  Weights sum to 1.
     """
     hp = s / r
+    gl_x, gl_w = _gauss_legendre(_N_GL)
     nodes, weights = [], []
     for k in range(r):
         a, b = k * hp, (k + 1) * hp
-        t = 0.5 * (b - a) * (_GL_X + 1.0) + a
-        w = 0.5 * (b - a) * _GL_W * _irwin_hall_std(t / hp, r) / hp
+        t = 0.5 * (b - a) * (gl_x + 1.0) + a
+        w = 0.5 * (b - a) * gl_w * _irwin_hall_std(t / hp, r) / hp
         nodes.append(t)
         weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)

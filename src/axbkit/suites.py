@@ -387,16 +387,12 @@ def suite_paleywiener(cfg: RunConfig):
 # ------------------------------------------------------------------ smoothing
 
 
-#: the 24 Gauss-Legendre nodes and weights per factor of the tensor quadrature oracle
-_TENSOR_GL = np.polynomial.legendre.leggauss(24)
-
-
 def _dir2_tensor_quadrature(r: int, s: float, f: HalfLineFunction, dilation: int = 1):
     """Independent oracle: average of ``T_2(k (t_1 + ... + t_r))``.
 
     Computed by tensor Gauss-Legendre with 24 nodes per factor.
     """
-    nodes, wts = _TENSOR_GL
+    nodes, wts = sm._gauss_legendre(24)
     hp_ = s / r
     t = 0.5 * hp_ * (nodes + 1.0)
     w = 0.5 * hp_ * wts

@@ -491,6 +491,27 @@ def test_the_package_runs_without_scipy(tmp_path):
     assert out[-1] == "0 0 0 [] []"
 
 
+def test_the_moduli_load_neither_numpy_ma_nor_numpy_polynomial():
+    # both cost every process memory; numpy.ma comes with np.unique and numpy.polynomial
+    # with the Gauss-Legendre tables, neither of which a modulus or K-functional needs
+    code = ("import sys, numpy as np, axbkit.cli\n"
+            "from axbkit import BesovParams, LogGrid, besov_norm, halfline_space, k_upper,"
+            " modulus_mixed\n"
+            "from axbkit.smoothing import irwin_hall_nodes\n"
+            "grid = LogGrid(-8.0, 4.0, 64)\n"
+            "space, f = halfline_space(grid), np.exp(-(grid.u + 2.0) ** 2)\n"
+            "ladder = np.array([0.25, 0.5, 1.0])\n"
+            "modulus_mixed(space, 2, ladder, f), k_upper(space, 2, ladder, f)\n"
+            "besov_norm(space, f, BesovParams(1.0, 2.0, 2))\n"
+            "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+            "irwin_hall_nodes(2, 1.0)\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(axbkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[-2:] == ["False False", "True"]
+
+
 def test_python_m_axbkit_runs_the_command(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(axbkit.__file__)))
     run = subprocess.run([sys.executable, "-m", "axbkit", "verify", "group", "--out",

@@ -572,6 +572,10 @@ def _fresh_candidates(s, cap, step):
     (0.5, 12, None), (2.0 ** -16, 8, None), (3.0, 4, None),
     (4.0, 8, 18.0 / 511), (0.1, 8, 18.0 / 511), (16.0, 3, 0.375),
     (0.01, 8, 18.0 / 511), (2.0 ** -16, 12, 0.375),  # empty: s below the step
+    (4.0, 1, 18.0 / 511), (16.0, 1, 0.375), (0.375, 1, 0.375),  # cap = 1
+    (3.0, 8, 0.375), (3.0, 7, 0.375), (3.0, 9, 0.375),  # mmax = cap, cap + 1, cap - 1
+    (8 * (18.0 / 511), 8, 18.0 / 511), (8 * (18.0 / 511), 7, 18.0 / 511),
+    (0.0, 8, 0.375), (0.375 - 2.0 ** -20, 3, 0.375),  # empty: s at zero, just below the step
 ])
 def test_grid_candidates_are_a_read_only_table_of_the_direct_steps(s, cap, step):
     from axbkit.spectral import clear_caches
@@ -588,6 +592,21 @@ def test_grid_candidates_are_a_read_only_table_of_the_direct_steps(s, cap, step)
     # the same key, however the scale arrives, is the same table entry
     for same in (s, np.float64(s), np.array(s)):
         assert grid_candidates(same, cap, step) is ts
+
+
+@pytest.mark.parametrize("step", [18.0 / 511, 0.375])
+def test_grid_candidate_multiples_never_repeat(step):
+    # the table drops consecutive repeats where the oracle sorts and dedups with np.unique;
+    # at every exact multiple s = mmax * step and every cap around mmax the two agree bit
+    # for bit, and the multiples are strictly increasing, so neither ever has a repeat to
+    # drop: count <= mmax spaces the rounded linspace at least one apart
+    for mmax in range(1, 161):
+        s = mmax * step
+        for cap in sorted({1, 2, 3, 4, 8, 12, mmax - 1, mmax, mmax + 1} - {0}):
+            ts, fresh = grid_candidates(s, cap, step), _fresh_candidates(s, cap, step)
+            assert ts.shape == fresh.shape == (min(cap, mmax),)
+            assert np.array_equal(ts.view(np.uint64), fresh.view(np.uint64)), (mmax, cap)
+            assert np.all(np.diff(ts) > 0)
 
 
 def test_shared_suffixes_act_once_per_candidate(space, f_lg):

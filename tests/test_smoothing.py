@@ -12,6 +12,7 @@ from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import modulus_mixed
 from axbkit.smoothing import (
     SteklovParams,
+    _gauss_legendre,
     box_profile,
     commutation_check,
     hardy_steklov,
@@ -157,6 +158,20 @@ def test_irwin_hall_mass():
     for r in (1, 2, 3, 4):
         _, w = irwin_hall_nodes(r, 0.83)
         assert abs(np.sum(w) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_gauss_legendre_is_a_read_only_table_of_leggauss(n):
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.dtype == weights.dtype == np.float64 and nodes.shape == weights.shape == (n,)
+    assert np.array_equal(nodes.view(np.uint64), ref_nodes.view(np.uint64))
+    assert np.array_equal(weights.view(np.uint64), ref_weights.view(np.uint64))
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    again = _gauss_legendre(n)
+    assert again[0] is nodes and again[1] is weights
 
 
 def test_steklov_composition_smooths(grid, f_lg):
