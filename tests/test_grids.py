@@ -21,47 +21,21 @@ def _shift_reference(values, steps, axis):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("steps", [0, 1, 3, -1, -4, 6, -6, 7, -9])
+@pytest.mark.parametrize("steps", [0, 1, 3, -1, -4, 6, -6, 7, -9, 2, 4, 5, -2, -3, -5, -7])
 def test_shift_zero_fill_both_axes(axis, steps):
     rng = np.random.default_rng(3)
-    values = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    if axis == 1:
-        values = values.T.copy()  # the shifted axis has 6 nodes either way
-    out = shift_zero_fill(values, steps, axis=axis)
-    np.testing.assert_array_equal(out, _shift_reference(values, steps, axis))
-    assert out.dtype == values.dtype
-    if abs(steps) >= 6:
-        assert not np.any(out)
-
-
-def _shift_zeros_like(values, steps, axis):
-    """The shift written into a ``zeros_like`` result, the vacated end never written."""
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    lead = (slice(None),) * axis
-    if 0 <= steps < n:
-        out[lead + (slice(0, n - steps),)] = values[lead + (slice(steps, None),)]
-    elif -n < steps < 0:
-        out[lead + (slice(-steps, None),)] = values[lead + (slice(0, n + steps),)]
-    return out
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("axis", [0, 2])
-def test_shift_zero_fill_matches_a_zeros_like_reference_bit_for_bit(dtype, axis):
-    # -0.0 entries and a stale buffer behind the result: every vacated entry must be +0.0
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal((7, 3, 7)).astype(dtype)
-    if dtype == np.complex128:
-        values += 1j * rng.standard_normal(values.shape)
-    values[::2] *= -0.0
-    n = values.shape[axis]
-    for steps in range(-(n + 1), n + 2):
-        np.full_like(values, np.nan)  # leave a non-zero block for the allocator to reuse
+    for values in (rng.standard_normal((6, 5)),
+                   rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))):
+        values[::2] *= -0.0  # signed zeros, which only a comparison of the bits tells apart
+        if axis == 1:
+            values = values.T.copy()  # the shifted axis has 6 nodes either way
+        np.full_like(values, np.nan)  # a freed block of NaNs for the result to be allocated in
         out = shift_zero_fill(values, steps, axis=axis)
-        ref = _shift_zeros_like(values, steps, axis)
+        ref = _shift_reference(values, steps, axis)
         assert out.dtype == ref.dtype and out.shape == ref.shape
-        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
+        assert out.tobytes() == ref.tobytes()
+        if abs(steps) >= 6:
+            assert not np.any(out)
 
 
 def test_grid_steps_snaps_only_grid_multiples():
