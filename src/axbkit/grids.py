@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 __all__ = [
     "LogGrid",
@@ -94,7 +95,11 @@ def grid_steps(t: float, h: float) -> int | None:
 
 
 def shift_zero_fill(values: np.ndarray, steps: int, axis: int = 0) -> np.ndarray:
-    """``out[i] = values[i + steps]`` along ``axis``, zero where ``i + steps`` is outside."""
+    """``out[i] = values[i + steps]`` along ``axis``, zero where ``i + steps`` is outside.
+
+    A negative ``axis`` counts from the last, as in numpy; one out of range raises.
+    """
+    axis = normalize_axis_index(axis, values.ndim)
     n = values.shape[axis]
     if abs(steps) >= n:
         return np.zeros_like(values)

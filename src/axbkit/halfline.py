@@ -111,7 +111,7 @@ def shift_log(f, t: float, grid: LogGrid | None = None):
     values, g, wrap = unwrap(f, grid)
     exact = grid_steps(t, g.h)
     if exact is not None:
-        return wrap(shift_zero_fill(values, exact, axis=values.ndim - 1))
+        return wrap(shift_zero_fill(values, exact, axis=-1))
     pad = int(np.ceil(abs(t / g.h))) + 8
     xi = _frequencies(values.shape[-1] + 2 * pad, g.h)
     return wrap(fourier_multiplier(values, np.exp(1j * xi * t), pad))

@@ -210,7 +210,7 @@ def _resample(values: np.ndarray, nodes: np.ndarray, scale: float, offset, axis:
     if scale == 1.0 and np.ndim(offset) == 0:
         steps = grid_steps(offset, step)
         if steps is not None:
-            return shift_zero_fill(values, steps, axis=values.ndim + axis)
+            return shift_zero_fill(values, steps, axis=axis)
     # contiguous, interpolated axis first; the stack, then the lines, follow it
     vals = np.ascontiguousarray(np.moveaxis(values, axis, 0))
     n, lines = vals.shape[0], vals.shape[-1]

@@ -11,7 +11,9 @@ discrete functional calculus, and the Riesz-Boas interpolation series
 ``i sqrt(Delta) f = (omega/pi^2) sum_k (-1)^{k-1}/(k-1/2)^2
                      exp(i (pi/omega)(k-1/2) sqrt(Delta)) f``
 
-is checked with symmetric truncation and an explicit tail bound.
+is checked with symmetric truncation and an explicit tail bound.  :func:`riesz_boas`
+takes a ladder of truncations and computes what they share once: the phase table of
+the largest, the eigen-coefficients, ``i sqrt(Delta) f`` and the norms.
 """
 
 from __future__ import annotations
@@ -69,30 +71,49 @@ def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: Discrete
     return {"ratios": ratios, "max_ratio": float(np.max(list(ratios.values()), initial=0.0))}
 
 
-def riesz_boas(omega: float, f: HalfLineFunction, k_trunc: int, op: DiscreteOperator):
+def riesz_boas(omega: float, f: HalfLineFunction, k_trunc, op: DiscreteOperator):
     """Truncated Riesz-Boas interpolation series for ``i sqrt(Delta) f`` on a
     bandlimited f, with an a-priori tail bound.
 
-    The sum runs over ``k in [-k_trunc+1, k_trunc]`` (symmetric about the
-    half-integers).  Returns the series value, its relative deviation from
+    The sum runs over ``k in [-K+1, K]`` (symmetric about the half-integers) for a
+    truncation ``K = k_trunc``.  Returns the series value, its relative deviation from
     ``i sqrt(Delta) f``, and the a-priori tail bound
-    ``(omega/pi^2) * 2 * sum_{k > k_trunc} (k - 1/2)^{-2} * ||f||``, per member of a stack.
+    ``(omega/pi^2) * 2 * sum_{k > K} (k - 1/2)^{-2} * ||f||``, per member of a stack.
+
+    ``k_trunc`` is one integer ``K >= 1`` or a 1-D ladder of them; a ladder gives the
+    series as a stack ``(truncation, member..., n)`` and the error and the bound as
+    ``(truncation, member...)``, each truncation with the bits of its own call.  The
+    phase table is built once, for the largest truncation, and each truncation's
+    multiplier is formed from its contiguous rows; the eigen-coefficients,
+    ``i sqrt(Delta) f`` and the norms of ``i sqrt(Delta) f`` and ``f`` are computed once.
     """
-    if k_trunc < 1:
-        raise ValueError("need k_trunc >= 1")
-    lam = np.maximum(op.eigenvalues, 0.0)
-    root = np.sqrt(lam)
-    ks = np.arange(-k_trunc + 1, k_trunc + 1, dtype=float)
-    signs = (-1.0) ** (ks - 1.0)
-    inv_sq = 1.0 / (ks - 0.5) ** 2
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega: must be finite and positive, got {omega!r}")
+    truncs = np.asarray(k_trunc)
+    if truncs.dtype.kind not in "iu" or truncs.ndim > 1 or truncs.size == 0 or np.any(truncs < 1):
+        raise ValueError("k_trunc: must be an integer >= 1 or a 1-D ladder of them, "
+                         f"got {k_trunc!r}")
+    root = np.sqrt(np.maximum(op.eigenvalues, 0.0))
+    top = int(truncs.max())
+    ks = np.arange(-top + 1, top + 1, dtype=float)
+    scaled = (omega / np.pi ** 2) * ((-1.0) ** (ks - 1.0) * (1.0 / (ks - 0.5) ** 2))
     phases = np.exp(1j * np.outer(np.pi / omega * (ks - 0.5), root))
-    multiplier = (omega / np.pi ** 2) * (signs * inv_sq) @ phases
     c = op.coeffs(f.values)
-    series = f.with_values(op.synth(multiplier * c))
-    exact = f.with_values(op.synth(1j * root * c))
-    err = op.norm(series.values - exact.values) / np.maximum(op.norm(exact.values), 1e-300)
-    tail = (omega / np.pi ** 2) * 2.0 / (k_trunc - 0.5) * op.norm(f.values)
-    return series, err if np.ndim(err) else float(err), tail
+    exact = op.synth(1j * root * c)
+    exact_norm = np.maximum(op.norm(exact), 1e-300)
+    f_norm = op.norm(f.values)
+
+    def truncated(k: int):
+        rows = slice(top - k, top + k)  # the terms k in [-K+1, K]
+        series = op.synth((scaled[rows] @ phases[rows]) * c)
+        err = op.norm(series - exact) / exact_norm
+        return series, _members(err), (omega / np.pi ** 2) * 2.0 / (k - 0.5) * f_norm
+
+    if truncs.ndim == 0:
+        series, err, tail = truncated(int(truncs))
+        return f.with_values(series), err, tail
+    series, err, tail = (np.array(part) for part in zip(*map(truncated, truncs.tolist())))
+    return f.with_values(series), err, tail
 
 
 def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOperator) -> float:

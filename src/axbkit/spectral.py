@@ -109,7 +109,7 @@ class Spectrum:
         object.__setattr__(self, "coeffs", c)
 
 
-def macdonald_kernel(tau, x):
+def macdonald_kernel(tau, x, per_tau: bool = False):
     """Macdonald function ``K_{i tau}(x) = int_0^inf exp(-x cosh t) cos(tau t) dt``,
     the generalized eigenfunction of the Laplacian with eigenvalue ``tau^2``.
 
@@ -122,6 +122,9 @@ def macdonald_kernel(tau, x):
     result has shape ``(len(tau), len(x))``.  The decay ``exp(-x cosh t)`` is
     tabled for a block of ``x`` nodes at a time, so no ``(len(x), 720)`` table is
     held; on one BLAS thread each entry has the bits of one product over all of ``x``.
+    The decay table is shared by every ``tau``; with ``per_tau`` each ``tau`` takes its
+    own product per block, so row i has the bits of ``macdonald_kernel(tau[i], x)``
+    (one product over all ``tau`` rounds its rows differently).
     """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -133,6 +136,7 @@ def macdonald_kernel(tau, x):
     neg_cosh = -np.cosh(t)
     n_blocks = max(x_arr.size // _KERNEL_X_BLOCK, 1)
     edges = [i * _KERNEL_X_BLOCK for i in range(n_blocks)] + [x_arr.size]
+    rows = [slice(i, i + 1) for i in range(tau_arr.size)] if per_tau else [slice(None)]
     table = np.empty((tau_arr.size, x_arr.size))
     decay = np.empty((edges[-1] - edges[-2], _KERNEL_N_T))
     with np.errstate(under="ignore"):
@@ -140,7 +144,8 @@ def macdonald_kernel(tau, x):
             block = decay[:b - a]
             np.multiply(x_arr[a:b, None], neg_cosh, out=block)
             np.exp(block, out=block)
-            table[:, a:b] = cos_wt @ block.T
+            for row in rows:
+                table[row, a:b] = cos_wt[row] @ block.T
     if np.isscalar(tau) and np.isscalar(x):
         return float(table[0, 0])
     if np.isscalar(tau):
@@ -178,14 +183,20 @@ def kl_inverse(spec: Spectrum, grid: LogGrid, constant: float = KL_CONSTANT) -> 
     return HalfLineFunction(grid, (weight * spec.coeffs) @ table)
 
 
-def kernel_leakage(f: HalfLineFunction, sgrid: SpectralGrid) -> float:
+def kernel_leakage(f: HalfLineFunction, sgrid: SpectralGrid,
+                   spec: Spectrum | None = None) -> float:
     """Fraction of ``||f||^2`` not captured by the resolved tau band.
 
     Computed as the relative defect of the transform-side Parseval sum;
     values above :data:`UNRESOLVED_FRACTION` mean the band is too short
-    (or the quadrature too coarse) for this input.
+    (or the quadrature too coarse) for this input.  A caller that holds the
+    forward transform ``spec`` of ``f`` on ``sgrid`` passes it, and it is not recomputed.
     """
-    return _leakage(f, kl_forward(f, sgrid))
+    if spec is None:
+        spec = kl_forward(f, sgrid)
+    elif spec.sgrid != sgrid:
+        raise ValueError("spec: the transform is on a different spectral grid")
+    return _leakage(f, spec)
 
 
 def _leakage(f: HalfLineFunction, spec: Spectrum) -> float:

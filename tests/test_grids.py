@@ -38,6 +38,19 @@ def test_shift_zero_fill_both_axes(axis, steps):
             assert not np.any(out)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5)])
+@pytest.mark.parametrize("steps", [1, -2])
+def test_shift_zero_fill_counts_a_negative_axis_from_the_last(shape, steps):
+    values = np.arange(float(np.prod(shape))).reshape(shape)
+    for axis in (-1, -2):
+        out = shift_zero_fill(values, steps, axis=axis)
+        assert out.tobytes() == shift_zero_fill(values, steps, axis=values.ndim + axis).tobytes()
+        assert out.tobytes() == _shift_reference(values, steps, values.ndim + axis).tobytes()
+    for axis in (2, -3):
+        with pytest.raises(ValueError, match="axis"):
+            shift_zero_fill(values, steps, axis=axis)
+
+
 def test_grid_steps_snaps_only_grid_multiples():
     h = 18.0 / 511
     assert grid_steps(3 * h, h) == 3

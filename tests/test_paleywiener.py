@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,38 @@ def test_riesz_boas_tail_bound_decreases(grid, op, f_lg):
     band = pw_project(2.0, f_lg, op=op)
     tails = [riesz_boas(2.0, band, K, op)[2] for K in (8, 32, 128)]
     assert tails[0] > tails[1] > tails[2]
+
+
+@pytest.mark.parametrize("omega", [2.5, 5.0])
+def test_riesz_boas_ladder_has_the_bits_of_each_truncation(grid, op, f_lg, f_lg_wide, omega):
+    ks = (8, 16, 32, 64, 128)
+    one = pw_project(omega / 1.25, f_lg, op=op)
+    stack = HalfLineFunction(grid, np.stack([one.values, pw_project(omega, f_lg_wide, op=op).values]))
+    for f, lead in ((one, ()), (stack, (2,))):
+        series, errs, tails = riesz_boas(omega, f, np.array(ks), op)
+        assert series.values.shape == (len(ks),) + lead + (grid.n,)
+        assert errs.shape == tails.shape == (len(ks),) + lead
+        for i, k in enumerate(ks):
+            series_k, err_k, tail_k = riesz_boas(omega, f, k, op)
+            assert np.array_equal(series.values[i], series_k.values)
+            assert np.array_equal(errs[i], err_k) and np.array_equal(tails[i], tail_k)
+    assert type(riesz_boas(omega, one, 8, op)[1]) is float
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_riesz_boas_rejects_a_bad_band(f_lg, op, omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega"):
+            riesz_boas(omega, f_lg, 8, op)
+
+
+@pytest.mark.parametrize("k_trunc", [0, -3, 2.5, 8.0, True, [8, 0], [8, 2.5], [[8, 16]], []])
+def test_riesz_boas_rejects_a_bad_truncation(f_lg, op, k_trunc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k_trunc"):
+            riesz_boas(2.0, f_lg, k_trunc, op)
 
 
 def test_schrodinger_zero_and_bound(grid, op, f_lg):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from axbkit import spectral
+from axbkit.config import RunConfig
 from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
 from axbkit.halfline import xp_norm
 from axbkit.spectral import (
@@ -114,6 +115,13 @@ def test_kl_roundtrip_and_parseval(grid, sgrid, f_lg):
     rt = kl_inverse(kl_forward(f_lg, sgrid), grid)
     assert xp_norm(rt - f_lg) / xp_norm(f_lg) < 1e-5
     assert kernel_leakage(f_lg, sgrid) < 1e-3
+
+
+def test_kernel_leakage_takes_the_held_transform(sgrid, f_lg):
+    spec = kl_forward(f_lg, sgrid)
+    assert kernel_leakage(f_lg, sgrid, spec) == kernel_leakage(f_lg, sgrid)
+    with pytest.raises(ValueError, match="spec"):
+        kernel_leakage(f_lg, SpectralGrid(12.0, 200), spec)
 
 
 def test_kl_forward_zero(grid, sgrid):
@@ -303,6 +311,25 @@ def test_blocked_macdonald_kernel_has_the_one_shot_bits(n):
     tau = SpectralGrid(12.0, 401).tau
     for args in ((tau, x), (2.0, x), (tau, float(x[n // 2])), (2.0, float(x[n // 2]))):
         assert _same_bits(macdonald_kernel(*args), _macdonald_one_shot(*args))
+
+
+def test_per_tau_rows_share_one_decay_table_with_the_bits_of_each_tau():
+    # the eigenrelation check's four kernels on its oracle grid; one product over the four
+    # rows would move the tau = 5 row by about 2e-13 relative
+    cfg = RunConfig()
+    x = LogGrid(cfg.u_min, cfg.u_max, cfg.oracle_n).x
+    taus = (0.5, 1.0, 2.0, 5.0)
+    rows = macdonald_kernel(taus, x, per_tau=True)
+    assert rows.shape == (len(taus), x.size)
+    for tau, row in zip(taus, rows):
+        assert _same_bits(row, macdonald_kernel(tau, x))
+
+
+def test_kernel_table_keeps_the_one_product_bits():
+    # the default spectral suite's table: all of tau in one product per x block
+    cfg = RunConfig()
+    grid, sgrid = LogGrid(cfg.u_min, cfg.u_max, cfg.grid_n), SpectralGrid(cfg.tau_max, cfg.tau_n)
+    assert _same_bits(kernel_table(grid, sgrid), _macdonald_one_shot(sgrid.tau, grid.x))
 
 
 @pytest.mark.parametrize("n", [100, 511])

@@ -213,3 +213,16 @@ def test_pairwise_ratios_are_nan_both_ways(monkeypatch):
             assert all(map(math.isnan, both)) if row["function"] == spoiled else \
                 not any(map(math.isnan, both))
         assert pairs["k"]["approx"] == pairs["approx"]["k"] >= 1.0
+
+
+@pytest.mark.parametrize("r, s", [(1, 0.5), (2, 0.5), (2, 2.0)])
+def test_hardy_oracle_with_the_held_average_has_the_recomputed_bits(f_xexp, r, s):
+    # AC9a's pairs: the undilated average the smoothing suite computed first stands in for
+    # the Hardy oracle's k = 1 term
+    average = suites._dir2_tensor_quadrature(r, s, f_xexp)
+    held = suites._hardy_dir2_tensor_quadrature(r, s, f_xexp, average)
+    recomputed = np.zeros(f_xexp.grid.n, dtype=complex)
+    for k in range(1, r + 1):
+        recomputed += (-1) ** k * math.comb(r, k) * suites._dir2_tensor_quadrature(
+            r, s, f_xexp, dilation=k).values
+    assert held.values.tobytes() == recomputed.tobytes()
