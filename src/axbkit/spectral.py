@@ -165,22 +165,24 @@ def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:
 
 def kl_forward(f: HalfLineFunction, sgrid: SpectralGrid) -> Spectrum:
     """Forward kernel transform ``F(tau) = int K_{i tau}(x) f(x) dx/x``, diagonalizing Delta,
-    of one function: the transform is not stacked."""
+    of one function: the transform is not stacked.  It runs in real arithmetic, the
+    samples' real and imaginary parts through the real kernel table in turn."""
     if f.values.shape != (f.grid.n,):
         raise ValueError(f"kl_forward: the kernel transform takes one function of {f.grid.n} "
                          f"samples, got shape {f.values.shape}")
     table = kernel_table(f.grid, sgrid)
-    return Spectrum(sgrid, table @ (f.grid.weights * f.values))
+    return Spectrum(sgrid, _real_matvec(table, f.grid.weights * f.values))
 
 
 def kl_inverse(spec: Spectrum, grid: LogGrid, constant: float = KL_CONSTANT) -> HalfLineFunction:
     """Inverse transform with weight ``c * tau * sinh(pi tau)``; ``c`` defaults to
-    the analytic ``2/pi^2``, which :func:`estimate_kl_constant` re-derives.
+    the analytic ``2/pi^2``, which :func:`estimate_kl_constant` re-derives.  Like
+    :func:`kl_forward` it runs in real arithmetic on the real kernel table.
     """
     table = kernel_table(grid, spec.sgrid)
     sg = spec.sgrid
     weight = constant * sg.weights * sg.tau * np.sinh(np.pi * sg.tau)
-    return HalfLineFunction(grid, (weight * spec.coeffs) @ table)
+    return HalfLineFunction(grid, _real_matvec(table.T, weight * spec.coeffs))
 
 
 def kernel_leakage(f: HalfLineFunction, sgrid: SpectralGrid,

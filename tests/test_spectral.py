@@ -237,6 +237,24 @@ def test_real_arithmetic_transforms_match_the_complex_product(n):
     assert np.array_equal(op.synth(e), (op.eigenvectors @ e) / op.sqrt_w)
 
 
+def test_real_arithmetic_kernel_transforms_match_the_complex_product(grid, sgrid):
+    # the transforms once cast the kernel table to complex; the real products round within
+    # about an ulp of the table's scale
+    rng = np.random.default_rng(7)
+    f = HalfLineFunction(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    table = kernel_table(grid, sgrid).astype(complex)
+    spec = kl_forward(f, sgrid)
+    ref = table @ (grid.weights * f.values)
+    assert np.max(np.abs(spec.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    weight = KL_CONSTANT * sgrid.weights * sgrid.tau * np.sinh(np.pi * sgrid.tau)
+    ref = (weight * spec.coeffs) @ table
+    got = kl_inverse(spec, grid).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # neither transform copies the (cached) table: a complex copy alone is twice its size
+    for call in (lambda: kl_forward(f, sgrid), lambda: kl_inverse(spec, grid)):
+        assert _traced_peak(call)[0] < 0.1 * table.real.nbytes
+
+
 @pytest.mark.parametrize("n", [256, 512])
 def test_eigensystem_agrees_with_scipy_eigh(n):
     # paired oracle: the package's numpy eigh against scipy's LAPACK driver
