@@ -121,7 +121,8 @@ def test_riesz_boas_tail_bound_decreases(grid, op, f_lg):
 def test_riesz_boas_ladder_has_the_bits_of_each_truncation(grid, op, f_lg, f_lg_wide, omega):
     ks = (8, 16, 32, 64, 128)
     one = pw_project(omega / 1.25, f_lg, op=op)
-    stack = HalfLineFunction(grid, np.stack([one.values, pw_project(omega, f_lg_wide, op=op).values]))
+    wide = pw_project(omega, f_lg_wide, op=op)
+    stack = HalfLineFunction(grid, np.stack([one.values, wide.values]))
     for f, lead in ((one, ()), (stack, (2,))):
         series, errs, tails = riesz_boas(omega, f, np.array(ks), op)
         assert series.values.shape == (len(ks),) + lead + (grid.n,)
