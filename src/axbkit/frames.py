@@ -118,7 +118,7 @@ def lp_decompose(f: HalfLineFunction, op: DiscreteOperator, J: int | None = None
     """
     if J is None:
         J = full_band_count(op, "lambda")
-    c = op.coeffs(f.values)
+    c = op.coeffs(f)
     # a roundoff-negative eigenvalue is read as 0, where g and h are already constant
     q = np.maximum(partition_values(J, np.maximum(op.eigenvalues, 0.0)), 0.0)
     rows = q[:, None] * c.reshape(-1, c.shape[-1])
@@ -136,7 +136,7 @@ def band_energies(f: HalfLineFunction, op: DiscreteOperator, J: int | None = Non
         J = full_band_count(op, convention)
     lam = np.maximum(op.eigenvalues, 0.0)
     arg = np.sqrt(lam) if convention == "tau" else lam
-    w = op.spectral_weights(f.values)
+    w = op.spectral_weights(f)
     q = np.maximum(partition_values(J, arg), 0.0)
     return np.array([np.sqrt(np.sum(row * w, axis=-1)) for row in q])
 
@@ -161,7 +161,7 @@ class BandFrame:
         return self.amat.shape[1]
 
     def analyze_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients ``<f, Phi_k>`` of every atom, from ``c = op.coeffs(f.values)``."""
+        """Coefficients ``<f, Phi_k>`` of every atom, from ``c = op.coeffs(f)``."""
         return (self.amat.conj().T @ c[..., self.eigen_indices].T).T
 
     def estimated_bounds(self) -> tuple[float, float]:
@@ -209,7 +209,7 @@ def band_frames(op: DiscreteOperator, J: int | None = None, redundant: bool = Fa
 
 def frame_analysis(f: HalfLineFunction, frames, op: DiscreteOperator):
     """Per-band coefficient arrays ``<f, Phi^j_k>``."""
-    c = op.coeffs(f.values)
+    c = op.coeffs(f)
     return [fr.analyze_coeffs(c) for fr in frames]
 
 
@@ -259,11 +259,11 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
     base = 0.0
     if variant == "approx":
         band = pw.best_approx(2.0 ** js, f, op)
-        base = op.norm(f.values)
+        base = op.norm(f)
     elif variant == "projections":
         band = band_energies(f, op, J, convention="tau")
     else:
-        c = op.coeffs(f.values)
+        c = op.coeffs(f)
         band = [np.sqrt(np.sum(np.abs(fr.analyze_coeffs(c)) ** 2, axis=-1))
                 for fr in band_frames(op, J)]
     norms = [base + _accumulate([2.0 ** (j * a) * band[j] for j in js], b, 1.0)
@@ -295,10 +295,10 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     """
     f._check_one()
     lam = np.maximum(op.eigenvalues, 0.0)
-    w = op.spectral_weights(f.values)
+    w = op.spectral_weights(f)
     total = float(np.sum(w))
     bern = float(np.sqrt(np.sum(lam ** r * w)))
-    graph = op.norm(f.values) + bern
+    graph = op.norm(f) + bern
     J = full_band_count(op, "tau")
     scales = 2.0 ** np.arange(0, J + 1, dtype=float)
     errors = pw.best_approx(scales, f, op)

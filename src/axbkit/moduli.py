@@ -116,7 +116,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import LogGrid, _checked_samples, _worst, pth_root
+from .grids import HalfLineFunction, LogGrid, _checked_samples, _worst, pth_root
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -488,7 +488,9 @@ def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
     equivalent to the K-functional of the pair ``(H, D(Delta^{r/2}))``; a 1-D ladder
     ``s`` gives ``(scale, member...)``, one set of spectral weights for all.
     """
-    w = op.spectral_weights(_values(f, op.weights.shape))
+    if not isinstance(f, HalfLineFunction):  # a container goes to the operator's grid check
+        f = _values(f, op.weights.shape)
+    w = op.spectral_weights(f)
     root = op.eigenvalues ** (r / 2.0)
     return _by_scale(_ladder(s), w.shape[:-1], lambda si: _members(
         np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w, axis=-1))))

@@ -14,6 +14,9 @@ discrete functional calculus, and the Riesz-Boas interpolation series
 is checked with symmetric truncation and an explicit tail bound.  :func:`riesz_boas`
 takes a ladder of truncations and computes what they share once: the phase table of
 the largest, the eigen-coefficients, ``i sqrt(Delta) f`` and the norms.
+
+Each function expands ``f`` in the eigenbasis of the operator ``op`` it is given, which
+refuses a function from another grid; a Bernstein or Riesz-Boas band must be finite.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import HalfLineFunction
-from .moduli import _by_scale, _ladder, _members, modulus_mixed
+from .moduli import _by_scale, _ladder, _members, _require_order, modulus_mixed
 from .spectral import DiscreteOperator, apply_multiplier
 
 __all__ = [
@@ -35,13 +38,19 @@ __all__ = [
 ]
 
 
-def pw_project(omega: float, f: HalfLineFunction,
-               op: DiscreteOperator | None = None) -> HalfLineFunction:
-    """Projection onto ``PW_omega``, ``1_{[0, omega]}(Delta^{1/2}) f``, by the matrix backend."""
+def _require_band(omega: float) -> None:
+    """Raise unless the band ``omega`` is finite and positive."""
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega: must be finite and positive, got {omega!r}")
+
+
+def pw_project(omega: float, f: HalfLineFunction, op: DiscreteOperator) -> HalfLineFunction:
+    """Projection onto ``PW_omega``, ``1_{[0, omega]}(Delta^{1/2}) f``, by the eigen-expansion
+    of ``op``, on whose grid ``f`` must live."""
     if not omega > 0:
         raise ValueError(f"omega: must be positive, got {omega}")
     return apply_multiplier(
-        lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float), f, op=op)
+        lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= omega).astype(float), f, op)
 
 
 def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.ndarray:
@@ -53,16 +62,18 @@ def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.
     is the tail energy ``(sum_{sqrt(lam) > sigma} w_k)^{1/2}``; the spectral
     weights are computed once for a whole ladder.
     """
-    lam, w = op.eigenvalues, op.spectral_weights(f.values)
+    lam, w = op.eigenvalues, op.spectral_weights(f)
     root = np.sqrt(np.maximum(lam, 0.0))
     return _by_scale(_ladder(sigma, "sigma"), w.shape[:-1],
                      lambda s: _members(np.sqrt(np.sum(w[..., root > s], axis=-1))))
 
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
-    """Ratios of the Bernstein inequality ``||Delta^{s/2} f|| <= omega^s ||f||`` on ``PW_omega``."""
+    """Ratios of the Bernstein inequality ``||Delta^{s/2} f|| <= omega^s ||f||`` on
+    ``PW_omega``, for a finite band ``omega > 0``."""
+    _require_band(omega)
     f._check_one()
-    lam, w = op.eigenvalues, op.spectral_weights(f.values)
+    lam, w = op.eigenvalues, op.spectral_weights(f)
     total = np.sum(w)
     ratios = {}
     for s in s_exponents:
@@ -87,8 +98,7 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc, op: DiscreteOperator)
     multiplier is formed from its contiguous rows; the eigen-coefficients,
     ``i sqrt(Delta) f`` and the norms of ``i sqrt(Delta) f`` and ``f`` are computed once.
     """
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega: must be finite and positive, got {omega!r}")
+    _require_band(omega)
     truncs = np.asarray(k_trunc)
     if truncs.dtype.kind not in "iu" or truncs.ndim > 1 or truncs.size == 0 or np.any(truncs < 1):
         raise ValueError("k_trunc: must be an integer >= 1 or a 1-D ladder of them, "
@@ -98,10 +108,10 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc, op: DiscreteOperator)
     ks = np.arange(-top + 1, top + 1, dtype=float)
     scaled = (omega / np.pi ** 2) * ((-1.0) ** (ks - 1.0) * (1.0 / (ks - 0.5) ** 2))
     phases = np.exp(1j * np.outer(np.pi / omega * (ks - 0.5), root))
-    c = op.coeffs(f.values)
+    c = op.coeffs(f)
     exact = op.synth(1j * root * c)
     exact_norm = np.maximum(op.norm(exact), 1e-300)
-    f_norm = op.norm(f.values)
+    f_norm = op.norm(f)
 
     def truncated(k: int):
         rows = slice(top - k, top + k)  # the terms k in [-K+1, K]
@@ -122,11 +132,13 @@ def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOpera
 
     The unitary group makes each factor a pointwise phase, so the norm is
     ``(sum_k |e^{i tau lam_k} - 1|^{2r} w_k)^{1/2}``; the supremum is taken
-    over 64 uniform tau steps including the endpoint (a lower bound).
+    over 64 uniform tau steps including the endpoint (a lower bound).  The order ``r``
+    is an integer >= 1 and ``t`` finite and nonnegative.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam, w = op.eigenvalues, op.spectral_weights(f.values)
+    _require_order(r)
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t: must be finite and nonnegative, got {t!r}")
+    lam, w = op.eigenvalues, op.spectral_weights(f)
     taus = np.linspace(0.0, t, 65)[1:]
     phase = np.abs(np.exp(1j * np.outer(taus, lam)) - 1.0) ** (2 * r)
     out = np.sqrt(np.max(phase @ w.T, axis=0))

@@ -10,6 +10,9 @@ provided:
 * a dense Hermitian matrix discretization with its full eigensystem,
   which serves as the ground-truth oracle.
 
+:func:`apply_multiplier` enters either one: the object passed picks the backend.  The
+eigenbasis refuses a :class:`HalfLineFunction` from another grid rather than expand it.
+
 The matrix uses Fourier spectral differentiation on the periodically
 extended window, antisymmetrized to exact skew symmetry, so the assembled
 operator ``D^T D + diag(x^2)`` is positive semidefinite by construction.
@@ -185,24 +188,15 @@ def kl_inverse(spec: Spectrum, grid: LogGrid, constant: float = KL_CONSTANT) -> 
     return HalfLineFunction(grid, _real_matvec(table.T, weight * spec.coeffs))
 
 
-def kernel_leakage(f: HalfLineFunction, sgrid: SpectralGrid,
-                   spec: Spectrum | None = None) -> float:
-    """Fraction of ``||f||^2`` not captured by the resolved tau band.
+def kernel_leakage(f: HalfLineFunction, spec: Spectrum) -> float:
+    """Fraction of ``||f||^2`` not captured by the resolved tau band, from the forward
+    transform ``spec`` of ``f`` that the caller holds.
 
     Computed as the relative defect of the transform-side Parseval sum;
     values above :data:`UNRESOLVED_FRACTION` mean the band is too short
-    (or the quadrature too coarse) for this input.  A caller that holds the
-    forward transform ``spec`` of ``f`` on ``sgrid`` passes it, and it is not recomputed.
+    (or the quadrature too coarse) for this input.
     """
-    if spec is None:
-        spec = kl_forward(f, sgrid)
-    elif spec.sgrid != sgrid:
-        raise ValueError("spec: the transform is on a different spectral grid")
-    return _leakage(f, spec)
-
-
-def _leakage(f: HalfLineFunction, spec: Spectrum) -> float:
-    """:func:`kernel_leakage` from the forward transform ``spec`` of ``f``."""
+    f._check_one()
     sg = spec.sgrid
     captured = KL_CONSTANT * np.sum(
         sg.weights * sg.tau * np.sinh(np.pi * sg.tau) * np.abs(spec.coeffs) ** 2
@@ -213,19 +207,19 @@ def _leakage(f: HalfLineFunction, spec: Spectrum) -> float:
     return float(abs(total - captured) / total)
 
 
-def estimate_kl_constant(grid: LogGrid, sgrid: SpectralGrid, corpus) -> float:
+def estimate_kl_constant(sgrid: SpectralGrid, corpus) -> float:
     """Least-squares fit of the inversion constant on a corpus.
 
     Minimizes ``sum_i || c * R f_i - f_i ||^2`` where ``R`` is the raw
-    inverse-after-forward map with unit constant.  Intended to be run once
-    per discretization and compared against :data:`KL_CONSTANT`.
+    inverse-after-forward map with unit constant, each member on its own grid.
+    Intended to be run once per discretization and compared against :data:`KL_CONSTANT`.
     """
     num = 0.0
     den = 0.0
     for f in corpus:
-        raw = kl_inverse(kl_forward(f, sgrid), grid, constant=1.0)
+        raw = kl_inverse(kl_forward(f, sgrid), f.grid, constant=1.0)
         num += inner(raw, f).real
-        den += float(np.real(np.sum(grid.weights * np.abs(raw.values) ** 2)))
+        den += float(np.real(np.sum(f.grid.weights * np.abs(raw.values) ** 2)))
     if den == 0.0:
         raise ValueError("corpus carries no energy")
     return num / den
@@ -310,8 +304,14 @@ class DiscreteOperator:
         return _real_matvec(self.eigenvectors, self._shaped("coeffs", coeffs).T).T / self.sqrt_w
 
     def _shaped(self, what: str, x):
-        """``x`` itself, checked to be one function ``(n,)`` or a stack ``(k, n)``: any
-        other shape, ``(n, 1)`` for one, would broadcast into a wrong product."""
+        """The samples of ``x``, checked to be one function ``(n,)`` or a stack ``(k, n)``:
+        any other shape, ``(n, 1)`` for one, would broadcast into a wrong product.  A
+        :class:`HalfLineFunction` gives its values and must live on :attr:`grid`."""
+        if isinstance(x, HalfLineFunction):
+            if x.grid != self.grid:
+                raise ValueError(f"{what}: the function lives on {x.grid}, the operator "
+                                 f"on {self.grid}")
+            x = x.values
         n = self.sqrt_w.size
         if np.ndim(x) not in (1, 2) or np.shape(x)[-1:] != (n,):
             raise ValueError(f"{what}: the eigenbasis takes one function of {n} samples or a "
@@ -374,45 +374,29 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
     )
 
 
-def apply_multiplier(
-    F,
-    f: HalfLineFunction,
-    backend: str = "matrix",
-    op: DiscreteOperator | None = None,
-    sgrid: SpectralGrid | None = None,
-) -> HalfLineFunction:
-    """Functional calculus ``F(Delta) f`` for a scalar map ``F`` on ``lambda >= 0``.
-
-    ``backend='matrix'`` uses the eigen-expansion (exact for the discrete
-    operator); ``backend='kernel'`` uses the kernel transform with
-    ``lambda = tau^2`` and flags inputs whose energy leaks past the
-    resolved band.
-    """
-    if backend == "matrix":
-        if op is None:
-            op = build_matrix_laplacian(f.grid)
-        return f.with_values(op.apply_fn(F, f.values))
-    if backend == "kernel":
-        if sgrid is None:
-            sgrid = SpectralGrid()
-        spec = kl_forward(f, sgrid)
-        leak = _leakage(f, spec)
-        if leak > UNRESOLVED_FRACTION:
-            warnings.warn(
-                f"input has {leak:.2e} relative energy outside the resolved band",
-                UnresolvedSpectrumWarning,
-                stacklevel=2,
-            )
-        filtered = Spectrum(sgrid, np.asarray(F(sgrid.tau ** 2)) * spec.coeffs)
-        return kl_inverse(filtered, f.grid)
-    raise ValueError(f"backend must be 'matrix' or 'kernel', got {backend!r}")
+def apply_multiplier(F, f: HalfLineFunction,
+                     op: DiscreteOperator | SpectralGrid) -> HalfLineFunction:
+    """Functional calculus ``F(Delta) f`` for a scalar map ``F`` on ``lambda >= 0``, by
+    the backend passed as ``op``: the eigen-expansion of a :class:`DiscreteOperator`, for an
+    ``f`` on its grid, or the kernel transform on a :class:`SpectralGrid` (``lambda = tau^2``),
+    which warns with :class:`UnresolvedSpectrumWarning` when ``f`` leaks past the band."""
+    if isinstance(op, DiscreteOperator):
+        return f.with_values(op.apply_fn(F, f))
+    if not isinstance(op, SpectralGrid):
+        raise TypeError("op: must be a DiscreteOperator or a SpectralGrid, "
+                        f"got {type(op).__name__}")
+    spec = kl_forward(f, op)
+    leak = kernel_leakage(f, spec)
+    if leak > UNRESOLVED_FRACTION:
+        warnings.warn(f"input has {leak:.2e} relative energy outside the resolved band",
+                      UnresolvedSpectrumWarning, stacklevel=2)
+    filtered = Spectrum(op, np.asarray(F(op.tau ** 2)) * spec.coeffs)
+    return kl_inverse(filtered, f.grid)
 
 
 def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
     """Spectral measure of f, ``(lambda_k, |<f, v_k>|^2)``; the weights sum to ``||f||^2``."""
-    if op.grid != f.grid:
-        raise ValueError("operator was built on a different grid")
-    return op.eigenvalues, op.spectral_weights(f.values)
+    return op.eigenvalues, op.spectral_weights(f)
 
 
 def clear_caches():

@@ -291,35 +291,35 @@ def suite_spectral(cfg: RunConfig):
 
     heat, leak, rts, heat_ms = [], [], [], []
     for entry, f in corpus:
-        heat_m = sp.apply_multiplier(lambda lam: np.exp(-lam), f, "matrix", op=op)
-        heat_k = sp.apply_multiplier(lambda lam: np.exp(-lam), f, "kernel", sgrid=sgrid)
+        heat_m = sp.apply_multiplier(lambda lam: np.exp(-lam), f, op)
+        heat_k = sp.apply_multiplier(lambda lam: np.exp(-lam), f, sgrid)
         heat.append(xp_norm(heat_k - heat_m) / xp_norm(heat_m))
         heat_ms.append(heat_m)
         spec = sp.kl_forward(f, sgrid)  # shared by the Parseval and round-trip checks
-        leak.append(sp.kernel_leakage(f, sgrid, spec))
+        leak.append(sp.kernel_leakage(f, spec))
         rt = sp.kl_inverse(spec, grid)
         rts.append(xp_norm(rt - f) / xp_norm(f))
     checks.append(_check(cfg, "AC5", _worst(heat)))
     checks.append(_check(cfg, "SPEC_parseval", _worst(leak)))
     checks.append(_check(cfg, "SPEC_roundtrip", _worst(rts)))
 
-    fit = sp.estimate_kl_constant(grid, sgrid, [f for _, f in corpus])
+    fit = sp.estimate_kl_constant(sgrid, [f for _, f in corpus])
     dev = abs(fit / sp.KL_CONSTANT - 1.0)
     checks.append(_check(cfg, "SPEC_constant", dev, fitted=fit, expected=sp.KL_CONSTANT))
 
     f = corpus[0][1]
-    ident = sp.apply_multiplier(lambda lam: np.ones_like(lam), f, "matrix", op=op)
+    ident = sp.apply_multiplier(lambda lam: np.ones_like(lam), f, op)
     v_ident = xp_norm(ident - f) / xp_norm(f)
     checks.append(_check(cfg, "SPEC_identity", v_ident))
     # the heat multiplier of f, from the loop above
     pos = heat_ms[0]
-    fg = sp.apply_multiplier(lambda lam: np.exp(-lam) / (1 + lam), f, "matrix", op=op)
-    gf = sp.apply_multiplier(lambda lam: 1.0 / (1 + lam), pos, "matrix", op=op)
+    fg = sp.apply_multiplier(lambda lam: np.exp(-lam) / (1 + lam), f, op)
+    gf = sp.apply_multiplier(lambda lam: 1.0 / (1 + lam), pos, op)
     v_prod = xp_norm(fg - gf) / xp_norm(fg)
     checks.append(_check(cfg, "SPEC_product", v_prod))
     quad = inner(pos, f).real
     checks.append(_check(cfg, "SPEC_positivity", quad, factor=xp_norm(f) ** 2))
-    schro = sp.apply_multiplier(lambda lam: np.exp(0.7j * lam), f, "matrix", op=op)
+    schro = sp.apply_multiplier(lambda lam: np.exp(0.7j * lam), f, op)
     drift = abs(xp_norm(schro) - xp_norm(f)) / xp_norm(f)
     checks.append(_check(cfg, "SPEC_unitary", drift))
     lam_k, w_k = sp.spectral_measure(f, op)
@@ -343,7 +343,7 @@ def suite_paleywiener(cfg: RunConfig):
     for _ in range(20):
         omega = float(rng.uniform(1.0, 8.0))
         raw = HalfLineFunction(grid, rng.standard_normal(grid.n))
-        band = pw.pw_project(omega, raw, op=op)
+        band = pw.pw_project(omega, raw, op)
         if xp_norm(band) < 1e-12:
             continue
         rep = pw.bernstein_check(band, omega, (1, 2, 3), op)
@@ -355,7 +355,7 @@ def suite_paleywiener(cfg: RunConfig):
     last = []
     for cutoff in (2.0, 4.0):
         raw = HalfLineFunction(grid, rng.standard_normal(grid.n))
-        band = pw.pw_project(cutoff, raw, op=op)
+        band = pw.pw_project(cutoff, raw, op)
         band = band * (1.0 / xp_norm(band))
         # the formula holds for every omega at or above the type of f; a
         # 25% margin keeps the highest band eigenvalue away from the edge
@@ -369,15 +369,15 @@ def suite_paleywiener(cfg: RunConfig):
 
     f = HalfLineFunction(grid, np.exp(-((grid.u + 3.0) ** 2) / 2.0))
     f = f * (1.0 / xp_norm(f))
-    p2 = pw.pw_project(2.0, f, op=op)
-    p4 = pw.pw_project(4.0, f, op=op)
+    p2 = pw.pw_project(2.0, f, op)
+    p4 = pw.pw_project(4.0, f, op)
     mono = xp_norm(p2) <= xp_norm(p4) + 1e-12
-    nest = xp_norm(pw.pw_project(2.0, p4, op=op) - p2) / xp_norm(p2)
+    nest = xp_norm(pw.pw_project(2.0, p4, op) - p2) / xp_norm(p2)
     checks.append(_check(cfg, "PW_monotone", nest, also=mono, mono=mono))
-    idem = xp_norm(pw.pw_project(2.0, p2, op=op) - p2) / xp_norm(p2)
+    idem = xp_norm(pw.pw_project(2.0, p2, op) - p2) / xp_norm(p2)
     checks.append(_check(cfg, "PW_idempotent", idem))
     g = HalfLineFunction(grid, np.exp(-((grid.u + 5.0) ** 2) / 3.0))
-    sym = abs(inner(p2, g) - inner(f, pw.pw_project(2.0, g, op=op)))
+    sym = abs(inner(p2, g) - inner(f, pw.pw_project(2.0, g, op)))
     checks.append(_check(cfg, "PW_selfadjoint", sym))
     pyth = abs(pw.best_approx(2.0, f, op) ** 2 + xp_norm(p2) ** 2 - xp_norm(f) ** 2)
     checks.append(_check(cfg, "PW_pythagoras", pyth))

@@ -99,7 +99,7 @@ def test_single_band_leaks_only_to_neighbors(grid, op, f_lg):
     j = 3
     band = apply_multiplier(
         lambda lam: ((lam >= 2.0 ** (j - 1)) & (lam <= 2.0 ** (j + 1))).astype(float),
-        f_lg, "matrix", op=op)
+        f_lg, op)
     energies = band_energies(band, op)
     far = [e for i, e in enumerate(energies) if abs(i - j) > 1]
     assert max(far) < 1e-10 * xp_norm(band)
@@ -125,7 +125,7 @@ def test_tight_band_mass_equals_projection(grid, op, f_lg):
     proj = apply_multiplier(
         lambda lam: ((np.sqrt(np.maximum(lam, 0.0)) >= b.tau_lo)
                      & (np.sqrt(np.maximum(lam, 0.0)) < b.tau_hi)).astype(float),
-        f_lg, "matrix", op=op)
+        f_lg, op)
     assert mass == pytest.approx(xp_norm(proj) ** 2, rel=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_besov_band_single_band_value(grid, op, f_lg):
     band = apply_multiplier(
         lambda lam: ((np.sqrt(np.maximum(lam, 0)) >= 2.0 ** j)
                      & (np.sqrt(np.maximum(lam, 0)) < 2.0 ** (j + 1))).astype(float),
-        f_lg, "matrix", op=op)
+        f_lg, op)
     band = band * (1.0 / xp_norm(band))
     alpha = 0.5
     ref = 2.0 ** (j * alpha)

@@ -150,6 +150,29 @@ def test_riesz_boas_rejects_a_bad_truncation(f_lg, op, k_trunc):
             riesz_boas(2.0, f_lg, k_trunc, op)
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_bernstein_check_rejects_a_bad_band(f_lg, op, omega):
+    # 0 once gave an infinite ratio after divide-by-zero warnings, -1 a finite one, NaN a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^omega: must be finite and positive"):
+            bernstein_check(f_lg, omega, (1, 2, 3), op)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_schrodinger_modulus_rejects_a_bad_time(f_lg, op, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t: must be finite and nonnegative"):
+            schrodinger_modulus(2, t, f_lg, op)
+
+
+@pytest.mark.parametrize("r", [0, -1, 1.5, 2.0])
+def test_schrodinger_modulus_takes_the_modulus_order_rule(f_lg, op, r):
+    with pytest.raises(ValueError, match="^r must be an integer >= 1"):
+        schrodinger_modulus(r, 0.5, f_lg, op)
+
+
 def test_schrodinger_zero_and_bound(grid, op, f_lg):
     assert schrodinger_modulus(2, 0.0, f_lg, op) == 0.0
     assert schrodinger_modulus(2, 5.0, f_lg, op) <= 2.0 ** 2 * xp_norm(f_lg) * (1 + 1e-12)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from axbkit import spectral
+from axbkit import frames, paleywiener
 from axbkit.config import RunConfig
 from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
 from axbkit.halfline import xp_norm
+from axbkit.moduli import halfline_space, k_spectral
 from axbkit.spectral import (
     KL_CONSTANT,
     Spectrum,
@@ -78,7 +80,7 @@ def test_operator_invariants(grid, op):
 
 
 def test_identity_multiplier(grid, op, f_lg):
-    out = apply_multiplier(lambda lam: np.ones_like(lam), f_lg, "matrix", op=op)
+    out = apply_multiplier(lambda lam: np.ones_like(lam), f_lg, op)
     assert xp_norm(out - f_lg) / xp_norm(f_lg) < 1e-12
 
 
@@ -97,8 +99,7 @@ def test_spectral_measure_parseval(grid, op, f_lg):
 
 
 def test_spectral_measure_band_concentration(grid, op, f_lg):
-    band = apply_multiplier(lambda lam: ((lam >= 1.0) & (lam <= 9.0)).astype(float),
-                            f_lg, "matrix", op=op)
+    band = apply_multiplier(lambda lam: ((lam >= 1.0) & (lam <= 9.0)).astype(float), f_lg, op)
     lam, w = spectral_measure(band, op)
     outside = np.sum(w[(lam < 1.0) | (lam > 9.0)])
     assert outside < 1e-10 * np.sum(w)
@@ -111,17 +112,73 @@ def test_spectral_measure_grid_mismatch(op):
         spectral_measure(g, op)
 
 
+# every eigenbasis consumer, as (f, op, space) -> call
+_CONSUMERS = {
+    "apply_multiplier": lambda f, op, space: apply_multiplier(np.exp, f, op),
+    "pw_project": lambda f, op, space: paleywiener.pw_project(2.0, f, op),
+    "best_approx": lambda f, op, space: paleywiener.best_approx(2.0, f, op),
+    "bernstein_check": lambda f, op, space: paleywiener.bernstein_check(f, 2.0, (1, 2), op),
+    "riesz_boas": lambda f, op, space: paleywiener.riesz_boas(2.5, f, 8, op),
+    "schrodinger_modulus": lambda f, op, space: paleywiener.schrodinger_modulus(2, 0.5, f, op),
+    "jackson_check": lambda f, op, space: paleywiener.jackson_check([1.0, 2.0], 2, f, op, space),
+    "lp_decompose": lambda f, op, space: frames.lp_decompose(f, op),
+    "band_energies": lambda f, op, space: frames.band_energies(f, op),
+    "frame_analysis": lambda f, op, space: frames.frame_analysis(f, frames.band_frames(op), op),
+    **{f"besov_norm_bands_{variant}": lambda f, op, space, v=variant: frames.besov_norm_bands(
+        f, op, 0.5, 2.0, v) for variant in ("approx", "projections", "frames")},
+    "direct_inverse_check": lambda f, op, space: frames.direct_inverse_check(f, op, 2, space),
+    "k_spectral": lambda f, op, space: k_spectral(op, 2, 0.5, f),
+    "spectral_measure": lambda f, op, space: spectral_measure(f, op),
+}
+
+
+@pytest.fixture(scope="module")
+def another_window():
+    """A function on one 256-node window, the operator of another and the function's space."""
+    grid = LogGrid(-10.0, 8.0, 256)
+    f = HalfLineFunction(grid, np.exp(-((grid.u + 3.0) ** 2) / 2.0))
+    return f, build_matrix_laplacian(LogGrid(-12.0, 6.0, 256)), halfline_space(grid)
+
+
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_eigenbasis_consumer_refuses_a_function_from_another_grid(another_window, consumer):
+    # same node count, another window: the samples would be expanded in the wrong eigenbasis
+    with pytest.raises(ValueError, match=r"^values: the function lives on LogGrid\(u_min=-10"):
+        _CONSUMERS[consumer](*another_window)
+
+
+def test_matrix_form_is_the_eigen_expansion(op, f_lg):
+    heat = lambda lam: np.exp(-lam)
+    assert _same_bits(apply_multiplier(heat, f_lg, op).values,
+                      f_lg.with_values(op.apply_fn(heat, f_lg.values)).values)
+
+
+def test_kernel_form_is_the_filtered_transform(grid, sgrid, f_lg):
+    spec = kl_forward(f_lg, sgrid)
+    filtered = kl_inverse(Spectrum(sgrid, np.exp(-sgrid.tau ** 2) * spec.coeffs), grid)
+    assert _same_bits(apply_multiplier(lambda lam: np.exp(-lam), f_lg, sgrid).values,
+                      filtered.values)
+
+
+@pytest.mark.parametrize("backend", ["matrix", "kernel", None, LogGrid(-12.0, 6.0, 512)])
+def test_apply_multiplier_takes_no_other_backend(f_lg, backend):
+    with pytest.raises(TypeError, match=f"^op: must be a DiscreteOperator or a SpectralGrid, "
+                                        f"got {type(backend).__name__}$"):
+        apply_multiplier(np.exp, f_lg, backend)
+
+
 def test_kl_roundtrip_and_parseval(grid, sgrid, f_lg):
-    rt = kl_inverse(kl_forward(f_lg, sgrid), grid)
+    spec = kl_forward(f_lg, sgrid)
+    rt = kl_inverse(spec, grid)
     assert xp_norm(rt - f_lg) / xp_norm(f_lg) < 1e-5
-    assert kernel_leakage(f_lg, sgrid) < 1e-3
+    assert kernel_leakage(f_lg, spec) < 1e-3
 
 
 def test_kernel_leakage_takes_the_held_transform(sgrid, f_lg):
     spec = kl_forward(f_lg, sgrid)
-    assert kernel_leakage(f_lg, sgrid, spec) == kernel_leakage(f_lg, sgrid)
-    with pytest.raises(ValueError, match="spec"):
-        kernel_leakage(f_lg, SpectralGrid(12.0, 200), spec)
+    assert kernel_leakage(f_lg, spec) == kernel_leakage(f_lg, kl_forward(f_lg, sgrid))
+    # the transform passed is the one read: an empty one captures none of ||f||^2
+    assert kernel_leakage(f_lg, Spectrum(sgrid, np.zeros(sgrid.m))) == 1.0
 
 
 def test_kl_forward_zero(grid, sgrid):
@@ -141,21 +198,21 @@ def test_kl_bump_localization(grid, sgrid):
 
 
 def test_heat_multiplier_two_backends(grid, sgrid, op, f_lg):
-    heat_m = apply_multiplier(lambda lam: np.exp(-lam), f_lg, "matrix", op=op)
-    heat_k = apply_multiplier(lambda lam: np.exp(-lam), f_lg, "kernel", sgrid=sgrid)
+    heat_m = apply_multiplier(lambda lam: np.exp(-lam), f_lg, op)
+    heat_k = apply_multiplier(lambda lam: np.exp(-lam), f_lg, sgrid)
     assert xp_norm(heat_k - heat_m) / xp_norm(heat_m) < 1e-3
 
 
 def test_multiplier_product_rule(grid, op, f_lg):
     F = lambda lam: np.exp(-lam)
     G = lambda lam: 1.0 / (1.0 + lam)
-    fg = apply_multiplier(lambda lam: F(lam) * G(lam), f_lg, "matrix", op=op)
-    gf = apply_multiplier(G, apply_multiplier(F, f_lg, "matrix", op=op), "matrix", op=op)
+    fg = apply_multiplier(lambda lam: F(lam) * G(lam), f_lg, op)
+    gf = apply_multiplier(G, apply_multiplier(F, f_lg, op), op)
     assert xp_norm(fg - gf) / xp_norm(fg) < 1e-12
 
 
 def test_unitary_group_isometry(grid, op, f_lg):
-    out = apply_multiplier(lambda lam: np.exp(1j * 0.7 * lam), f_lg, "matrix", op=op)
+    out = apply_multiplier(lambda lam: np.exp(1j * 0.7 * lam), f_lg, op)
     assert abs(xp_norm(out) - xp_norm(f_lg)) / xp_norm(f_lg) < 1e-10
 
 
@@ -163,9 +220,9 @@ def test_kernel_backend_flags_unresolved_input(grid, sgrid):
     # a sharply localized profile has dilation content far above tau_max
     f = HalfLineFunction(grid, np.exp(-((grid.u - 1.0) ** 2) / (2 * 0.05 ** 2)))
     f = f * (1.0 / xp_norm(f))
-    assert kernel_leakage(f, sgrid) > 1e-3
+    assert kernel_leakage(f, kl_forward(f, sgrid)) > 1e-3
     with pytest.warns(UnresolvedSpectrumWarning):
-        apply_multiplier(lambda lam: np.exp(-lam), f, "kernel", sgrid=sgrid)
+        apply_multiplier(lambda lam: np.exp(-lam), f, sgrid)
 
 
 def test_kernel_backend_transforms_once(monkeypatch, sgrid, f_lg):
@@ -178,7 +235,7 @@ def test_kernel_backend_transforms_once(monkeypatch, sgrid, f_lg):
         return kl_forward(f, sg)
 
     monkeypatch.setattr(spectral, "kl_forward", counted)
-    apply_multiplier(lambda lam: np.exp(-lam), f_lg, "kernel", sgrid=sgrid)
+    apply_multiplier(lambda lam: np.exp(-lam), f_lg, sgrid)
     assert len(calls) == 1
 
 
@@ -188,7 +245,7 @@ def test_kl_constant_least_squares(grid, sgrid):
         HalfLineFunction(grid, np.exp(-((grid.u + 5.0) ** 2) / 4.0)),
         HalfLineFunction(grid, grid.x * np.exp(-grid.x)),
     ]
-    fit = estimate_kl_constant(grid, sgrid, fs)
+    fit = estimate_kl_constant(sgrid, fs)
     assert fit == pytest.approx(KL_CONSTANT, rel=1e-8)
 
 

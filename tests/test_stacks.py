@@ -416,7 +416,9 @@ def test_one_function_paths_reject_a_stack():
     stack = HalfLineFunction(grid, values)
     one = HalfLineFunction(grid, values[0])
     space = halfline_space(grid)
+    sgrid = SpectralGrid(6.0, 32)
     for call in (lambda: bernstein_check(stack, 2.0, (1, 2), op),
+                 lambda: kernel_leakage(stack, kl_forward(one, sgrid)),
                  lambda: direct_inverse_check(stack, op, 2, space),
                  lambda: verify_modulus_inequalities(space, 2, 1, stack, (0.5,)),
                  lambda: reiteration_check(space, stack.values, 0, 1, 2, 0.5, 2.0),
@@ -426,10 +428,8 @@ def test_one_function_paths_reject_a_stack():
             call()
     # the kernel transform is not stacked either, a stack of as many members as nodes included
     square = HalfLineFunction(grid, np.tile(values[0], (16, 1)))
-    sgrid = SpectralGrid(6.0, 32)
     for g in (stack, square):
         shape = re.escape(str(g.values.shape))
-        for call in (lambda: apply_multiplier(np.exp, g, "kernel", sgrid=sgrid),
-                     lambda: kernel_leakage(g, sgrid), lambda: kl_forward(g, sgrid)):
+        for call in (lambda: apply_multiplier(np.exp, g, sgrid), lambda: kl_forward(g, sgrid)):
             with pytest.raises(ValueError, match=f"one function of 16 samples, got shape {shape}"):
                 call()
