@@ -224,10 +224,15 @@ class SpectralGrid:
 
     The Laplacian corresponds to ``lambda = tau**2``, so ``tau`` carries
     the scale of the square root of the operator.
+
+    Each instance carries the kernel tables :func:`axbkit.spectral.kernel_table` builds
+    for it, keyed by :class:`LogGrid`; they take no part in equality or hashing, and
+    go when the instance does.
     """
 
     tau_max: float = 12.0
     m: int = 400
+    _kernel_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tau_max > 0:

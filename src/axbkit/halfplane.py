@@ -373,10 +373,13 @@ def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplac
     * left:  ``M1 = S_u (x) I + I (x) T``, ``M2 = I (x) D_y``;
     * right: ``M1 = S_u (x) I``,           ``M2 = X (x) D_y``.
 
-    ``lambda_min`` comes from a unitary block reduction: on the left,
-    diagonalizing ``i S_u`` (eigenvalues ``alpha_j``) leaves the blocks
-    ``(alpha_j + i T)^2 + D_y^T D_y``; on the right, diagonalizing
-    ``D_y^T D_y`` (eigenvalues ``mu_k``) leaves ``S_u^T S_u + mu_k X^2``.
+    ``lambda_min`` comes from a unitary block reduction (the fast diagonalization of
+    Lynch, Rice and Thomas, Numer. Math. 6 (1964)): on the left, diagonalizing ``i S_u``
+    (eigenvalues ``alpha_j``) leaves the blocks ``(alpha_j + i T)^2 + D_y^T D_y``; on the
+    right, diagonalizing ``D_y^T D_y`` (eigenvalues ``mu_k``) leaves
+    ``S_u^T S_u + mu_k X^2``.  Each block is built and diagonalized on its own and only
+    the running minimum is kept, so no stack of blocks is held; the minimum has the bits
+    of one ``eigvalsh`` over the whole stack.
     """
     if grid.xgrid.n * grid.n_y > DENSE_CAP_2D:
         raise ValueError(
@@ -385,28 +388,25 @@ def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplac
     w = grid.measure_weights(side, rule="uniform")
     nx, ny = grid.xgrid.n, grid.n_y
     # w_y is constant, so conjugating by sqrt(w) only rescales the u factors
-    swu = np.sqrt(w[:, 0])
-    Du = fourier_diff_matrix(nx, grid.xgrid.h)
-    Su = flat_skew(Du, swu)
+    Su = flat_skew(fourier_diff_matrix(nx, grid.xgrid.h), np.sqrt(w[:, 0]))
     Dy = fourier_diff_matrix(ny, grid.h_y)
     DtD = Dy.T @ Dy
     Iu, Iy = np.eye(nx), np.eye(ny)
+    lam = math.inf
     if side == "left":
         T = skew(grid.y[:, None] * Dy)
         generators = (((Su, Iy), (Iu, T)), ((Iu, Dy),))
-        alpha = np.linalg.eigvalsh(1j * Su)
-        H = alpha[:, None, None] * Iy + 1j * T
-        blocks = H @ H + DtD
+        iT = 1j * T
+        for alpha in np.linalg.eigvalsh(1j * Su):
+            H = alpha * Iy + iT
+            lam = min(lam, np.linalg.eigvalsh(H @ H + DtD)[0])
     else:
         X = np.diag(grid.xgrid.x)
         generators = (((Su, Iy),), ((X, Dy),))
-        mu = np.linalg.eigvalsh(DtD)
-        blocks = Su.T @ Su + mu[:, None, None] * (X @ X)
-    return KroneckerLaplacian(
-        weights=w,
-        generators=generators,
-        lambda_min=float(np.min(np.linalg.eigvalsh(blocks))),
-    )
+        StS, XX = Su.T @ Su, X @ X
+        for mu in np.linalg.eigvalsh(DtD):
+            lam = min(lam, np.linalg.eigvalsh(StS + mu * XX)[0])
+    return KroneckerLaplacian(weights=w, generators=generators, lambda_min=float(lam))
 
 
 def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFunction:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from axbkit.halfplane import (
     sobolev_graph_check,
 )
 from axbkit.moduli import grid_candidates, halfline_space, k_upper, k_upper_detail, modulus_mixed
-from axbkit.spectral import fourier_diff_matrix
+from axbkit.spectral import flat_skew, fourier_diff_matrix, skew
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,49 @@ def test_operator_parseval_matches_weighted_norm(dense_small):
         # the eigen-route quadratic form is the one the operator computes by apply
         op = build_halfplane_laplacian(grid, side)
         assert op.power_form(f.values, 1) == pytest.approx(float(np.sum(lam * w)), rel=1e-12)
+
+
+def _stacked_lambda_min(grid, side):
+    """The block reduction's minimum from one ``eigvalsh`` over the whole stack of blocks:
+    the oracle of the builder's one-block-at-a-time minimum."""
+    w = grid.measure_weights(side, rule="uniform")
+    Su = flat_skew(fourier_diff_matrix(grid.xgrid.n, grid.xgrid.h), np.sqrt(w[:, 0]))
+    Dy = fourier_diff_matrix(grid.n_y, grid.h_y)
+    DtD = Dy.T @ Dy
+    if side == "left":
+        T = skew(grid.y[:, None] * Dy)
+        alpha = np.linalg.eigvalsh(1j * Su)
+        H = alpha[:, None, None] * np.eye(grid.n_y) + 1j * T
+        blocks = H @ H + DtD
+    else:
+        X = np.diag(grid.xgrid.x)
+        mu = np.linalg.eigvalsh(DtD)
+        blocks = Su.T @ Su + mu[:, None, None] * (X @ X)
+    return float(np.min(np.linalg.eigvalsh(blocks)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("nx, ny, y_max", [(48, 48, 8.0), (20, 16, 6.0), (16, 33, 10.0),
+                                           (24, 24, 8.0), (32, 40, 12.0), (40, 17, 4.0)])
+def test_per_block_lambda_min_has_the_stacked_bits(nx, ny, y_max, side):
+    grid = HalfPlaneGrid(LogGrid(-6.0, 4.0, nx), -y_max, y_max, ny)
+    got = build_halfplane_laplacian.__wrapped__(grid, side).lambda_min
+    ref = _stacked_lambda_min(grid, side)
+    assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_builder_holds_a_few_blocks(hgrid, side):
+    # the stacked reduction peaked at 151 (left) and 54 (right) complex 48 x 48 blocks:
+    # three (48, 48, 48) stacks at once on the left; one block at a time it is 8.6 and 5.6
+    block = hgrid.n_y * hgrid.n_y * 16
+    tracemalloc.start()
+    try:
+        build_halfplane_laplacian.__wrapped__(hgrid, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * block
 
 
 def test_modulus_2d(hgrid, f2):

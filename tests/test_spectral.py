@@ -1,5 +1,9 @@
+import gc
 import math
+import re
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +46,20 @@ def test_macdonald_against_mpmath_imaginary_order():
         for x in (0.01, 1.0, 3.0):
             expected = float(mpmath.re(mpmath.besselk(1j * tau, mpmath.mpf(x))))
             assert macdonald_kernel(tau, x) == pytest.approx(expected, rel=1e-11)
+
+
+def test_macdonald_docstring_states_a_truncation_bound_it_meets():
+    # the t-truncation's tail exp(-x cosh t_max) is below 1e-16 exactly where the docstring
+    # says, and the stated bound is tight to 1%
+    doc = " ".join(macdonald_kernel.__doc__.split())
+    x_min = float(re.search(r"``x > ([0-9.e-]+)``", doc).group(1))
+    u_min = float(re.search(r"``u = ln x > ([0-9.-]+)``", doc).group(1))
+    cosh_t = math.cosh(spectral._KERNEL_T_MAX)
+    for x in (x_min, math.exp(u_min)):
+        assert math.exp(-x * cosh_t) < 1e-16
+    assert math.exp(-x_min / 1.01 * cosh_t) >= 1e-16
+    # the range it used to state: at x = 3e-8 the tail is of order one
+    assert math.exp(-3e-8 * cosh_t) > 0.3
 
 
 def test_macdonald_asymptotic_bound():
@@ -254,13 +272,46 @@ def test_cap_enforced():
         build_matrix_laplacian(LogGrid(-12.0, 6.0, 4096))
 
 
-def test_kernel_table_is_memoized_and_read_only():
+def test_kernel_table_is_memoized_and_read_only(monkeypatch):
+    # one table per (LogGrid, SpectralGrid) instance, kept on the spectral grid and shared
+    # by both transforms and the kernel backend of apply_multiplier
     grid = LogGrid(-4.0, 2.0, 32)
     sgrid = SpectralGrid(6.0, 48)
+    built = []
+
+    def counted(tau, x):
+        built.append(x.size)
+        return macdonald_kernel(tau, x)
+
+    monkeypatch.setattr(spectral, "macdonald_kernel", counted)
     table = kernel_table(grid, sgrid)
-    assert kernel_table(grid, sgrid) is table
+    assert kernel_table(LogGrid(-4.0, 2.0, 32), sgrid) is table
+    f = HalfLineFunction(grid, np.exp(-((grid.u + 1.0) ** 2)))
+    kl_inverse(kl_forward(f, sgrid), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnresolvedSpectrumWarning)
+        apply_multiplier(lambda lam: np.exp(-lam), f, sgrid)
+    assert built == [32]
+    assert list(sgrid._kernel_tables) == [grid] and sgrid._kernel_tables[grid] is table
+    # an equal spectral grid is another instance, with its own table
+    other = SpectralGrid(6.0, 48)
+    assert other == sgrid and hash(other) == hash(sgrid)
+    assert kernel_table(grid, other) is not table and built == [32, 32]
     assert table.shape == (48, 32) and not table.flags.writeable
     np.testing.assert_array_equal(table, macdonald_kernel(sgrid.tau, grid.x))
+
+
+def test_kernel_table_goes_with_its_spectral_grid():
+    grid = LogGrid(-4.0, 2.0, 32)
+    sgrid = SpectralGrid(6.0, 48)
+    spec = kl_forward(HalfLineFunction(grid, np.exp(-((grid.u + 1.0) ** 2))), sgrid)
+    table = weakref.ref(kernel_table(grid, sgrid))
+    del sgrid
+    gc.collect()
+    assert table() is not None  # the spectrum still holds its grid
+    del spec
+    gc.collect()
+    assert table() is None
 
 
 def test_clear_caches_empties_the_phase_table(grid, f_lg):
@@ -435,12 +486,27 @@ def _traced_peak(call):
 
 def test_matrix_laplacian_build_holds_few_dense_matrices():
     # the one-shot FFT and the out-of-place assembly peaked at 5.07 n x n float64 matrices
-    # (10.1 MiB at n = 512); the build needs the flat skew's three and then A, V and V's
-    # column-major copy
+    # (10.1 MiB at n = 512), and out-of-place skews at 3.03; antisymmetrizing in place, the
+    # build holds at most two at once (2.16 with the FFT's column blocks)
     grid = LogGrid(-12.0, 6.0, 512)
     spectral.clear_caches()
     peak, op = _traced_peak(lambda: build_matrix_laplacian(grid))
-    assert peak <= 3.5 * op.eigenvectors.nbytes
+    assert peak <= 2.5 * op.eigenvectors.nbytes
+
+
+def test_skew_and_flat_skew_overwrite_and_return_their_argument():
+    # the out-of-place forms are the oracles; in place, the result is the argument itself
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((300, 300))
+    sw = rng.uniform(0.5, 2.0, 300)
+    work = M.copy()
+    assert skew(work) is work and _same_bits(work, 0.5 * (M - M.T))
+    carried = (sw[:, None] * M) / sw[None, :]
+    work = M.copy()
+    assert flat_skew(work, sw) is work and _same_bits(work, 0.5 * (carried - carried.T))
+    # one M-sized temporary (numpy's copy of the overlapping transpose), not two
+    peak, _ = _traced_peak(lambda: flat_skew(M.copy(), sw))
+    assert peak <= 2.1 * M.nbytes
 
 
 @pytest.mark.parametrize("tau", [1.0, SpectralGrid(12.0, 400).tau], ids=["scalar", "m400"])
