@@ -27,6 +27,7 @@ __all__ = [
     "shift_zero_fill",
     "pth_root",
     "require_finite",
+    "require_exponent",
     "unwrap",
 ]
 
@@ -62,10 +63,12 @@ def fd6(values: np.ndarray, h: float, order: int = 1, axis: int = 0) -> np.ndarr
     padded = np.zeros(vals.shape[:-1] + (n + 6,), dtype=np.result_type(vals, stencil))
     padded[..., 3 : n + 3] = vals
     out = np.zeros(vals.shape, dtype=padded.dtype)
+    term = np.empty_like(out)  # one scratch array for every stencil term
     for k, c in enumerate(stencil):
         if c != 0.0:
-            out += c * padded[..., k : k + n]
-    return np.moveaxis(out / h ** order, -1, axis)
+            out += np.multiply(c, padded[..., k : k + n], out=term)
+    out /= h ** order
+    return np.moveaxis(out, -1, axis)
 
 
 def fourier_multiplier(values: np.ndarray, factors: np.ndarray, left: int) -> np.ndarray:
@@ -130,6 +133,16 @@ def require_finite(name: str, value: float) -> None:
     """Raise a ``ValueError`` naming the parameter unless the number ``value`` is finite."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_exponent(p: float) -> None:
+    """Raise a ``ValueError`` naming ``p`` unless the norm exponent is finite and ``>= 1``.
+
+    ``inf`` is refused, not read as the sup norm: the root ``sums ** (1/p)``
+    of the ``l^p`` formula would be ``sums ** 0``, 1.0 for every function.
+    """
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
 
 
 def _worst(values, reduce=np.max) -> float:

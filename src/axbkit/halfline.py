@@ -15,7 +15,10 @@ two calling forms (see :func:`axbkit.grids.unwrap`): a
 and bare complex values with ``grid=`` given give an unvalidated ndarray out.
 The second form is the one :func:`axbkit.moduli.halfline_space` binds into
 the representation interface, so the hot paths build no containers.  Both
-forms reject a time ``t`` that is not finite.
+forms reject a time ``t`` that is not finite, and :func:`xp_norm` an
+exponent ``p`` that is not finite or is below 1.  The module keeps no table between
+calls: the modulation symbols the supremum search reuses live on the
+:class:`~axbkit.moduli.RepresentationSpace` that took them and go with it.
 
 Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 ``D2 = i x`` (multiplication).  They satisfy ``[D1, D2] = D2``.
@@ -23,12 +26,10 @@ Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
-                    pth_root, require_finite, shift_zero_fill, unwrap)
+                    pth_root, require_exponent, require_finite, shift_zero_fill, unwrap)
 from .group import GroupElement
 from .moduli import _members, _top_words, apply_word, halfline_space, sobolev_space_norm
 
@@ -50,9 +51,6 @@ __all__ = [
 #: maximum derivative-word order accepted by the default stencil setup
 MAX_SOBOLEV_ORDER = 4
 
-#: modulation phases kept by :func:`act_modulation`, each one grid long
-_PHASE_TABLE_SIZE = 512
-
 
 def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarray:
     """The norm ``||f(x) x^{-1/p}||_p`` of ``X^p``: trapezoid quadrature of
@@ -66,8 +64,7 @@ def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarra
     dot (``np.vecdot``), so a member of a stack gets the same bits as the
     same function on its own.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    require_exponent(p)
     values, g, _ = unwrap(f, grid)
     if p == 2.0:
         flat = np.ascontiguousarray(values, dtype=complex).view(np.float64)
@@ -137,22 +134,17 @@ def act_dilation(t: float, f: HalfLineFunction) -> HalfLineFunction:
     return shift_log(f, t)
 
 
-@lru_cache(maxsize=_PHASE_TABLE_SIZE)
-def _phase(t: float, grid: LogGrid) -> np.ndarray:
-    """The read-only phase ``e^{itx}`` on the grid nodes, tabled per ``(t, grid)``."""
-    phase = np.exp(1j * t * grid.x)
-    phase.flags.writeable = False
-    return phase
-
-
 def act_modulation(t: float, f, grid: LogGrid | None = None):
     """One-parameter group ``U2(t) f(x) = e^{itx} f(x)``, exact for every finite t.
 
-    ``f`` is a container, or bare values on ``grid``.
+    ``f`` is a container, or bare values on ``grid``.  The phase is computed
+    afresh on every call and nothing is kept: the supremum search takes each
+    phase once, on the constant function, and keeps it on its
+    :class:`~axbkit.moduli.RepresentationSpace` (see :mod:`axbkit.moduli`).
     """
     require_finite("t", t)
     values, g, wrap = unwrap(f, grid)
-    return wrap(_phase(float(t), g) * values)
+    return wrap(np.exp(1j * float(t) * g.x) * values)
 
 
 def generator(j: int, f, grid: LogGrid | None = None):

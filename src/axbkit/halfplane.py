@@ -38,8 +38,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_finite,
-                    shift_zero_fill, trapezoid_weights, unwrap)
+from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_exponent,
+                    require_finite, shift_zero_fill, trapezoid_weights, unwrap)
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -157,8 +157,7 @@ def lp_norm_2d(f, p: float, side: str, grid: HalfPlaneGrid | None = None) -> flo
 
     ``f`` is a container, or bare values on ``grid``.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    require_exponent(p)
     values, g, _ = unwrap(f, grid)
     w = g.measure_weights(side)
     return pth_root(np.sum(w * np.abs(values) ** p, axis=(-2, -1)), p)
@@ -289,8 +288,10 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
     A dilation ``act(1, t, v)`` with ``|t|`` beyond the u-window length moves
     every sample out of the window and gives zeros.  The Hardy-Steklov
     operator has no closed form here and is evaluated by Gauss panels
-    against the explicit box-spline time density.
+    against the explicit box-spline time density.  An exponent ``p`` that is
+    not finite or is below 1 is refused here, when the space is built.
     """
+    require_exponent(p)
 
     def act(j, t, v):
         require_finite("t", t)

@@ -39,19 +39,23 @@ stack of each proper suffix is built once per scale and shared by every
 word that ends in it.  The first letter's factor is
 normed block by block, one block per candidate, as it is formed, and a
 running maximum keeps each member's best, so the stack of a whole word over
-every candidate tuple is never built.  A first letter that multiplies, under
-an ``l^p`` norm, forms no block at all: ``||(T_j(t) - I) g||^p`` is the dot
-of ``|g|^p`` with ``weights |T_j(t) 1 - 1|^p``, and the symbols are taken
-once per candidate and scale, on the constant
-function, and shared by every word they begin.  With candidate sets ``T_1``
-and ``T_2`` for the two directions, order r thus makes
-``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action, one per candidate
-for the first letter of each of the ``2^{r+1} - 2`` suffixes (the words
-included), instead of ``r`` per candidate tuple; when direction j
-multiplies, its ``2^{r-1}`` words make ``|T_j|`` calls between them instead
-of ``2^{r-1} |T_j|`` (the half-line: ``(2^r - 1)|T_1| + 2^{r-1}|T_2|``).
-Every acted difference is computed with the same floating-point operations
-as one candidate tuple at a time.  The symbol path sums the same positive
+every candidate tuple is never built.  A direction that multiplies never
+acts on the stack: its symbol ``T_j(t) 1`` is taken on the constant
+function once per space and time and kept in the space's own table, which
+goes with the space, and each of its factors multiplies by the tabled
+symbols, a suffix's as one broadcast product over its candidates.  Under an
+``l^p`` norm such a first letter forms no block at all: ``||(T_j(t) - I)
+g||^p`` is the dot of ``|g|^p`` with the tabled row ``weights |T_j(t) 1 -
+1|^p``.  With candidate sets ``T_1`` and ``T_2`` for the two directions,
+order r thus makes ``(2^r - 1)(|T_1| + |T_2|)`` calls of the group action
+per scale, one per candidate for the first letter of each of the
+``2^{r+1} - 2`` suffixes (the words included), instead of ``r`` per
+candidate tuple; a direction j that multiplies makes at most ``|T_j|``
+instead, on the constant function, and none for a time its space has met
+before (the half-line: ``(2^r - 1)|T_1|`` log-shifts per scale and one
+modulation per distinct time per space).
+Every acted or multiplied difference is computed with the same floating-point operations
+as one candidate tuple at a time.  The row path sums the same positive
 terms in another order, so each modulus is within ``1e-13`` relative of the
 acted path (measured over the eleven suites at seeds 0 and 5: at most
 2.6e-16).  The candidate steps
@@ -109,14 +113,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import HalfLineFunction, LogGrid, _checked_samples, _worst, pth_root
+from .grids import (HalfLineFunction, LogGrid, _checked_samples, _worst, pth_root,
+                    require_exponent)
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -162,6 +167,12 @@ class RepresentationSpace:
     The callables take and return plain complex ndarrays on the space's own
     grid, unchecked; ``norm``, ``act``, ``gen`` and ``hardy`` accept a stack
     of functions as well as one function (see the module docstring).
+
+    ``_symbols`` is not a field of the interface: it is the space's own table
+    of the read-only symbols ``T_j(t) 1`` of its multiplying directions, and
+    of their ``l^p`` weight rows, filled by the supremum search.  It starts
+    empty, in a space made by ``dataclasses.replace`` too, and is freed with
+    the space.
     """
 
     shape: tuple  # the grid's sample shape, the trailing axes of every array
@@ -170,6 +181,8 @@ class RepresentationSpace:
     gen: callable  # gen(j, v) -> array, the generator A_j, on every member of a stack
     steps: tuple  # steps[j - 1]: T_j is exact on multiples of it, None if on every t
     hardy: callable  # hardy(r, s, v) -> array, the operator H_r(s), on every member of a stack
+    # (j, t) -> the symbol T_j(t) 1; (j, t, "lp") -> its row weights * |T_j(t) 1 - 1|^p
+    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -191,9 +204,12 @@ class BesovParams:
 
 
 def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
-    """The concrete half-line instantiation of the representation interface."""
+    """The concrete half-line instantiation of the representation interface; an exponent
+    ``p`` that is not finite or is below 1 is refused when the space is built."""
     from .halfline import act_modulation, generator, shift_log, xp_norm
     from .smoothing import hardy_steklov
+
+    require_exponent(p)
 
     def norm(v):
         return xp_norm(v, p, grid=grid)
@@ -335,61 +351,88 @@ def _sobolev_sum(space: RepresentationSpace, f: np.ndarray, m: int) -> float | n
     return _members(total)
 
 
-def _suffix(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict):
+def _suffix(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict,
+            multiplies: tuple):
     """The stack of ``(T_{j1}(t1) - I) ... (T_{jk}(tk) - I) f`` over every candidate tuple
     of a proper suffix ``word``, candidate axes first.
 
     Its first letter's factor writes ``T_j(t) g - g`` for each of its
-    candidates into one preallocated stack, acting once per candidate on the
-    whole stack ``g`` of the rest of the word.  Each stack is built once and
-    kept in ``suffixes``, which the caller owns, so the words ending in the
-    same letters share it.
+    candidates into one preallocated stack: acting once per candidate on the
+    whole stack ``g`` of the rest of the word, or, when ``multiplies[j - 1]``,
+    as one broadcast product of the tabled symbols with ``g``.  Each stack is
+    built once and kept in ``suffixes``, which the caller owns, so the words
+    ending in the same letters share it.
     """
     g = suffixes.get(word)
     if g is None:
         j, rest = word[0], word[1:]
-        inner = _suffix(space, rest, candidates, f, suffixes) if rest else f
-        ts = candidates[j]
-        g = suffixes[word] = np.empty((ts.size,) + inner.shape, dtype=inner.dtype)
-        for i, t in enumerate(ts.tolist()):
-            np.subtract(space.act(j, t, inner), inner, out=g[i])
+        inner = _suffix(space, rest, candidates, f, suffixes, multiplies) if rest else f
+        ts = candidates[j].tolist()
+        g = suffixes[word] = np.empty((len(ts),) + inner.shape, dtype=inner.dtype)
+        if multiplies[j - 1]:
+            symbols = np.stack([_symbol(space, j, t) for t in ts])
+            lead = (1,) * (inner.ndim - len(space.shape))
+            np.multiply(symbols.reshape((len(ts),) + lead + space.shape), inner, out=g)
+            np.subtract(g, inner, out=g)
+        else:
+            for i, t in enumerate(ts):
+                np.subtract(space.act(j, t, inner), inner, out=g[i])
     return g
+
+
+def _symbol(space: RepresentationSpace, j: int, t: float) -> np.ndarray:
+    """The read-only symbol ``T_j(t) 1`` of a multiplying direction, acted on the constant
+    function once per space and ``(j, t)`` and then read from ``space._symbols``."""
+    symbol = space._symbols.get((j, t))
+    if symbol is None:
+        symbol = space._symbols[(j, t)] = space.act(j, t, np.ones(space.shape, dtype=complex))
+        symbol.flags.writeable = False
+    return symbol
 
 
 def _symbol_weights(space: RepresentationSpace, j: int, ts: np.ndarray) -> np.ndarray:
     """``weights * |T_j(t) 1 - 1|^p`` over the flattened grid, one row per candidate ``t``,
-    with ``(weights, p)`` the declaration ``space.norm.lp``.
+    with ``(weights, p)`` the declaration ``space.norm.lp``; each row is tabled in
+    ``space._symbols`` beside its symbol.
 
     For a multiplication ``T_j`` and an ``l^p`` norm, ``||(T_j(t) - I) g||^p``
     is the dot of ``|g|^p`` with the row of ``t``.
     """
     weights, p = space.norm.lp
-    one = np.ones(space.shape, dtype=complex)
-    return np.stack([(weights * np.abs(space.act(j, t, one) - 1.0) ** p).ravel()
-                     for t in ts.tolist()])
+    rows = []
+    for t in ts.tolist():
+        row = space._symbols.get((j, t, "lp"))
+        if row is None:
+            row = space._symbols[(j, t, "lp")] = (
+                weights * np.abs(_symbol(space, j, t) - 1.0) ** p).ravel()
+            row.flags.writeable = False
+        rows.append(row)
+    return np.stack(rows)
 
 
 def _word_sup(space: RepresentationSpace, word, candidates: dict, f, suffixes: dict,
-              symbols: dict):
+              multiplies: tuple, rows: dict):
     """``max ||(T_{j1}(t1) - I) ... (T_{jr}(tr) - I) f||`` over every candidate tuple, per member.
 
-    When the first letter has its rows in ``symbols``, every candidate's norm
-    comes from ``|g|^p`` at once, one BLAS dot per (row, candidate) pair, so a
-    member of a stack gets the bits it gets alone.  Otherwise the first
-    letter's factor is normed one candidate block at a time, and a running
+    When the first letter has its symbol rows in ``rows``, every candidate's
+    norm comes from ``|g|^p`` at once, one BLAS dot per (row, candidate) pair,
+    so a member of a stack gets the bits it gets alone.  Otherwise the first
+    letter's factor is normed one candidate block at a time (a multiplying
+    letter's block is its tabled symbol times ``g``), and a running
     ``np.maximum`` folds each block's maximum over the suffix's candidate
     axes.  Both maxima keep a NaN.
     """
     j, rest = word[0], word[1:]
-    g = _suffix(space, rest, candidates, f, suffixes) if rest else f
+    g = _suffix(space, rest, candidates, f, suffixes, multiplies) if rest else f
     axes = tuple(range(len(rest)))
-    if j in symbols:
+    if j in rows:
         p = space.norm.lp[1]
         gp = np.abs(g.reshape(g.shape[:g.ndim - len(space.shape)] + (1, -1))) ** p
-        return np.max(pth_root(np.vecdot(gp, symbols[j]), p), axis=axes + (-1,))
+        return np.max(pth_root(np.vecdot(gp, rows[j]), p), axis=axes + (-1,))
     best = None
     for t in candidates[j].tolist():
-        block = np.max(space.norm(space.act(j, t, g) - g), axis=axes)
+        acted = _symbol(space, j, t) * g if multiplies[j - 1] else space.act(j, t, g)
+        block = np.max(space.norm(acted - g), axis=axes)
         best = block if best is None else np.maximum(best, block)
     return best
 
@@ -421,11 +464,11 @@ def _modulus(space: RepresentationSpace, r: int, s: float, f: np.ndarray, lead: 
         return _members(np.zeros(lead))
     cap = _SUP_CAP.get(r, 2)
     candidates = {j: grid_candidates(s, cap, space.steps[j - 1]) for j in (1, 2)}
-    # a multiplication letter's rows, shared by every word it begins; only a norm and
-    # an action that carry their declarations take this path
+    # only a norm and an action that carry their declarations take the symbol paths; a
+    # multiplication letter's rows are shared by every word it begins
     multiplies = getattr(space.act, "multiplies", (False, False))
-    symbols = {j: _symbol_weights(space, j, candidates[j]) for j in (1, 2)
-               if hasattr(space.norm, "lp") and multiplies[j - 1] and candidates[j].size}
+    rows = {j: _symbol_weights(space, j, candidates[j]) for j in (1, 2)
+            if hasattr(space.norm, "lp") and multiplies[j - 1] and candidates[j].size}
     suffixes: dict = {}
     total = 0.0
     any_word = False
@@ -435,7 +478,7 @@ def _modulus(space: RepresentationSpace, r: int, s: float, f: np.ndarray, lead: 
             # to the continuum value, and dropping it keeps a lower bound
             continue
         any_word = True
-        total = total + _word_sup(space, word, candidates, f, suffixes, symbols)
+        total = total + _word_sup(space, word, candidates, f, suffixes, multiplies, rows)
     if not any_word:
         raise ValueError(f"no admissible time steps below s={s}")
     return _finite(_members(total), "modulus_mixed")

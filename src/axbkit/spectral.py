@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
-from .halfline import _phase, inner, xp_norm
+from .halfline import inner, xp_norm
 from .moduli import _candidates
 from .smoothing import _hardy_factors
 
@@ -417,10 +417,9 @@ def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
 
 
 def clear_caches():
-    """Empty the Laplacian cache, the modulation phase table, the candidate-step table and
-    the Hardy-Steklov factor table.  Kernel tables are not cached here: each lives on its
-    :class:`SpectralGrid` and goes with it."""
+    """Empty the Laplacian cache, the candidate-step table and the Hardy-Steklov factor
+    table.  Kernel tables and modulation symbols are not kept here: each lives on its
+    :class:`SpectralGrid` or :class:`~axbkit.moduli.RepresentationSpace` and goes with it."""
     build_matrix_laplacian.cache_clear()
-    _phase.cache_clear()
     _candidates.cache_clear()
     _hardy_factors.cache_clear()

@@ -113,6 +113,37 @@ def test_fd6_equals_the_first_axis_form_bit_for_bit(dtype, shape, axis, order):
         assert got.flags.c_contiguous
 
 
+def _fd6_fresh_terms(values, h, order, axis):
+    """The last-axis stencil with a fresh temporary per term and an out-of-place division."""
+    stencil = [None, _FD6_D1, _FD6_D2][order]
+    vals = np.moveaxis(values, axis, -1)
+    n = vals.shape[-1]
+    padded = np.zeros(vals.shape[:-1] + (n + 6,), dtype=np.result_type(vals, stencil))
+    padded[..., 3 : n + 3] = vals
+    out = np.zeros(vals.shape, dtype=padded.dtype)
+    for k, c in enumerate(stencil):
+        if c != 0.0:
+            out += c * padded[..., k : k + n]
+    return np.moveaxis(out / h ** order, -1, axis)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(40,), (20, 16), (2, 3, 40)])  # one function and stacks
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd6_scratch_term_has_the_fresh_term_bits(dtype, shape, axis, order):
+    rng = np.random.default_rng(len(shape) * 10 + axis % len(shape))
+    values = rng.standard_normal(shape)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(shape)
+    h = 18.0 / 511
+    got = fd6(values, h, order, axis=axis)
+    ref = _fd6_fresh_terms(values, h, order, axis)
+    assert got.dtype == ref.dtype == values.dtype and got.shape == ref.shape
+    as_bits = lambda a: np.ascontiguousarray(a).view(np.uint64)  # noqa: E731
+    assert np.array_equal(as_bits(got), as_bits(ref))
+
+
 def test_fd6_axis_matches_per_slice():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((20, 24)) + 1j * rng.standard_normal((20, 24))

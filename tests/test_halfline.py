@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from axbkit.grids import HalfLineFunction, LogGrid
 from axbkit.group import GroupElement, multiply
+from axbkit.halfplane import HalfPlaneGrid, halfplane_space, lp_norm_2d, log_gaussian_2d
 from axbkit.halfline import (
     act,
     act_dilation,
@@ -21,10 +23,27 @@ from axbkit.halfline import (
     window_loss,
     xp_norm,
 )
+from axbkit.moduli import halfline_space, modulus_mixed
 
 
 def test_xp_norm_zero(grid):
     assert xp_norm(HalfLineFunction(grid, np.zeros(grid.n))) == 0.0
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_a_norm_exponent_not_finite_or_below_one_is_refused(grid, f_lg, p):
+    # before, inf gave 1.0 for every nonzero f and NaN gave NaN, both silently; a space
+    # is refused when it is built, before a symbol path could skip its norm
+    plane = HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
+    calls = (lambda: xp_norm(f_lg, p), lambda: xp_norm(10 * f_lg.values, p, grid=grid),
+             lambda: lp_norm_2d(log_gaussian_2d(plane), p, "left"),
+             lambda: modulus_mixed(halfline_space(grid, p), 1, 0.5, f_lg),
+             lambda: halfplane_space(plane, "right", p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^p must be finite and >= 1, got"):
+                call()
 
 
 def test_xp_norm_gamma_oracle(grid, f_xexp):
@@ -274,20 +293,20 @@ def test_offgrid_shift_equals_padded_fft_reference(grid, f_lg, f_xexp, stacked):
 
 
 @pytest.mark.parametrize("form", ["container", "bare", "stack"])
-def test_modulation_phase_table_is_bit_identical(grid, f_lg, f_xexp, form):
-    from axbkit.halfline import _phase
-
+def test_act_modulation_is_fresh_and_bit_identical(grid, f_lg, f_xexp, form):
     if form == "container":
         f, kw, values = f_lg, {}, f_lg.values
     else:
         values = _stack(grid, f_lg, f_xexp) if form == "stack" else f_lg.values.copy()
         f, kw = values, {"grid": grid}
-    # the repeated t is served from the table, also as a numpy scalar or a 0-d array
+    # each call computes its own phase, also for a repeated t, a numpy scalar or a 0-d array
+    earlier = []
     for t in (0.7, -1.3, 0.7, 0.0, np.float64(-1.3), np.array(0.7)):
         out = act_modulation(t, f, **kw)
         got = out.values if form == "container" else out
-        assert np.array_equal(got, np.exp(1j * t * grid.x) * values), t
-        assert not np.shares_memory(got, _phase(float(t), grid))
+        assert np.array_equal(got.view(np.uint64),
+                              (np.exp(1j * t * grid.x) * values).view(np.uint64)), t
+        assert not any(np.shares_memory(got, a) for a in [values] + earlier)
         if form != "container":
             assert got.flags.writeable
-    assert not _phase(0.7, grid).flags.writeable
+        earlier.append(got)

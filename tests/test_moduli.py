@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from itertools import product
 
 import numpy as np
@@ -14,6 +16,8 @@ from axbkit.moduli import (
     BesovParams,
     RepresentationSpace,
     _accumulate,
+    _suffix,
+    _symbol_weights,
     _word_stacks,
     apply_word,
     besov_norm,
@@ -610,10 +614,12 @@ def test_grid_candidate_multiples_never_repeat(step):
 
 
 def test_shared_suffixes_act_once_per_candidate(space, f_lg):
-    # at s = 0.5 both directions have 8 candidates; the suffixes (1,) and (2,)
-    # act on f once per candidate, the words (1, 1) and (1, 2) add their outer
-    # factor on the shared stack, and the modulation letter of (2, 1) and
-    # (2, 2) acts once per candidate on the constant function
+    # at s = 0.5 both directions have 8 candidates.  The dilation suffix (1,) acts
+    # on f (ndim 1) once per candidate: 8 calls.  The words (1, 1) and (1, 2) add
+    # their outer factor on the shared (8, n) suffix stacks: 2 * 8 calls of ndim 2.
+    # The modulation group acts only on the constant function (ndim 1), once per
+    # candidate, 8 calls, and those symbols serve the suffix (2,) and the first
+    # letter of (2, 1) and (2, 2) alike: 8 + 8 = 16 calls of ndim 1
     calls = []
 
     def act(j, t, v):
@@ -624,7 +630,96 @@ def test_shared_suffixes_act_once_per_candidate(space, f_lg):
     assert [grid_candidates(0.5, 8, step).size for step in space.steps] == [8, 8]
     counted = dataclasses.replace(space, act=act)
     assert modulus_mixed(counted, 2, 0.5, f_lg) == modulus_mixed(space, 2, 0.5, f_lg)
-    assert (calls.count(1), calls.count(2)) == (3 * 8, 2 * 8)
+    assert (calls.count(1), calls.count(2)) == (2 * 8, 2 * 8)
+
+
+def _counting_space(space):
+    """``space`` with a fresh symbol table and an action that records ``(j, t)`` for every
+    call on one function (for a stack input, the constant function of the symbols)."""
+    calls = []
+
+    def act(j, t, v):
+        if v.ndim == 1:
+            calls.append((j, t))
+        return space.act(j, t, v)
+
+    act.multiplies = space.act.multiplies
+    return dataclasses.replace(space, act=act), calls
+
+
+def test_symbols_act_once_per_space_across_a_ladder_and_calls(space, f_lg, f_xexp):
+    stack = np.stack([f_lg.values, f_xexp.values])
+    counted, calls = _counting_space(space)
+    assert counted._symbols == {}  # replace starts the table empty
+    ladder = np.array([0.5, 0.25, 1.0, 0.5])
+    for r in (1, 2, 1):
+        assert np.array_equal(modulus_mixed(counted, r, ladder, stack),
+                              modulus_mixed(space, r, ladder, stack))
+    # one act per distinct (j, t), in the order the search first meets them
+    seen = {}
+    for r in (1, 2):
+        for s in ladder.tolist():
+            for t in grid_candidates(s, _SUP_CAP[r], None).tolist():
+                seen.setdefault((2, t), None)
+    assert calls == list(seen)
+    assert {key for key in counted._symbols if len(key) == 2} == set(seen)
+    # the Sobolev-norm space of reiteration_check declares no l^p norm: it tables the
+    # symbols alone, and takes each of them once too
+    sobolev, calls = _counting_space(dataclasses.replace(
+        space, norm=lambda g: sobolev_space_norm(space, g, 1)))
+    for _ in range(2):
+        modulus_mixed(sobolev, 2, ladder, stack)
+    assert len(calls) == len(set(calls)) == len(sobolev._symbols) > 0
+
+
+def test_symbol_table_dies_with_its_space(grid, f_lg):
+    space = halfline_space(grid)
+    modulus_mixed(space, 2, 0.5, f_lg)
+    tabled = [weakref.ref(a) for a in space._symbols.values()]
+    assert tabled and all(not ref().flags.writeable for ref in tabled)
+    del space
+    gc.collect()
+    assert all(ref() is None for ref in tabled)
+
+
+def _parent_symbol_weights(grid, p, ts):
+    """The per-scale rows ``weights * |e^{itx} 1 - 1|^p`` as they were formed before
+    the table: the modulation phase times the constant function, one row per ``t``."""
+    one = np.ones(grid.n, dtype=complex)
+    return np.stack([(grid.weights * np.abs(np.exp(1j * t * grid.x) * one - 1.0) ** p).ravel()
+                     for t in ts.tolist()])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_tabled_rows_and_symbols_have_the_per_scale_bits(grid, f_lg, p):
+    space = halfline_space(grid, p)
+    ladder = [grid.h / 4, 0.3, 0.7, 2.0]
+    for r in (1, 2, 3):
+        modulus_mixed(space, r, ladder, f_lg)
+    bits = lambda a: a.view(np.uint64)  # noqa: E731
+    one = np.ones(grid.n, dtype=complex)
+    for r in (1, 2, 3):
+        for s in ladder:
+            ts = grid_candidates(s, _SUP_CAP[r], None)
+            rows = _symbol_weights(space, 2, ts)
+            assert np.array_equal(bits(rows), bits(_parent_symbol_weights(grid, p, ts)))
+            for t in ts.tolist():
+                symbol = space._symbols[(2, t)]
+                assert np.array_equal(bits(symbol), bits(np.exp(1j * t * grid.x) * one))
+                assert np.array_equal(bits(symbol), bits(act_modulation(t, one, grid=grid)))
+
+
+@pytest.mark.parametrize("word", [(2,), (2, 1), (1, 2), (2, 2), (2, 2, 1), (1, 2, 2)])
+def test_symbol_product_suffixes_have_the_acted_bits(space, f_lg, f_xexp, word):
+    # a plain action declares no multiplication, so its suffixes act once per candidate
+    acting = dataclasses.replace(space, act=lambda j, t, v: space.act(j, t, v))
+    stack = np.stack([f_lg.values, f_xexp.values])
+    for f in (f_lg.values, stack):
+        candidates = {j: grid_candidates(0.5, 8, space.steps[j - 1]) for j in (1, 2)}
+        got = _suffix(space, word, candidates, f, {}, space.act.multiplies)
+        ref = _suffix(acting, word, candidates, f, {}, (False, False))
+        assert got.shape == ref.shape == tuple(candidates[j].size for j in word) + f.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

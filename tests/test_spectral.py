@@ -314,19 +314,56 @@ def test_kernel_table_goes_with_its_spectral_grid():
     assert table() is None
 
 
-def test_clear_caches_empties_the_phase_table(grid, f_lg):
-    from axbkit.halfline import _phase, act_modulation
-    from axbkit.moduli import _candidates, grid_candidates
-    from axbkit.smoothing import _hardy_factors, hardy_steklov
+#: functools caches that clear_caches leaves alone, with the reason
+_KEPT_CACHES = {
+    "axbkit.describe._objects": "the name -> public object registry, no numerical data",
+    # halfplane imports this module, so clear_caches could reach it only by an import at
+    # call time, which test_cli.py::test_function_level_imports_only_break_cycles forbids
+    "axbkit.halfplane.build_halfplane_laplacian":
+        "one-axis Kronecker factors per (grid, side), about 0.1 MB each at 48x48",
+    "axbkit.smoothing._gauss_legendre": "two read-only 24-node arrays that depend on nothing",
+}
+
+
+def _functools_caches():
+    """Every module-level function or class member of ``axbkit`` with a ``cache_info``."""
+    import importlib
+    import pkgutil
+
+    import axbkit
+
+    found = {}
+    for info in pkgutil.iter_modules(axbkit.__path__):
+        mod = importlib.import_module(f"axbkit.{info.name}")
+        for name, value in vars(mod).items():
+            members = vars(value).items() if isinstance(value, type) else [(None, value)]
+            for attr, member in members:
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if hasattr(member, "cache_info") and member.__module__ == mod.__name__:
+                    found[f"{mod.__name__}.{name}" + (f".{attr}" if attr else "")] = member
+    return found
+
+
+def test_clear_caches_empties_every_process_table(grid, f_lg):
+    from axbkit.moduli import grid_candidates, halfline_space, modulus_mixed
+    from axbkit.smoothing import hardy_steklov
     from axbkit.spectral import clear_caches
 
-    act_modulation(0.7, f_lg)
+    caches = _functools_caches()
+    assert set(_KEPT_CACHES) <= set(caches)
+    # fill every other table, including the tables behind the moduli hot path
+    build_matrix_laplacian(LogGrid(-4.0, 2.0, 32))
     grid_candidates(0.7, 8, grid.h)
     hardy_steklov(2, 0.7, f_lg)
-    tables = (_phase, _candidates, _hardy_factors)
-    assert all(table.cache_info().currsize > 0 for table in tables)
+    modulus_mixed(halfline_space(grid), 2, 0.7, f_lg)
+    cleared = {name: cache for name, cache in caches.items() if name not in _KEPT_CACHES}
+    assert cleared and all(c.cache_info().currsize > 0 for c in cleared.values()), sorted(cleared)
     clear_caches()
-    assert all(table.cache_info().currsize == 0 for table in tables)
+    assert {name for name, c in cleared.items() if c.cache_info().currsize} == set()
+    # the modulation phases are no process-lifetime table at all
+    import axbkit.halfline as halfline
+
+    assert not hasattr(halfline, "_phase") and not hasattr(halfline, "_PHASE_TABLE_SIZE")
 
 
 @pytest.mark.parametrize("n", [512, 256])

@@ -35,9 +35,13 @@ from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
 from axbkit.halfline import inner, sobolev_norm_top, window_loss
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
+    _SUP_CAP,
     BesovParams,
+    _symbol_weights,
+    _word_sup,
     besov_norm,
     besov_norm_fractional,
+    grid_candidates,
     halfline_space,
     k_lower,
     k_spectral,
@@ -258,9 +262,11 @@ def test_one_non_finite_member_raises(space, members):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_a_nan_member_through_the_symbols_raises(grid, space, members, r):
-    # below one grid step only the all-modulation word has candidates: its
-    # suffix stack turns member 1 NaN, and the outer letter norms it through
-    # the symbols, which act on the constant function only
+    # the modulation group acts only on the constant function, so the NaN member
+    # comes from a dilation: at four grid steps the dilation suffix (1,), acted on
+    # the stack itself, turns member 1 NaN.  The word (2, ..., 2, 1) carries it
+    # through the symbol paths alone: the tabled-symbol product of its inner
+    # modulation letter (r = 3) and the symbol rows of its first letter
     poisoned = _poison_member(space.act)
     symbols = []
 
@@ -268,12 +274,20 @@ def test_a_nan_member_through_the_symbols_raises(grid, space, members, r):
     def act(j, t, v):
         if v.ndim == 1:
             symbols.append((j, t))
-        return poisoned(j, t, v)
+        return poisoned(j, t, v) if (j, v.ndim) == (1, 2) else space.act(j, t, v)
 
+    blown = dataclasses.replace(space, act=act)
+    s = 4 * grid.h
     with pytest.raises(ValueError, match="modulus_mixed is not finite"):
-        modulus_mixed(dataclasses.replace(space, act=act), r, grid.h / 4, members)
-    # on a stack only the symbols act on one function, so the search took the symbol path
+        modulus_mixed(blown, r, s, members)
+    # on a stack only the symbols act on one function
     assert symbols and {j for j, _ in symbols} == {2}
+    candidates = {j: grid_candidates(s, _SUP_CAP[r], space.steps[j - 1]) for j in (1, 2)}
+    assert candidates[1].size == 4
+    rows = {2: _symbol_weights(blown, 2, candidates[2])}
+    sup = _word_sup(blown, (2,) * (r - 1) + (1,), candidates, members, {},
+                    blown.act.multiplies, rows)
+    assert np.isnan(sup[1]) and np.all(np.isfinite(sup[[0, 2]]))
 
 
 def _nan_norm_of(space, f):
