@@ -82,14 +82,22 @@ def partition_values(J: int, lam) -> np.ndarray:
 
     ``g`` is evaluated once per scale ``2^{-j} lam``, j = 0 .. J, and band j
     is the difference of rows j and j - 1: doubling is exact, so each row has
-    the bits of ``h_cutoff(2^{-j} lam)``.
+    the bits of ``h_cutoff(2^{-j} lam)``.  ``J`` must be an integer ``>= 0``.
     """
+    _require_band_count(J)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
     g = g_cutoff(np.multiply.outer(2.0 ** -np.arange(0, J + 1), lam))
     g[1:] -= g[:-1]  # numpy buffers the overlapping operands
     return g
+
+
+def _require_band_count(J) -> None:
+    """Raise unless the last band index ``J`` is an integer ``>= 0``: a negative one
+    would give no band at all, and a zero reconstruction."""
+    if not isinstance(J, (int, np.integer)) or J < 0:
+        raise ValueError(f"J must be an integer >= 0, got {J!r}")
 
 
 def _require_convention(convention: str) -> None:
@@ -204,6 +212,7 @@ def band_frames(op: DiscreteOperator, J: int | None = None, redundant: bool = Fa
     """:func:`build_band_frame` for every tau-bin j = 0 .. J."""
     if J is None:
         J = full_band_count(op, "tau")
+    _require_band_count(J)
     return [build_band_frame(op, j, redundant=redundant) for j in range(J + 1)]
 
 

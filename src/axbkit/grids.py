@@ -194,6 +194,8 @@ class LogGrid:
     n: int = 512
 
     def __post_init__(self):
+        require_finite("u_min", self.u_min)
+        require_finite("u_max", self.u_max)
         if not self.u_min < self.u_max:
             raise ValueError("u_min must be < u_max")
         if self.n < 16:
@@ -248,6 +250,7 @@ class SpectralGrid:
     _kernel_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_finite("tau_max", self.tau_max)
         if not self.tau_max > 0:
             raise ValueError("tau_max must be positive")
         if self.m < 32:

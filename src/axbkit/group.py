@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import require_finite
+
 __all__ = [
     "GroupElement",
     "LieVector",
@@ -32,12 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
-    """A point ``(a, b)`` of the affine group, ``a > 0``."""
+    """A point ``(a, b)`` of the affine group: ``a > 0`` and ``b``, both finite."""
 
     a: float
     b: float
 
     def __post_init__(self):
+        require_finite("a", self.a)
+        require_finite("b", self.b)
         if not self.a > 0:
             raise ValueError(f"dilation factor must be positive, got a={self.a}")
 

@@ -22,7 +22,8 @@ discrete generators, so they are symmetric and nonnegative.  They are kept
 Kronecker-factored (each generator a sum of ``kron(B, C)`` terms with
 one-axis factors) and applied axis by axis; the full product-grid matrix
 is never formed, and the minimum eigenvalue is computed exactly by a
-block reduction to one-axis eigenproblems.  The expanded second-order forms
+block reduction to one-axis eigenproblems.  Nothing tables the operators:
+each build is its caller's.  The expanded second-order forms
 
 ``Delta_L = -(1 + y^2) dyy - x^2 dxx - 2 x y dxy - x dx - y dy``
 ``Delta_R = -x^2 (dxx + dyy) - x dx``
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class HalfPlaneGrid:
     n_y: int = 48
 
     def __post_init__(self):
+        require_finite("y_min", self.y_min)
+        require_finite("y_max", self.y_max)
         if not self.y_min < self.y_max:
             raise ValueError("y_min must be < y_max")
         if self.n_y < 16:
@@ -234,13 +237,11 @@ def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
 
     A log-x pass, then at most one y pass (``a y + b`` on the left, ``y + b x``
     per row on the right), each over the whole stack by :func:`_resample`.
-    ``a`` and ``b`` must be finite.  ``f`` is a container, or bare values on
-    ``grid`` (then the result is an unvalidated ndarray).
+    ``f`` is a container, or bare values on ``grid`` (then the result is an
+    unvalidated ndarray).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    require_finite("a", g.a)
-    require_finite("b", g.b)
     values, hgrid, wrap = unwrap(f, grid)
     vals = _resample(values, hgrid.xgrid.u, 1.0, math.log(g.a), -2, hgrid.xgrid.h)
     if side == "left":
@@ -359,7 +360,6 @@ class KroneckerLaplacian:
         return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2)))
 
 
-@cache
 def build_halfplane_laplacian(grid: HalfPlaneGrid, side: str) -> KroneckerLaplacian:
     """Half-plane Laplacian ``D1* D1 + D2* D2``, kept as Kronecker factors on the two
     axes and applied axis by axis, with an exact ``lambda_min`` from a block

@@ -279,6 +279,7 @@ def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
 
     With ``step=None`` (a group exact for every t) they are uniform; otherwise
     they are distinct integer multiples of ``step``, empty when ``s < step``.
+    ``s`` must be finite and ``>= 0``, and ``step`` ``None`` or finite and ``> 0``.
     The array is read-only and comes from a table of
     ``_CANDIDATE_TABLE_SIZE`` entries keyed by ``(float(s), cap, step)``.
     """
@@ -287,7 +288,12 @@ def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
 
 @lru_cache(maxsize=_CANDIDATE_TABLE_SIZE)
 def _candidates(s: float, cap: int, step: float | None) -> np.ndarray:
-    """The body of :func:`grid_candidates`, tabled."""
+    """The body of :func:`grid_candidates`, tabled; an argument that fails the checks
+    raises here, before anything is tabled."""
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be None or finite and > 0, got {step}")
     if step is None:
         ts = s * np.arange(1, cap + 1) / cap
     else:

@@ -43,7 +43,8 @@ about 1,800 steps (``s = 16`` at ``r = 4`` on the 512-node default grid).
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
 doubles as a cross-check oracle; it sums the arrays its action callback
-returns.  Its Gauss-Legendre panel nodes are computed once, at import.
+returns and keeps the closed forms' rule on ``r`` and ``s``.  Its
+Gauss-Legendre panel nodes are computed once, on first use.
 
 Every closed-form operator (:func:`steklov_avg`, :func:`m_operator`,
 :func:`hardy_steklov_dir`, :func:`hardy_steklov`) also takes a stack of
@@ -95,6 +96,22 @@ _N_GL = 12
 _FACTOR_TABLE_SIZE = 256
 
 
+def _require_order(r: int) -> None:
+    """Raise unless the order ``r`` is in ``[1, MAX_ORDER]``."""
+    if not 1 <= r <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
+
+
+def _require_order_scale(r: int, s: float) -> None:
+    """The rule every averaging operator's order and scale keep, closed form or
+    quadrature: ``r`` in ``[1, MAX_ORDER]``, ``s > 0``, and ``s`` and ``r * s`` finite."""
+    _require_order(r)
+    if not s > 0:
+        raise ValueError("scale must be positive")
+    require_finite("s", s)
+    require_finite("r * s", r * s)
+
+
 @dataclass(frozen=True)
 class SteklovParams:
     """Order r, scale s and direction j of one averaging operator."""
@@ -104,12 +121,7 @@ class SteklovParams:
     j: int
 
     def __post_init__(self):
-        if not 1 <= self.r <= MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}]")
-        if not self.s > 0:
-            raise ValueError("scale must be positive")
-        require_finite("s", self.s)
-        require_finite("r * s", self.r * self.s)
+        _require_order_scale(self.r, self.s)
         if self.j not in (1, 2):
             raise ValueError("direction must be 1 or 2")
 
@@ -184,8 +196,7 @@ def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFun
     """Alternating combination ``M f = sum_{k=1}^r (-1)^k C(r,k) T_j(k t) f`` at
     ``t = t_sum``, so that ``f + M f = (I - T_j(t))^r f``; at ``t = 0`` it is ``-f``.
     """
-    if not 1 <= r <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
+    _require_order(r)
     if j not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     act = halfline_space(f.grid).act
@@ -273,7 +284,9 @@ def irwin_hall_nodes(r: int, s: float):
     ``rho_r`` is the density of ``t_1 + ... + t_r`` with ``t_i ~ U[0, s/r]``,
     piecewise polynomial with knots at ``k s / r``; Gauss-Legendre panels
     between knots integrate it essentially exactly.  Weights sum to 1.
+    ``r`` and ``s`` keep the closed forms' rule (see :class:`SteklovParams`).
     """
+    _require_order_scale(r, s)
     hp = s / r
     gl_x, gl_w = _gauss_legendre(_N_GL)
     nodes, weights = [], []

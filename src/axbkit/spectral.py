@@ -297,7 +297,6 @@ class DiscreteOperator:
     from ``grid`` on each read, bit for bit the one that was diagonalized.
     """
 
-    weights: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal in flat coordinates
     grid: LogGrid
@@ -305,6 +304,11 @@ class DiscreteOperator:
 
     def __post_init__(self):
         self.sqrt_w = np.sqrt(self.weights)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The quadrature weights ``w`` of :attr:`grid`, read-only."""
+        return self.grid.weights
 
     @property
     def matrix(self) -> np.ndarray:
@@ -382,7 +386,6 @@ def build_matrix_laplacian(grid: LogGrid) -> DiscreteOperator:
         raise ValueError(f"grid size {grid.n} exceeds dense eigensolver cap {DENSE_CAP}")
     lam, V = np.linalg.eigh(_assemble(grid))
     return DiscreteOperator(
-        weights=grid.weights.copy(),
         eigenvalues=lam,
         # column-major, as LAPACK returns it: numpy hands back a row-major copy,
         # on which the coeffs/synth matvecs of a cold oracles run were slower
@@ -417,9 +420,9 @@ def spectral_measure(f: HalfLineFunction, op: DiscreteOperator):
 
 
 def clear_caches():
-    """Empty the Laplacian cache, the candidate-step table and the Hardy-Steklov factor
-    table.  Kernel tables and modulation symbols are not kept here: each lives on its
-    :class:`SpectralGrid` or :class:`~axbkit.moduli.RepresentationSpace` and goes with it."""
+    """Empty the process tables that the workloads reuse (``tests/test_spectral.py`` records
+    their traffic): the Laplacian cache, the candidate steps and the Hardy-Steklov factors.
+    Kernel tables, modulation symbols and half-plane Laplacians go with their owners."""
     build_matrix_laplacian.cache_clear()
     _candidates.cache_clear()
     _hardy_factors.cache_clear()

@@ -550,8 +550,6 @@ def _besov_realizations(corpus, op, space, params):
     for i, (alpha, q) in enumerate(params):
         if alpha == 1:  # the modulus form exactly, see md.zygmund_norm
             extra.append(("zygmund", columns["modulus"][i]))
-        elif float(alpha).is_integer():
-            extra.append(("zygmund", md.zygmund_norm(space, stack, int(alpha), q)))
         else:
             extra.append(("fractional", md.besov_norm_fractional(space, stack, alpha, q)))
     return [[{**{key: column[i][m] for key, column in columns.items()}, name: norms[m]}
@@ -661,6 +659,7 @@ def suite_frames(cfg: RunConfig):
 def suite_halfplane(cfg: RunConfig):
     grid = _hpgrid(cfg)
     f = hp.log_gaussian_2d(grid)
+    ops = {side: hp.build_halfplane_laplacian(grid, side) for side in ("left", "right")}
     checks = []
     # grid-compatible actions: pure y-shift (left), pure log-x shift (right)
     gL = GroupElement(1.0, 3 * grid.h_y)
@@ -671,13 +670,8 @@ def suite_halfplane(cfg: RunConfig):
     dr /= hp.lp_norm_2d(f, 2, "right")
     worst_iso = _worst([dl, dr])
     checks.append(_check(cfg, "AC13a", worst_iso, left_defect=dl, right_defect=dr))
-    mins = {}
-    ratios = {}
-    for side in ("left", "right"):
-        op = hp.build_halfplane_laplacian(grid, side)
-        mins[side] = op.lambda_min
-        rep = hp.sobolev_graph_check(f, 1, side, op)
-        ratios[side] = rep["ratio"]
+    mins = {side: op.lambda_min for side, op in ops.items()}
+    ratios = {side: hp.sobolev_graph_check(f, 1, side, op)["ratio"] for side, op in ops.items()}
     worst_min = _worst(list(mins.values()), np.min)
     checks.append(_check(cfg, "AC13b", worst_min, **mins))
     finite = all(np.isfinite(v) and v > 0 for v in ratios.values())
@@ -694,8 +688,7 @@ def suite_halfplane(cfg: RunConfig):
                              alternative_residual=res_doc))
 
     # interior agreement of the assembled and expanded Laplacian forms
-    for side in ("left", "right"):
-        op = hp.build_halfplane_laplacian(grid, side)
+    for side, op in ops.items():
         assembled = op.apply(f.values)
         expanded = hp.expanded_laplacian_apply(f, side).values
         inner_u = slice(4, grid.xgrid.n - 4)

@@ -317,6 +317,16 @@ def test_band_rows_equal_the_per_band_cutoffs(op):
             assert np.array_equal(np.maximum(row, 0.0), _q_band(j, arg)), j
 
 
+@pytest.mark.parametrize("J", [-1, 1.5, 2.0])
+def test_band_count_must_be_a_nonnegative_integer(op, f_lg, J):
+    # J = -1 gave no band at all: an empty decomposition whose sum is 0
+    calls = (lambda: partition_values(J, [0.5, 1.0]), lambda: lp_decompose(f_lg, op, J),
+             lambda: band_energies(f_lg, op, J), lambda: band_frames(op, J))
+    for call in calls:
+        with pytest.raises(ValueError, match="J must be an integer >= 0"):
+            call()
+
+
 def test_lp_decompose_equals_per_band_apply_fn(op, f_lg):
     # all bands are synthesized in one matrix product, one functional-calculus call per
     # band is a matrix-vector product each: they agree to 1e-12 of ||f||

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from axbkit.grids import (_FD6_D1, _FD6_D2, HalfLineFunction, LogGrid, fd6, grid_steps,
-                          shift_zero_fill)
+from axbkit.grids import (_FD6_D1, _FD6_D2, HalfLineFunction, LogGrid, SpectralGrid, fd6,
+                          grid_steps, shift_zero_fill)
 from axbkit.halfline import act_modulation, generator, shift_log, xp_norm
+from axbkit.halfplane import HalfPlaneGrid
 
 
 def _shift_reference(values, steps, axis):
@@ -216,3 +219,16 @@ def test_xp_norm_of_a_generated_stack_equals_row_by_row(values):
         assert norms.shape == values.shape[:-1]
         np.testing.assert_array_equal(
             norms.ravel(), [xp_norm(row, p, grid=grid) for row in values.reshape(-1, grid.n)])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_every_grid_bound_must_be_finite(bad):
+    # an infinite bound gave step inf and NaN nodes
+    xgrid = LogGrid(-6.0, 4.0, 48)
+    builds = {"u_min": lambda: LogGrid(bad, 6.0, 64), "u_max": lambda: LogGrid(-12.0, bad, 64),
+              "tau_max": lambda: SpectralGrid(bad, 64),
+              "y_min": lambda: HalfPlaneGrid(xgrid, bad, 8.0, 48),
+              "y_max": lambda: HalfPlaneGrid(xgrid, -8.0, bad, 48)}
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build()

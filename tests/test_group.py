@@ -56,6 +56,20 @@ def test_inverse_examples():
     assert inverse(GroupElement(4, -8)) == GroupElement(0.25, 2.0)
 
 
+@pytest.mark.parametrize("a, b, name", [(math.inf, 0.0, "a"), (-math.inf, 0.0, "a"),
+                                        (math.nan, 0.0, "a"), (1.0, math.inf, "b"),
+                                        (1.0, -math.inf, "b"), (2.0, math.nan, "b")])
+def test_group_element_must_be_finite(a, b, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GroupElement(a, b)
+
+
+def test_exp_map_refuses_an_infinite_dilation():
+    # exp(inf) = inf and the translation inf / inf = nan: no element comes out
+    with pytest.raises(ValueError, match="a must be finite"):
+        exp_map(LieVector(math.inf, 1.0))
+
+
 def test_exp_map_examples():
     assert close(exp_map(LieVector(math.log(2), 0)), GroupElement(2, 0))
     assert exp_map(LieVector(0.0, 5.0)) == GroupElement(1.0, 5.0)
@@ -133,9 +147,15 @@ def _bits(x):
 def test_array_law_is_the_scalar_law_bit_for_bit(pairs):
     a, b, c, d = (np.array(col) for col in zip(*((g.a, g.b, h.a, h.b) for g, h in pairs)))
     prod_a, prod_b = _compose(a, b, c, d)
-    scalar = [multiply(g, h) for g, h in pairs]
-    np.testing.assert_array_equal(_bits(prod_a), _bits([p.a for p in scalar]))
-    np.testing.assert_array_equal(_bits(prod_b), _bits([p.b for p in scalar]))
+    # where a*d + b overflows, the scalar law refuses the product: no element has b = inf
+    finite = np.isfinite(prod_b)
+    for (g, h), ok in zip(pairs, finite):
+        if not ok:
+            with pytest.raises(ValueError, match="b must be finite"):
+                multiply(g, h)
+    scalar = [multiply(g, h) for (g, h), ok in zip(pairs, finite) if ok]
+    np.testing.assert_array_equal(_bits(prod_a[finite]), _bits([p.a for p in scalar]))
+    np.testing.assert_array_equal(_bits(prod_b[finite]), _bits([p.b for p in scalar]))
 
 
 def _suite_group_scalar_loop(seed, n=1000):

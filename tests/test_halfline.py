@@ -269,7 +269,8 @@ def test_nonfinite_t_is_rejected(grid, f_lg, form, t):
     if form == "container":
         with pytest.raises(ValueError, match="t must be finite"):
             act_dilation(t, f)
-        with pytest.raises(ValueError, match="t must be finite"):
+        # the element itself refuses a non-finite translation
+        with pytest.raises(ValueError, match="b must be finite"):
             act(GroupElement(1.0, t), f)
 
 

@@ -264,7 +264,7 @@ def _stacked_lambda_min(grid, side):
                                            (24, 24, 8.0), (32, 40, 12.0), (40, 17, 4.0)])
 def test_per_block_lambda_min_has_the_stacked_bits(nx, ny, y_max, side):
     grid = HalfPlaneGrid(LogGrid(-6.0, 4.0, nx), -y_max, y_max, ny)
-    got = build_halfplane_laplacian.__wrapped__(grid, side).lambda_min
+    got = build_halfplane_laplacian(grid, side).lambda_min
     ref = _stacked_lambda_min(grid, side)
     assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
 
@@ -276,11 +276,37 @@ def test_halfplane_builder_holds_a_few_blocks(hgrid, side):
     block = hgrid.n_y * hgrid.n_y * 16
     tracemalloc.start()
     try:
-        build_halfplane_laplacian.__wrapped__(hgrid, side)
+        build_halfplane_laplacian(hgrid, side)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10 * block
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_each_build_is_its_own_operator_with_the_same_bits(hgrid, side):
+    # nothing tables the operators: two builds are two objects, bit for bit alike
+    first, second = build_halfplane_laplacian(hgrid, side), build_halfplane_laplacian(hgrid, side)
+    assert first is not second
+    assert (np.float64(first.lambda_min).view(np.uint64)
+            == np.float64(second.lambda_min).view(np.uint64))
+
+
+def test_suite_halfplane_builds_each_side_once(monkeypatch):
+    import axbkit.halfplane as hp
+    from axbkit.config import RunConfig
+    from axbkit.suites import suite_halfplane
+
+    built = []
+    original = hp.build_halfplane_laplacian
+
+    def counted(grid, side):
+        built.append(side)
+        return original(grid, side)
+
+    monkeypatch.setattr(hp, "build_halfplane_laplacian", counted)
+    assert suite_halfplane(RunConfig())["all_passed"]
+    assert sorted(built) == ["left", "right"]
 
 
 def test_modulus_2d(hgrid, f2):

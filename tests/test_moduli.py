@@ -598,6 +598,16 @@ def test_grid_candidates_are_a_read_only_table_of_the_direct_steps(s, cap, step)
         assert grid_candidates(same, cap, step) is ts
 
 
+@pytest.mark.parametrize("s, step, name", [
+    (math.inf, None, "s"), (math.nan, 0.375, "s"), (-0.5, None, "s"),
+    (0.5, 0.0, "step"), (0.5, -0.375, "step"), (0.5, math.inf, "step"), (0.5, math.nan, "step"),
+])
+def test_grid_candidates_refuse_a_bad_scale_or_step(s, step, name):
+    # (inf, 8, None) gave eight inf steps, and a NaN scale failed converting NaN to an integer
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        grid_candidates(s, 8, step)
+
+
 @pytest.mark.parametrize("step", [18.0 / 511, 0.375])
 def test_grid_candidate_multiples_never_repeat(step):
     # the table drops consecutive repeats where the oracle sorts and dedups with np.unique;

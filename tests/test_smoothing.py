@@ -160,6 +160,31 @@ def test_irwin_hall_mass():
         assert abs(np.sum(w) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("r, s, match", [
+    (0, 1.0, "order"), (5, 0.5, "order"), (9, 0.5, "order"),
+    (2, -1.0, "scale"), (2, 0.0, "scale"), (2, math.nan, "scale"),
+    (2, math.inf, "s must be finite"), (4, 1e308, r"r \* s must be finite"),
+])
+def test_quadrature_route_keeps_the_closed_forms_rule(space, f_lg, r, s, match):
+    # irwin_hall_nodes(0, 1.0) divided by zero, a negative s gave values, and r = 9 ran
+    routes = (lambda: SteklovParams(r, s, 1), lambda: irwin_hall_nodes(r, s),
+              lambda: steklov_avg_generic(space.act, 2, r, s, f_lg.values),
+              lambda: hardy_steklov_generic(space.act, r, s, f_lg.values))
+    for route in routes:
+        with pytest.raises(ValueError, match=match):
+            route()
+
+
+def test_halfplane_k_upper_has_the_halfline_order_cap():
+    from axbkit.moduli import k_upper
+
+    hgrid = HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
+    f2 = log_gaussian_2d(hgrid)
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match=r"order must be in \[1, 4\]"):
+            k_upper(halfplane_space(hgrid, side), 5, 0.5, f2)
+
+
 @pytest.mark.parametrize("n", [12, 24])
 def test_gauss_legendre_is_a_read_only_table_of_leggauss(n):
     nodes, weights = _gauss_legendre(n)
