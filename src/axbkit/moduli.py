@@ -172,7 +172,8 @@ class RepresentationSpace:
     of the read-only symbols ``T_j(t) 1`` of its multiplying directions, and
     of their ``l^p`` weight rows, filled by the supremum search.  It starts
     empty, in a space made by ``dataclasses.replace`` too, and is freed with
-    the space.
+    the space; :func:`reiteration_check` hands its Sobolev-norm space the parent's
+    symbols, which the same action has taken.
     """
 
     shape: tuple  # the grid's sample shape, the trailing axes of every array
@@ -737,6 +738,8 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
     f = _values(f, space.shape, one=True)
     lhs = besov_norm(space, f, BesovParams(alpha, q, r), method="modulus")
     base = replace(space, norm=lambda g: _sobolev_sum(space, g, k1))
+    # same action and grid, so the parent's symbols hold; base declares no l^p, so no rows
+    base._symbols.update((key, sym) for key, sym in space._symbols.items() if len(key) == 2)
     k = k2 - k1
     profile = modulus_mixed(base, k, besov_s_grid(), f)
     rhs = base.norm(f) + _weighted_integral(profile, alpha - k1, q)

@@ -274,8 +274,13 @@ def flat_skew(D: np.ndarray, sw: np.ndarray) -> np.ndarray:
 
 def _real_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``M @ x`` for a real matrix ``M``; a complex ``x`` goes through two real
-    products, so ``M`` is never copied to complex, and a real ``x`` stays real."""
+    products, so ``M`` is never copied to complex, and a real ``x`` stays real.  A complex
+    ``x`` whose imaginary part is zero throughout (the whole stack) takes the real product
+    alone and comes back complex, with the two-product form's real bits and a ``+0.0``
+    imaginary part, so ``M`` is read once."""
     if np.iscomplexobj(x):
+        if not x.imag.any():
+            return (M @ x.real).astype(complex)
         return (M @ x.real) + 1j * (M @ x.imag)
     return M @ x
 
@@ -289,7 +294,9 @@ class DiscreteOperator:
     is real symmetric and its eigenvectors are plainly orthonormal, so the
     discrete Parseval identity ``sum |<f, v_k>|^2 = ||f||^2`` is exact in
     the weighted norm.  The eigen-expansion runs in real arithmetic: a
-    complex vector is transformed as its real and imaginary parts.  Each method takes
+    complex vector is transformed as its real and imaginary parts, and one whose imaginary
+    part is zero (a real-valued function or stack) by the real product alone, with the same
+    bits.  Each method takes
     one function ``(n,)``, by matrix-vector products, or a stack ``(k, n)``, by matrix
     products, which round each member within about 1e-15 of its own matrix-vector product.
 

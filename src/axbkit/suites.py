@@ -339,11 +339,13 @@ def suite_paleywiener(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed + 1)
     checks = []
 
+    # the 20 (omega, samples) draws in their order, projected as one stack
+    omegas, raws = zip(*((float(rng.uniform(1.0, 8.0)), rng.standard_normal(grid.n))
+                         for _ in range(20)))
+    bands = pw.pw_project(np.array(omegas), HalfLineFunction(grid, np.stack(raws)), op)
     ratios = []
-    for _ in range(20):
-        omega = float(rng.uniform(1.0, 8.0))
-        raw = HalfLineFunction(grid, rng.standard_normal(grid.n))
-        band = pw.pw_project(omega, raw, op)
+    for omega, values in zip(omegas, bands.values):
+        band = bands.with_values(values)
         if xp_norm(band) < 1e-12:
             continue
         rep = pw.bernstein_check(band, omega, (1, 2, 3), op)

@@ -682,6 +682,15 @@ def test_symbols_act_once_per_space_across_a_ladder_and_calls(space, f_lg, f_xex
     assert len(calls) == len(set(calls)) == len(sobolev._symbols) > 0
 
 
+def test_reiteration_space_takes_no_symbol_its_parent_holds(space, f_lg):
+    counted, calls = _counting_space(space)
+    rep = reiteration_check(counted, f_lg, 0, 1, 2, 0.5, 2.0)
+    # the parent's Besov ladder and the Sobolev-norm space's one share one symbol per t
+    symbols = [call for call in calls if call[0] == 2]
+    assert symbols and len(symbols) == len(set(symbols))
+    assert rep == reiteration_check(space, f_lg, 0, 1, 2, 0.5, 2.0)
+
+
 def test_symbol_table_dies_with_its_space(grid, f_lg):
     space = halfline_space(grid)
     modulus_mixed(space, 2, 0.5, f_lg)

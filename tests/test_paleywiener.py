@@ -27,6 +27,17 @@ def test_band_limit_validation(f_lg, op):
             pw_project(omega, f_lg, op=op)
 
 
+@pytest.mark.parametrize("bands", [[2.0, 0.0, 3.0], [2.0, -1.0, 3.0], [math.nan, 2.0, 3.0],
+                                   [2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [[2.0, 3.0, 4.0]]])
+def test_band_array_validation(grid, f_lg, f_lg_wide, op, bands):
+    stack = HalfLineFunction(grid, np.stack([f_lg.values, f_lg_wide.values, f_lg.values]))
+    with pytest.raises(ValueError, match="^omega: "):
+        pw_project(np.array(bands), stack, op=op)
+    # one function takes one band, not an array of them
+    with pytest.raises(ValueError, match="^omega: "):
+        pw_project(np.array([2.0]), f_lg, op=op)
+
+
 def test_projection_fixes_bandlimited(grid, op, f_lg):
     band = pw_project(3.0, f_lg, op=op)
     again = pw_project(3.0, band, op=op)
@@ -132,6 +143,32 @@ def test_riesz_boas_ladder_has_the_bits_of_each_truncation(grid, op, f_lg, f_lg_
             assert np.array_equal(series.values[i], series_k.values)
             assert np.array_equal(errs[i], err_k) and np.array_equal(tails[i], tail_k)
     assert type(riesz_boas(omega, one, 8, op)[1]) is float
+
+
+def _riesz_boas_direct(omega, f, k, op):
+    """One truncation of the series with its whole phase table exponentiated directly."""
+    root = np.sqrt(np.maximum(op.eigenvalues, 0.0))
+    ks = np.arange(-k + 1, k + 1, dtype=float)
+    scaled = (omega / np.pi ** 2) * ((-1.0) ** (ks - 1.0) * (1.0 / (ks - 0.5) ** 2))
+    phases = np.exp(1j * np.outer(np.pi / omega * (ks - 0.5), root))
+    c = op.coeffs(f)
+    exact = op.synth(1j * root * c)
+    series = op.synth((scaled @ phases) * c)
+    err = op.norm(series - exact) / np.maximum(op.norm(exact), 1e-300)
+    return series, err, (omega / np.pi ** 2) * 2.0 / (k - 0.5) * op.norm(f)
+
+
+@pytest.mark.parametrize("omega", [2.5, 5.0, 7.3])
+def test_riesz_boas_half_phase_table_has_the_direct_bits(grid, op, f_lg, f_lg_wide, omega):
+    ks = (1, 8, 16, 32, 64, 128)
+    stack = HalfLineFunction(grid, np.stack([pw_project(omega / 1.25, f_lg, op=op).values,
+                                             pw_project(omega, f_lg_wide, op=op).values]))
+    series, errs, tails = riesz_boas(omega, stack, np.array(ks), op)
+    for i, k in enumerate(ks):
+        direct = _riesz_boas_direct(omega, stack.values, k, op)
+        for got, ref in zip((series.values[i], errs[i], tails[i]), direct):
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(ref).view(np.uint64))
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])

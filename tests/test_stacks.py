@@ -60,8 +60,8 @@ from axbkit.paleywiener import (
     riesz_boas,
     schrodinger_modulus,
 )
-from axbkit.spectral import (apply_multiplier, build_matrix_laplacian, kernel_leakage, kl_forward,
-                             spectral_measure)
+from axbkit.spectral import (_real_matvec, apply_multiplier, build_matrix_laplacian,
+                             kernel_leakage, kl_forward, spectral_measure)
 
 
 def _bits(values):
@@ -357,6 +357,8 @@ def test_eigenbasis_paths_take_a_stack(members):
         "spectral_measure": lambda f: spectral_measure(f, op)[1],
         "apply_multiplier": lambda f: apply_multiplier(lambda lam: np.exp(-lam), f, op=op),
         "pw_project": lambda f: pw_project(2.0, f, op),
+        # one band per member, drawn from the member's own first sample
+        "pw_project_bands": lambda f: pw_project(1.0 + 4.0 * np.abs(f.values[..., 0]), f, op),
         "k_spectral": lambda f: k_spectral(op, 2, 0.5, f),
         "k_spectral_scales": lambda f: np.moveaxis(k_spectral(op, 2, [0.1, 0.5, 4.0], f), 0, -1),
         "best_approx": lambda f: best_approx(2.0, f, op),
@@ -401,6 +403,45 @@ def test_one_function_keeps_the_matrix_vector_bits(op, f_lg, f_xexp):
         for value in (k_spectral(op, 2, 0.5, f), best_approx(2.0, f, op), op.norm(f.values),
                       besov_norm_bands(f, op, 0.5, 2.0, "approx")):
             assert type(value) is float
+
+
+class _Counted(np.ndarray):
+    """A matrix that counts the products ``M @ x`` it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
+def _two_products(M, x):
+    """``M @ x`` of a complex ``x`` as the real and the imaginary part's products."""
+    return (M @ x.real) + 1j * (M @ x.imag)
+
+
+def test_a_zero_imaginary_part_takes_one_product(op, f_lg, f_xexp):
+    V, sqrt_w = op.eigenvectors, op.sqrt_w
+    one = f_xexp.values
+    stack = np.stack([f_lg.values, f_xexp.values, -f_lg.values])
+    assert not stack.imag.any()
+    for x in (one, stack):
+        # the two-product form's real bits, and a +0.0 imaginary part throughout
+        for got, ref in ((op.coeffs(x), _two_products(V.T, (sqrt_w * x).T).T),
+                         (op.synth(x), _two_products(V, x.T).T / sqrt_w),
+                         (_real_matvec(V, x.T), _two_products(V, x.T))):
+            _same_bits(got.real, ref.real)
+            assert got.dtype == complex and not got.imag.view(np.uint64).any()
+        _Counted.products = 0
+        assert np.array_equal(_real_matvec(V.view(_Counted), x.T), _two_products(V, x.T))
+        assert _Counted.products == 1
+    # one nonzero imaginary entry anywhere in the stack: both products, with their bits
+    spoiled = stack.copy()
+    spoiled[2, 7] += 1e-300j
+    _Counted.products = 0
+    _same_bits(_real_matvec(V.view(_Counted), spoiled.T).view(float),
+               _two_products(V, spoiled.T).view(float))
+    assert _Counted.products == 2
 
 
 def test_eigenbasis_paths_reject_a_wrong_shape():

@@ -226,3 +226,39 @@ def test_hardy_oracle_with_the_held_average_has_the_recomputed_bits(f_xexp, r, s
         recomputed += (-1) ** k * math.comb(r, k) * suites._dir2_tensor_quadrature(
             r, s, f_xexp, dilation=k).values
     assert held.values.tobytes() == recomputed.tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_ac6_projects_the_per_draw_pairs_as_one_stack(monkeypatch, seed):
+    # the draws of the loop that projected one (omega, samples) pair at a time, and then
+    # AC7's first draw, which must follow them in the stream
+    cfg = RunConfig(seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    draws = [(float(rng.uniform(1.0, 8.0)), rng.standard_normal(cfg.grid_n)) for _ in range(20)]
+    ac7_first = rng.standard_normal(cfg.grid_n)
+    real, asked = suites.pw.pw_project, []
+
+    def recorded(omega, f, op):
+        asked.append((np.array(omega), f.values.copy()))
+        return real(omega, f, op)
+
+    monkeypatch.setattr(suites.pw, "pw_project", recorded)
+    suites.suite_paleywiener(cfg)
+    (bands, stack), (cutoff, raw) = asked[:2]
+    assert bands.tolist() == [omega for omega, _ in draws]
+    assert np.array_equal(stack, np.stack([samples for _, samples in draws]))
+    assert cutoff == 2.0 and np.array_equal(raw, ac7_first)
+
+
+def test_suite_paleywiener_makes_38_fewer_real_matvec_calls(monkeypatch):
+    # 90 before AC6's 20 draws were projected as one stack: 20 coeffs and 20 synth
+    # matrix-vector products became one matrix product each way
+    real, calls = suites.sp._real_matvec, []
+
+    def counted(M, x):
+        calls.append(x.shape)
+        return real(M, x)
+
+    monkeypatch.setattr(suites.sp, "_real_matvec", counted)
+    suites.suite_paleywiener(RunConfig(seed=5))
+    assert len(calls) == 90 - 38 and (512, 20) in calls
