@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paleywiener as pw
-from .grids import HalfLineFunction, _worst
+from .grids import HalfLineFunction, _worst, require_integer
 from .moduli import BesovParams, _accumulate, besov_norm
 from .spectral import DiscreteOperator
 
@@ -82,22 +82,15 @@ def partition_values(J: int, lam) -> np.ndarray:
 
     ``g`` is evaluated once per scale ``2^{-j} lam``, j = 0 .. J, and band j
     is the difference of rows j and j - 1: doubling is exact, so each row has
-    the bits of ``h_cutoff(2^{-j} lam)``.  ``J`` must be an integer ``>= 0``.
+    the bits of ``h_cutoff(2^{-j} lam)``.  ``J`` is an integer ``>= 0``, or no band is left.
     """
-    _require_band_count(J)
+    require_integer("J", J, 0)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
     g = g_cutoff(np.multiply.outer(2.0 ** -np.arange(0, J + 1), lam))
     g[1:] -= g[:-1]  # numpy buffers the overlapping operands
     return g
-
-
-def _require_band_count(J) -> None:
-    """Raise unless the last band index ``J`` is an integer ``>= 0``: a negative one
-    would give no band at all, and a zero reconstruction."""
-    if not isinstance(J, (int, np.integer)) or J < 0:
-        raise ValueError(f"J must be an integer >= 0, got {J!r}")
 
 
 def _require_convention(convention: str) -> None:
@@ -200,6 +193,7 @@ def build_band_frame(op: DiscreteOperator, j: int, redundant: bool = False) -> B
     """Frame for the Paley-Wiener space of tau-bin j from the discrete eigenvectors,
     tight by default; ``redundant`` duplicates atoms to exercise the canonical dual.
     """
+    require_integer("j", j, 0)
     lo, hi = _tau_bin(j)
     tau = np.sqrt(np.maximum(op.eigenvalues, 0.0))
     idx = np.where((tau >= lo) & (tau < hi))[0]
@@ -212,7 +206,7 @@ def band_frames(op: DiscreteOperator, J: int | None = None, redundant: bool = Fa
     """:func:`build_band_frame` for every tau-bin j = 0 .. J."""
     if J is None:
         J = full_band_count(op, "tau")
-    _require_band_count(J)
+    require_integer("J", J, 0)
     return [build_band_frame(op, j, redundant=redundant) for j in range(J + 1)]
 
 

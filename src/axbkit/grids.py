@@ -28,6 +28,9 @@ __all__ = [
     "pth_root",
     "require_finite",
     "require_exponent",
+    "require_integer",
+    "require_direction",
+    "require_side",
     "unwrap",
 ]
 
@@ -143,6 +146,27 @@ def require_exponent(p: float) -> None:
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
+
+
+def require_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise a ``ValueError`` naming the parameter unless ``value`` is an ``int`` or numpy
+    integer, not a ``bool``, from ``lo`` up to ``hi`` (no upper bound when ``None``)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and lo <= value and (hi is None or value <= hi)):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}" if hi is None else
+                         f"{name} must be in [{lo}, {hi}] and an integer, got {value!r}")
+
+
+def require_direction(j) -> None:
+    """Raise a ``ValueError`` unless the direction ``j`` is 1 (dilations) or 2 (translations)."""
+    if j not in (1, 2):
+        raise ValueError(f"direction must be 1 or 2, got {j!r}")
+
+
+def require_side(side) -> None:
+    """Raise a ``ValueError`` unless ``side`` names a regular representation."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _worst(values, reduce=np.max) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import require_finite
+from .grids import require_finite, require_side
 
 __all__ = [
     "GroupElement",
@@ -130,11 +130,8 @@ def haar_weight(g: GroupElement, side: str = "left") -> float:
     the left-invariant measure and, the group not being unimodular, ``a^-1``
     for the right-invariant one.
     """
-    if side == "left":
-        return g.a ** -2
-    if side == "right":
-        return g.a ** -1
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    require_side(side)
+    return g.a ** -2 if side == "left" else g.a ** -1
 
 
 def bracket(v: LieVector, w: LieVector) -> LieVector:

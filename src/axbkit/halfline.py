@@ -29,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
-                    pth_root, require_exponent, require_finite, shift_zero_fill, unwrap)
+                    pth_root, require_direction, require_exponent, require_finite,
+                    require_integer, shift_zero_fill, unwrap)
 from .group import GroupElement
 from .moduli import _members, _top_words, apply_word, halfline_space, sobolev_space_norm
 
@@ -161,7 +162,7 @@ def generator(j: int, f, grid: LogGrid | None = None):
         return wrap(fd6(values, g.h, axis=values.ndim - 1))
     if j == 2:
         return wrap(1j * g.x * values)
-    raise ValueError(f"direction must be 1 or 2, got {j}")
+    require_direction(j)  # raises: j is neither 1 nor 2
 
 
 def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
@@ -175,23 +176,16 @@ def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
     return f.with_values(apply_word(halfline_space(f.grid), word, f))
 
 
-def _check_order(m: int) -> None:
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if m > MAX_SOBOLEV_ORDER:
-        raise ValueError(f"order {m} exceeds configured stencil order {MAX_SOBOLEV_ORDER}")
-
-
 def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
-    """Order-m Sobolev norm: ``||f|| + sum over orders k<=m and words of ||D_word f||``."""
-    _check_order(m)
+    """Order-m Sobolev norm ``||f|| + sum_{|w| <= m} ||D_w f||``, ``0 <= m <= MAX_SOBOLEV_ORDER``."""
+    require_integer("m", m, 0, MAX_SOBOLEV_ORDER)
     return sobolev_space_norm(halfline_space(f.grid, p), f, m)
 
 
 def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float | np.ndarray:
     """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``,
-    per member of a stack."""
-    _check_order(m)
+    per member of a stack; ``m`` as in :func:`sobolev_norm`."""
+    require_integer("m", m, 0, MAX_SOBOLEV_ORDER)
     space = halfline_space(f.grid, p)
     top = sum(space.norm(_top_words(space, f.values, m))) if m > 0 else 0.0
     return _members(space.norm(f.values) + top)

@@ -15,7 +15,8 @@ Actions:
 Direct expansion gives ``[D1, D2] = -D2`` on the left and
 ``[D1, D2] = +D2`` on the right; both are computed and reported by the
 tests together with the (sign-ambiguous) alternative, and only the
-symbolically forced identity is asserted.
+symbolically forced identity is asserted.  Every side and direction is
+checked by the rules of :mod:`axbkit.grids`, a space's side when it is built.
 
 Laplacians are ``D1* D1 + D2* D2`` built from the skew-symmetrized
 discrete generators, so they are symmetric and nonnegative.  They are kept
@@ -39,8 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_exponent,
-                    require_finite, shift_zero_fill, trapezoid_weights, unwrap)
+from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_direction,
+                    require_exponent, require_finite, require_side, shift_zero_fill,
+                    trapezoid_weights, unwrap)
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -99,8 +101,7 @@ class HalfPlaneGrid:
         operators use it so that constants along an axis stay exactly in
         the kernel of that axis derivative.
         """
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        require_side(side)
         if rule == "trapezoid":
             wu = trapezoid_weights(self.xgrid.n, self.xgrid.h)
             wy = trapezoid_weights(self.n_y, self.h_y)
@@ -240,8 +241,7 @@ def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
     ``f`` is a container, or bare values on ``grid`` (then the result is an
     unvalidated ndarray).
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    require_side(side)
     values, hgrid, wrap = unwrap(f, grid)
     vals = _resample(values, hgrid.xgrid.u, 1.0, math.log(g.a), -2, hgrid.xgrid.h)
     if side == "left":
@@ -267,19 +267,13 @@ def generator_2d(j: int, f, side: str, grid: HalfPlaneGrid | None = None):
     a container, or bare values on ``grid``.
     """
     v, g, wrap = unwrap(f, grid)
-    if side == "left":
-        if j == 1:
-            return wrap(_du(v, g) + g.y[None, :] * _dy(v, g))
-        if j == 2:
-            return wrap(_dy(v, g))
-    elif side == "right":
-        if j == 1:
-            return wrap(_du(v, g))
-        if j == 2:
-            return wrap(g.xgrid.x[:, None] * _dy(v, g))
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    raise ValueError("direction must be 1 or 2")
+    require_side(side)
+    left = side == "left"
+    if j == 1:
+        return wrap(_du(v, g) + g.y[None, :] * _dy(v, g) if left else _du(v, g))
+    if j == 2:
+        return wrap(_dy(v, g) if left else g.xgrid.x[:, None] * _dy(v, g))
+    require_direction(j)  # raises: j is neither 1 nor 2
 
 
 def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> RepresentationSpace:
@@ -289,12 +283,14 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
     A dilation ``act(1, t, v)`` with ``|t|`` beyond the u-window length moves
     every sample out of the window and gives zeros.  The Hardy-Steklov
     operator has no closed form here and is evaluated by Gauss panels
-    against the explicit box-spline time density.  An exponent ``p`` that is
-    not finite or is below 1 is refused here, when the space is built.
+    against the explicit box-spline time density.  A bad ``side``, or an exponent ``p``
+    that is not finite or is below 1, is refused here, when the space is built.
     """
+    require_side(side)
     require_exponent(p)
 
     def act(j, t, v):
+        require_direction(j)
         require_finite("t", t)
         if j == 1 and abs(t) > grid.xgrid.u_max - grid.xgrid.u_min:
             # every target leaves the u-window; exp(t) itself may overflow
@@ -417,6 +413,7 @@ def expanded_laplacian_apply(f: HalfPlaneFunction, side: str) -> HalfPlaneFuncti
     ``-d_uu - 2 y d_uy - y d_y - (1 + y^2) d_yy`` and the right one
     ``-d_uu - x^2 d_yy``.
     """
+    require_side(side)
     g = f.grid
     duu = fd6(f.values, g.xgrid.h, 2, axis=0)
     dyy = fd6(f.values, g.h_y, 2, axis=1)

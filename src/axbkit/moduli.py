@@ -70,6 +70,8 @@ The public functions of this module take a validated container
 are checked once, at entry: they must be finite and end in the space's grid
 shape (a ``(n, 1)`` array on an n-point grid is rejected, not broadcast).
 Past that boundary only arrays flow, and no container is built.
+Every order (``r >= 1``, the Sobolev ``m >= 0``, ``k``, ``k1``, ``k2``) is an integer and
+every direction of ``act`` and ``gen`` 1 or 2, by the rules of :mod:`axbkit.grids`.
 
 :func:`modulus_mixed`, :func:`k_upper_detail`, :func:`k_upper`,
 :func:`k_lower`, :func:`sobolev_space_norm` and the Besov norms
@@ -121,7 +123,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _checked_samples, _worst, pth_root,
-                    require_exponent)
+                    require_direction, require_exponent, require_integer)
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -195,7 +197,7 @@ class BesovParams:
     r: int
 
     def __post_init__(self):
-        _require_order(self.r)
+        require_integer("r", self.r, 1)
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not (self.q >= 1):
@@ -216,7 +218,11 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
         return xp_norm(v, p, grid=grid)
 
     def act(j, t, v):
-        return shift_log(v, t, grid=grid) if j == 1 else act_modulation(t, v, grid=grid)
+        if j == 1:
+            return shift_log(v, t, grid=grid)
+        if j == 2:
+            return act_modulation(t, v, grid=grid)
+        require_direction(j)  # raises: j is neither 1 nor 2
 
     # the declarations the supremum search reads (see the module docstring)
     norm.lp = (grid.weights, p)
@@ -260,12 +266,6 @@ def _by_scale(scales: np.ndarray, lead: tuple, at) -> float | np.ndarray:
     if scales.ndim == 0:
         return at(float(scales))
     return np.array([at(s) for s in scales.tolist()]).reshape(scales.shape + lead)
-
-
-def _require_order(r) -> None:
-    """Raise unless the modulus order ``r`` is an integer >= 1."""
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, got {r!r}")
 
 
 def _finite(value, what: str):
@@ -327,6 +327,7 @@ def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndar
     The norms are added one word at a time, order by order, each order in
     the ``product((1, 2), repeat=k)`` order of :func:`_word_stacks`.
     """
+    require_integer("m", m, 0)
     return _sobolev_sum(space, _values(f, space.shape), m)
 
 
@@ -459,7 +460,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s, f) -> float | np.ndarra
     (one value per member); it is checked once at entry, and a non-finite
     result raises.
     """
-    _require_order(r)
+    require_integer("r", r, 1)
     f = _values(f, space.shape)
     lead = f.shape[:f.ndim - len(space.shape)]
     return _by_scale(_ladder(s), lead, lambda si: _modulus(space, r, si, f, lead))
@@ -498,7 +499,7 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
     smaller of the witness and the cap, NaN when either is NaN, so a
     non-finite cap raises as a non-finite witness does.
     """
-    _require_order(r)
+    require_integer("r", r, 1)
     f = _values(f, space.shape)
     scale = _ladder(s, positive=True)
     if scale.ndim:
@@ -520,7 +521,7 @@ def k_upper(space: RepresentationSpace, r: int, s, f) -> float | np.ndarray:
     """Upper K-functional surrogate from ``f = (f - H_r(s) f) + H_r(s) f``, capped by the
     trivial splitting at ``||f||``; per member, or ``(scale, member...)`` for a ladder ``s > 0``.
     """
-    _require_order(r)
+    require_integer("r", r, 1)
     f = _values(f, space.shape)
     cap = space.norm(f)
     return _by_scale(_ladder(s, positive=True), f.shape[:f.ndim - len(space.shape)],
@@ -557,8 +558,8 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     * C1: ``Omega^r(a s, f) <= C1 Omega^r(s, f)`` for a = 2 (compare (1+a)^r)
     * C2: ``s^k Omega^r(s, f) <= C2 (s^{r+k} ||f|| + Omega^{r+k}(s, f))``
     """
-    if not 1 <= k <= r:
-        raise ValueError("need 1 <= k <= r")
+    require_integer("r", r, 1)
+    require_integer("k", k, 1, r)
     f = _values(f, space.shape, one=True)
     scales = _ladder(s_list)
     nf = space.norm(f)
@@ -714,8 +715,7 @@ def zygmund_norm(space, f, k: int, q: float) -> float | np.ndarray:
     "modulus")``: the same ``||f||`` plus the same weighted ``Omega^2`` profile.
     One norm per member of a stack.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
+    require_integer("k", k, 1)
     f = _values(f, space.shape)
     total = _sobolev_sum(space, f, k - 1)
     for integral in _word_profiles(space, f, k - 1, 2, 1.0, q):  # the empty word when k = 1
@@ -733,6 +733,9 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
     ``||f||_{E^k} <= C ||f||^{1-k/r} ||f||_{E^r}^{k/r}`` at ``k = k2 - k1``.
     ``f`` must be one function.
     """
+    require_integer("r", r, 1)
+    require_integer("k1", k1, 0, r)
+    require_integer("k2", k2, 0, r)
     if not (0 <= k1 < alpha < k2 <= r):
         raise ValueError("need 0 <= k1 < alpha < k2 <= r")
     f = _values(f, space.shape, one=True)

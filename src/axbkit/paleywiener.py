@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import HalfLineFunction
-from .moduli import _by_scale, _ladder, _members, _require_order, modulus_mixed
+from .grids import HalfLineFunction, require_integer
+from .moduli import _by_scale, _ladder, _members, modulus_mixed
 from .spectral import DiscreteOperator, apply_multiplier
 
 __all__ = [
@@ -117,7 +117,7 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc, op: DiscreteOperator)
     _require_band(omega)
     truncs = np.asarray(k_trunc)
     if truncs.dtype.kind not in "iu" or truncs.ndim > 1 or truncs.size == 0 or np.any(truncs < 1):
-        raise ValueError("k_trunc: must be an integer >= 1 or a 1-D ladder of them, "
+        raise ValueError("k_trunc: must be one integer >= 1 or a 1-D ladder of them, "
                          f"got {k_trunc!r}")
     root = np.sqrt(np.maximum(op.eigenvalues, 0.0))
     top = int(truncs.max())
@@ -153,7 +153,7 @@ def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOpera
     over 64 uniform tau steps including the endpoint (a lower bound).  The order ``r``
     is an integer >= 1 and ``t`` finite and nonnegative.
     """
-    _require_order(r)
+    require_integer("r", r, 1)
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"t: must be finite and nonnegative, got {t!r}")
     lam, w = op.eigenvalues, op.spectral_weights(f)

@@ -32,13 +32,15 @@ The factors of ``H_{j,r}(s)`` depend only on ``(j, r, s, grid)``:
 :func:`hardy_steklov_dir` keeps them, read-only, in a table of at most 256
 arrays, each one grid long (direction 2) or one padded frequency axis long
 (direction 1).  A whole report at the default grids fills 132 of them,
-about 1 MB; :func:`axbkit.spectral.clear_caches` empties the table.  ``s``
-and ``r * s`` must be finite, which :class:`SteklovParams` checks, and the
-kernel's reach ``r s / h`` in grid steps of the log grid must be at most
-``MAX_REACH_STEPS``, which :func:`hardy_steklov_dir` checks before the table
-is read: a larger ``s`` would pad direction 1 by as many nodes and turns
-direction 2's factors to NaN near ``s = 1e308``.  The suites reach at most
-about 1,800 steps (``s = 16`` at ``r = 4`` on the 512-node default grid).
+about 1 MB; :func:`axbkit.spectral.clear_caches` empties the table.  The
+order ``r`` is an integer in ``[1, MAX_ORDER]`` and ``j`` is 1 or 2, by the rules
+of :mod:`axbkit.grids`; ``s`` and ``r * s`` must be finite, which
+:class:`SteklovParams` checks, and the kernel's reach ``r s / h`` in grid
+steps of the log grid must be at most ``MAX_REACH_STEPS``, which
+:func:`hardy_steklov_dir` checks before the table is read: a larger ``s``
+would pad direction 1 by as many nodes and turns direction 2's factors to
+NaN near ``s = 1e308``.  The suites reach at most about 1,800 steps (``s =
+16`` at ``r = 4`` on the 512-node default grid).
 
 A quadrature fallback against the explicit Irwin-Hall density is provided
 for representation spaces without closed forms (the half-plane models) and
@@ -64,10 +66,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grids import (HalfLineFunction, LogGrid, _frequencies, fourier_multiplier, require_finite,
-                    unwrap)
+from .grids import (HalfLineFunction, LogGrid, _frequencies, fourier_multiplier,
+                    require_direction, require_finite, require_integer, unwrap)
 from .halfline import act_modulation, shift_log, xp_norm
-from .moduli import halfline_space
 
 __all__ = [
     "SteklovParams",
@@ -96,16 +97,10 @@ _N_GL = 12
 _FACTOR_TABLE_SIZE = 256
 
 
-def _require_order(r: int) -> None:
-    """Raise unless the order ``r`` is in ``[1, MAX_ORDER]``."""
-    if not 1 <= r <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
-
-
 def _require_order_scale(r: int, s: float) -> None:
     """The rule every averaging operator's order and scale keep, closed form or
-    quadrature: ``r`` in ``[1, MAX_ORDER]``, ``s > 0``, and ``s`` and ``r * s`` finite."""
-    _require_order(r)
+    quadrature: ``r`` an integer in ``[1, MAX_ORDER]``, ``s > 0``, ``s`` and ``r * s`` finite."""
+    require_integer("order", r, 1, MAX_ORDER)
     if not s > 0:
         raise ValueError("scale must be positive")
     require_finite("s", s)
@@ -122,8 +117,7 @@ class SteklovParams:
 
     def __post_init__(self):
         _require_order_scale(self.r, self.s)
-        if self.j not in (1, 2):
-            raise ValueError("direction must be 1 or 2")
+        require_direction(self.j)
 
 
 def box_profile(z: np.ndarray) -> np.ndarray:
@@ -196,11 +190,11 @@ def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFun
     """Alternating combination ``M f = sum_{k=1}^r (-1)^k C(r,k) T_j(k t) f`` at
     ``t = t_sum``, so that ``f + M f = (I - T_j(t))^r f``; at ``t = 0`` it is ``-f``.
     """
-    _require_order(r)
-    if j not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    act = halfline_space(f.grid).act
-    return f.with_values(_alternating(r, lambda k: act(j, k * t_sum, f.values)))
+    require_integer("order", r, 1, MAX_ORDER)
+    require_direction(j)
+    v, g = f.values, f.grid
+    return f.with_values(_alternating(r, lambda k: shift_log(v, k * t_sum, grid=g) if j == 1
+                                      else act_modulation(k * t_sum, v, grid=g)))
 
 
 @lru_cache(maxsize=_FACTOR_TABLE_SIZE)
@@ -300,7 +294,8 @@ def irwin_hall_nodes(r: int, s: float):
 
 
 def steklov_avg_generic(act, j: int, r: int, s: float, f):
-    """``P_{j,r}(s)`` through an action callback ``act(j, t, f)``."""
+    """``P_{j,r}(s)`` through an action callback ``act(j, t, f)``, for ``j`` 1 or 2."""
+    require_direction(j)
     t, w = irwin_hall_nodes(r, s)
     return sum(wi * act(j, ti, f) for ti, wi in zip(t, w))
 

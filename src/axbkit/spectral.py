@@ -122,16 +122,16 @@ def macdonald_kernel(tau, x, per_tau: bool = False):
     that is ``u = ln x > -13.7``.  Below that the truncated tail is no longer
     negligible: at ``x = 3e-8`` the relative error is 0.2 to 1.5.
 
-    Accepts scalars or arrays; with array-valued ``tau`` and ``x`` the
-    result has shape ``(len(tau), len(x))``.  The decay ``exp(-x cosh t)`` is
+    Accepts scalars or arrays: the result has shape ``np.shape(tau) + np.shape(x)``,
+    and is a float when that shape is ``()``.  The decay ``exp(-x cosh t)`` is
     tabled for a block of ``x`` nodes at a time, so no ``(len(x), 720)`` table is
     held; on one BLAS thread each entry has the bits of one product over all of ``x``.
     The decay table is shared by every ``tau``; with ``per_tau`` each ``tau`` takes its
     own product per block, so row i has the bits of ``macdonald_kernel(tau[i], x)``
     (one product over all ``tau`` rounds its rows differently).
     """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    tau_arr = np.asarray(tau, dtype=float).ravel()
+    x_arr = np.asarray(x, dtype=float).ravel()
     if np.any(x_arr <= 0):
         raise ValueError("x must be positive")
     t = np.linspace(0.0, _KERNEL_T_MAX, _KERNEL_N_T)
@@ -150,13 +150,8 @@ def macdonald_kernel(tau, x, per_tau: bool = False):
             np.exp(block, out=block)
             for row in rows:
                 table[row, a:b] = cos_wt[row] @ block.T
-    if np.isscalar(tau) and np.isscalar(x):
-        return float(table[0, 0])
-    if np.isscalar(tau):
-        return table[0]
-    if np.isscalar(x):
-        return table[:, 0]
-    return table
+    shape = np.shape(tau) + np.shape(x)
+    return table.reshape(shape) if shape else float(table[0, 0])
 
 
 def kernel_table(grid: LogGrid, sgrid: SpectralGrid) -> np.ndarray:

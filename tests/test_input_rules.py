@@ -1,0 +1,167 @@
+"""The three input rules of :mod:`axbkit.grids` at every entry point that takes an
+order, a direction or a side, and the guard that each rule has one copy."""
+
+import pathlib
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import axbkit
+from axbkit import frames, group, halfline, halfplane, moduli, paleywiener, smoothing
+from axbkit.grids import HalfLineFunction, LogGrid, require_direction, require_integer, require_side
+from axbkit.spectral import build_matrix_laplacian
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    grid = LogGrid(-12.0, 6.0, 64)
+    f = HalfLineFunction(grid, np.exp(-((grid.u + 3.0) ** 2) / 2.0))
+    hgrid = halfplane.HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
+    f2 = halfplane.log_gaussian_2d(hgrid)
+    return SimpleNamespace(grid=grid, f=f, space=moduli.halfline_space(grid),
+                           op=build_matrix_laplacian(grid), hgrid=hgrid, f2=f2,
+                           left=halfplane.halfplane_space(hgrid, "left"))
+
+
+#: (entry point and bad value, the parameter its error names, the call, and what the
+#: code before these rules did with it: "ValueError", "TypeError" or "value" when it
+#: returned one)
+_ROWS = [
+    # moduli: r an integer >= 1, m >= 0, k in [1, r], k1 and k2 in [0, r]
+    ("modulus_mixed r=1.5", "r", lambda c: moduli.modulus_mixed(c.space, 1.5, 0.5, c.f),
+     "ValueError"),
+    ("modulus_mixed r=True", "r", lambda c: moduli.modulus_mixed(c.space, True, 0.5, c.f), "value"),
+    ("k_upper r=0", "r", lambda c: moduli.k_upper(c.space, 0, 0.5, c.f), "ValueError"),
+    ("k_upper_detail r=True", "r", lambda c: moduli.k_upper_detail(c.space, True, 0.5, c.f),
+     "value"),
+    ("BesovParams r=True", "r", lambda c: moduli.BesovParams(0.5, 2.0, True), "value"),
+    ("sobolev_space_norm m=-1", "m", lambda c: moduli.sobolev_space_norm(c.space, c.f, -1),
+     "value"),
+    ("sobolev_space_norm m=1.5", "m", lambda c: moduli.sobolev_space_norm(c.space, c.f, 1.5),
+     "TypeError"),
+    ("verify_modulus_inequalities k=1.5", "k",
+     lambda c: moduli.verify_modulus_inequalities(c.space, 2, 1.5, c.f, [0.5]), "TypeError"),
+    ("verify_modulus_inequalities k=3>r", "k",
+     lambda c: moduli.verify_modulus_inequalities(c.space, 2, 3, c.f, [0.5]), "ValueError"),
+    ("zygmund_norm k=1.5", "k", lambda c: moduli.zygmund_norm(c.space, c.f, 1.5, 2.0),
+     "TypeError"),
+    ("zygmund_norm k=0", "k", lambda c: moduli.zygmund_norm(c.space, c.f, 0, 2.0), "ValueError"),
+    ("reiteration_check k1=0.5", "k1",
+     lambda c: moduli.reiteration_check(c.space, c.f, 0.5, 2, 2, 1.0, 2.0), "ValueError"),
+    ("reiteration_check k2=1.5", "k2",
+     lambda c: moduli.reiteration_check(c.space, c.f, 0, 1.5, 2, 1.0, 2.0), "ValueError"),
+    ("reiteration_check r=True", "r",
+     lambda c: moduli.reiteration_check(c.space, c.f, 0, 1, True, 0.5, 2.0), "value"),
+    # smoothing: the order in [1, MAX_ORDER], the direction 1 or 2
+    ("hardy_steklov r=1.5", "order", lambda c: smoothing.hardy_steklov(1.5, 0.5, c.f),
+     "TypeError"),
+    ("hardy_steklov_dir r=5", "order", lambda c: smoothing.hardy_steklov_dir(1, 5, 0.5, c.f),
+     "ValueError"),
+    ("m_operator r=1.5", "order", lambda c: smoothing.m_operator(2, 1.5, 0.3, c.f), "TypeError"),
+    ("m_operator j=3", "direction", lambda c: smoothing.m_operator(3, 2, 0.3, c.f), "ValueError"),
+    ("irwin_hall_nodes r=1.5", "order", lambda c: smoothing.irwin_hall_nodes(1.5, 0.5),
+     "TypeError"),
+    ("SteklovParams r=2.0", "order", lambda c: smoothing.SteklovParams(2.0, 0.5, 1), "value"),
+    ("SteklovParams r=True", "order", lambda c: smoothing.SteklovParams(True, 0.5, 1), "value"),
+    ("SteklovParams j=0", "direction", lambda c: smoothing.SteklovParams(2, 0.5, 0),
+     "ValueError"),
+    ("SteklovParams j=3", "direction", lambda c: smoothing.SteklovParams(2, 0.5, 3),
+     "ValueError"),
+    ("steklov_avg_generic j=0", "direction",
+     lambda c: smoothing.steklov_avg_generic(c.space.act, 0, 2, 0.5, c.f.values), "value"),
+    ("steklov_avg_generic j=3", "direction",
+     lambda c: smoothing.steklov_avg_generic(c.space.act, 3, 2, 0.5, c.f.values), "value"),
+    ("hardy_steklov_generic r=1.5", "order",
+     lambda c: smoothing.hardy_steklov_generic(c.space.act, 1.5, 0.5, c.f.values), "TypeError"),
+    # halfline: the Sobolev order in [0, MAX_SOBOLEV_ORDER], the direction 1 or 2
+    ("sobolev_norm m=1.5", "m", lambda c: halfline.sobolev_norm(c.f, 1.5), "TypeError"),
+    ("sobolev_norm m=5", "m", lambda c: halfline.sobolev_norm(c.f, 5), "ValueError"),
+    ("sobolev_norm_top m=1.5", "m", lambda c: halfline.sobolev_norm_top(c.f, 1.5), "TypeError"),
+    ("sobolev_norm_top m=-1", "m", lambda c: halfline.sobolev_norm_top(c.f, -1), "ValueError"),
+    ("halfline generator j=3", "direction", lambda c: halfline.generator(3, c.f), "ValueError"),
+    ("halfline_space act j=0", "direction", lambda c: c.space.act(0, 0.3, c.f.values), "value"),
+    ("halfline_space act j=3", "direction", lambda c: c.space.act(3, 0.3, c.f.values), "value"),
+    # halfplane: the side 'left' or 'right', the direction 1 or 2
+    ("halfplane_space side='up'", "side", lambda c: halfplane.halfplane_space(c.hgrid, "up"),
+     "value"),
+    ("halfplane_space act j=0", "direction", lambda c: c.left.act(0, 0.3, c.f2.values), "value"),
+    ("halfplane_space act j=3", "direction", lambda c: c.left.act(3, 0.3, c.f2.values), "value"),
+    ("generator_2d j=3", "direction", lambda c: halfplane.generator_2d(3, c.f2, "left"),
+     "ValueError"),
+    ("generator_2d side='up'", "side", lambda c: halfplane.generator_2d(1, c.f2, "up"),
+     "ValueError"),
+    ("act_2d side='up'", "side",
+     lambda c: halfplane.act_2d(group.GroupElement(1.0, 0.3), c.f2, "up"), "ValueError"),
+    ("lp_norm_2d side='up'", "side", lambda c: halfplane.lp_norm_2d(c.f2, 2.0, "up"),
+     "ValueError"),
+    ("build_halfplane_laplacian side='up'", "side",
+     lambda c: halfplane.build_halfplane_laplacian(c.hgrid, "up"), "ValueError"),
+    ("expanded_laplacian_apply side='up'", "side",
+     lambda c: halfplane.expanded_laplacian_apply(c.f2, "up"), "value"),
+    # group
+    ("haar_weight side='up'", "side",
+     lambda c: group.haar_weight(group.GroupElement(2.0, 1.0), "up"), "ValueError"),
+    # paleywiener: the modulus order an integer >= 1
+    ("schrodinger_modulus r=True", "r",
+     lambda c: paleywiener.schrodinger_modulus(True, 0.5, c.f, c.op), "value"),
+    ("jackson_check r=1.5", "r",
+     lambda c: paleywiener.jackson_check([1.0, 2.0], 1.5, c.f, c.op, c.space), "ValueError"),
+    # frames: band indices are integers >= 0
+    ("partition_values J=1.5", "J", lambda c: frames.partition_values(1.5, [0.5]), "ValueError"),
+    ("band_frames J=True", "J", lambda c: frames.band_frames(c.op, True), "value"),
+    ("build_band_frame j=-1", "j", lambda c: frames.build_band_frame(c.op, -1), "value"),
+]
+
+
+@pytest.mark.parametrize("name, call, was", [row[1:] for row in _ROWS],
+                         ids=[row[0] for row in _ROWS])
+def test_every_entry_point_refuses_a_bad_order_direction_or_side(ctx, name, call, was):
+    # ``was`` records what each entry point did with the value before the rules, so a row
+    # that raised a TypeError or returned a value is one this change mends
+    assert was in ("ValueError", "TypeError", "value")
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call(ctx)
+
+
+@pytest.mark.parametrize("value, lo, hi", [
+    (0, 1, None), (1.0, 1, None), (True, 0, None), (False, 0, None), (np.float64(2.0), 1, None),
+    ("2", 1, None), (None, 0, None), (5, 1, 4), (np.int64(0), 1, 4),
+])
+def test_require_integer_refuses(value, lo, hi):
+    text = (f"n must be an integer >= {lo}, got {value!r}" if hi is None
+            else f"n must be in [{lo}, {hi}] and an integer, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        require_integer("n", value, lo, hi)
+
+
+@pytest.mark.parametrize("value, lo, hi", [(1, 1, None), (np.int64(7), 0, None), (4, 1, 4),
+                                           (np.uint8(0), 0, 4)])
+def test_require_integer_accepts(value, lo, hi):
+    require_integer("n", value, lo, hi)
+
+
+def test_require_direction_and_side():
+    for j in (1, 2):
+        require_direction(j)
+    for side in ("left", "right"):
+        require_side(side)
+    for j in (0, 3, -1, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"direction must be 1 or 2, got {j!r}")):
+            require_direction(j)
+    for side in ("up", "Left", "", None):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"side must be 'left' or 'right', got {side!r}")):
+            require_side(side)
+
+
+#: the text of each rule's error, which only :mod:`axbkit.grids` may hold
+_RULE_TEXTS = ("must be an integer", "direction must be 1 or 2", "side must be 'left' or 'right'")
+
+
+def test_each_input_rule_has_one_copy():
+    src = pathlib.Path(axbkit.__file__).parent
+    holders = {text: sorted(path.name for path in src.glob("*.py") if text in path.read_text())
+               for text in _RULE_TEXTS}
+    assert holders == {text: ["grids.py"] for text in _RULE_TEXTS}

@@ -492,6 +492,22 @@ def test_blocked_macdonald_kernel_has_the_one_shot_bits(n):
         assert _same_bits(macdonald_kernel(*args), _macdonald_one_shot(*args))
 
 
+@pytest.mark.parametrize("tau", [1.5, np.array(1.5), np.array([0.5, 1.5])],
+                         ids=["tau-float", "tau-0d", "tau-1d"])
+@pytest.mark.parametrize("x", [0.7, np.array(0.7), np.array([0.3, 0.7, 2.0])],
+                         ids=["x-float", "x-0d", "x-1d"])
+def test_macdonald_kernel_has_the_shape_of_tau_then_x(tau, x):
+    # a 0-d array once gave a (1, 1) table or a (1,) row where a Python float gave a float
+    got = macdonald_kernel(tau, x)
+    shape = np.shape(tau) + np.shape(x)
+    if shape:
+        assert isinstance(got, np.ndarray) and got.shape == shape
+    else:
+        assert type(got) is float
+    ref = _macdonald_one_shot(np.atleast_1d(tau), np.atleast_1d(x))
+    assert _same_bits(np.ravel(got), ref.ravel())
+
+
 def test_per_tau_rows_share_one_decay_table_with_the_bits_of_each_tau():
     # the eigenrelation check's four kernels on its oracle grid; one product over the four
     # rows would move the tau = 5 row by about 2e-13 relative
