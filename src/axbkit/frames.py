@@ -32,7 +32,7 @@ import numpy as np
 
 from . import paleywiener as pw
 from .grids import HalfLineFunction, _worst, require_integer
-from .moduli import BesovParams, _accumulate, besov_norm
+from .moduli import BesovParams, _accumulate, _require_besov_index, besov_norm
 from .spectral import DiscreteOperator
 
 __all__ = [
@@ -249,10 +249,8 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
     if np.ndim(q) != np.ndim(alpha) or len(qs) != len(alphas):
         raise ValueError("alpha and q must be two numbers or two sequences of one length, "
                          f"got lengths {len(alphas)} and {len(qs)}")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alpha must be positive")
-    if any(b < 1 for b in qs):
-        raise ValueError("q must be >= 1")
+    for a, b in zip(alphas, qs):
+        _require_besov_index(a, b)
     if variant not in ("approx", "projections", "frames"):
         raise ValueError(f"unknown variant {variant!r}")
     if not alphas:
@@ -274,6 +272,16 @@ def besov_norm_bands(f: HalfLineFunction, op: DiscreteOperator, alpha, q,
     return norms[0] if single else norms
 
 
+def _dyadic_errors(f: HalfLineFunction, op: DiscreteOperator):
+    """The dyadic tau scales ``1, 2, ..., 2^J`` and the best-approximation errors at them."""
+    scales = 2.0 ** np.arange(0, full_band_count(op, "tau") + 1, dtype=float)
+    return scales, pw.best_approx(scales, f, op)
+
+
+def _approx_norm(scales, errors, alpha: float, q: float) -> float:
+    return _accumulate([t ** alpha * err for t, err in zip(scales, errors)], q)
+
+
 def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q: float) -> float:
     """Approximation-space quasi-norm from best approximations at the dyadic scales,
     the approximating family being the union of the Paley-Wiener spaces.
@@ -281,10 +289,8 @@ def approx_space_norm(f: HalfLineFunction, op: DiscreteOperator, alpha: float, q
     Its quasi-norm is ``inf { omega : f in PW_omega }``, so the distance at
     budget t is exactly ``best_approx(t, f)``.
     """
-    J = full_band_count(op, "tau")
-    scales = 2.0 ** np.arange(0, J + 1, dtype=float)
-    errors = pw.best_approx(scales, f, op)
-    return _accumulate([t ** alpha * err for t, err in zip(scales, errors)], q)
+    _require_besov_index(alpha, q)
+    return _approx_norm(*_dyadic_errors(f, op), alpha, q)
 
 
 def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, space) -> dict:
@@ -302,15 +308,13 @@ def direct_inverse_check(f: HalfLineFunction, op: DiscreteOperator, r: int, spac
     total = float(np.sum(w))
     bern = float(np.sqrt(np.sum(lam ** r * w)))
     graph = op.norm(f) + bern
-    J = full_band_count(op, "tau")
-    scales = 2.0 ** np.arange(0, J + 1, dtype=float)
-    errors = pw.best_approx(scales, f, op)
+    scales, errors = _dyadic_errors(f, op)
     jackson_hat = _worst([t ** r * err / graph for t, err in zip(scales, errors)])
     significant = w > 1e-24 * max(total, 1e-300)
     omega_f = float(np.sqrt(np.max(lam[significant]))) if np.any(significant) else 0.0
     bern_margin = bern / max(omega_f ** r * math.sqrt(total), 1e-300)
     interp = besov_norm(space, f, BesovParams(r / 2.0, 2.0, r), method="k")
-    approx = approx_space_norm(f, op, r / 2.0, 2.0)
+    approx = _approx_norm(scales, errors, r / 2.0, 2.0)  # the ladder held above
     return {
         "jackson_hypothesis_hat": jackson_hat,
         "bernstein_margin": bern_margin,

@@ -5,7 +5,7 @@ left-invariant measure is ``x^{-2} dx dy`` and the right-invariant one is
 ``x^{-1} dx dy``.  In the log variable ``u = ln x`` these are ``e^{-u} du dy``
 and ``du dy``.
 
-Actions:
+Actions, each at most one u pass and one y pass, by :func:`act_2d` or a space's ``act``:
 
 * left:  ``U^L(a, b) f(x, y) = f(a x, a y + b)``, generators
   ``D1 = x dx + y dy`` and ``D2 = dy``;
@@ -232,23 +232,24 @@ def _resample(values: np.ndarray, nodes: np.ndarray, scale: float, offset, axis:
     return np.moveaxis(out, 0, axis)
 
 
-def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
-    """The left-regular ``f(ax, ay + b)`` and right-regular ``f(xa, xb + y)``
-    representations; isometries of their weighted norms.
-
-    A log-x pass, then at most one y pass (``a y + b`` on the left, ``y + b x``
-    per row on the right), each over the whole stack by :func:`_resample`.
-    ``f`` is a container, or bare values on ``grid`` (then the result is an
-    unvalidated ndarray).
-    """
-    require_side(side)
-    values, hgrid, wrap = unwrap(f, grid)
-    vals = _resample(values, hgrid.xgrid.u, 1.0, math.log(g.a), -2, hgrid.xgrid.h)
+def _passes(f, grid: HalfPlaneGrid | None, side: str, du, a: float, b: float):
+    """``f`` at ``u + du`` (no u pass for ``du = None``), then at ``a y + b`` on the left or
+    ``y + b x`` per row on the right (no y pass there at ``b = 0``), each pass over the whole
+    stack by :func:`_resample`; always new, an ndarray for bare values on ``grid``."""
+    values, grid, wrap = unwrap(f, grid)
+    out = values if du is None else _resample(values, grid.xgrid.u, 1.0, du, -2, grid.xgrid.h)
     if side == "left":
-        vals = _resample(vals, hgrid.y, g.a, g.b, -1, hgrid.h_y)
-    elif g.b != 0.0:
-        vals = _resample(vals, hgrid.y, 1.0, g.b * hgrid.xgrid.x, -1, hgrid.h_y)
-    return wrap(vals)
+        out = _resample(out, grid.y, a, b, -1, grid.h_y)
+    elif b != 0.0:
+        out = _resample(out, grid.y, 1.0, b * grid.xgrid.x, -1, grid.h_y)
+    return wrap(out.copy() if out is values else out)
+
+
+def act_2d(g: GroupElement, f, side: str, grid: HalfPlaneGrid | None = None):
+    """The left-regular ``f(ax, ay + b)`` and right-regular ``f(xa, xb + y)`` representations,
+    isometries of their weighted norms: :func:`_passes` by ``(log a, a, b)``."""
+    require_side(side)
+    return _passes(f, grid, side, math.log(g.a), g.a, g.b)
 
 
 def _du(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
@@ -279,12 +280,12 @@ def generator_2d(j: int, f, side: str, grid: HalfPlaneGrid | None = None):
 def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> RepresentationSpace:
     """Representation interface for one of the regular representations.
 
-    Its callables act on bare value arrays of shape ``(..., n_x, n_y)``.
-    A dilation ``act(1, t, v)`` with ``|t|`` beyond the u-window length moves
-    every sample out of the window and gives zeros.  The Hardy-Steklov
-    operator has no closed form here and is evaluated by Gauss panels
-    against the explicit box-spline time density.  A bad ``side``, or an exponent ``p``
-    that is not finite or is below 1, is refused here, when the space is built.
+    Its callables act on bare value arrays of shape ``(..., n_x, n_y)``.  ``act(1, t, v)``
+    shifts u by ``t`` itself (and scales y by ``e^t`` on the left), or gives zeros when
+    ``|t|`` passes the u-window length; ``act(2, t, v)`` makes only the side's y pass.  The
+    Hardy-Steklov operator has no closed form here and is evaluated by Gauss panels against
+    the explicit box-spline time density.  A bad ``side``, or an exponent ``p`` that is not
+    finite or is below 1, is refused here, when the space is built.
     """
     require_side(side)
     require_exponent(p)
@@ -295,8 +296,7 @@ def halfplane_space(grid: HalfPlaneGrid, side: str, p: float = 2.0) -> Represent
         if j == 1 and abs(t) > grid.xgrid.u_max - grid.xgrid.u_min:
             # every target leaves the u-window; exp(t) itself may overflow
             return np.zeros_like(v)
-        g = GroupElement(math.exp(t), 0.0) if j == 1 else GroupElement(1.0, t)
-        return act_2d(g, v, side, grid=grid)
+        return _passes(v, grid, side, *((t, math.exp(t), 0.0) if j == 1 else (None, 1.0, t)))
 
     return RepresentationSpace(
         shape=(grid.xgrid.n, grid.n_y),

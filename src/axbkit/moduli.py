@@ -188,6 +188,16 @@ class RepresentationSpace:
     _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+def _require_besov_index(alpha, q) -> None:
+    """Raise a ``ValueError`` naming the index unless the smoothness ``alpha`` is positive
+    and finite and the integrability ``q`` is ``>= 1``, ``inf`` for the sup form; every
+    Besov entry point of this module and of :mod:`axbkit.frames` calls it."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1 (use math.inf for the sup form), got {q!r}")
+
+
 @dataclass(frozen=True)
 class BesovParams:
     """Smoothness ``0 < alpha < r``, integrability ``q >= 1`` and integer modulus order ``r >= 1``."""
@@ -198,10 +208,7 @@ class BesovParams:
 
     def __post_init__(self):
         require_integer("r", self.r, 1)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not (self.q >= 1):
-            raise ValueError("q must be >= 1 (use math.inf for the sup form)")
+        _require_besov_index(self.alpha, self.q)
         if not self.alpha < self.r:
             raise ValueError("need alpha < r")
 
@@ -697,6 +704,7 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float | np.ndarra
     with weight ``s^{[alpha]-alpha}``, added word by word.  One norm per
     member of a stack.
     """
+    _require_besov_index(alpha, q)
     if float(alpha).is_integer():
         raise ValueError("alpha must not be an integer; use zygmund_norm")
     k = int(math.floor(alpha))
@@ -716,6 +724,7 @@ def zygmund_norm(space, f, k: int, q: float) -> float | np.ndarray:
     One norm per member of a stack.
     """
     require_integer("k", k, 1)
+    _require_besov_index(k, q)  # the smoothness is k itself
     f = _values(f, space.shape)
     total = _sobolev_sum(space, f, k - 1)
     for integral in _word_profiles(space, f, k - 1, 2, 1.0, q):  # the empty word when k = 1

@@ -450,7 +450,7 @@ def suite_smoothing(cfg: RunConfig):
     for r in (1, 2):
         svals = [0.2 / 2 ** k for k in range(5)]
         errs = [xp_norm(f - sm.hardy_steklov(r, s, f)) for s in svals]
-        orders[r] = float(np.polyfit(np.log(svals), np.log(errs), 1)[0])
+        orders[r] = pw.decay_slope(svals, errs)
         shrinks = shrinks and errs[-1] < errs[0]
     checks.append(_check(cfg, "AC9b", _worst(list(orders.values()), np.min),
                          also=shrinks, orders=orders, shrinks=shrinks))

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
+from axbkit import halfplane
 from axbkit.grids import LogGrid, grid_steps, shift_zero_fill
 from axbkit.group import GroupElement
 from axbkit.halfplane import (
@@ -604,6 +605,54 @@ def test_halfplane_space_dilation_beyond_the_window_is_zero(side):
         for t in (1000.0, -1000.0, 1e300, -1e300):
             out = space.act(1, t, v)
             assert out.shape == full and not np.any(out)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_space_translation_makes_no_u_pass(side, monkeypatch):
+    grid = _ORACLE_GRIDS["20x16"]
+    space = halfplane_space(grid, side)
+    v = np.random.default_rng(37).standard_normal((3, grid.xgrid.n, grid.n_y)) + 0.5j
+    axes, real = [], halfplane._resample
+
+    def counting(*args):  # records the grid axis of every pass
+        axes.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(halfplane, "_resample", counting)
+    for t in (0.0, 2 * grid.h_y, 0.45, -1.3):
+        axes.clear()
+        out = space.act(2, t, v)
+        # the left side always makes its y pass; the right one makes it unless t = 0
+        assert axes == ([-1] if side == "left" or t != 0.0 else [])
+        assert np.array_equal(out, act_2d(GroupElement(1.0, t), v, side, grid=grid))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_space_dilation_shifts_u_by_t_itself(side):
+    grid = _ORACLE_GRIDS["20x16"]
+    space = halfplane_space(grid, side)
+    v = np.random.default_rng(41).standard_normal((2, grid.xgrid.n, grid.n_y)) + 0.25j
+    t = 0.37
+    assert math.log(math.exp(t)) != t
+    want = halfplane._resample(v, grid.xgrid.u, 1.0, t, -2, grid.xgrid.h)
+    if side == "left":
+        want = halfplane._resample(want, grid.y, math.exp(t), 0.0, -1, grid.h_y)
+    assert np.array_equal(space.act(1, t, v), want)
+    # at a grid multiple log(exp(t)) snaps to the same step, so act_2d has the same bits
+    t = 3 * grid.xgrid.h
+    assert np.array_equal(space.act(1, t, v),
+                          act_2d(GroupElement(math.exp(t), 0.0), v, side, grid=grid))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halfplane_space_act_at_zero_is_a_new_array(side):
+    grid = _ORACLE_GRIDS["20x16"]
+    space = halfplane_space(grid, side)
+    v = np.random.default_rng(43).standard_normal((grid.xgrid.n, grid.n_y)) + 0j
+    for j in (1, 2):
+        out = space.act(j, 0.0, v)
+        assert out is not v and not np.shares_memory(out, v)
+        assert out.flags.c_contiguous and np.array_equal(out, v)
 
 
 @pytest.mark.parametrize("s", [math.inf, math.nan])

@@ -1,6 +1,8 @@
 """The three input rules of :mod:`axbkit.grids` at every entry point that takes an
-order, a direction or a side, and the guard that each rule has one copy."""
+order, a direction or a side, the Besov-index rule of :mod:`axbkit.moduli` at every
+entry point that takes ``alpha`` or ``q``, and the guard that each rule has one copy."""
 
+import math
 import pathlib
 import re
 from types import SimpleNamespace
@@ -25,8 +27,10 @@ def ctx():
                            left=halfplane.halfplane_space(hgrid, "left"))
 
 
+NAN, INF = math.nan, math.inf
+
 #: (entry point and bad value, the parameter its error names, the call, and what the
-#: code before these rules did with it: "ValueError", "TypeError" or "value" when it
+#: code before these rules did with it: the exception it raised, or "value" when it
 #: returned one)
 _ROWS = [
     # moduli: r an integer >= 1, m >= 0, k in [1, r], k1 and k2 in [0, r]
@@ -112,6 +116,48 @@ _ROWS = [
     ("partition_values J=1.5", "J", lambda c: frames.partition_values(1.5, [0.5]), "ValueError"),
     ("band_frames J=True", "J", lambda c: frames.band_frames(c.op, True), "value"),
     ("build_band_frame j=-1", "j", lambda c: frames.build_band_frame(c.op, -1), "value"),
+    # Besov indices: alpha positive and finite, q >= 1 (inf for the sup form)
+    ("BesovParams alpha=0", "alpha", lambda c: moduli.BesovParams(0.0, 2.0, 2), "ValueError"),
+    ("BesovParams alpha=nan", "alpha", lambda c: moduli.BesovParams(NAN, 2.0, 2), "ValueError"),
+    ("BesovParams alpha=inf", "alpha", lambda c: moduli.BesovParams(INF, 2.0, 2), "ValueError"),
+    ("BesovParams q=0.5", "q", lambda c: moduli.BesovParams(0.5, 0.5, 2), "ValueError"),
+    ("BesovParams q=nan", "q", lambda c: moduli.BesovParams(0.5, NAN, 2), "ValueError"),
+    ("besov_norm_fractional alpha=-0.5", "alpha",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, -0.5, 2.0), "value"),
+    ("besov_norm_fractional alpha=nan", "alpha",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, NAN, 2.0), "ValueError"),
+    ("besov_norm_fractional alpha=inf", "alpha",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, INF, 2.0), "OverflowError"),
+    ("besov_norm_fractional q=0.5", "q",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, 0.5, 0.5), "value"),
+    ("besov_norm_fractional q=0", "q",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, 0.5, 0.0), "ZeroDivisionError"),
+    ("besov_norm_fractional q=nan", "q",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, 0.5, NAN), "ValueError"),
+    ("zygmund_norm q=0.5", "q", lambda c: moduli.zygmund_norm(c.space, c.f, 1, 0.5), "value"),
+    ("zygmund_norm q=-1", "q", lambda c: moduli.zygmund_norm(c.space, c.f, 1, -1.0), "value"),
+    ("zygmund_norm q=nan", "q", lambda c: moduli.zygmund_norm(c.space, c.f, 1, NAN),
+     "ValueError"),
+    ("besov_norm_bands alpha=nan", "alpha",
+     lambda c: frames.besov_norm_bands(c.f, c.op, NAN, 2.0), "value"),
+    ("besov_norm_bands alpha=inf", "alpha",
+     lambda c: frames.besov_norm_bands(c.f, c.op, INF, 2.0), "value"),
+    ("besov_norm_bands alpha=-1", "alpha",
+     lambda c: frames.besov_norm_bands(c.f, c.op, -1.0, 2.0), "ValueError"),
+    ("besov_norm_bands q=nan", "q", lambda c: frames.besov_norm_bands(c.f, c.op, 0.5, NAN),
+     "value"),
+    ("besov_norm_bands q=0.5", "q", lambda c: frames.besov_norm_bands(c.f, c.op, 0.5, 0.5),
+     "ValueError"),
+    ("besov_norm_bands second pair q=nan", "q",
+     lambda c: frames.besov_norm_bands(c.f, c.op, (0.5, 1.0), (2.0, NAN)), "value"),
+    ("approx_space_norm alpha=-1", "alpha",
+     lambda c: frames.approx_space_norm(c.f, c.op, -1.0, 2.0), "value"),
+    ("approx_space_norm alpha=nan", "alpha",
+     lambda c: frames.approx_space_norm(c.f, c.op, NAN, 2.0), "value"),
+    ("approx_space_norm q=0.5", "q", lambda c: frames.approx_space_norm(c.f, c.op, 0.5, 0.5),
+     "value"),
+    ("approx_space_norm q=nan", "q", lambda c: frames.approx_space_norm(c.f, c.op, 0.5, NAN),
+     "value"),
 ]
 
 
@@ -120,7 +166,7 @@ _ROWS = [
 def test_every_entry_point_refuses_a_bad_order_direction_or_side(ctx, name, call, was):
     # ``was`` records what each entry point did with the value before the rules, so a row
     # that raised a TypeError or returned a value is one this change mends
-    assert was in ("ValueError", "TypeError", "value")
+    assert was in ("ValueError", "TypeError", "OverflowError", "ZeroDivisionError", "value")
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call(ctx)
 
@@ -160,8 +206,23 @@ def test_require_direction_and_side():
 _RULE_TEXTS = ("must be an integer", "direction must be 1 or 2", "side must be 'left' or 'right'")
 
 
+#: the text of each Besov-index error, which only :mod:`axbkit.moduli` may hold
+_BESOV_TEXTS = ("alpha must be positive", "q must be >= 1")
+
+
 def test_each_input_rule_has_one_copy():
     src = pathlib.Path(axbkit.__file__).parent
     holders = {text: sorted(path.name for path in src.glob("*.py") if text in path.read_text())
-               for text in _RULE_TEXTS}
-    assert holders == {text: ["grids.py"] for text in _RULE_TEXTS}
+               for text in _RULE_TEXTS + _BESOV_TEXTS}
+    assert holders == {**{text: ["grids.py"] for text in _RULE_TEXTS},
+                       **{text: ["moduli.py"] for text in _BESOV_TEXTS}}
+
+
+def test_the_besov_index_rule_keeps_the_sup_form(ctx):
+    # q = inf is the sup form, not a bad index, at every entry point the rule guards
+    assert moduli.BesovParams(0.5, INF, 2).q == INF
+    values = [moduli.besov_norm_fractional(ctx.space, ctx.f, 0.5, INF),
+              moduli.zygmund_norm(ctx.space, ctx.f, 1, INF),
+              frames.besov_norm_bands(ctx.f, ctx.op, 0.5, INF),
+              frames.approx_space_norm(ctx.f, ctx.op, 0.5, INF)]
+    assert all(math.isfinite(v) and v > 0 for v in values)
