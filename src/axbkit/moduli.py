@@ -72,6 +72,12 @@ shape (a ``(n, 1)`` array on an n-point grid is rejected, not broadcast).
 Past that boundary only arrays flow, and no container is built.
 Every order (``r >= 1``, the Sobolev ``m >= 0``, ``k``, ``k1``, ``k2``) is an integer and
 every direction of ``act`` and ``gen`` 1 or 2, by the rules of :mod:`axbkit.grids`.
+A derivative-word order is at most ``MAX_SOBOLEV_ORDER``, since the order-k
+word stack holds ``2^k`` copies of its input: ``m`` of
+:func:`sobolev_space_norm`, ``floor(alpha)`` of :func:`besov_norm_fractional`,
+``k - 1`` of :func:`zygmund_norm`, ``k`` of :func:`verify_modulus_inequalities`,
+and ``r`` of :func:`besov_tail_report` and :func:`reiteration_check`.  Each
+refuses a larger one with a ``ValueError`` that names its parameter.
 
 :func:`modulus_mixed`, :func:`k_upper_detail`, :func:`k_upper`,
 :func:`k_lower`, :func:`sobolev_space_norm` and the Besov norms
@@ -148,6 +154,10 @@ __all__ = [
     "zygmund_norm",
     "reiteration_check",
 ]
+
+#: the one bound on a derivative-word order: the order-k word stack holds ``2^k`` copies
+#: of its input
+MAX_SOBOLEV_ORDER = 4
 
 #: per-factor candidate counts for the supremum search, by modulus order
 _SUP_CAP = {1: 12, 2: 8, 3: 4, 4: 3}
@@ -334,7 +344,7 @@ def sobolev_space_norm(space: RepresentationSpace, f, m: int) -> float | np.ndar
     The norms are added one word at a time, order by order, each order in
     the ``product((1, 2), repeat=k)`` order of :func:`_word_stacks`.
     """
-    require_integer("m", m, 0)
+    require_integer("m", m, 0, MAX_SOBOLEV_ORDER)
     return _sobolev_sum(space, _values(f, space.shape), m)
 
 
@@ -566,7 +576,7 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     * C2: ``s^k Omega^r(s, f) <= C2 (s^{r+k} ||f|| + Omega^{r+k}(s, f))``
     """
     require_integer("r", r, 1)
-    require_integer("k", k, 1, r)
+    require_integer("k", k, 1, min(r, MAX_SOBOLEV_ORDER))
     f = _values(f, space.shape, one=True)
     scales = _ladder(s_list)
     nf = space.norm(f)
@@ -665,6 +675,7 @@ def besov_tail_report(space, f, params: BesovParams) -> dict:
     in closed form.  Both are estimates for reporting, not test oracles.
     """
     alpha, q, r = params.alpha, params.q, params.r
+    require_integer("r", r, 1, MAX_SOBOLEV_ORDER)
     f = _values(f, space.shape)
     nf = space.norm(f)
     lo, hi = _BESOV_J_RANGE
@@ -707,6 +718,9 @@ def besov_norm_fractional(space, f, alpha: float, q: float) -> float | np.ndarra
     _require_besov_index(alpha, q)
     if float(alpha).is_integer():
         raise ValueError("alpha must not be an integer; use zygmund_norm")
+    if not alpha < MAX_SOBOLEV_ORDER + 1:
+        raise ValueError(f"alpha must be below {MAX_SOBOLEV_ORDER + 1}, its integer part a "
+                         f"word order at most {MAX_SOBOLEV_ORDER}, got {alpha!r}")
     k = int(math.floor(alpha))
     f = _values(f, space.shape)
     total = _sobolev_sum(space, f, k)
@@ -723,7 +737,7 @@ def zygmund_norm(space, f, k: int, q: float) -> float | np.ndarray:
     "modulus")``: the same ``||f||`` plus the same weighted ``Omega^2`` profile.
     One norm per member of a stack.
     """
-    require_integer("k", k, 1)
+    require_integer("k", k, 1, MAX_SOBOLEV_ORDER + 1)  # words of order k - 1
     _require_besov_index(k, q)  # the smoothness is k itself
     f = _values(f, space.shape)
     total = _sobolev_sum(space, f, k - 1)
@@ -742,7 +756,7 @@ def reiteration_check(space, f, k1: int, k2: int, r: int, alpha: float, q: float
     ``||f||_{E^k} <= C ||f||^{1-k/r} ||f||_{E^r}^{k/r}`` at ``k = k2 - k1``.
     ``f`` must be one function.
     """
-    require_integer("r", r, 1)
+    require_integer("r", r, 1, MAX_SOBOLEV_ORDER)
     require_integer("k1", k1, 0, r)
     require_integer("k2", k2, 0, r)
     if not (0 <= k1 < alpha < k2 <= r):

@@ -34,12 +34,13 @@ arrays, each one grid long (direction 2) or one padded frequency axis long
 (direction 1).  A whole report at the default grids fills 132 of them,
 about 1 MB; :func:`axbkit.spectral.clear_caches` empties the table.  The
 order ``r`` is an integer in ``[1, MAX_ORDER]`` and ``j`` is 1 or 2, by the rules
-of :mod:`axbkit.grids`; ``s`` and ``r * s`` must be finite, which
-:class:`SteklovParams` checks, and the kernel's reach ``r s / h`` in grid
-steps of the log grid must be at most ``MAX_REACH_STEPS``, which
-:func:`hardy_steklov_dir` checks before the table is read: a larger ``s``
-would pad direction 1 by as many nodes and turns direction 2's factors to
-NaN near ``s = 1e308``.  The suites reach at most about 1,800 steps (``s =
+of :mod:`axbkit.grids`; ``s`` and ``r * s`` must be finite.  Each operator
+checks these itself, order and scale first, then direction.  The kernel's
+reach in grid steps of the log grid must be at most ``MAX_REACH_STEPS``,
+which :func:`steklov_avg` and :func:`hardy_steklov_dir` check last, before
+any factor is built or the table is read: a larger ``s`` would pad
+direction 1 by as many nodes and turns direction 2's factors to NaN near
+``s = 1e308``.  The suites reach at most about 1,800 steps (``s =
 16`` at ``r = 4`` on the 512-node default grid).
 
 A quadrature fallback against the explicit Irwin-Hall density is provided
@@ -60,7 +61,6 @@ ndarray out, the form the half-line representation interface binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb, factorial
 
@@ -71,7 +71,6 @@ from .grids import (HalfLineFunction, LogGrid, _frequencies, fourier_multiplier,
 from .halfline import act_modulation, shift_log, xp_norm
 
 __all__ = [
-    "SteklovParams",
     "steklov_avg",
     "steklov",
     "m_operator",
@@ -105,19 +104,6 @@ def _require_order_scale(r: int, s: float) -> None:
         raise ValueError("scale must be positive")
     require_finite("s", s)
     require_finite("r * s", r * s)
-
-
-@dataclass(frozen=True)
-class SteklovParams:
-    """Order r, scale s and direction j of one averaging operator."""
-
-    r: int
-    s: float
-    j: int
-
-    def __post_init__(self):
-        _require_order_scale(self.r, self.s)
-        require_direction(self.j)
 
 
 def box_profile(z: np.ndarray) -> np.ndarray:
@@ -159,7 +145,7 @@ def _factors(j: int, symbol, reach: float, grid: LogGrid) -> np.ndarray:
     return symbol(_frequencies(grid.n + int(np.ceil(reach / grid.h)) + 8, grid.h))
 
 
-def _along(j: int, factors: np.ndarray, values: np.ndarray, grid: LogGrid) -> np.ndarray:
+def _along(j: int, factors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The operator with the :func:`_factors` ``factors`` along direction j, on
     bare values (a stack too): a pointwise product for direction 2, a Fourier
     multiplier on the padded axis for direction 1.
@@ -169,21 +155,21 @@ def _along(j: int, factors: np.ndarray, values: np.ndarray, grid: LogGrid) -> np
     return fourier_multiplier(values, factors, 0)
 
 
-def steklov_avg(params: SteklovParams, f: HalfLineFunction) -> HalfLineFunction:
+def steklov_avg(j: int, r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
     """The r-fold moving average ``P_{j,r}(s) f = (s/r)^{-r} int ... int
     T_j(t_1 + ... + t_r) f dt`` along one subgroup.
     """
-    r, s = params.r, params.s
+    _require_order_scale(r, s)
+    require_direction(j)
     _check_reach(s, s, f.grid)
     hp = s / r
-    factors = _factors(params.j, lambda z: box_profile(z * hp) ** r, s, f.grid)
-    return f.with_values(_along(params.j, factors, f.values, f.grid))
+    factors = _factors(j, lambda z: box_profile(z * hp) ** r, s, f.grid)
+    return f.with_values(_along(j, factors, f.values))
 
 
 def steklov(r: int, s: float, f: HalfLineFunction) -> HalfLineFunction:
     """``P_r(s) = P_{1,r}(s) P_{2,r}(s)``; the order matters, the groups do not commute."""
-    inner_avg = steklov_avg(SteklovParams(r, s, 2), f)
-    return steklov_avg(SteklovParams(r, s, 1), inner_avg)
+    return steklov_avg(1, r, s, steklov_avg(2, r, s, f))
 
 
 def m_operator(j: int, r: int, t_sum: float, f: HalfLineFunction) -> HalfLineFunction:
@@ -216,10 +202,11 @@ def hardy_steklov_dir(j: int, r: int, s: float, f, grid: LogGrid | None = None):
     ``f`` is a container, or bare values on ``grid``.  ``s`` and ``r * s``
     must be finite, and ``r s / h`` at most ``MAX_REACH_STEPS``.
     """
-    params = SteklovParams(r, s, j)
+    _require_order_scale(r, s)
+    require_direction(j)
     values, g, wrap = unwrap(f, grid)
-    _check_reach(params.r * params.s, params.s, g)
-    return wrap(_along(j, _hardy_factors(j, params.r, float(params.s), g), values, g))
+    _check_reach(r * s, s, g)
+    return wrap(_along(j, _hardy_factors(j, r, float(s), g), values))
 
 
 def hardy_steklov(r: int, s: float, f, grid: LogGrid | None = None):
@@ -278,7 +265,7 @@ def irwin_hall_nodes(r: int, s: float):
     ``rho_r`` is the density of ``t_1 + ... + t_r`` with ``t_i ~ U[0, s/r]``,
     piecewise polynomial with knots at ``k s / r``; Gauss-Legendre panels
     between knots integrate it essentially exactly.  Weights sum to 1.
-    ``r`` and ``s`` keep the closed forms' rule (see :class:`SteklovParams`).
+    ``r`` and ``s`` keep the closed forms' rule, :func:`_require_order_scale`.
     """
     _require_order_scale(r, s)
     hp = s / r

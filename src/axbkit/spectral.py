@@ -222,7 +222,7 @@ def estimate_kl_constant(sgrid: SpectralGrid, corpus) -> float:
     for f in corpus:
         raw = kl_inverse(kl_forward(f, sgrid), f.grid, constant=1.0)
         num += inner(raw, f).real
-        den += float(np.real(np.sum(f.grid.weights * np.abs(raw.values) ** 2)))
+        den += xp_norm(raw) ** 2
     if den == 0.0:
         raise ValueError("corpus carries no energy")
     return num / den
@@ -350,8 +350,7 @@ class DiscreteOperator:
         return np.abs(self.coeffs(values)) ** 2
 
     def norm(self, values: np.ndarray) -> float | np.ndarray:
-        out = np.sqrt(np.sum(self.weights * np.abs(self._shaped("values", values)) ** 2, axis=-1))
-        return out if out.ndim else float(out)
+        return xp_norm(self._shaped("values", values), grid=self.grid)
 
     def hermitian_residual(self) -> float:
         """Relative reassembly residual ``||V L V^T - M|| / ||M||`` (oracle check)."""

@@ -438,7 +438,7 @@ def suite_smoothing(cfg: RunConfig):
     closed_form = []
     for r, s in ((1, 0.5), (2, 0.5), (2, 2.0)):
         oracle = _dir2_tensor_quadrature(r, s, f)
-        closed = sm.steklov_avg(sm.SteklovParams(r, s, 2), f)
+        closed = sm.steklov_avg(2, r, s, f)
         closed_form.append(xp_norm(oracle - closed) / xp_norm(closed))
         h_oracle = _hardy_dir2_tensor_quadrature(r, s, f, oracle)
         h_closed = sm.hardy_steklov_dir(2, r, s, f)
@@ -475,7 +475,7 @@ def suite_smoothing(cfg: RunConfig):
 
     # box kernel has unit mass: constants are interior fixed points
     const = HalfLineFunction(grid, np.ones(grid.n))
-    avg = sm.steklov_avg(sm.SteklovParams(2, 1.0, 1), const)
+    avg = sm.steklov_avg(1, 2, 1.0, const)
     interior = slice(grid.n // 4, grid.n // 2)
     fix = float(np.max(np.abs(avg.values[interior] - 1.0)))
     checks.append(_check(cfg, "SMOOTH_unit_mass", fix))
@@ -487,8 +487,8 @@ def suite_smoothing(cfg: RunConfig):
                     for r in (1, 2, 3)])
     checks.append(_check(cfg, "SMOOTH_bounded", bound))
 
-    p12 = sm.steklov_avg(sm.SteklovParams(2, 1.0, 1), sm.steklov_avg(sm.SteklovParams(2, 1.0, 2), f))
-    p21 = sm.steklov_avg(sm.SteklovParams(2, 1.0, 2), sm.steklov_avg(sm.SteklovParams(2, 1.0, 1), f))
+    p12 = sm.steklov(2, 1.0, f)
+    p21 = sm.steklov_avg(2, 2, 1.0, sm.steklov_avg(1, 2, 1.0, f))
     noncomm = xp_norm(p12 - p21)
     checks.append(_check(cfg, "SMOOTH_noncommuting", noncomm))
     return _payload(cfg, "smoothing", checks)

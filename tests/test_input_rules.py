@@ -1,6 +1,7 @@
 """The three input rules of :mod:`axbkit.grids` at every entry point that takes an
-order, a direction or a side, the Besov-index rule of :mod:`axbkit.moduli` at every
-entry point that takes ``alpha`` or ``q``, and the guard that each rule has one copy."""
+order, a direction or a side, the word-order bound and the Besov-index rule of
+:mod:`axbkit.moduli` at every entry point that takes a derivative order, ``alpha``
+or ``q``, and the guard that each rule has one copy."""
 
 import math
 import pathlib
@@ -58,6 +59,18 @@ _ROWS = [
      lambda c: moduli.reiteration_check(c.space, c.f, 0, 1.5, 2, 1.0, 2.0), "ValueError"),
     ("reiteration_check r=True", "r",
      lambda c: moduli.reiteration_check(c.space, c.f, 0, 1, True, 0.5, 2.0), "value"),
+    # moduli: each derivative-word order at most MAX_SOBOLEV_ORDER, the first order past it
+    ("sobolev_space_norm m=5", "m", lambda c: moduli.sobolev_space_norm(c.space, c.f, 5),
+     "value"),
+    ("besov_norm_fractional alpha=5.5", "alpha",
+     lambda c: moduli.besov_norm_fractional(c.space, c.f, 5.5, 2.0), "value"),
+    ("zygmund_norm k=6", "k", lambda c: moduli.zygmund_norm(c.space, c.f, 6, 2.0), "value"),
+    ("besov_tail_report r=5", "r",
+     lambda c: moduli.besov_tail_report(c.space, c.f, moduli.BesovParams(0.5, 2.0, 5)), "value"),
+    ("verify_modulus_inequalities k=5", "k",
+     lambda c: moduli.verify_modulus_inequalities(c.space, 5, 5, c.f, [0.5]), "value"),
+    ("reiteration_check r=5", "r",
+     lambda c: moduli.reiteration_check(c.space, c.f, 0, 5, 5, 0.5, 2.0), "value"),
     # smoothing: the order in [1, MAX_ORDER], the direction 1 or 2
     ("hardy_steklov r=1.5", "order", lambda c: smoothing.hardy_steklov(1.5, 0.5, c.f),
      "TypeError"),
@@ -67,11 +80,11 @@ _ROWS = [
     ("m_operator j=3", "direction", lambda c: smoothing.m_operator(3, 2, 0.3, c.f), "ValueError"),
     ("irwin_hall_nodes r=1.5", "order", lambda c: smoothing.irwin_hall_nodes(1.5, 0.5),
      "TypeError"),
-    ("SteklovParams r=2.0", "order", lambda c: smoothing.SteklovParams(2.0, 0.5, 1), "value"),
-    ("SteklovParams r=True", "order", lambda c: smoothing.SteklovParams(True, 0.5, 1), "value"),
-    ("SteklovParams j=0", "direction", lambda c: smoothing.SteklovParams(2, 0.5, 0),
+    ("steklov_avg r=2.0", "order", lambda c: smoothing.steklov_avg(1, 2.0, 0.5, c.f), "value"),
+    ("steklov_avg r=True", "order", lambda c: smoothing.steklov_avg(1, True, 0.5, c.f), "value"),
+    ("steklov_avg j=0", "direction", lambda c: smoothing.steklov_avg(0, 2, 0.5, c.f),
      "ValueError"),
-    ("SteklovParams j=3", "direction", lambda c: smoothing.SteklovParams(2, 0.5, 3),
+    ("steklov_avg j=3", "direction", lambda c: smoothing.steklov_avg(3, 2, 0.5, c.f),
      "ValueError"),
     ("steklov_avg_generic j=0", "direction",
      lambda c: smoothing.steklov_avg_generic(c.space.act, 0, 2, 0.5, c.f.values), "value"),

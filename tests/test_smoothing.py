@@ -11,7 +11,6 @@ from axbkit.halfline import act_modulation, xp_norm
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import modulus_mixed
 from axbkit.smoothing import (
-    SteklovParams,
     _gauss_legendre,
     box_profile,
     commutation_check,
@@ -98,13 +97,36 @@ def dir2_hardy_loop(r, s, values, grid):
     return mult * values
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SteklovParams(0, 1.0, 2)
-    with pytest.raises(ValueError):
-        SteklovParams(1, -1.0, 2)
-    with pytest.raises(ValueError):
-        SteklovParams(1, 1.0, 3)
+@pytest.mark.parametrize("r, s, j, match", [
+    (0, 1.0, 2, r"^order must be in \[1, 4\]"),
+    (1, -1.0, 2, "^scale must be positive$"),
+    (1, 1.0, 3, "^direction must be 1 or 2, got 3$"),
+    # each row below breaks every rule from its own onwards, so only the first check may
+    # fire: order, scale, the finiteness of s and r * s, direction, reach
+    (0, -1.0, 3, "^order"), (2, -1.0, 3, "^scale"), (2, math.inf, 3, "^s must be finite"),
+    (4, 1e308, 3, r"^r \* s must be finite"), (2, 1e6, 3, "^direction"),
+    (2, 1e6, 1, "^s = 1000000.0 reaches"),
+])
+def test_params_validation(f_lg, r, s, j, match):
+    calls = (lambda: steklov_avg(j, r, s, f_lg), lambda: hardy_steklov_dir(j, r, s, f_lg),
+             lambda: hardy_steklov_dir(j, r, s, f_lg.values, grid=f_lg.grid))
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_the_parameter_wrapper_is_gone():
+    import axbkit.smoothing as sm
+
+    assert not hasattr(sm, "SteklovParams")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_steklov_is_the_composition_of_the_two_averages(f_lg, r):
+    for s in (0.3, 1.7):
+        want = steklov_avg(1, r, s, steklov_avg(2, r, s, f_lg)).values
+        got = steklov(r, s, f_lg).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_box_profile_limit():
@@ -114,7 +136,7 @@ def test_box_profile_limit():
 def test_dir2_closed_form_vs_quadrature(f_xexp):
     for r, s in ((1, 0.5), (2, 0.5), (2, 2.0)):
         oracle = dir2_tensor_quadrature(r, s, f_xexp)
-        closed = steklov_avg(SteklovParams(r, s, 2), f_xexp)
+        closed = steklov_avg(2, r, s, f_xexp)
         assert xp_norm(oracle - closed) / xp_norm(closed) < 1e-10
 
 
@@ -130,7 +152,7 @@ def test_suite_tensor_quadrature_equals_the_tuple_loop(r, dilation):
 
 
 def test_steklov_avg_identity_limit(f_lg):
-    errs = [xp_norm(steklov_avg(SteklovParams(1, s, 2), f_lg) - f_lg)
+    errs = [xp_norm(steklov_avg(2, 1, s, f_lg) - f_lg)
             for s in (0.4, 0.2, 0.1)]
     assert errs[0] > errs[1] > errs[2]
     assert 1.6 < errs[0] / errs[1] < 2.4  # defect O(s)
@@ -138,7 +160,7 @@ def test_steklov_avg_identity_limit(f_lg):
 
 def test_dir1_constant_fixed_point(grid):
     const = HalfLineFunction(grid, np.ones(grid.n))
-    out = steklov_avg(SteklovParams(2, 1.0, 1), const)
+    out = steklov_avg(1, 2, 1.0, const)
     interior = slice(grid.n // 4, grid.n // 2)
     assert np.max(np.abs(out.values[interior] - 1.0)) < 1e-6
 
@@ -146,7 +168,7 @@ def test_dir1_constant_fixed_point(grid):
 def test_dir1_fft_route_vs_density_quadrature(grid, f_lg, space):
     # two independent evaluations of the same operator
     for r, s in ((1, 0.7), (2, 0.7), (3, 1.4)):
-        fft_route = steklov_avg(SteklovParams(r, s, 1), f_lg)
+        fft_route = steklov_avg(1, r, s, f_lg)
         quad_route = steklov_avg_generic(space.act, 1, r, s, f_lg.values)
         assert xp_norm(fft_route.values - quad_route, grid=grid) / xp_norm(f_lg) < 1e-6
     h_fft = hardy_steklov(2, 0.7, f_lg)
@@ -167,7 +189,8 @@ def test_irwin_hall_mass():
 ])
 def test_quadrature_route_keeps_the_closed_forms_rule(space, f_lg, r, s, match):
     # irwin_hall_nodes(0, 1.0) divided by zero, a negative s gave values, and r = 9 ran
-    routes = (lambda: SteklovParams(r, s, 1), lambda: irwin_hall_nodes(r, s),
+    routes = (lambda: steklov_avg(1, r, s, f_lg), lambda: hardy_steklov_dir(1, r, s, f_lg),
+              lambda: irwin_hall_nodes(r, s),
               lambda: steklov_avg_generic(space.act, 2, r, s, f_lg.values),
               lambda: hardy_steklov_generic(space.act, r, s, f_lg.values))
     for route in routes:
@@ -204,8 +227,8 @@ def test_steklov_composition_smooths(grid, f_lg):
 
     out = steklov(2, 0.5, f_lg)
     assert np.isfinite(sobolev_norm(out, 2))
-    p12 = steklov_avg(SteklovParams(2, 1.0, 1), steklov_avg(SteklovParams(2, 1.0, 2), f_lg))
-    p21 = steklov_avg(SteklovParams(2, 1.0, 2), steklov_avg(SteklovParams(2, 1.0, 1), f_lg))
+    p12 = steklov_avg(1, 2, 1.0, steklov_avg(2, 2, 1.0, f_lg))
+    p21 = steklov_avg(2, 2, 1.0, steklov_avg(1, 2, 1.0, f_lg))
     assert xp_norm(p12 - p21) > 1e-8  # the subgroups do not commute
 
 
@@ -314,11 +337,11 @@ def test_dir1_operators_equal_padded_fft_reference(f_lg, f_xexp, r):
     for s in (0.3, 1.7):
         hp = s / r
         avg = dir1_padded_fft(lambda xi: box_profile(xi * hp) ** r, f_lg.values, grid, s)
-        assert np.array_equal(steklov_avg(SteklovParams(r, s, 1), f_lg).values, avg)
+        assert np.array_equal(steklov_avg(1, r, s, f_lg).values, avg)
         hardy = dir1_padded_fft(dir1_hardy_symbol(r, s), f_lg.values, grid, r * s)
         assert np.array_equal(hardy_steklov_dir(1, r, s, f_lg).values, hardy)
         # a stack: each member as the oracle gives it
-        avg_stack = steklov_avg(SteklovParams(r, s, 1), HalfLineFunction(grid, stack)).values
+        avg_stack = steklov_avg(1, r, s, HalfLineFunction(grid, stack)).values
         hardy_stack = hardy_steklov_dir(1, r, s, stack, grid=grid)
         for k, v in enumerate(stack):
             assert np.array_equal(avg_stack[k], dir1_padded_fft(
@@ -369,7 +392,7 @@ def test_non_finite_or_overflowing_scale_is_rejected_before_the_table(f_lg, s):
         lambda: hardy_steklov_dir(1, 2, s, f_lg.values, grid=grid),
         lambda: hardy_steklov_dir(2, 2, s, f_lg),
         lambda: steklov(2, s, f_lg),
-        lambda: SteklovParams(2, s, 1),
+        lambda: steklov_avg(1, 2, s, f_lg),
     ]
     for call in calls:
         with warnings.catch_warnings():

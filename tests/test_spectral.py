@@ -588,3 +588,16 @@ def test_macdonald_kernel_holds_one_decay_block(tau):
     cos_bytes = np.size(tau) * spectral._KERNEL_N_T * 8
     block_bytes = spectral._KERNEL_X_BLOCK * spectral._KERNEL_N_T * 8
     assert peak <= table.nbytes + cos_bytes + 2 * block_bytes
+
+
+def test_operator_norm_is_the_half_line_norm(op):
+    # the draws at seeds 0..3 include one (seed 1) whose weighted sum of |v|^2 rounds
+    # differently from xp_norm's interleaved dot, so a second formula would show here
+    rows = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        rows.append(rng.standard_normal(op.grid.n) + 1j * rng.standard_normal(op.grid.n))
+    stack = np.stack(rows)
+    one = op.norm(stack[1])
+    assert type(one) is float and one == xp_norm(stack[1], grid=op.grid)
+    assert np.array_equal(op.norm(stack), xp_norm(stack, grid=op.grid))
