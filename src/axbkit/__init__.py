@@ -37,8 +37,6 @@ from .halfline import (
     act_modulation,
     generator,
     inner,
-    mixed_derivative,
-    sobolev_norm,
     xp_norm,
 )
 from .moduli import (
@@ -50,8 +48,10 @@ from .moduli import (
     k_lower,
     k_spectral,
     k_upper,
+    mixed_derivative,
     modulus_mixed,
     reiteration_check,
+    sobolev_norm,
     verify_modulus_inequalities,
     zygmund_norm,
 )

@@ -179,6 +179,13 @@ def _worst(values, reduce=np.max) -> float:
     return float(reduce(values))
 
 
+def _require_one(values: np.ndarray, ndim: int = 1) -> None:
+    """Raise a ``ValueError`` unless ``values`` hold one function of ``ndim`` grid axes, not a
+    stack."""
+    if values.ndim != ndim:
+        raise ValueError(f"takes one function, got a stack of shape {values.shape}")
+
+
 def _checked_samples(values, shape: tuple) -> np.ndarray:
     """``values`` as a complex array, checked to end in the grid ``shape`` and be finite.
 
@@ -335,5 +342,4 @@ class HalfLineFunction:
 
     def _check_one(self):
         """Raise unless this holds one function, not a stack."""
-        if self.values.ndim != 1:
-            raise ValueError(f"takes one function, got a stack of shape {self.values.shape}")
+        _require_one(self.values)

@@ -13,12 +13,14 @@ act on every member with the same arithmetic as on one function.  Each has
 two calling forms (see :func:`axbkit.grids.unwrap`): a
 :class:`~axbkit.grids.HalfLineFunction` in gives a validated container out,
 and bare complex values with ``grid=`` given give an unvalidated ndarray out.
-The second form is the one :func:`axbkit.moduli.halfline_space` binds into
+The second form is the one :func:`axbkit.moduli.halfline_space` calls from
 the representation interface, so the hot paths build no containers.  Both
 forms reject a time ``t`` that is not finite, and :func:`xp_norm` an
 exponent ``p`` that is not finite or is below 1.  The module keeps no table between
 calls: the modulation symbols the supremum search reuses live on the
 :class:`~axbkit.moduli.RepresentationSpace` that took them and go with it.
+The module imports only :mod:`axbkit.grids` and :mod:`axbkit.group`; the Sobolev norms
+and ``mixed_derivative`` live in :mod:`axbkit.moduli`, beside the space they use.
 
 Generators: ``D1 = x d/dx`` (a plain ``d/du`` on the log grid) and
 ``D2 = i x`` (multiplication).  They satisfy ``[D1, D2] = D2``.
@@ -30,10 +32,8 @@ import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
                     pth_root, require_direction, require_exponent, require_finite,
-                    require_integer, shift_zero_fill, unwrap)
+                    shift_zero_fill, unwrap)
 from .group import GroupElement
-from .moduli import (MAX_SOBOLEV_ORDER, _members, _top_words, apply_word, halfline_space,
-                     sobolev_space_norm)
 
 __all__ = [
     "xp_norm",
@@ -45,9 +45,6 @@ __all__ = [
     "act_modulation",
     "shift_log",
     "generator",
-    "mixed_derivative",
-    "sobolev_norm",
-    "sobolev_norm_top",
 ]
 
 def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarray:
@@ -160,28 +157,3 @@ def generator(j: int, f, grid: LogGrid | None = None):
     if j == 2:
         return wrap(1j * g.x * values)
     require_direction(j)  # raises: j is neither 1 nor 2
-
-
-def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
-    """Iterated generators ``D_{j1} ... D_{jk}`` for a word ``(j1, ..., jk)`` over {1, 2}.
-
-    The rightmost letter acts first, matching operator-product notation.
-    """
-    word = tuple(word)
-    if len(word) == 0:
-        raise ValueError("derivative word must be nonempty")
-    return f.with_values(apply_word(halfline_space(f.grid), word, f))
-
-
-def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
-    """Order-m Sobolev norm ``||f|| + sum_{|w| <= m} ||D_w f||``, ``0 <= m <= MAX_SOBOLEV_ORDER``."""
-    return sobolev_space_norm(halfline_space(f.grid, p), f, m)
-
-
-def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float | np.ndarray:
-    """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``,
-    per member of a stack; ``m`` as in :func:`sobolev_norm`."""
-    require_integer("m", m, 0, MAX_SOBOLEV_ORDER)
-    space = halfline_space(f.grid, p)
-    top = sum(space.norm(_top_words(space, f.values, m))) if m > 0 else 0.0
-    return _members(space.norm(f.values) + top)

@@ -77,7 +77,18 @@ word stack holds ``2^k`` copies of its input: ``m`` of
 :func:`sobolev_space_norm`, ``floor(alpha)`` of :func:`besov_norm_fractional`,
 ``k - 1`` of :func:`zygmund_norm`, ``k`` of :func:`verify_modulus_inequalities`,
 and ``r`` of :func:`besov_tail_report` and :func:`reiteration_check`.  Each
-refuses a larger one with a ``ValueError`` that names its parameter.
+refuses a larger one with a ``ValueError`` that names its parameter.  A
+modulus order is at most 4, the largest with a candidate count: ``r`` of
+:func:`modulus_mixed` (so of every caller), and ``r + k`` of
+:func:`verify_modulus_inequalities`, which refuses such a ``k``.
+
+:func:`halfline_space` calls the ``shift_log``, ``act_modulation``, ``xp_norm``,
+``generator`` and ``hardy_steklov`` this module imports, looked up each time a
+callable of the space runs, so a rebinding here (as a tracer makes) reaches
+every space; :func:`sobolev_norm`, :func:`sobolev_norm_top` and
+:func:`mixed_derivative` measure a container on that space.  Modules import one
+another at module level only: ``grids``, ``group``, ``halfline``,
+``smoothing``, this module, ``spectral``, then the rest.
 
 :func:`modulus_mixed`, :func:`k_upper_detail`, :func:`k_upper`,
 :func:`k_lower`, :func:`sobolev_space_norm` and the Besov norms
@@ -128,8 +139,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import (HalfLineFunction, LogGrid, _checked_samples, _worst, pth_root,
+from .grids import (HalfLineFunction, LogGrid, _checked_samples, _require_one, _worst, pth_root,
                     require_direction, require_exponent, require_integer)
+from .halfline import act_modulation, generator, shift_log, xp_norm
+from .smoothing import hardy_steklov
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -138,6 +151,9 @@ __all__ = [
     "RepresentationSpace",
     "BesovParams",
     "halfline_space",
+    "mixed_derivative",
+    "sobolev_norm",
+    "sobolev_norm_top",
     "grid_candidates",
     "apply_word",
     "sobolev_space_norm",
@@ -159,7 +175,8 @@ __all__ = [
 #: of its input
 MAX_SOBOLEV_ORDER = 4
 
-#: per-factor candidate counts for the supremum search, by modulus order
+#: per-factor candidate counts for the supremum search, by modulus order; the largest
+#: order here is the largest the search takes
 _SUP_CAP = {1: 12, 2: 8, 3: 4, 4: 3}
 
 #: dyadic scales for the truncated Besov integral, s in [2^-16, 2^4]
@@ -226,9 +243,6 @@ class BesovParams:
 def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     """The concrete half-line instantiation of the representation interface; an exponent
     ``p`` that is not finite or is below 1 is refused when the space is built."""
-    from .halfline import act_modulation, generator, shift_log, xp_norm
-    from .smoothing import hardy_steklov
-
     require_exponent(p)
 
     def norm(v):
@@ -256,6 +270,31 @@ def halfline_space(grid: LogGrid, p: float = 2.0) -> RepresentationSpace:
     )
 
 
+def mixed_derivative(word, f: HalfLineFunction) -> HalfLineFunction:
+    """Iterated generators ``D_{j1} ... D_{jk}`` for a word ``(j1, ..., jk)`` over {1, 2}.
+
+    The rightmost letter acts first, matching operator-product notation.
+    """
+    word = tuple(word)
+    if len(word) == 0:
+        raise ValueError("derivative word must be nonempty")
+    return f.with_values(apply_word(halfline_space(f.grid), word, f))
+
+
+def sobolev_norm(f: HalfLineFunction, m: int, p: float = 2.0) -> float:
+    """Order-m Sobolev norm ``||f|| + sum_{|w| <= m} ||D_w f||``, ``0 <= m <= MAX_SOBOLEV_ORDER``."""
+    return sobolev_space_norm(halfline_space(f.grid, p), f, m)
+
+
+def sobolev_norm_top(f: HalfLineFunction, m: int, p: float = 2.0) -> float | np.ndarray:
+    """Equivalent norm using only the top-order words: ``||f|| + sum_{|word|=m}``,
+    per member of a stack; ``m`` as in :func:`sobolev_norm`."""
+    require_integer("m", m, 0, MAX_SOBOLEV_ORDER)
+    space = halfline_space(f.grid, p)
+    top = sum(space.norm(_top_words(space, f.values, m))) if m > 0 else 0.0
+    return _members(space.norm(f.values) + top)
+
+
 def _values(f, shape: tuple, one: bool = False) -> np.ndarray:
     """The values of ``f`` at a public entry point, checked once.
 
@@ -263,8 +302,8 @@ def _values(f, shape: tuple, one: bool = False) -> np.ndarray:
     axes (with ``one``, all axes) must be the grid ``shape`` exactly and every sample finite.
     """
     values = _checked_samples(getattr(f, "values", f), shape)
-    if one and values.shape != shape:
-        raise ValueError(f"takes one function, got a stack of shape {values.shape}")
+    if one:
+        _require_one(values, len(shape))
     return values
 
 
@@ -478,6 +517,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s, f) -> float | np.ndarra
     result raises.
     """
     require_integer("r", r, 1)
+    require_integer("r", r, 1, max(_SUP_CAP))  # the search's candidate counts end there
     f = _values(f, space.shape)
     lead = f.shape[:f.ndim - len(space.shape)]
     return _by_scale(_ladder(s), lead, lambda si: _modulus(space, r, si, f, lead))
@@ -487,7 +527,7 @@ def _modulus(space: RepresentationSpace, r: int, s: float, f: np.ndarray, lead: 
     """The body of :func:`modulus_mixed` at one checked scale ``s``."""
     if s == 0.0:
         return _members(np.zeros(lead))
-    cap = _SUP_CAP.get(r, 2)
+    cap = _SUP_CAP[r]
     candidates = {j: grid_candidates(s, cap, space.steps[j - 1]) for j in (1, 2)}
     # only a norm and an action that carry their declarations take the symbol paths; a
     # multiplication letter's rows are shared by every word it begins
@@ -576,7 +616,8 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     * C2: ``s^k Omega^r(s, f) <= C2 (s^{r+k} ||f|| + Omega^{r+k}(s, f))``
     """
     require_integer("r", r, 1)
-    require_integer("k", k, 1, min(r, MAX_SOBOLEV_ORDER))
+    # k is a word order, and the search reaches the modulus order r + k
+    require_integer("k", k, 1, min(r, MAX_SOBOLEV_ORDER, max(_SUP_CAP) - r))
     f = _values(f, space.shape, one=True)
     scales = _ladder(s_list)
     nf = space.norm(f)

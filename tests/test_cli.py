@@ -457,9 +457,9 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
-#: the one function that imports from the package at call time, to break the import cycle:
-#: halfline imports moduli at module level, and halfline_space needs halfline and smoothing
-_CYCLE_IMPORTS = {("moduli", "halfline_space")}
+#: the functions that import from the package at call time, to break an import cycle: none,
+#: since the modules import one another at module level in one chain of layers
+_CYCLE_IMPORTS = set()
 
 
 def test_function_level_imports_only_break_cycles():
@@ -475,6 +475,44 @@ def test_function_level_imports_only_break_cycles():
                 found |= {(fname[:-3], fn.name) for node in ast.walk(fn)
                           if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert found == _CYCLE_IMPORTS
+
+
+def _module_level_imports(tree) -> tuple[set, set]:
+    """The package modules a module imports at module level, and those it imports only
+    under ``if TYPE_CHECKING:``."""
+    runtime, typing = set(), set()
+    for stmt in tree.body:
+        checking = (isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name)
+                    and stmt.test.id == "TYPE_CHECKING")
+        for node in (ast.walk(stmt) if checking else [stmt]):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                names = ([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+                (typing if checking else runtime).update(names)
+    return runtime, typing
+
+
+def test_the_module_level_imports_form_one_chain_of_layers():
+    # no cycle: the modules can be ordered so that each imports only earlier ones, and
+    # halfline, the lowest representation layer, rests on grids and group alone
+    src_dir = os.path.dirname(axbkit.__file__)
+    graph, typing = {}, {}
+    for fname in sorted(os.listdir(src_dir)):
+        if fname.endswith(".py"):
+            with open(os.path.join(src_dir, fname)) as fh:
+                graph[fname[:-3]], typing[fname[:-3]] = _module_level_imports(
+                    ast.parse(fh.read(), fname))
+    assert graph["halfline"] == {"grids", "group"}
+    assert typing["halfline"] <= {"moduli"}
+    order, left = [], dict(graph)
+    while left:
+        ready = sorted(m for m, deps in left.items() if deps <= set(order))
+        assert ready, f"import cycle among {sorted(left)}"
+        order += ready
+        for m in ready:
+            del left[m]
+    chain = ["grids", "group", "halfline", "smoothing", "moduli", "spectral"]
+    assert all(lower in graph[upper] for lower, upper in zip(chain, chain[1:]))
 
 
 def test_the_package_runs_without_scipy(tmp_path):

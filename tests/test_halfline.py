@@ -16,14 +16,12 @@ from axbkit.halfline import (
     dilation_loss,
     generator,
     inner,
-    mixed_derivative,
     shift_log,
-    sobolev_norm,
-    sobolev_norm_top,
     window_loss,
     xp_norm,
 )
-from axbkit.moduli import halfline_space, modulus_mixed
+from axbkit.moduli import (halfline_space, mixed_derivative, modulus_mixed, sobolev_norm,
+                           sobolev_norm_top)
 
 
 def test_xp_norm_zero(grid):

@@ -1,7 +1,8 @@
 """The three input rules of :mod:`axbkit.grids` at every entry point that takes an
-order, a direction or a side, the word-order bound and the Besov-index rule of
-:mod:`axbkit.moduli` at every entry point that takes a derivative order, ``alpha``
-or ``q``, and the guard that each rule has one copy."""
+order, a direction or a side, the word-order bound, the modulus-order bound and the
+Besov-index rule of :mod:`axbkit.moduli` at every entry point that takes a derivative
+order, a modulus order, ``alpha`` or ``q``, and the guard that each rule (the
+one-function rule too) has one copy."""
 
 import math
 import pathlib
@@ -71,6 +72,16 @@ _ROWS = [
      lambda c: moduli.verify_modulus_inequalities(c.space, 5, 5, c.f, [0.5]), "value"),
     ("reiteration_check r=5", "r",
      lambda c: moduli.reiteration_check(c.space, c.f, 0, 5, 5, 0.5, 2.0), "value"),
+    # moduli: each modulus order at most 4, the largest the search has a candidate count for
+    ("modulus_mixed r=5", "r", lambda c: moduli.modulus_mixed(c.space, 5, 0.5, c.f), "value"),
+    ("k_lower r=5", "r", lambda c: moduli.k_lower(c.space, 5, 0.5, c.f), "value"),
+    ("besov_norm modulus r=5", "r",
+     lambda c: moduli.besov_norm(c.space, c.f, moduli.BesovParams(0.5, 2.0, 5), "modulus"),
+     "value"),
+    ("jackson_check r=5", "r",
+     lambda c: paleywiener.jackson_check([1.0, 2.0], 5, c.f, c.op, c.space), "value"),
+    ("verify_modulus_inequalities r+k=5", "k",
+     lambda c: moduli.verify_modulus_inequalities(c.space, 3, 2, c.f, [0.5]), "value"),
     # smoothing: the order in [1, MAX_ORDER], the direction 1 or 2
     ("hardy_steklov r=1.5", "order", lambda c: smoothing.hardy_steklov(1.5, 0.5, c.f),
      "TypeError"),
@@ -92,11 +103,11 @@ _ROWS = [
      lambda c: smoothing.steklov_avg_generic(c.space.act, 3, 2, 0.5, c.f.values), "value"),
     ("hardy_steklov_generic r=1.5", "order",
      lambda c: smoothing.hardy_steklov_generic(c.space.act, 1.5, 0.5, c.f.values), "TypeError"),
-    # halfline: the Sobolev order in [0, MAX_SOBOLEV_ORDER], the direction 1 or 2
-    ("sobolev_norm m=1.5", "m", lambda c: halfline.sobolev_norm(c.f, 1.5), "TypeError"),
-    ("sobolev_norm m=5", "m", lambda c: halfline.sobolev_norm(c.f, 5), "ValueError"),
-    ("sobolev_norm_top m=1.5", "m", lambda c: halfline.sobolev_norm_top(c.f, 1.5), "TypeError"),
-    ("sobolev_norm_top m=-1", "m", lambda c: halfline.sobolev_norm_top(c.f, -1), "ValueError"),
+    # the half-line: the Sobolev order in [0, MAX_SOBOLEV_ORDER], the direction 1 or 2
+    ("sobolev_norm m=1.5", "m", lambda c: moduli.sobolev_norm(c.f, 1.5), "TypeError"),
+    ("sobolev_norm m=5", "m", lambda c: moduli.sobolev_norm(c.f, 5), "ValueError"),
+    ("sobolev_norm_top m=1.5", "m", lambda c: moduli.sobolev_norm_top(c.f, 1.5), "TypeError"),
+    ("sobolev_norm_top m=-1", "m", lambda c: moduli.sobolev_norm_top(c.f, -1), "ValueError"),
     ("halfline generator j=3", "direction", lambda c: halfline.generator(3, c.f), "ValueError"),
     ("halfline_space act j=0", "direction", lambda c: c.space.act(0, 0.3, c.f.values), "value"),
     ("halfline_space act j=3", "direction", lambda c: c.space.act(3, 0.3, c.f.values), "value"),
@@ -216,7 +227,8 @@ def test_require_direction_and_side():
 
 
 #: the text of each rule's error, which only :mod:`axbkit.grids` may hold
-_RULE_TEXTS = ("must be an integer", "direction must be 1 or 2", "side must be 'left' or 'right'")
+_RULE_TEXTS = ("must be an integer", "direction must be 1 or 2", "side must be 'left' or 'right'",
+               "takes one function, got a stack of shape")
 
 
 #: the text of each Besov-index error, which only :mod:`axbkit.moduli` may hold

@@ -791,3 +791,50 @@ def test_inequality_constants_keep_a_nan():
                                       (0.25, 1.0, 4.0))
     assert math.isnan(rep["C2_hat"])
     assert np.isfinite(rep["C0_hat"]) and np.isfinite(rep["C1_hat"])
+
+
+def test_a_space_reaches_operations_rebound_after_it_was_built(grid, f_lg):
+    # the half-line space looks its operations up in moduli each time a callable runs,
+    # so a rebinding made after the space is built (as a tracer makes one in every
+    # axbkit module that holds the function) reaches it, and undoing it leaves nothing
+    import sys
+
+    from axbkit import halfline, smoothing
+
+    space = halfline_space(grid)
+    v = f_lg.values
+    runs = {"shift_log": lambda: space.act(1, grid.h, v),
+            "act_modulation": lambda: space.act(2, 0.3, v),
+            "xp_norm": lambda: space.norm(v),
+            "generator": lambda: space.gen(1, v),
+            "hardy_steklov": lambda: space.hardy(1, 0.5, v)}
+    owners = {name: smoothing if name == "hardy_steklov" else halfline for name in runs}
+    calls = dict.fromkeys(runs, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    undo = []
+    try:
+        for name, owner in owners.items():
+            original = getattr(owner, name)
+            wrapper = counting(name, original)
+            for mod in [m for key, m in list(sys.modules.items()) if key.startswith("axbkit")]:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        setattr(mod, key, wrapper)
+                        undo.append((mod, key, original))
+        for name, run in runs.items():
+            before = calls[name]
+            run()
+            assert calls[name] == before + 1, name
+    finally:
+        for mod, key, original in reversed(undo):
+            setattr(mod, key, original)
+    counted = dict(calls)
+    for run in runs.values():
+        run()
+    assert calls == counted

@@ -223,7 +223,7 @@ def test_gauss_legendre_is_a_read_only_table_of_leggauss(n):
 
 
 def test_steklov_composition_smooths(grid, f_lg):
-    from axbkit.halfline import sobolev_norm
+    from axbkit.moduli import sobolev_norm
 
     out = steklov(2, 0.5, f_lg)
     assert np.isfinite(sobolev_norm(out, 2))

@@ -32,7 +32,7 @@ from axbkit.frames import (
     partition_values,
 )
 from axbkit.grids import HalfLineFunction, LogGrid, SpectralGrid
-from axbkit.halfline import inner, sobolev_norm_top, window_loss
+from axbkit.halfline import inner, window_loss
 from axbkit.halfplane import HalfPlaneGrid, halfplane_space, log_gaussian_2d
 from axbkit.moduli import (
     _SUP_CAP,
@@ -49,6 +49,7 @@ from axbkit.moduli import (
     k_upper_detail,
     modulus_mixed,
     reiteration_check,
+    sobolev_norm_top,
     verify_modulus_inequalities,
     zygmund_norm,
 )
