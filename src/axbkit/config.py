@@ -78,7 +78,7 @@ class RunConfig:
             raise ConfigError(f"grid_n: need 32 to {DENSE_CAP} nodes (the coarse rung has "
                               f"grid_n // 2, the dense eigensolver cap is {DENSE_CAP})")
         if self.oracle_n < 16:
-            raise ConfigError("oracle_n: need at least 16 nodes")
+            raise ConfigError(f"oracle_n: at least 16 nodes, got {self.oracle_n}")
         if self.oracle_n > ORACLE_N_CAP:
             raise ConfigError(f"oracle_n: at most {ORACLE_N_CAP} nodes (kernel quadrature table)")
         for lo, hi in (("u_min", "u_max"), ("hp_u_min", "hp_u_max"), ("y_min", "y_max")):
@@ -100,11 +100,11 @@ class RunConfig:
             raise ConfigError(f"tau_max: at most {KERNEL_NYQUIST!r}, the Nyquist frequency of "
                               f"the kernel quadrature in t, got {self.tau_max}")
         if self.tau_n < 32:
-            raise ConfigError("tau_n: need at least 32 spectral nodes")
+            raise ConfigError(f"tau_n: at least 32 nodes, got {self.tau_n}")
         if self.tau_n > ORACLE_N_CAP:
             raise ConfigError(f"tau_n: at most {ORACLE_N_CAP} nodes (kernel quadrature table)")
         if self.hp_n < 16 or self.y_n < 16:
-            raise ConfigError("hp_n/y_n: need at least 16 nodes")
+            raise ConfigError(f"hp_n/y_n: at least 16 nodes each, got {self.hp_n} and {self.y_n}")
         if self.hp_n * self.y_n > DENSE_CAP_2D:
             raise ConfigError(f"hp_n/y_n: grid has {self.hp_n * self.y_n} points, "
                               f"half-plane operator cap is {DENSE_CAP_2D}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paleywiener as pw
-from .grids import HalfLineFunction, _worst, require_integer
+from .grids import HalfLineFunction, _worst, require_integer, require_scales
 from .moduli import BesovParams, _accumulate, _require_besov_index, besov_norm
 from .spectral import DiscreteOperator
 
@@ -82,12 +82,11 @@ def partition_values(J: int, lam) -> np.ndarray:
 
     ``g`` is evaluated once per scale ``2^{-j} lam``, j = 0 .. J, and band j
     is the difference of rows j and j - 1: doubling is exact, so each row has
-    the bits of ``h_cutoff(2^{-j} lam)``.  ``J`` is an integer ``>= 0``, or no band is left.
+    the bits of ``h_cutoff(2^{-j} lam)``.  ``J`` is an integer ``>= 0``, or no band is left,
+    and ``lam`` one number or a 1-D array, finite and nonnegative.
     """
     require_integer("J", J, 0)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be nonnegative")
+    lam = require_scales("lambda", lam)
     g = g_cutoff(np.multiply.outer(2.0 ** -np.arange(0, J + 1), lam))
     g[1:] -= g[:-1]  # numpy buffers the overlapping operands
     return g

@@ -31,6 +31,8 @@ __all__ = [
     "require_integer",
     "require_direction",
     "require_side",
+    "require_scale",
+    "require_scales",
     "unwrap",
 ]
 
@@ -169,6 +171,34 @@ def require_side(side) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _sign_rule(positive: bool) -> str:
+    """The text of the scale rule: finite and positive, or finite and nonnegative."""
+    return "must be finite and positive" if positive else "must be finite and nonnegative"
+
+
+def require_scale(name: str, value, positive: bool = False) -> None:
+    """Raise a ``ValueError`` naming the parameter unless the number ``value`` (a scale, band,
+    time or spectral parameter) is finite and nonnegative, or with ``positive`` positive."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} {_sign_rule(positive)}, got {value!r}")
+
+
+def require_scales(name: str, s, positive: bool = False) -> np.ndarray:
+    """The scales ``s``, one number or a 1-D ladder, as a float array, each kept to the rule
+    of :func:`require_scale`; anything else raises a ``ValueError`` naming the parameter."""
+    scales = np.asarray(s, dtype=float)
+    ok = np.isfinite(scales) & ((scales > 0) if positive else (scales >= 0))
+    if scales.ndim > 1 or not ok.all():
+        raise ValueError(f"{name} {_sign_rule(positive)} (one scale or a 1-D ladder), got {s!r}")
+    return scales
+
+
+def _require_same_grid(f, g) -> None:
+    """Raise a ``ValueError`` unless the two containers ``f`` and ``g`` live on one grid."""
+    if f.grid != g.grid:
+        raise ValueError("functions live on different grids")
+
+
 def _worst(values, reduce=np.max) -> float:
     """The worst of several values (by ``reduce``), NaN when any is NaN; none at all raises.
 
@@ -229,8 +259,7 @@ class LogGrid:
         require_finite("u_max", self.u_max)
         if not self.u_min < self.u_max:
             raise ValueError("u_min must be < u_max")
-        if self.n < 16:
-            raise ValueError("need at least 16 nodes")
+        require_integer("n", self.n, 16)
 
     @property
     def h(self) -> float:
@@ -281,11 +310,8 @@ class SpectralGrid:
     _kernel_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_finite("tau_max", self.tau_max)
-        if not self.tau_max > 0:
-            raise ValueError("tau_max must be positive")
-        if self.m < 32:
-            raise ValueError("need at least 32 spectral nodes")
+        require_scale("tau_max", self.tau_max, positive=True)
+        require_integer("m", self.m, 32)
 
     @property
     def step(self) -> float:
@@ -324,21 +350,17 @@ class HalfLineFunction:
         return HalfLineFunction(self.grid, values)
 
     def __add__(self, other: "HalfLineFunction") -> "HalfLineFunction":
-        self._check_same_grid(other)
+        _require_same_grid(self, other)
         return HalfLineFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "HalfLineFunction") -> "HalfLineFunction":
-        self._check_same_grid(other)
+        _require_same_grid(self, other)
         return HalfLineFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar) -> "HalfLineFunction":
         return HalfLineFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "HalfLineFunction"):
-        if self.grid != other.grid:
-            raise ValueError("functions live on different grids")
 
     def _check_one(self):
         """Raise unless this holds one function, not a stack."""

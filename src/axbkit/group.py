@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import require_finite, require_side
+from .grids import require_finite, require_scale, require_side
 
 __all__ = [
     "GroupElement",
@@ -40,10 +40,8 @@ class GroupElement:
     b: float
 
     def __post_init__(self):
-        require_finite("a", self.a)
+        require_scale("a", self.a, positive=True)
         require_finite("b", self.b)
-        if not self.a > 0:
-            raise ValueError(f"dilation factor must be positive, got a={self.a}")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import (HalfLineFunction, LogGrid, _frequencies, fd6, fourier_multiplier, grid_steps,
-                    pth_root, require_direction, require_exponent, require_finite,
-                    shift_zero_fill, unwrap)
+from .grids import (HalfLineFunction, LogGrid, _frequencies, _require_same_grid, fd6,
+                    fourier_multiplier, grid_steps, pth_root, require_direction, require_exponent,
+                    require_finite, shift_zero_fill, unwrap)
 from .group import GroupElement
 
 __all__ = [
@@ -70,7 +70,7 @@ def xp_norm(f, p: float = 2.0, grid: LogGrid | None = None) -> float | np.ndarra
 def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
     """Inner product ``<f, g> = int_0^inf f conj(g) dx/x`` of ``X^2`` of two single functions,
     conjugate-linear in ``g``; a stack is rejected."""
-    f._check_same_grid(g)
+    _require_same_grid(f, g)
     f._check_one()
     g._check_one()
     return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))

@@ -40,9 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import (LogGrid, _checked_samples, fd6, grid_steps, pth_root, require_direction,
-                    require_exponent, require_finite, require_side, shift_zero_fill,
-                    trapezoid_weights, unwrap)
+from .grids import (LogGrid, _checked_samples, _require_same_grid, fd6, grid_steps, pth_root,
+                    require_direction, require_exponent, require_finite, require_integer,
+                    require_side, shift_zero_fill, trapezoid_weights, unwrap)
 from .group import GroupElement
 # half-plane moduli are modulus_mixed(halfplane_space(...), r, s, f); the
 # name stays importable from this module
@@ -81,8 +81,7 @@ class HalfPlaneGrid:
         require_finite("y_max", self.y_max)
         if not self.y_min < self.y_max:
             raise ValueError("y_min must be < y_max")
-        if self.n_y < 16:
-            raise ValueError("need at least 16 nodes in y")
+        require_integer("n_y", self.n_y, 16)
 
     @property
     def h_y(self) -> float:
@@ -134,8 +133,7 @@ class HalfPlaneFunction:
         return HalfPlaneFunction(self.grid, values)
 
     def __sub__(self, other):
-        if self.grid != other.grid:
-            raise ValueError("functions live on different grids")
+        _require_same_grid(self, other)
         return self.with_values(self.values - other.values)
 
     def __mul__(self, scalar):

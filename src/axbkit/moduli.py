@@ -80,7 +80,8 @@ and ``r`` of :func:`besov_tail_report` and :func:`reiteration_check`.  Each
 refuses a larger one with a ``ValueError`` that names its parameter.  A
 modulus order is at most 4, the largest with a candidate count: ``r`` of
 :func:`modulus_mixed` (so of every caller), and ``r + k`` of
-:func:`verify_modulus_inequalities`, which refuses such a ``k``.
+:func:`verify_modulus_inequalities` (so its ``r`` is at most 3).  The ``r`` of
+:func:`k_upper` is at most the witness's :data:`axbkit.smoothing.MAX_ORDER`.
 
 :func:`halfline_space` calls the ``shift_log``, ``act_modulation``, ``xp_norm``,
 ``generator`` and ``hardy_steklov`` this module imports, looked up each time a
@@ -103,8 +104,9 @@ finite, so a non-finite intermediate of any member raises instead of being
 lost in a later ``max``.  The scale ``s`` of :func:`modulus_mixed`,
 :func:`k_lower`, :func:`k_upper` and :func:`k_spectral` (``sigma`` of
 :func:`axbkit.paleywiener.best_approx`) is one number or a 1-D ladder, each
-finite and nonnegative (positive for :func:`k_upper`).  A ladder gives
-``(scale, member...)``, row i with the bits of the call at ``s[i]``.
+finite and nonnegative (positive for :func:`k_upper`) by the scale rule of
+:mod:`axbkit.grids`.  A ladder gives ``(scale, member...)``, row i with the bits of the
+call at ``s[i]``.
 
 K-functional surrogates for the pair (E, E^r):
 
@@ -140,9 +142,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _checked_samples, _require_one, _worst, pth_root,
-                    require_direction, require_exponent, require_integer)
+                    require_direction, require_exponent, require_integer, require_scale,
+                    require_scales)
 from .halfline import act_modulation, generator, shift_log, xp_norm
-from .smoothing import hardy_steklov
+from .smoothing import MAX_ORDER, hardy_steklov
 
 if TYPE_CHECKING:
     from .spectral import DiscreteOperator
@@ -219,8 +222,7 @@ def _require_besov_index(alpha, q) -> None:
     """Raise a ``ValueError`` naming the index unless the smoothness ``alpha`` is positive
     and finite and the integrability ``q`` is ``>= 1``, ``inf`` for the sup form; every
     Besov entry point of this module and of :mod:`axbkit.frames` calls it."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    require_scale("alpha", alpha, positive=True)
     if not q >= 1:
         raise ValueError(f"q must be >= 1 (use math.inf for the sup form), got {q!r}")
 
@@ -307,16 +309,6 @@ def _values(f, shape: tuple, one: bool = False) -> np.ndarray:
     return values
 
 
-def _ladder(s, name: str = "s", positive: bool = False) -> np.ndarray:
-    """The scales ``s``: one number or a 1-D ladder, finite and nonnegative (or ``positive``)."""
-    scales = np.asarray(s, dtype=float)
-    ok = np.isfinite(scales) & ((scales > 0) if positive else (scales >= 0))
-    if scales.ndim > 1 or not ok.all():
-        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}"
-                         f" (one scale or a 1-D ladder), got {s!r}")
-    return scales
-
-
 def _by_scale(scales: np.ndarray, lead: tuple, at) -> float | np.ndarray:
     """``at(s)`` per checked scale, packed as ``(scale,) + lead``; one number gives ``at(s)``."""
     if scales.ndim == 0:
@@ -336,7 +328,7 @@ def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
 
     With ``step=None`` (a group exact for every t) they are uniform; otherwise
     they are distinct integer multiples of ``step``, empty when ``s < step``.
-    ``s`` must be finite and ``>= 0``, and ``step`` ``None`` or finite and ``> 0``.
+    ``s`` is finite and nonnegative, ``step`` ``None`` or finite and positive.
     The array is read-only and comes from a table of
     ``_CANDIDATE_TABLE_SIZE`` entries keyed by ``(float(s), cap, step)``.
     """
@@ -347,13 +339,11 @@ def grid_candidates(s: float, cap: int, step: float | None) -> np.ndarray:
 def _candidates(s: float, cap: int, step: float | None) -> np.ndarray:
     """The body of :func:`grid_candidates`, tabled; an argument that fails the checks
     raises here, before anything is tabled."""
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"s must be finite and >= 0, got {s}")
-    if step is not None and not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be None or finite and > 0, got {step}")
+    require_scale("s", s)
     if step is None:
         ts = s * np.arange(1, cap + 1) / cap
     else:
+        require_scale("step", step, positive=True)
         mmax = int(math.floor(s / step + 1e-9))
         count = max(min(cap, mmax), 0)  # none when s < step
         m = np.round(np.linspace(1, mmax, count)).astype(int)
@@ -520,7 +510,7 @@ def modulus_mixed(space: RepresentationSpace, r: int, s, f) -> float | np.ndarra
     require_integer("r", r, 1, max(_SUP_CAP))  # the search's candidate counts end there
     f = _values(f, space.shape)
     lead = f.shape[:f.ndim - len(space.shape)]
-    return _by_scale(_ladder(s), lead, lambda si: _modulus(space, r, si, f, lead))
+    return _by_scale(require_scales("s", s), lead, lambda si: _modulus(space, r, si, f, lead))
 
 
 def _modulus(space: RepresentationSpace, r: int, s: float, f: np.ndarray, lead: tuple):
@@ -557,8 +547,9 @@ def k_upper_detail(space: RepresentationSpace, r: int, s: float, f) -> dict:
     non-finite cap raises as a non-finite witness does.
     """
     require_integer("r", r, 1)
+    require_integer("r", r, 1, MAX_ORDER)  # the Hardy-Steklov witness's orders end there
     f = _values(f, space.shape)
-    scale = _ladder(s, positive=True)
+    scale = require_scales("s", s, positive=True)
     if scale.ndim:
         raise ValueError(f"s must be one scale, got shape {scale.shape}; k_upper takes a ladder")
     return _k_upper_at(space, r, float(scale), f, space.norm(f))
@@ -579,9 +570,10 @@ def k_upper(space: RepresentationSpace, r: int, s, f) -> float | np.ndarray:
     trivial splitting at ``||f||``; per member, or ``(scale, member...)`` for a ladder ``s > 0``.
     """
     require_integer("r", r, 1)
+    require_integer("r", r, 1, MAX_ORDER)  # the Hardy-Steklov witness's orders end there
     f = _values(f, space.shape)
     cap = space.norm(f)
-    return _by_scale(_ladder(s, positive=True), f.shape[:f.ndim - len(space.shape)],
+    return _by_scale(require_scales("s", s, positive=True), f.shape[:f.ndim - len(space.shape)],
                      lambda si: _k_upper_at(space, r, si, f, cap)["value"])
 
 
@@ -600,7 +592,7 @@ def k_spectral(op: DiscreteOperator, r: int, s, f) -> float | np.ndarray:
         f = _values(f, op.weights.shape)
     w = op.spectral_weights(f)
     root = op.eigenvalues ** (r / 2.0)
-    return _by_scale(_ladder(s), w.shape[:-1], lambda si: _members(
+    return _by_scale(require_scales("s", s), w.shape[:-1], lambda si: _members(
         np.sqrt(np.sum(np.minimum(1.0, si ** r * root) ** 2 * w, axis=-1))))
 
 
@@ -615,11 +607,11 @@ def verify_modulus_inequalities(space, r: int, k: int, f, s_list) -> dict:
     * C1: ``Omega^r(a s, f) <= C1 Omega^r(s, f)`` for a = 2 (compare (1+a)^r)
     * C2: ``s^k Omega^r(s, f) <= C2 (s^{r+k} ||f|| + Omega^{r+k}(s, f))``
     """
-    require_integer("r", r, 1)
+    require_integer("r", r, 1, max(_SUP_CAP) - 1)  # so that some k >= 1 keeps r + k <= 4
     # k is a word order, and the search reaches the modulus order r + k
     require_integer("k", k, 1, min(r, MAX_SOBOLEV_ORDER, max(_SUP_CAP) - r))
     f = _values(f, space.shape, one=True)
-    scales = _ladder(s_list)
+    scales = require_scales("s", s_list)
     nf = space.norm(f)
     floor = _FLOOR * max(nf, 1.0)
     # per scale, the order-(r - k) moduli of the order-k derivative words of f, one stack

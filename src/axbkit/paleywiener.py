@@ -17,17 +17,17 @@ the largest (half of it exponentiated, the other half its conjugate), the
 eigen-coefficients, ``i sqrt(Delta) f`` and the norms.
 
 Each function expands ``f`` in the eigenbasis of the operator ``op`` it is given, which
-refuses a function from another grid; a Bernstein or Riesz-Boas band must be finite.
-:func:`pw_project` also takes one band per member of a stack, so draws with different
-bands are projected together.
+refuses a function from another grid; every band, ``sigma`` and time keeps the scale rule
+of :mod:`axbkit.grids`.  :func:`pw_project` also takes one band per member of a stack, so
+draws with different bands are projected together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import HalfLineFunction, require_integer
-from .moduli import _by_scale, _ladder, _members, modulus_mixed
+from .grids import HalfLineFunction, require_integer, require_scale, require_scales
+from .moduli import _by_scale, _members, modulus_mixed
 from .spectral import DiscreteOperator, apply_multiplier
 
 __all__ = [
@@ -41,12 +41,6 @@ __all__ = [
 ]
 
 
-def _require_band(omega: float) -> None:
-    """Raise unless the band ``omega`` is finite and positive."""
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega: must be finite and positive, got {omega!r}")
-
-
 def pw_project(omega, f: HalfLineFunction, op: DiscreteOperator) -> HalfLineFunction:
     """Projection onto ``PW_omega``, ``1_{[0, omega]}(Delta^{1/2}) f``, by the eigen-expansion
     of ``op``, on whose grid ``f`` must live.
@@ -54,14 +48,12 @@ def pw_project(omega, f: HalfLineFunction, op: DiscreteOperator) -> HalfLineFunc
     ``omega`` is one band ``> 0`` for ``f`` and every member of a stack, or, for a ``(k, n)``
     stack, a 1-D array of ``k`` bands, one per member: the stack is then projected by one
     matrix product each way, which rounds each member within about 1e-15 of its own call."""
-    bands = np.asarray(omega, dtype=float)
+    bands = require_scales("omega", omega, positive=True)
     if bands.ndim:
-        if bands.ndim != 1 or f.values.shape[:-1] != bands.shape:
-            raise ValueError(f"omega: one band per member of a stack of shape "
-                             f"{f.values.shape}, got {bands.shape}")
+        if f.values.shape[:-1] != bands.shape:
+            raise ValueError(f"omega must be one band per member of a stack of shape "
+                             f"{f.values.shape}, got shape {bands.shape}")
         bands = bands[:, None]
-    if not np.all(bands > 0):
-        raise ValueError(f"omega: must be positive, got {omega}")
     return apply_multiplier(
         lambda lam: (np.sqrt(np.maximum(lam, 0.0)) <= bands).astype(float), f, op)
 
@@ -77,14 +69,14 @@ def best_approx(sigma, f: HalfLineFunction, op: DiscreteOperator) -> float | np.
     """
     lam, w = op.eigenvalues, op.spectral_weights(f)
     root = np.sqrt(np.maximum(lam, 0.0))
-    return _by_scale(_ladder(sigma, "sigma"), w.shape[:-1],
+    return _by_scale(require_scales("sigma", sigma), w.shape[:-1],
                      lambda s: _members(np.sqrt(np.sum(w[..., root > s], axis=-1))))
 
 
 def bernstein_check(f: HalfLineFunction, omega: float, s_exponents, op: DiscreteOperator) -> dict:
     """Ratios of the Bernstein inequality ``||Delta^{s/2} f|| <= omega^s ||f||`` on
     ``PW_omega``, for a finite band ``omega > 0``."""
-    _require_band(omega)
+    require_scale("omega", omega, positive=True)
     f._check_one()
     lam, w = op.eigenvalues, op.spectral_weights(f)
     total = np.sum(w)
@@ -114,7 +106,7 @@ def riesz_boas(omega: float, f: HalfLineFunction, k_trunc, op: DiscreteOperator)
     the row of ``1 - k``, whose arguments are its exact negatives, so with an even cosine
     and an odd sine it has the bits of its own exponential.
     """
-    _require_band(omega)
+    require_scale("omega", omega, positive=True)
     truncs = np.asarray(k_trunc)
     if truncs.dtype.kind not in "iu" or truncs.ndim > 1 or truncs.size == 0 or np.any(truncs < 1):
         raise ValueError("k_trunc: must be one integer >= 1 or a 1-D ladder of them, "
@@ -154,8 +146,7 @@ def schrodinger_modulus(r: int, t: float, f: HalfLineFunction, op: DiscreteOpera
     is an integer >= 1 and ``t`` finite and nonnegative.
     """
     require_integer("r", r, 1)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t: must be finite and nonnegative, got {t!r}")
+    require_scale("t", t)
     lam, w = op.eigenvalues, op.spectral_weights(f)
     taus = np.linspace(0.0, t, 65)[1:]
     phase = np.abs(np.exp(1j * np.outer(taus, lam)) - 1.0) ** (2 * r)
@@ -184,10 +175,11 @@ def jackson_check(sigma_list, r: int, f: HalfLineFunction, op: DiscreteOperator,
     approximations of all members are then computed together, and one report per member
     comes back.  Every sigma must be positive, as the modulus is taken at ``1 / sigma``.
     """
-    sigmas = _ladder(sigma_list, "sigma", positive=True)
-    # per member, its best approximations and its moduli at 1 / sigma, one value per sigma
-    members = best_approx(sigmas, f, op).reshape(len(sigmas), -1).T
+    sigmas = require_scales("sigma", sigma_list, positive=True)
+    # per member, its moduli at 1 / sigma and its best approximations, one value per sigma;
+    # the moduli go first, so a bad order is refused before any best approximation
     moduli = modulus_mixed(space, r, 1.0 / sigmas, f).reshape(len(sigmas), -1).T
+    members = best_approx(sigmas, f, op).reshape(len(sigmas), -1).T
     norms = np.atleast_1d(space.norm(f.values))
     reports = []
     for errors, member_moduli, nf in zip(members, moduli, norms):

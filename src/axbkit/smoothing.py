@@ -33,9 +33,9 @@ The factors of ``H_{j,r}(s)`` depend only on ``(j, r, s, grid)``:
 arrays, each one grid long (direction 2) or one padded frequency axis long
 (direction 1).  A whole report at the default grids fills 132 of them,
 about 1 MB; :func:`axbkit.spectral.clear_caches` empties the table.  The
-order ``r`` is an integer in ``[1, MAX_ORDER]`` and ``j`` is 1 or 2, by the rules
-of :mod:`axbkit.grids`; ``s`` and ``r * s`` must be finite.  Each operator
-checks these itself, order and scale first, then direction.  The kernel's
+order ``r`` is an integer in ``[1, MAX_ORDER]``, ``j`` is 1 or 2 and ``s`` is
+finite and positive, by the rules of :mod:`axbkit.grids`; ``r * s`` must be finite.
+Each operator checks these itself, order and scale first, then direction.  The kernel's
 reach in grid steps of the log grid must be at most ``MAX_REACH_STEPS``,
 which :func:`steklov_avg` and :func:`hardy_steklov_dir` check last, before
 any factor is built or the table is read: a larger ``s`` would pad
@@ -67,7 +67,7 @@ from math import comb, factorial
 import numpy as np
 
 from .grids import (HalfLineFunction, LogGrid, _frequencies, fourier_multiplier,
-                    require_direction, require_finite, require_integer, unwrap)
+                    require_direction, require_finite, require_integer, require_scale, unwrap)
 from .halfline import act_modulation, shift_log, xp_norm
 
 __all__ = [
@@ -100,9 +100,7 @@ def _require_order_scale(r: int, s: float) -> None:
     """The rule every averaging operator's order and scale keep, closed form or
     quadrature: ``r`` an integer in ``[1, MAX_ORDER]``, ``s > 0``, ``s`` and ``r * s`` finite."""
     require_integer("order", r, 1, MAX_ORDER)
-    if not s > 0:
-        raise ValueError("scale must be positive")
-    require_finite("s", s)
+    require_scale("s", s, positive=True)
     require_finite("r * s", r * s)
 
 

@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .grids import HalfLineFunction, LogGrid, SpectralGrid, trapezoid_weights
+from .grids import HalfLineFunction, LogGrid, SpectralGrid, require_scales, trapezoid_weights
 from .halfline import inner, xp_norm
 from .moduli import _candidates
 from .smoothing import _hardy_factors
@@ -122,18 +122,17 @@ def macdonald_kernel(tau, x, per_tau: bool = False):
     that is ``u = ln x > -13.7``.  Below that the truncated tail is no longer
     negligible: at ``x = 3e-8`` the relative error is 0.2 to 1.5.
 
-    Accepts scalars or arrays: the result has shape ``np.shape(tau) + np.shape(x)``,
-    and is a float when that shape is ``()``.  The decay ``exp(-x cosh t)`` is
-    tabled for a block of ``x`` nodes at a time, so no ``(len(x), 720)`` table is
-    held; on one BLAS thread each entry has the bits of one product over all of ``x``.
+    ``tau`` (finite and nonnegative) and ``x`` (finite and positive) are each one number
+    or a 1-D array: the result has shape ``np.shape(tau) + np.shape(x)``, and is a float
+    when that shape is ``()``.  The decay ``exp(-x cosh t)`` is tabled for a block of ``x``
+    nodes at a time, so no ``(len(x), 720)`` table is held; on one BLAS thread each entry
+    has the bits of one product over all of ``x``.
     The decay table is shared by every ``tau``; with ``per_tau`` each ``tau`` takes its
     own product per block, so row i has the bits of ``macdonald_kernel(tau[i], x)``
     (one product over all ``tau`` rounds its rows differently).
     """
-    tau_arr = np.asarray(tau, dtype=float).ravel()
-    x_arr = np.asarray(x, dtype=float).ravel()
-    if np.any(x_arr <= 0):
-        raise ValueError("x must be positive")
+    tau_arr = require_scales("tau", tau).ravel()
+    x_arr = require_scales("x", x, positive=True).ravel()
     t = np.linspace(0.0, _KERNEL_T_MAX, _KERNEL_N_T)
     wt = trapezoid_weights(_KERNEL_N_T, t[1] - t[0])
     cos_wt = np.cos(np.outer(tau_arr, t)) * wt

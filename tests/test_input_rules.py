@@ -1,8 +1,9 @@
-"""The three input rules of :mod:`axbkit.grids` at every entry point that takes an
-order, a direction or a side, the word-order bound, the modulus-order bound and the
-Besov-index rule of :mod:`axbkit.moduli` at every entry point that takes a derivative
-order, a modulus order, ``alpha`` or ``q``, and the guard that each rule (the
-one-function rule too) has one copy."""
+"""The input rules of :mod:`axbkit.grids` at every entry point that takes an order, a
+grid's node count, a direction, a side or a scale (a band, a time, a spectral parameter,
+a dilation factor, ``alpha``), the word-order bound, the modulus-order bound and the
+``q`` rule of :mod:`axbkit.moduli` at every entry point that takes a derivative order, a
+modulus order or ``q``, and the guard that each rule (the one-function and the same-grid
+rules too) has one copy and that the texts of the copies they replaced are gone."""
 
 import math
 import pathlib
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import axbkit
-from axbkit import frames, group, halfline, halfplane, moduli, paleywiener, smoothing
-from axbkit.grids import HalfLineFunction, LogGrid, require_direction, require_integer, require_side
+from axbkit import frames, group, halfline, halfplane, moduli, paleywiener, smoothing, spectral
+from axbkit.grids import (HalfLineFunction, LogGrid, SpectralGrid, require_direction,
+                          require_integer, require_scale, require_scales, require_side)
 from axbkit.spectral import build_matrix_laplacian
 
 
@@ -69,7 +71,7 @@ _ROWS = [
     ("besov_tail_report r=5", "r",
      lambda c: moduli.besov_tail_report(c.space, c.f, moduli.BesovParams(0.5, 2.0, 5)), "value"),
     ("verify_modulus_inequalities k=5", "k",
-     lambda c: moduli.verify_modulus_inequalities(c.space, 5, 5, c.f, [0.5]), "value"),
+     lambda c: moduli.verify_modulus_inequalities(c.space, 3, 5, c.f, [0.5]), "ValueError"),
     ("reiteration_check r=5", "r",
      lambda c: moduli.reiteration_check(c.space, c.f, 0, 5, 5, 0.5, 2.0), "value"),
     # moduli: each modulus order at most 4, the largest the search has a candidate count for
@@ -82,6 +84,16 @@ _ROWS = [
      lambda c: paleywiener.jackson_check([1.0, 2.0], 5, c.f, c.op, c.space), "value"),
     ("verify_modulus_inequalities r+k=5", "k",
      lambda c: moduli.verify_modulus_inequalities(c.space, 3, 2, c.f, [0.5]), "value"),
+    # r of verify_modulus_inequalities is at most 3, as every k >= 1 takes r + k past 4
+    ("verify_modulus_inequalities r=4", "r",
+     lambda c: moduli.verify_modulus_inequalities(c.space, 4, 1, c.f, [0.5]), "ValueError"),
+    # the K-functional's order at most the Hardy-Steklov witness's MAX_ORDER, named r
+    ("k_upper r=5", "r", lambda c: moduli.k_upper(c.space, 5, 0.5, c.f), "ValueError"),
+    ("k_upper_detail r=5", "r", lambda c: moduli.k_upper_detail(c.space, 5, 0.5, c.f),
+     "ValueError"),
+    ("besov_norm k r=5", "r",
+     lambda c: moduli.besov_norm(c.space, c.f, moduli.BesovParams(0.5, 2.0, 5), "k"),
+     "ValueError"),
     # smoothing: the order in [1, MAX_ORDER], the direction 1 or 2
     ("hardy_steklov r=1.5", "order", lambda c: smoothing.hardy_steklov(1.5, 0.5, c.f),
      "TypeError"),
@@ -182,6 +194,66 @@ _ROWS = [
      "value"),
     ("approx_space_norm q=nan", "q", lambda c: frames.approx_space_norm(c.f, c.op, 0.5, NAN),
      "value"),
+    # scales: finite and positive (a smoothing scale, a band, a dilation factor, a step) or
+    # finite and nonnegative (a modulus scale, a time, a spectral parameter)
+    ("steklov_avg s=0", "s", lambda c: smoothing.steklov_avg(1, 2, 0.0, c.f), "ValueError"),
+    ("steklov_avg s=nan", "s", lambda c: smoothing.steklov_avg(1, 2, NAN, c.f), "ValueError"),
+    ("hardy_steklov_dir s=-1", "s", lambda c: smoothing.hardy_steklov_dir(2, 2, -1.0, c.f),
+     "ValueError"),
+    ("hardy_steklov_dir s=nan", "s", lambda c: smoothing.hardy_steklov_dir(2, 2, NAN, c.f),
+     "ValueError"),
+    ("irwin_hall_nodes s=0", "s", lambda c: smoothing.irwin_hall_nodes(2, 0.0), "ValueError"),
+    ("irwin_hall_nodes s=nan", "s", lambda c: smoothing.irwin_hall_nodes(2, NAN), "ValueError"),
+    ("steklov_avg_generic s=nan", "s",
+     lambda c: smoothing.steklov_avg_generic(c.space.act, 1, 2, NAN, c.f.values), "ValueError"),
+    ("hardy_steklov_generic s=0", "s",
+     lambda c: smoothing.hardy_steklov_generic(c.space.act, 2, 0.0, c.f.values), "ValueError"),
+    ("grid_candidates s=-1", "s", lambda c: moduli.grid_candidates(-1.0, 4, None), "ValueError"),
+    ("grid_candidates s=nan", "s", lambda c: moduli.grid_candidates(NAN, 4, 0.1), "ValueError"),
+    ("grid_candidates step=0", "step", lambda c: moduli.grid_candidates(1.0, 4, 0.0),
+     "ValueError"),
+    ("grid_candidates step=nan", "step", lambda c: moduli.grid_candidates(1.0, 4, NAN),
+     "ValueError"),
+    ("bernstein_check omega=0", "omega",
+     lambda c: paleywiener.bernstein_check(c.f, 0.0, (1,), c.op), "ValueError"),
+    ("bernstein_check omega=nan", "omega",
+     lambda c: paleywiener.bernstein_check(c.f, NAN, (1,), c.op), "ValueError"),
+    ("riesz_boas omega=-1", "omega", lambda c: paleywiener.riesz_boas(-1.0, c.f, 8, c.op),
+     "ValueError"),
+    ("riesz_boas omega=nan", "omega", lambda c: paleywiener.riesz_boas(NAN, c.f, 8, c.op),
+     "ValueError"),
+    ("pw_project omega=0", "omega", lambda c: paleywiener.pw_project(0.0, c.f, c.op),
+     "ValueError"),
+    ("pw_project omega=nan", "omega", lambda c: paleywiener.pw_project(NAN, c.f, c.op),
+     "ValueError"),
+    ("pw_project omega=inf", "omega", lambda c: paleywiener.pw_project(INF, c.f, c.op), "value"),
+    ("schrodinger_modulus t=-1", "t",
+     lambda c: paleywiener.schrodinger_modulus(2, -1.0, c.f, c.op), "ValueError"),
+    ("schrodinger_modulus t=nan", "t",
+     lambda c: paleywiener.schrodinger_modulus(2, NAN, c.f, c.op), "ValueError"),
+    ("GroupElement a=0", "a", lambda c: group.GroupElement(0.0, 1.0), "ValueError"),
+    ("GroupElement a=nan", "a", lambda c: group.GroupElement(NAN, 1.0), "ValueError"),
+    ("SpectralGrid tau_max=0", "tau_max", lambda c: SpectralGrid(0.0, 40), "ValueError"),
+    ("SpectralGrid tau_max=nan", "tau_max", lambda c: SpectralGrid(NAN, 40), "ValueError"),
+    ("macdonald_kernel tau=-1", "tau", lambda c: spectral.macdonald_kernel(-1.0, 1.0), "value"),
+    ("macdonald_kernel tau=nan", "tau", lambda c: spectral.macdonald_kernel(NAN, 1.0), "value"),
+    ("macdonald_kernel tau=inf", "tau", lambda c: spectral.macdonald_kernel(INF, 1.0), "value"),
+    ("macdonald_kernel x=0", "x", lambda c: spectral.macdonald_kernel(1.0, [1.0, 0.0]),
+     "ValueError"),
+    ("macdonald_kernel x=nan", "x", lambda c: spectral.macdonald_kernel(1.0, NAN), "value"),
+    ("partition_values lambda=-1", "lambda", lambda c: frames.partition_values(2, [0.5, -1.0]),
+     "ValueError"),
+    ("partition_values lambda=nan", "lambda", lambda c: frames.partition_values(2, NAN), "value"),
+    # node counts: integers from the least each grid takes
+    ("LogGrid n=15", "n", lambda c: LogGrid(-1.0, 1.0, 15), "ValueError"),
+    ("LogGrid n=20.5", "n", lambda c: LogGrid(-1.0, 1.0, 20.5).u, "TypeError"),
+    ("LogGrid n=nan", "n", lambda c: LogGrid(-1.0, 1.0, NAN).u, "TypeError"),
+    ("SpectralGrid m=31", "m", lambda c: SpectralGrid(5.0, 31), "ValueError"),
+    ("SpectralGrid m=40.5", "m", lambda c: SpectralGrid(5.0, 40.5).tau, "TypeError"),
+    ("HalfPlaneGrid n_y=15", "n_y", lambda c: halfplane.HalfPlaneGrid(c.hgrid.xgrid, -8.0, 8.0, 15),
+     "ValueError"),
+    ("HalfPlaneGrid n_y=20.5", "n_y",
+     lambda c: halfplane.HalfPlaneGrid(c.hgrid.xgrid, -8.0, 8.0, 20.5).y, "TypeError"),
 ]
 
 
@@ -189,7 +261,8 @@ _ROWS = [
                          ids=[row[0] for row in _ROWS])
 def test_every_entry_point_refuses_a_bad_order_direction_or_side(ctx, name, call, was):
     # ``was`` records what each entry point did with the value before the rules, so a row
-    # that raised a TypeError or returned a value is one this change mends
+    # that raised a TypeError or returned a value is one the rules mend; scales, bands,
+    # times and node counts go through the same table
     assert was in ("ValueError", "TypeError", "OverflowError", "ZeroDivisionError", "value")
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call(ctx)
@@ -212,6 +285,42 @@ def test_require_integer_accepts(value, lo, hi):
     require_integer("n", value, lo, hi)
 
 
+@pytest.mark.parametrize("value, positive, ok", [
+    (0.0, False, True), (0, False, True), (2.5, True, True), (np.float64(1e300), True, True),
+    (0.0, True, False), (-0.5, False, False), (-1e-300, False, False), (NAN, False, False),
+    (INF, False, False), (-INF, True, False), (NAN, True, False),
+])
+def test_require_scale_and_scales(value, positive, ok):
+    rule = "must be finite and positive" if positive else "must be finite and nonnegative"
+    for ladder in (value, [1.0, value]):
+        if ok:
+            require_scale("s", value, positive)
+            assert np.array_equal(require_scales("s", ladder, positive), np.asarray(ladder, float))
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(f's {rule}, got {value!r}')}$"):
+            require_scale("s", value, positive)
+        with pytest.raises(ValueError, match=re.escape(f"s {rule} (one scale or a 1-D ladder)")):
+            require_scales("s", ladder, positive)
+
+
+def test_require_scales_refuses_a_2d_ladder_and_returns_floats():
+    with pytest.raises(ValueError, match=r"^s must be finite and nonnegative \(one scale"):
+        require_scales("s", [[0.5, 1.0]])
+    scales = require_scales("s", [1, 2])
+    assert scales.dtype == np.float64 and scales.shape == (2,)
+    assert require_scales("s", 3).ndim == 0
+
+
+def test_one_function_of_each_kind_refuses_another_grid(ctx):
+    g = HalfLineFunction(LogGrid(-12.0, 6.0, 65), np.ones(65))
+    h2 = halfplane.HalfPlaneFunction(halfplane.HalfPlaneGrid(ctx.hgrid.xgrid, -8.0, 8.0, 17),
+                                     np.ones((20, 17)))
+    for call in (lambda: ctx.f + g, lambda: ctx.f - g, lambda: halfline.inner(ctx.f, g),
+                 lambda: ctx.f2 - h2):
+        with pytest.raises(ValueError, match="^functions live on different grids$"):
+            call()
+
+
 def test_require_direction_and_side():
     for j in (1, 2):
         require_direction(j)
@@ -228,19 +337,28 @@ def test_require_direction_and_side():
 
 #: the text of each rule's error, which only :mod:`axbkit.grids` may hold
 _RULE_TEXTS = ("must be an integer", "direction must be 1 or 2", "side must be 'left' or 'right'",
-               "takes one function, got a stack of shape")
+               "takes one function, got a stack of shape", "must be finite and positive",
+               "must be finite and nonnegative", "functions live on different grids")
 
 
-#: the text of each Besov-index error, which only :mod:`axbkit.moduli` may hold
-_BESOV_TEXTS = ("alpha must be positive", "q must be >= 1")
+#: the text of the Besov ``q`` error, which only :mod:`axbkit.moduli` may hold
+_BESOV_TEXTS = ("q must be >= 1",)
+
+
+#: the texts of the scale and node-count checks the rules replaced, which no module may hold
+_RETIRED_TEXTS = ("scale must be positive", "omega: must", "t: must", "must be finite and >= 0",
+                  "must be None or finite and > 0", "dilation factor must be positive",
+                  "tau_max must be positive", "x must be positive", "lambda must be nonnegative",
+                  "alpha must be positive and finite", "need at least")
 
 
 def test_each_input_rule_has_one_copy():
     src = pathlib.Path(axbkit.__file__).parent
     holders = {text: sorted(path.name for path in src.glob("*.py") if text in path.read_text())
-               for text in _RULE_TEXTS + _BESOV_TEXTS}
+               for text in _RULE_TEXTS + _BESOV_TEXTS + _RETIRED_TEXTS}
     assert holders == {**{text: ["grids.py"] for text in _RULE_TEXTS},
-                       **{text: ["moduli.py"] for text in _BESOV_TEXTS}}
+                       **{text: ["moduli.py"] for text in _BESOV_TEXTS},
+                       **{text: [] for text in _RETIRED_TEXTS}}
 
 
 def test_the_besov_index_rule_keeps_the_sup_form(ctx):

@@ -6,6 +6,7 @@ import pytest
 
 from axbkit.grids import HalfLineFunction
 from axbkit.halfline import inner, xp_norm
+from axbkit.moduli import halfline_space
 from axbkit.paleywiener import (
     bernstein_check,
     best_approx,
@@ -31,10 +32,10 @@ def test_band_limit_validation(f_lg, op):
                                    [2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [[2.0, 3.0, 4.0]]])
 def test_band_array_validation(grid, f_lg, f_lg_wide, op, bands):
     stack = HalfLineFunction(grid, np.stack([f_lg.values, f_lg_wide.values, f_lg.values]))
-    with pytest.raises(ValueError, match="^omega: "):
+    with pytest.raises(ValueError, match="^omega must be "):
         pw_project(np.array(bands), stack, op=op)
     # one function takes one band, not an array of them
-    with pytest.raises(ValueError, match="^omega: "):
+    with pytest.raises(ValueError, match="^omega must be one band per member"):
         pw_project(np.array([2.0]), f_lg, op=op)
 
 
@@ -192,7 +193,7 @@ def test_bernstein_check_rejects_a_bad_band(f_lg, op, omega):
     # 0 once gave an infinite ratio after divide-by-zero warnings, -1 a finite one, NaN a NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^omega: must be finite and positive"):
+        with pytest.raises(ValueError, match="^omega must be finite and positive"):
             bernstein_check(f_lg, omega, (1, 2, 3), op)
 
 
@@ -200,7 +201,7 @@ def test_bernstein_check_rejects_a_bad_band(f_lg, op, omega):
 def test_schrodinger_modulus_rejects_a_bad_time(f_lg, op, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^t: must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="^t must be finite and nonnegative"):
             schrodinger_modulus(2, t, f_lg, op)
 
 
@@ -208,6 +209,14 @@ def test_schrodinger_modulus_rejects_a_bad_time(f_lg, op, t):
 def test_schrodinger_modulus_takes_the_modulus_order_rule(f_lg, op, r):
     with pytest.raises(ValueError, match="^r must be an integer >= 1"):
         schrodinger_modulus(r, 0.5, f_lg, op)
+
+
+def test_jackson_check_refuses_the_order_before_any_best_approximation(f_lg, op, monkeypatch):
+    calls = []
+    monkeypatch.setattr("axbkit.paleywiener.best_approx", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^r must be in \[1, 4\] and an integer, got 5$"):
+        jackson_check([1.0, 2.0], 5, f_lg, op, halfline_space(f_lg.grid))
+    assert calls == []
 
 
 def test_schrodinger_zero_and_bound(grid, op, f_lg):

@@ -99,11 +99,12 @@ def dir2_hardy_loop(r, s, values, grid):
 
 @pytest.mark.parametrize("r, s, j, match", [
     (0, 1.0, 2, r"^order must be in \[1, 4\]"),
-    (1, -1.0, 2, "^scale must be positive$"),
+    (1, -1.0, 2, "^s must be finite and positive, got -1.0$"),
     (1, 1.0, 3, "^direction must be 1 or 2, got 3$"),
     # each row below breaks every rule from its own onwards, so only the first check may
-    # fire: order, scale, the finiteness of s and r * s, direction, reach
-    (0, -1.0, 3, "^order"), (2, -1.0, 3, "^scale"), (2, math.inf, 3, "^s must be finite"),
+    # fire: order, scale (finite and positive), the finiteness of r * s, direction, reach
+    (0, -1.0, 3, "^order"), (2, -1.0, 3, "^s must be finite and positive"),
+    (2, math.inf, 3, "^s must be finite and positive, got inf$"),
     (4, 1e308, 3, r"^r \* s must be finite"), (2, 1e6, 3, "^direction"),
     (2, 1e6, 1, "^s = 1000000.0 reaches"),
 ])
@@ -184,8 +185,11 @@ def test_irwin_hall_mass():
 
 @pytest.mark.parametrize("r, s, match", [
     (0, 1.0, "order"), (5, 0.5, "order"), (9, 0.5, "order"),
-    (2, -1.0, "scale"), (2, 0.0, "scale"), (2, math.nan, "scale"),
-    (2, math.inf, "s must be finite"), (4, 1e308, r"r \* s must be finite"),
+    (2, -1.0, "^s must be finite and positive, got -1.0$"),
+    (2, 0.0, "^s must be finite and positive, got 0.0$"),
+    (2, math.nan, "^s must be finite and positive, got nan$"),
+    (2, math.inf, "^s must be finite and positive, got inf$"),
+    (4, 1e308, r"r \* s must be finite"),
 ])
 def test_quadrature_route_keeps_the_closed_forms_rule(space, f_lg, r, s, match):
     # irwin_hall_nodes(0, 1.0) divided by zero, a negative s gave values, and r = 9 ran
@@ -204,7 +208,7 @@ def test_halfplane_k_upper_has_the_halfline_order_cap():
     hgrid = HalfPlaneGrid(LogGrid(-6.0, 4.0, 20), -8.0, 8.0, 16)
     f2 = log_gaussian_2d(hgrid)
     for side in ("left", "right"):
-        with pytest.raises(ValueError, match=r"order must be in \[1, 4\]"):
+        with pytest.raises(ValueError, match=r"^r must be in \[1, 4\]"):
             k_upper(halfplane_space(hgrid, side), 5, 0.5, f2)
 
 
